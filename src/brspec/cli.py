@@ -42,7 +42,7 @@ _DEFAULT_CONFIG = {
     "params": {"c": SPEED_OF_LIGHT, "m": 1.0, "Z": 1.0},
     "channel": {"kappa": -1},
     "grid": {"n": 200, "s": None, "scheme": "nystrom", "kind": "rational"},
-    "solver": {"route": "both", "k": 4, "tol": 1e-10, "max_iter": 200000},
+    "solver": {"route": "both", "k": 4, "tol": 1e-10, "max_iter": 2000},
     "experiments": {
         "R_values": [2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
         "eta_values": [0.4, 0.2, 0.1, 0.05, 0.025],
@@ -64,10 +64,15 @@ _VALIDATORS = {
     ("solver", "route"): lambda v: v in ("dense", "variational", "both") or "route must be dense|variational|both",
     ("solver", "k"): lambda v: v >= 1 or "k >= 1",
     ("solver", "tol"): lambda v: v > 0 or "tol > 0",
+    ("solver", "max_iter"): lambda v: v >= 1 or "max_iter >= 1",
     ("channel", "kappa"): lambda v: v != 0 or "kappa must be nonzero",
     ("params", "c"): lambda v: v > 0 or "c > 0",
     ("params", "m"): lambda v: v > 0 or "m > 0",
     ("params", "Z"): lambda v: v >= 0 or "Z >= 0",
+    **{("experiments", key): lambda v: len(v) > 0 or "needs at least one value"
+       for key in ("R_values", "eta_values", "Z_values", "grid_sizes")},
+    ("output", "formats"): lambda v: (all(f in ("json", "csv") for f in v)
+                                      or "formats must be drawn from json|csv"),
 }
 
 

@@ -51,12 +51,17 @@ class SpectralResult:
 
 @dataclass
 class MinimizationTrace:
-    """Per-iteration history of one constrained minimization."""
+    """Per-iteration history of one constrained minimization.
+
+    ``iterates`` holds the energy after each strict decrease (so it is
+    monotone), ``gradient_norms`` the Euclidean residual ||A f - E f|| at
+    every iteration, and ``exit_reason`` is ``"residual"`` or ``"max_iter"``.
+    """
 
     iterates: list = field(default_factory=list)
     gradient_norms: list = field(default_factory=list)
-    multiplier_estimates: list = field(default_factory=list)
     converged: bool = False
+    exit_reason: str = "max_iter"
 
 
 def _grid_meta(grid: RadialGrid):
@@ -100,17 +105,20 @@ def _extension_metric(op: DiscreteOperator):
     return np.maximum(d, 1e-3 * op.params.mc2)
 
 
-def minimize_pk(op: DiscreteOperator, k, prior=None, tol=1e-10, max_iter=100_000,
+def minimize_pk(op: DiscreteOperator, k, prior=None, tol=1e-10, max_iter=2000,
                 seed_profile=None):
     """Deflated constrained minimization of the boundary Rayleigh energy.
 
     Minimizes (f, A f) over unit-L^2 trace data orthogonal to the columns
     of ``prior``.  Each step minimizes the energy exactly over the span of
-    the iterate, the projected gradient taken in the extension-energy
-    metric, and the previous displacement (a locally optimal three-term
-    descent: monotone by construction, and far faster than line-searched
-    gradient steps when the continuum edge clusters).  Converges when the
-    projected-gradient norm falls below tol * max(|E|, m c^2).
+    the iterate, the projected preconditioned gradient and the previous
+    displacement (a locally optimal three-term descent).  The gradient is
+    divided by the extension metric shifted to the running energy E,
+    |lambda(p) - min(E, m c^2)| + max(m c^2 - E, 1e-12 m c^2), which stays
+    of the size of the binding energy at low momentum, where bound states
+    live just below the continuum edge.  Converges when the Euclidean
+    residual ||A f - E f|| falls to tol * m c^2, the quantity the
+    spectrum checks gate.
 
     Returns (eigenvalue, eigenvector coordinates, MinimizationTrace).
     """
@@ -145,50 +153,49 @@ def minimize_pk(op: DiscreteOperator, k, prior=None, tol=1e-10, max_iter=100_000
     trace = MinimizationTrace()
     mc2 = op.params.mc2
     prev_step = None
-    E = float(f @ (M @ f))
+    Mf = M @ f
+    E = float(f @ Mf)
     trace.iterates.append(E)
-    trace.multiplier_estimates.append(E)
 
     for _ in range(max_iter):
-        Mf = M @ f
-        E = float(f @ Mf)
         r = Mf - E * f
-        g = deflate(r / lam)
-        g -= f * float(f @ g)
-        gnorm = float(np.sqrt(g @ (lam * g)))
-        trace.gradient_norms.append(gnorm)
-        if gnorm <= tol * max(abs(E), mc2):
+        rnorm = float(np.linalg.norm(r))
+        trace.gradient_norms.append(rnorm)
+        if rnorm <= tol * mc2:
             trace.converged = True
+            trace.exit_reason = "residual"
             break
-        basis = [f, g] if prev_step is None else [f, g, prev_step]
-        B = np.column_stack(basis)
+        # |.| keeps the shift positive where the Galerkin metric (a clipped
+        # matrix diagonal) sits below a deflated level's energy
+        shift = np.abs(lam - min(E, mc2)) + max(mc2 - E, 1e-12 * mc2)
+        g = deflate(r / shift)
+        g -= f * float(f @ g)
+        B = np.column_stack([f, g] if prev_step is None else [f, g, prev_step])
+        # unit columns, so that a tiny preconditioned gradient is not
+        # mistaken for a dependent direction
+        B /= np.maximum(np.linalg.norm(B, axis=0), np.finfo(float).tiny)
         Q, R = np.linalg.qr(B)
-        keep = np.abs(np.diag(R)) > 1e-12 * np.abs(R[0, 0])
-        Q = Q[:, keep]
+        Q = Q[:, np.abs(np.diag(R)) > 1e-12 * np.abs(R[0, 0])]
         Hs = Q.T @ (M @ Q)
         vals, vecs = eigh(0.5 * (Hs + Hs.T))
         fn = deflate(Q @ vecs[:, 0])
         fn /= np.linalg.norm(fn)
-        En = float(fn @ (M @ fn))
-        if En >= E:
-            # the exact subspace minimization cannot improve the energy at
-            # working precision: f is stationary to rounding, which can sit
-            # above an absolute gradient threshold on stiff grids
-            trace.converged = True
-            break
         prev_step = fn - f
         f = fn
-        trace.iterates.append(En)
-        trace.multiplier_estimates.append(En)
+        Mf = M @ f
+        E = float(f @ Mf)
+        if E < trace.iterates[-1]:
+            trace.iterates.append(E)
     if not trace.converged:
         raise NumericalError(
             f"constrained minimization did not converge in {max_iter} "
-            f"iterations (gradient norm {trace.gradient_norms[-1]:.3e})",
+            f"iterations (residual {trace.gradient_norms[-1]:.3e}, "
+            f"target {tol * mc2:.3e})",
             payload=trace)
     return E, f, trace
 
 
-def variational_spectrum(op: DiscreteOperator, k, tol=1e-10, max_iter=100_000) -> SpectralResult:
+def variational_spectrum(op: DiscreteOperator, k, tol=1e-10, max_iter=2000) -> SpectralResult:
     """k lowest eigenpairs by successive deflated minimizations."""
     prior = np.zeros((op.n, 0))
     vals = []

@@ -126,6 +126,22 @@ class TestMain:
         assert main(["spectrum", "--set", "grid.n=2"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, override", [
+        ("spectrum", "solver.max_iter=0"),
+        ("commutator-decay", "experiments.R_values=[]"),
+        ("scaling-limit", "experiments.eta_values=[]"),
+        ("critical-scan", "experiments.Z_values=[]"),
+        ("critical-scan", "experiments.grid_sizes=[]"),
+        ("spectrum", 'output.formats=["xml"]'),
+    ])
+    def test_invalid_input_exit_code(self, command, override, tmp_path, capsys):
+        code = main(sum((["--set", kv] for kv in FAST), [command])
+                    + ["--set", override, "--set", "output.directory=" + str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_dtn_check_command(self, tmp_path, capsys):
         code = main(["dtn-check", "--set", "params.c=1", "--set", "params.m=1",
                      "--set", "grid.n=100", "--set", "grid.s=1",

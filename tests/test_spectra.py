@@ -4,6 +4,7 @@ import pytest
 from brspec import PhysParams
 from brspec.assemble import assemble_operator
 from brspec.channels import ChannelSpec
+from brspec.cli import parse_config, run_command
 from brspec.errors import DomainError
 from brspec.grids import build_grid
 from brspec.spectra import (binding_curve, dense_spectrum, minimize_pk,
@@ -93,6 +94,32 @@ class TestMinimizePk:
             minimize_pk(op_relativistic, 1, max_iter=2)
         assert isinstance(err.value.payload, MinimizationTrace)
         assert not err.value.payload.converged
+
+
+class TestPreconditionedConvergence:
+    @pytest.mark.parametrize("n", [200, 400])
+    def test_tens_of_iterations_per_level(self, n):
+        # the shifted metric keeps the count flat in n; the unshifted one
+        # needed thousands of iterations per level, growing with n
+        op = assemble_operator(build_grid(n, 1.0), CH, PhysParams(Z=1.0))
+        prior = np.zeros((n, 0))
+        for j in range(4):
+            _, f, trace = minimize_pk(op, j + 1, prior=prior, max_iter=100)
+            assert trace.exit_reason == "residual"
+            assert len(trace.gradient_norms) <= 100
+            prior = np.column_stack([prior, f])
+
+    @pytest.mark.parametrize("Z, kind", [(40, "rational"), (80, "rational"),
+                                         (1, "log"), (40, "log"), (80, "log"),
+                                         (120, "log")])
+    def test_spectrum_variational_checks_pass(self, Z, kind):
+        # passes the gated checks on a budget of 100 iterations per level
+        report = run_command("spectrum", parse_config(
+            overrides=[f"params.Z={Z}", f"grid.kind={kind}", "solver.route=both",
+                       "solver.max_iter=100"]))
+        verdicts = {c["name"]: c["ok"] for c in report.checks}
+        assert verdicts["variational_residuals_small"]
+        assert verdicts["route_equivalence"]
 
 
 class TestRouteEquivalence:
