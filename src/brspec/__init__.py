@@ -19,9 +19,9 @@ from .dirac import (ALPHA, BETA, PAULI, SpinorMatrix4, a_plus_minus, channel_rot
                     dirac_symbol, difference_kernel_bound, fw_block_upper,
                     fw_difference_kernel, fw_unitary, lambda_of, projector_symbol,
                     spherical_spinor)
-from .channels import (ChannelSpec, RadialKernel, angular_reduce, br_channel_kernel,
-                       coulomb_radial_kernel, legendre_q, multiplier_channel_kernel,
-                       scaled_sph_bessel_i, spherical_bessel_transform)
+from .channels import (ChannelSpec, angular_reduce, br_channel_kernel, coulomb_radial_kernel,
+                       legendre_q, multiplier_channel_kernel, scaled_sph_bessel_i,
+                       spherical_bessel_transform)
 from .grids import (MetricH12, RadialGrid, assemble_h12_metric, build_grid,
                     build_log_grid, operator_norm_h12)
 from .assemble import (DiscreteOperator, assemble_nonrel_operator, assemble_operator,

@@ -23,7 +23,7 @@ the assembled operator is symmetric.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -174,6 +174,22 @@ class DiscreteOperator:
             pot[np.diag_indices_from(pot)] -= self.kinetic_diagonal
             return pot
         raise DomainError("potential split is only direct for the nystrom scheme")
+
+    def with_charge(self, Z):
+        """The same operator at nuclear charge Z, by rescaling the potential.
+
+        The transformed Coulomb kernel is proportional to Z and the
+        subtraction integrals' fallback decision is relative, so
+        lambda(p) + (Z / params.Z) V equals a fresh assembly at charge Z up
+        to rounding; from a unit-charge operator the factor is exactly Z.
+        Nystrom only, like ``potential_part``.
+        """
+        pot = self.potential_part()
+        if self.params.Z == 0:
+            raise DomainError("a zero-charge operator carries no potential to rescale")
+        pot *= Z / self.params.Z
+        pot[np.diag_indices_from(pot)] += self.kinetic_diagonal
+        return replace(self, matrix=pot, params=self.params.replace(Z=float(Z)))
 
     def node_values(self, vec):
         if self.scheme == "nystrom":

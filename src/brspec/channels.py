@@ -46,18 +46,6 @@ class ChannelSpec:
         return cls(kappa=kappa, l_up=l_up, l_down=l_down, j=abs(kappa) - 0.5)
 
 
-@dataclass
-class RadialKernel:
-    """A scalar channel kernel (p, q) -> value under the q^2 dq pairing."""
-
-    channel: ChannelSpec
-    evaluator: callable
-    singular: bool
-
-    def __call__(self, p, q):
-        return self.evaluator(p, q)
-
-
 _LEGENDRE_P = (
     lambda z: np.ones_like(z),
     lambda z: z,
@@ -150,15 +138,9 @@ def coulomb_radial_kernel(l, p, q, params: PhysParams):
     return _coulomb_kernel_raw(l, p, q, params.Z)
 
 
-def _mixing_raw(p_mag, params):
-    lam = np.sqrt(params.c**2 * p_mag**2 + params.mc2**2)
-    return (np.sqrt(0.5 * (lam + params.mc2) / lam),
-            params.c * p_mag / np.sqrt(2 * lam * (lam + params.mc2)))
-
-
 def _br_kernel_raw(channel, p, q, params, fw_scale=1.0):
-    ap_p, am_p = _mixing_raw(fw_scale * p, params)
-    ap_q, am_q = _mixing_raw(fw_scale * q, params)
+    ap_p, am_p = a_plus_minus(fw_scale * p, params)
+    ap_q, am_q = a_plus_minus(fw_scale * q, params)
     return (ap_p * ap_q * _coulomb_kernel_raw(channel.l_up, p, q, params.Z)
             + am_p * am_q * _coulomb_kernel_raw(channel.l_down, p, q, params.Z))
 
@@ -288,15 +270,6 @@ def multiplier_channel_kernel(chi_profile, l, R, p, q):
     return (
         2.0 * R**3 / np.sqrt(2 * np.pi) * np.exp(-0.5 * R * R * (p - q) ** 2)
         * scaled_sph_bessel_i(l, a)
-    )
-
-
-def coulomb_kernel_function(channel: ChannelSpec, params: PhysParams, fw_scale=1.0):
-    """The transformed Coulomb kernel as a RadialKernel."""
-    return RadialKernel(
-        channel=channel,
-        evaluator=lambda p, q: br_channel_kernel(channel, p, q, params, fw_scale),
-        singular=True,
     )
 
 

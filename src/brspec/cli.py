@@ -12,6 +12,7 @@ import copy
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -57,6 +58,12 @@ _DEFAULT_CONFIG = {
     "output": {"directory": ".", "formats": ["json"]},
 }
 
+
+def _finite_numbers(values):
+    return all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+               for x in values)
+
+
 _VALIDATORS = {
     ("grid", "n"): lambda v: v >= 16 or "n >= 16",
     ("grid", "scheme"): lambda v: v in ("nystrom", "galerkin") or "scheme must be nystrom|galerkin",
@@ -69,15 +76,26 @@ _VALIDATORS = {
     ("params", "c"): lambda v: v > 0 or "c > 0",
     ("params", "m"): lambda v: v > 0 or "m > 0",
     ("params", "Z"): lambda v: v >= 0 or "Z >= 0",
-    **{("experiments", key): lambda v: len(v) > 0 or "needs at least one value"
-       for key in ("R_values", "eta_values", "Z_values", "grid_sizes")},
+    **{("experiments", key): lambda v: (len(v) > 0 and _finite_numbers(v)
+                                        or "needs at least one value, all finite numbers")
+       for key in ("R_values", "eta_values")},
+    ("experiments", "Z_values"): lambda v: (len(v) > 0 and _finite_numbers(v) and min(v) >= 0
+                                            or "needs at least one charge, all finite and >= 0"),
+    # the exhaustion drop compares the smallest and the largest size, so a
+    # single size could never show a collapse
+    ("experiments", "grid_sizes"): lambda v: (
+        _finite_numbers(v) and all(x == int(x) and x >= 16 for x in v)
+        and len({int(x) for x in v}) >= 2
+        or "needs at least two distinct integer sizes, all >= 16"),
+    ("experiments", "commutator_n"): lambda v: v >= 16 or "commutator_n >= 16",
+    ("experiments", "inequality_n"): lambda v: v >= 16 or "inequality_n >= 16",
     ("output", "formats"): lambda v: (all(f in ("json", "csv") for f in v)
                                       or "formats must be drawn from json|csv"),
 }
 
 
 def _coerce(default, value, key):
-    if default is None or value is None:
+    if default is None:
         return value
     if isinstance(default, bool):
         if isinstance(value, bool):

@@ -105,7 +105,7 @@ def _extension_metric(op: DiscreteOperator):
     return np.maximum(d, 1e-3 * op.params.mc2)
 
 
-def minimize_pk(op: DiscreteOperator, k, prior=None, tol=1e-10, max_iter=2000,
+def minimize_pk(op: DiscreteOperator, prior=None, tol=1e-10, max_iter=2000,
                 seed_profile=None):
     """Deflated constrained minimization of the boundary Rayleigh energy.
 
@@ -199,8 +199,8 @@ def variational_spectrum(op: DiscreteOperator, k, tol=1e-10, max_iter=2000) -> S
     """k lowest eigenpairs by successive deflated minimizations."""
     prior = np.zeros((op.n, 0))
     vals = []
-    for j in range(k):
-        E, f, trace = minimize_pk(op, j + 1, prior=prior, tol=tol, max_iter=max_iter)
+    for _ in range(k):
+        E, f, _ = minimize_pk(op, prior=prior, tol=tol, max_iter=max_iter)
         vals.append(E)
         prior = np.column_stack([prior, f])
     vals = np.array(vals)

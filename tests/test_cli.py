@@ -133,6 +133,18 @@ class TestMain:
         ("critical-scan", "experiments.Z_values=[]"),
         ("critical-scan", "experiments.grid_sizes=[]"),
         ("spectrum", 'output.formats=["xml"]'),
+        ("critical-scan", 'experiments.Z_values=["a"]'),
+        ("critical-scan", "experiments.Z_values=[NaN]"),
+        ("critical-scan", "experiments.Z_values=[-1]"),
+        ("critical-scan", "experiments.grid_sizes=[8,100]"),
+        ("critical-scan", "experiments.grid_sizes=[100.5,200]"),
+        ("critical-scan", "experiments.grid_sizes=[100]"),
+        ("critical-scan", "experiments.grid_sizes=[100,100]"),
+        ("commutator-decay", "experiments.R_values=[2,Infinity]"),
+        ("scaling-limit", 'experiments.eta_values=["x"]'),
+        ("commutator-decay", "experiments.commutator_n=8"),
+        ("inequalities", "experiments.inequality_n=8"),
+        ("commutator-decay", "experiments.commutator_n=null"),
     ])
     def test_invalid_input_exit_code(self, command, override, tmp_path, capsys):
         code = main(sum((["--set", kv] for kv in FAST), [command])

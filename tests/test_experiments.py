@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from brspec import PhysParams
-from brspec.assemble import assemble_potential, _nonrel_kernel_callables
+from brspec import PhysParams, experiments
+from brspec.assemble import assemble_operator, assemble_potential, _nonrel_kernel_callables
 from brspec.channels import ChannelSpec, spherical_bessel_transform
 from brspec.errors import DomainError
 from brspec.experiments import (commutator_decay, critical_coupling_scan,
                                 hardy_check, kato_check, scaling_limit, tix_check)
 from brspec.grids import build_grid, build_log_grid
 from brspec.params import HARDY_CONSTANT, KATO_CONSTANT, TIX_CONSTANT
+from brspec.spectra import dense_spectrum
 
 
 class TestHardy:
@@ -128,6 +129,47 @@ class TestCriticalScan:
         row = {r.Z: r for r in scan_report.rows}[60.0]
         mc2 = PhysParams().mc2
         assert 0.89 < row.lambda1_fixed[-1] / mc2 < 0.95
+
+
+class TestCriticalScanUnitCharge:
+    @pytest.mark.filterwarnings("ignore:Z = 130.0 lies outside:UserWarning")
+    def test_matches_per_charge_assembly(self):
+        # the scan rescales one unit-charge assembly per grid; a fresh
+        # assembly at each charge gives the same ground level
+        base = PhysParams()
+        mc, mc2 = base.m * base.c, base.mc2
+        sizes = (64, 128)
+        ch = ChannelSpec.from_kappa(-1)
+        rep = critical_coupling_scan([60.0, 120.0, 130.0], grid_sizes=sizes)
+        for row in rep.rows:
+            pz = base.replace(Z=row.Z)
+            fixed = [build_log_grid(n, 1e-4 * mc, 2e3 * mc) for n in sizes]
+            grow = [build_log_grid(n, 1e-3 * mc * sizes[0] / n, 5.0 * mc * n) for n in sizes]
+            for grids, scanned in ((fixed, row.lambda1_fixed), (grow, row.lambda1_exhaustion)):
+                direct = [dense_spectrum(assemble_operator(g, ch, pz), 1).eigenvalues[0]
+                          for g in grids]
+                assert np.abs(np.array(scanned) - direct).max() <= 1e-12 * mc2
+
+    def test_assembles_each_grid_once(self, monkeypatch):
+        charges = []
+        real = experiments.assemble_operator
+
+        def counting(grid, channel, params, *args, **kwargs):
+            charges.append(params.Z)
+            return real(grid, channel, params, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "assemble_operator", counting)
+        sizes = (32, 48, 64)
+        rep = critical_coupling_scan([100, 110, 115, 120, 122, 124, 130, 140],
+                                     grid_sizes=sizes)
+        assert len(rep.rows) == 8
+        assert charges == [1.0] * (2 * len(sizes))
+
+    def test_with_charge_is_nystrom_only(self):
+        op = assemble_operator(build_grid(32, 1.0), ChannelSpec.from_kappa(-1),
+                               PhysParams(Z=1.0), scheme="galerkin")
+        with pytest.raises(DomainError):
+            op.with_charge(2.0)
 
 
 @pytest.fixture(scope="module")

@@ -61,37 +61,37 @@ class TestMinimizePk:
     def test_free_case_reaches_lowest_node(self):
         params = PhysParams(c=1.0, m=1.0, Z=0.0)
         op = assemble_operator(build_grid(24, 1.0), CH, params)
-        E, f, trace = minimize_pk(op, 1)
+        E, f, trace = minimize_pk(op)
         assert E == pytest.approx(op.kinetic_diagonal.min(), rel=1e-12)
         assert np.argmax(np.abs(f)) == 0
         assert trace.converged
 
     def test_matches_dense_ground_state(self, op_atomic):
         dense = dense_spectrum(op_atomic, 1)
-        E, f, _ = minimize_pk(op_atomic, 1)
+        E, f, _ = minimize_pk(op_atomic)
         assert abs(E - dense.eigenvalues[0]) < 1e-8 * op_atomic.params.mc2
 
     def test_deflated_level_is_orthogonal(self, op_relativistic):
-        E1, f1, _ = minimize_pk(op_relativistic, 1)
-        E2, f2, _ = minimize_pk(op_relativistic, 2, prior=f1[:, None])
+        E1, f1, _ = minimize_pk(op_relativistic)
+        E2, f2, _ = minimize_pk(op_relativistic, prior=f1[:, None])
         assert abs(np.dot(f1, f2)) < 1e-10
         assert E2 > E1
 
     def test_monotone_energy_trace(self, op_relativistic):
-        _, _, trace = minimize_pk(op_relativistic, 1)
+        _, _, trace = minimize_pk(op_relativistic)
         assert np.all(np.diff(trace.iterates) <= 0)
         assert len(trace.gradient_norms) >= 1
 
     def test_bad_prior_rejected(self, op_relativistic):
         skew = np.ones((op_relativistic.n, 2))
         with pytest.raises(DomainError):
-            minimize_pk(op_relativistic, 2, prior=skew)
+            minimize_pk(op_relativistic, prior=skew)
 
     def test_iteration_exhaustion_carries_trace(self, op_relativistic):
         from brspec.errors import NumericalError
         from brspec.spectra import MinimizationTrace
         with pytest.raises(NumericalError) as err:
-            minimize_pk(op_relativistic, 1, max_iter=2)
+            minimize_pk(op_relativistic, max_iter=2)
         assert isinstance(err.value.payload, MinimizationTrace)
         assert not err.value.payload.converged
 
@@ -104,7 +104,7 @@ class TestPreconditionedConvergence:
         op = assemble_operator(build_grid(n, 1.0), CH, PhysParams(Z=1.0))
         prior = np.zeros((n, 0))
         for j in range(4):
-            _, f, trace = minimize_pk(op, j + 1, prior=prior, max_iter=100)
+            _, f, trace = minimize_pk(op, prior=prior, max_iter=100)
             assert trace.exit_reason == "residual"
             assert len(trace.gradient_norms) <= 100
             prior = np.column_stack([prior, f])
