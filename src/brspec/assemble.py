@@ -24,13 +24,13 @@ the assembled operator is symmetric.
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import cholesky, solve_triangular
 
-from .channels import (ChannelSpec, _br_kernel_raw, _coulomb_kernel_raw,
-                       br_kernel_split, coulomb_kernel_split)
+from .channels import ChannelSpec, br_kernel_split, coulomb_kernel_split, split_value
 from .dirac import lambda_of
 from .errors import ConfigurationError, DomainError
 from .grids import RadialGrid
@@ -93,29 +93,38 @@ def _row_rule(p_nodes, domain, order):
     return np.concatenate(qs, axis=1), np.concatenate(ws, axis=1)
 
 
-def _sliver_term(kernel_split, p):
+def _sliver_term(kernel, p):
     """Analytic contribution of |ln(q/p)| < 1e-13 around the diagonal."""
-    s, g = kernel_split(p, p * (1.0 + 1e-8))
+    s, g = kernel(p, p * (1.0 + 1e-8))
     eps = _SLIVER
     # Int_{-eps}^{eps} ln|p(e^x - 1)| dx = 2 eps (ln p + ln eps - 1) + O(eps^2)
     log_part = 2 * eps * (np.log(p) + np.log(eps) - 1.0)
     return (s * 2 * eps + g * log_part) * p**3  # phi_p(p) = 1, q^2 dq = p^3 dx
 
 
-def subtraction_integrals(kernel, kernel_split, p_nodes, domain, tol=1e-10):
-    """I(p_i) = Int_domain kernel(p_i, q) phi_{p_i}(q) q^2 dq for all rows at once.
+# rows per block of the panel rule: each row carries ~1.8k quadrature points,
+# so evaluating all rows at once would make the kernel's temporaries dwarf
+# the assembled matrix
+_ROW_BLOCK = 64
 
-    ``kernel`` must accept arrays; ``kernel_split`` returns the smooth/log
-    decomposition used for the diagonal sliver.  Rows whose two-level panel
-    estimates disagree beyond ``tol`` are recomputed adaptively.
+
+def subtraction_integrals(kernel, p_nodes, domain, tol=1e-10):
+    """I(p_i) = Int_domain kernel(p_i, q) phi_{p_i}(q) q^2 dq for all rows.
+
+    ``kernel(p, q)`` returns the (smooth, logcoef) split for arrays.  Rows
+    whose two-level panel estimates disagree beyond ``tol`` are recomputed
+    adaptively.
     """
     p = np.asarray(p_nodes, dtype=float)
-    vals = {}
-    for order in (10, 16):
-        Q, W = _row_rule(p, domain, order)
-        F = kernel(p[:, None], Q) * subtraction_profile(p[:, None], Q) * Q * Q
-        vals[order] = (F * W).sum(axis=1)
-    out = vals[16] + _sliver_term(kernel_split, p)
+    vals = {10: np.empty(p.size), 16: np.empty(p.size)}
+    for lo in range(0, p.size, _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        pb = p[rows, None]
+        for order, val in vals.items():
+            Q, W = _row_rule(p[rows], domain, order)
+            F = split_value(kernel(pb, Q), pb, Q) * subtraction_profile(pb, Q) * Q * Q
+            val[rows] = (F * W).sum(axis=1)
+    out = vals[16] + _sliver_term(kernel, p)
     err = np.abs(vals[16] - vals[10])
     scale = np.maximum(np.abs(out), np.abs(out).max() * 1e-3 + 1e-300)
     bad = err > tol * scale
@@ -127,7 +136,7 @@ def subtraction_integrals(kernel, kernel_split, p_nodes, domain, tol=1e-10):
 def subtraction_integral_adaptive(kernel, p, domain, tol=1e-12):
     """Reference adaptive quadrature of one subtraction integral (scipy)."""
     qlo, qhi = domain
-    f = lambda q: kernel(p, q) * subtraction_profile(p, q) * q * q
+    f = lambda q: split_value(kernel(p, q), p, q) * subtraction_profile(p, q) * q * q
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         if not np.isfinite(qhi):
@@ -198,31 +207,23 @@ class DiscreteOperator:
         return x / self._dscale
 
 
-def _kernel_callables(channel, params, fw_scale):
-    kern = lambda p, q: _br_kernel_raw(channel, p, q, params, fw_scale)
-    split = lambda p, q: br_kernel_split(channel, p, q, params, fw_scale)
-    return kern, split
+def assemble_potential(grid: RadialGrid, kernel, tol=1e-10):
+    """Symmetric metric-normalized potential matrix by collocation + subtraction.
 
-
-def _nonrel_kernel_callables(l, params):
-    kern = lambda p, q: _coulomb_kernel_raw(l, p, q, params.Z)
-    split = lambda p, q: coulomb_kernel_split(l, p, q, params)
-    return kern, split
-
-
-def assemble_potential(grid: RadialGrid, kernel, kernel_split, tol=1e-10):
-    """Symmetric metric-normalized potential matrix by collocation + subtraction."""
+    ``kernel(p, q)`` returns the (smooth, logcoef) split of the channel
+    kernel, e.g. ``partial(br_kernel_split, channel, params=params)``.
+    """
     p = grid.nodes
     n = grid.n
     lw = grid.l2_weights
     sq = np.sqrt(lw)
-    P, Q = np.meshgrid(p, p, indexing="ij")
     iu = np.triu_indices(n, k=1)
+    pi, qi = p[iu[0]], p[iu[1]]
     K = np.zeros((n, n))
-    K[iu] = kernel(P[iu], Q[iu])
+    K[iu] = split_value(kernel(pi, qi), pi, qi)
     K = K + K.T                                  # exact symmetry by construction
     M = K * sq[:, None] * sq[None, :]
-    ints = subtraction_integrals(kernel, kernel_split, p, grid.domain, tol=tol)
+    ints = subtraction_integrals(kernel, p, grid.domain, tol=tol)
     row_correction = ints - (K * subtraction_profile(p[:, None], p[None, :]) * lw[None, :]).sum(axis=1)
     M[np.diag_indices(n)] = row_correction
     return M
@@ -238,23 +239,22 @@ def assemble_operator(grid: RadialGrid, channel: ChannelSpec, params: PhysParams
             f"Z = {params.Z} lies outside the subordinacy window Z < "
             f"{params.critical_charge:.2f}; the operator is not bounded below",
             UserWarning, stacklevel=2)
-    kern, split = _kernel_callables(channel, params, fw_scale)
+    kernel = partial(br_kernel_split, channel, params=params, fw_scale=fw_scale)
     kinetic = lambda p: lambda_of(p, params)
     if scheme == "nystrom":
         kin = kinetic(grid.nodes)
-        M = assemble_potential(grid, kern, split, tol=tol)
+        M = assemble_potential(grid, kernel, tol=tol)
         M[np.diag_indices(grid.n)] += kin
         return DiscreteOperator(M, grid, channel, params, grid.l2_weights,
                                 "nystrom", kinetic_diagonal=kin)
-    return _assemble_galerkin(grid, channel, params, split, kinetic)
+    return _assemble_galerkin(grid, channel, params, kernel, kinetic)
 
 
 def assemble_nonrel_operator(grid: RadialGrid, l, params: PhysParams,
                              tol=1e-10) -> DiscreteOperator:
     """Nonrelativistic comparison operator p^2/2m + Coulomb channel-l kernel."""
-    kern, split = _nonrel_kernel_callables(l, params)
     kin = grid.nodes**2 / (2 * params.m)
-    M = assemble_potential(grid, kern, split, tol=tol)
+    M = assemble_potential(grid, partial(coulomb_kernel_split, l, params=params), tol=tol)
     M[np.diag_indices(grid.n)] += kin
     channel = ChannelSpec.from_kappa(-(l + 1) if l < 3 else l)  # l_up = l
     return DiscreteOperator(M, grid, channel, params, grid.l2_weights,
@@ -319,7 +319,7 @@ def _duffy_triangle_rule(nu_levels=12, order=6):
     return U.ravel(), V.ravel(), W.ravel()
 
 
-def _diagonal_blocks(nodes, kernel_split, order=6):
+def _diagonal_blocks(nodes, kernel, order=6):
     """2x2 hat-pair integrals over each diagonal cell [a,b]^2 (all elements at once).
 
     The cell is split along p = q into two congruent triangles; the lower
@@ -333,7 +333,7 @@ def _diagonal_blocks(nodes, kernel_split, order=6):
     D = b - a
     P = a + D * U[None, :]
     Q = a + D * (U * V)[None, :]
-    S, G = kernel_split(P, Q)
+    S, G = kernel(P, Q)
     K = S + G * np.log(D * (U * (1 - V))[None, :])
     F = K * P * P * Q * Q * (W * U)[None, :] * D**2
     hlp, hrp = _hat_pair(P, a, b)
@@ -361,7 +361,7 @@ def _corner_rule(levels=8, order=6):
     return X.ravel(), Y.ravel(), W.ravel()
 
 
-def _adjacent_blocks(nodes, kernel_split, order=6):
+def _adjacent_blocks(nodes, kernel, order=6):
     """Hat-pair integrals over adjacent cells [p_e, p_m] x [p_m, p_r].
 
     The kernel is singular only at the shared corner (p_m, p_m); geometric
@@ -374,7 +374,7 @@ def _adjacent_blocks(nodes, kernel_split, order=6):
     D1, D2 = m - a, r - m
     P = m - D1 * X[None, :]
     Q = m + D2 * Y[None, :]
-    S, G = kernel_split(P, Q)
+    S, G = kernel(P, Q)
     F = (S + G * np.log(Q - P)) * P * P * Q * Q * W[None, :] * D1 * D2
     hlp, hrp = _hat_pair(P, a, m)
     hlq, hrq = _hat_pair(Q, m, r)
@@ -386,7 +386,7 @@ def _adjacent_blocks(nodes, kernel_split, order=6):
     return L
 
 
-def _assemble_galerkin(grid, channel, params, kernel_split, kinetic_fn,
+def _assemble_galerkin(grid, channel, params, kernel, kinetic_fn,
                        far_order=6):
     nodes = grid.nodes
     n = nodes.size
@@ -403,7 +403,7 @@ def _assemble_galerkin(grid, channel, params, kernel_split, kinetic_fn,
     Hg[np.arange(xg.size), rows] = hl.ravel()
     Hg[np.arange(xg.size), rows + 1] = hr.ravel()
     wg = (w * x * x).ravel()
-    S, G = kernel_split(xg[:, None], xg[None, :])
+    S, G = kernel(xg[:, None], xg[None, :])
     dist = np.abs(xg[:, None] - xg[None, :])
     el = np.repeat(np.arange(n - 1), far_order)
     near = np.abs(el[:, None] - el[None, :]) <= 1
@@ -411,8 +411,8 @@ def _assemble_galerkin(grid, channel, params, kernel_split, kinetic_fn,
     K[near] = 0.0
     A = Hg.T @ (K * wg[:, None] * wg[None, :]) @ Hg
 
-    Ldiag = _diagonal_blocks(nodes, kernel_split)
-    Ladj = _adjacent_blocks(nodes, kernel_split)
+    Ldiag = _diagonal_blocks(nodes, kernel)
+    Ladj = _adjacent_blocks(nodes, kernel)
     idx = np.arange(n - 1)
     for di, dj, vals in (
         (idx, idx, Ldiag[:, 0, 0]),

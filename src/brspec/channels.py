@@ -74,12 +74,7 @@ def legendre_q(l, z):
     z = np.asarray(z, dtype=float)
     if np.any(z <= 1.0):
         raise DomainError("legendre_q requires z > 1")
-    far = z > _SERIES_SWITCH
-    out = np.empty(z.shape, dtype=float)
-    zn = z[~far]
-    q0 = 0.5 * np.log((zn + 1) / (zn - 1))
-    out[~far] = _LEGENDRE_P[l](zn) * q0 - _LEGENDRE_W[l](zn)
-    out[far] = _q_l_series(l, 1.0 / z[far])
+    out, _ = _q_l_split(l, z, lambda near: 0.5 * np.log((z[near] + 1) / (z[near] - 1)))
     return out if out.shape else float(out)
 
 
@@ -112,22 +107,37 @@ def _q_l_series(l, u):
     return acc * u ** (l + 1)
 
 
-def _q_l_of_pq(l, p, q):
-    """Q_l((p^2+q^2)/(2pq)) from p, q directly; stable near and far from p = q."""
-    p, q = np.broadcast_arrays(p, q)
-    z = (p * p + q * q) / (2 * p * q)
+def _q_l_split(l, z, log_term):
+    """Q_l(z) = smooth + logcoef * L for z > 1, the one Q_l evaluator.
+
+    Up to z = 2 the closed form Q_l = P_l Q_0 - W_{l-1} holds with the
+    caller's Q_0 = log_term(near) - L, so smooth = P_l log_term - W_{l-1}
+    and logcoef = -P_l; ``log_term`` maps the boolean mask of those points
+    to its values there.  Beyond z = 2 the series gives all of Q_l and
+    logcoef = 0.  A caller whose log_term is Q_0 itself reads Q_l = smooth.
+    """
     far = z > _SERIES_SWITCH
-    out = np.empty(z.shape, dtype=float)
-    pn, qn, zn = p[~far], q[~far], z[~far]
-    q0 = np.log((pn + qn) / np.abs(pn - qn))
-    out[~far] = _LEGENDRE_P[l](zn) * q0 - _LEGENDRE_W[l](zn)
-    u = (2 * p[far] * q[far]) / (p[far] * p[far] + q[far] * q[far])
-    out[far] = _q_l_series(l, u)
-    return out
+    smooth = np.empty(z.shape, dtype=float)
+    logcoef = np.zeros(z.shape, dtype=float)
+    zn = z[~far]
+    pl = _LEGENDRE_P[l](zn)
+    smooth[~far] = pl * log_term(~far) - _LEGENDRE_W[l](zn)
+    logcoef[~far] = -pl
+    smooth[far] = _q_l_series(l, 1.0 / z[far])
+    return smooth, logcoef
 
 
-def _coulomb_kernel_raw(l, p, q, Z):
-    return -Z * _q_l_of_pq(l, p, q) / (np.pi * p * q)
+def split_value(split, p, q):
+    """Pointwise kernel value smooth + logcoef * ln|p - q| of a (smooth, logcoef) split.
+
+    The logarithm is taken only where logcoef != 0, near the diagonal.
+    """
+    smooth, logcoef = split
+    value = np.array(smooth, dtype=float)
+    near = logcoef != 0
+    dist = np.broadcast_to(np.abs(np.subtract(p, q)), value.shape)
+    value[near] += logcoef[near] * np.log(dist[near])
+    return value
 
 
 def coulomb_radial_kernel(l, p, q, params: PhysParams):
@@ -135,14 +145,7 @@ def coulomb_radial_kernel(l, p, q, params: PhysParams):
     if l not in (0, 1, 2, 3):
         raise DomainError(f"channel kernels support l in 0..3, got {l}")
     p, q = _check_offdiag(p, q)
-    return _coulomb_kernel_raw(l, p, q, params.Z)
-
-
-def _br_kernel_raw(channel, p, q, params, fw_scale=1.0):
-    ap_p, am_p = a_plus_minus(fw_scale * p, params)
-    ap_q, am_q = a_plus_minus(fw_scale * q, params)
-    return (ap_p * ap_q * _coulomb_kernel_raw(channel.l_up, p, q, params.Z)
-            + am_p * am_q * _coulomb_kernel_raw(channel.l_down, p, q, params.Z))
+    return split_value(coulomb_kernel_split(l, p, q, params), p, q)
 
 
 def br_channel_kernel(channel: ChannelSpec, p, q, params: PhysParams, fw_scale=1.0):
@@ -153,7 +156,7 @@ def br_channel_kernel(channel: ChannelSpec, p, q, params: PhysParams, fw_scale=1
     which is what the small-scale rescaling experiment needs.
     """
     p, q = _check_offdiag(p, q)
-    return _br_kernel_raw(channel, p, q, params, fw_scale)
+    return split_value(br_kernel_split(channel, p, q, params, fw_scale), p, q)
 
 
 def coulomb_kernel_split(l, p, q, params: PhysParams):
@@ -162,24 +165,15 @@ def coulomb_kernel_split(l, p, q, params: PhysParams):
     Returns (smooth, logcoef) with kernel = smooth + logcoef * ln|p-q|;
     both factors are smooth across the diagonal.  Far from the diagonal
     (z > 2, where the kernel is regular anyway) the whole kernel moves
-    into the smooth part, evaluated by the stable series.  Used by
-    quadrature schemes that integrate the logarithmic singularity
-    explicitly.
+    into the smooth part, evaluated by the stable series.  This split is
+    the one kernel representation: quadratures integrate the logarithm
+    explicitly and ``split_value`` gives the pointwise value.
     """
     p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
     z = (p * p + q * q) / (2 * p * q)
-    pref = -params.Z / (np.pi * p * q)
-    far = z > _SERIES_SWITCH
-    smooth = np.empty(z.shape, dtype=float)
-    logcoef = np.zeros(z.shape, dtype=float)
-    pn, qn, zn = p[~far], q[~far], z[~far]
-    prn = pref[~far]
-    pl = _LEGENDRE_P[l](zn)
-    smooth[~far] = prn * (pl * np.log(pn + qn) - _LEGENDRE_W[l](zn))
-    logcoef[~far] = -prn * pl
-    u = (2 * p[far] * q[far]) / (p[far] * p[far] + q[far] * q[far])
-    smooth[far] = pref[far] * _q_l_series(l, u)
-    return smooth, logcoef
+    pref = -params.Z / (np.pi * (p * q))
+    smooth, logcoef = _q_l_split(l, z, lambda near: np.log(p[near] + q[near]))
+    return pref * smooth, pref * logcoef
 
 
 def br_kernel_split(channel: ChannelSpec, p, q, params: PhysParams, fw_scale=1.0):

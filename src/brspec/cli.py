@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import ChannelSpec
+from .channels import MAX_CHANNEL, ChannelSpec
 from .errors import BrspecError, ConfigurationError
 from .extension import (default_x_grid, dirichlet_energy, dtn_apply,
                         dtn_finite_difference, extend, exponential_field,
@@ -72,7 +72,7 @@ _VALIDATORS = {
     ("solver", "k"): lambda v: v >= 1 or "k >= 1",
     ("solver", "tol"): lambda v: v > 0 or "tol > 0",
     ("solver", "max_iter"): lambda v: v >= 1 or "max_iter >= 1",
-    ("channel", "kappa"): lambda v: v != 0 or "kappa must be nonzero",
+    ("channel", "kappa"): lambda v: 1 <= abs(v) <= MAX_CHANNEL or f"1 <= |kappa| <= {MAX_CHANNEL}",
     ("params", "c"): lambda v: v > 0 or "c > 0",
     ("params", "m"): lambda v: v > 0 or "m > 0",
     ("params", "Z"): lambda v: v >= 0 or "Z >= 0",
@@ -89,6 +89,8 @@ _VALIDATORS = {
         or "needs at least two distinct integer sizes, all >= 16"),
     ("experiments", "commutator_n"): lambda v: v >= 16 or "commutator_n >= 16",
     ("experiments", "inequality_n"): lambda v: v >= 16 or "inequality_n >= 16",
+    **{("checks", key): lambda v: v >= 1 or "needs at least one sample"
+       for key in ("boundary_samples", "perturbation_samples", "trace_samples")},
     ("output", "formats"): lambda v: (all(f in ("json", "csv") for f in v)
                                       or "formats must be drawn from json|csv"),
 }
@@ -393,8 +395,7 @@ def _run_nonrel(config):
     params = _params(config)
     n = max(config["grid"]["n"], 300)
     Z = params.Z if params.Z > 0 else 1.0
-    l = max(config["channel"]["kappa"], 0) if config["channel"]["kappa"] > 0 else \
-        -config["channel"]["kappa"] - 1
+    l = ChannelSpec.from_kappa(config["channel"]["kappa"]).l_up
     grid = build_grid(n, max(Z, 1.0))
     k = config["solver"]["k"]
     vals = nonrel_spectrum(grid, Z, l, k, params)

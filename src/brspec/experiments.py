@@ -8,19 +8,20 @@ report invariants are enforced by the acceptance suite.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eigh
 
-from .assemble import assemble_operator, assemble_potential, _kernel_callables, _nonrel_kernel_callables
-from .channels import (GAUSSIAN_PROFILE, ChannelSpec, multiplier_channel_kernel,
-                       spherical_bessel_transform)
+from .assemble import assemble_operator, assemble_potential
+from .channels import (GAUSSIAN_PROFILE, ChannelSpec, br_kernel_split, coulomb_kernel_split,
+                       multiplier_channel_kernel, spherical_bessel_transform)
 from .dirac import a_plus_minus, lambda_of
 from .errors import DomainError
 from .grids import assemble_h12_metric, build_grid, build_log_grid, operator_norm_h12
 from .params import HARDY_CONSTANT, KATO_CONSTANT, TIX_CONSTANT, PhysParams
-from .spectra import dense_spectrum, sweep_workers, _map_ordered
+from .spectra import dense_spectrum, map_ordered, sweep_workers
 
 
 @dataclass
@@ -77,8 +78,7 @@ def kato_check(params: PhysParams = None, n=300, window=(1e-6, 1e6)) -> Inequali
     """
     base = (params or PhysParams()).replace(Z=1.0)
     grid = build_log_grid(n, *window)
-    kern, split = _nonrel_kernel_callables(0, base)
-    W = -assemble_potential(grid, kern, split)
+    W = -assemble_potential(grid, partial(coulomb_kernel_split, 0, params=base))
     B = np.diag(grid.nodes)
     mu = eigh(W, B, eigvals_only=True)
     return InequalityReport(
@@ -97,8 +97,7 @@ def tix_check(channels=(-1, 1), params: PhysParams = None, n=300) -> InequalityR
     ratios = []
     for kappa in channels:
         ch = ChannelSpec.from_kappa(kappa)
-        kern, split = _kernel_callables(ch, base, 1.0)
-        W = -assemble_potential(grid, kern, split)
+        W = -assemble_potential(grid, partial(br_kernel_split, ch, params=base))
         mu = eigh(W, B, eigvals_only=True)
         ratios.append(float(mu[-1]))
     return InequalityReport(
@@ -153,7 +152,7 @@ def critical_coupling_scan(Z_values, grid_sizes=(100, 200, 400), kappa=-1,
     grids = ([build_log_grid(n, 1e-4 * mc, 2e3 * mc) for n in sizes]
              + [build_log_grid(n, 1e-3 * mc * sizes[0] / n, 5.0 * mc * n) for n in sizes])
     unit = base.replace(Z=1.0)
-    ops = _map_ordered(lambda grid: assemble_operator(grid, ch, unit), grids, workers)
+    ops = map_ordered(lambda grid: assemble_operator(grid, ch, unit), grids, workers)
 
     def run(Z):
         lam1 = [float(dense_spectrum(op.with_charge(Z), 1).eigenvalues[0]) for op in ops]
@@ -167,7 +166,7 @@ def critical_coupling_scan(Z_values, grid_sizes=(100, 200, 400), kappa=-1,
             stable=bool(variation < stability_tol and min(fixed) > 0),
             collapsed=bool(drop > collapse_drop))
 
-    rows = _map_ordered(run, [float(Z) for Z in Z_values], workers)
+    rows = map_ordered(run, [float(Z) for Z in Z_values], workers)
     return CriticalScanReport(rows, stability_tol, collapse_drop)
 
 
@@ -275,8 +274,7 @@ def scaling_limit(eta_values=(0.4, 0.2, 0.1, 0.05, 0.025), grid=None,
 
     forms = []
     for eta in etas:
-        kern, split = _kernel_callables(ch, base, fw_scale=eta)
-        P = assemble_potential(grid, kern, split)
+        P = assemble_potential(grid, partial(br_kernel_split, ch, params=base, fw_scale=eta))
         forms.append(float(eta * (coords @ (P @ coords))))
 
     # F/eta = -A + B eta^(e-1): successive differences of d = F/eta cancel A,

@@ -234,7 +234,8 @@ def sweep_workers():
     return max(1, v)
 
 
-def _map_ordered(fn, items, workers):
+def map_ordered(fn, items, workers):
+    """fn over items on up to ``workers`` threads, results in input order."""
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=workers) as ex:
@@ -273,4 +274,4 @@ def binding_curve(Z_values, channel: ChannelSpec, k, params: PhysParams,
         return BindingCurveRow(Z, res.eigenvalues, res.binding_energies(),
                                res.bound_flags(), float(res.residuals.max()))
 
-    return _map_ordered(run, Z_values, workers)
+    return map_ordered(run, Z_values, workers)

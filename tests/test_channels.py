@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from brspec import PhysParams
 from brspec.channels import (GAUSSIAN_PROFILE, ChannelSpec, angular_reduce,
-                             br_channel_kernel, coulomb_kernel_split,
+                             br_channel_kernel, br_kernel_split, coulomb_kernel_split,
                              coulomb_radial_kernel, legendre_q,
                              multiplier_channel_kernel, scaled_sph_bessel_i,
                              spherical_bessel_transform)
@@ -217,6 +217,74 @@ class TestTransformedKernel:
         for kappa in (-2, -1, 1, 2):
             ch = ChannelSpec.from_kappa(kappa)
             assert np.all(br_channel_kernel(ch, p, q, PhysParams(Z=5.0)) < 0)
+
+
+# p log-uniform on [1e-4, 1e6] and q = p e^x with 1e-3 <= |x| <= 10, which
+# covers both sides of the evaluator's switch at z = cosh x = 2
+MOMENTA = st.tuples(st.floats(np.log(1e-4), np.log(1e6)), st.floats(1e-3, 10.0),
+                    st.sampled_from([-1.0, 1.0])).map(
+    lambda a: (float(np.exp(a[0])), float(np.exp(a[0] + a[2] * a[1]))))
+EPS = np.finfo(float).eps
+
+
+def _term_scale(l, p, q):
+    """|smooth| + |logcoef ln|p - q||, the size of the two terms a kernel value sums.
+
+    The value's rounding error is a few ulp of this scale, which exceeds the
+    value itself by up to ~1e5 near z = 2 for l = 3 at the ends of the
+    momentum range, where ln|p - q| is large and Q_l small.
+    """
+    smooth, logc = coulomb_kernel_split(l, p, q, P11)
+    return abs(smooth) + abs(logc * np.log(abs(p - q)))
+
+
+class TestKernelProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(pq=MOMENTA, l=st.integers(0, 3), kappa=st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    def test_symmetry_exact(self, pq, l, kappa):
+        p, q = pq
+        assert coulomb_radial_kernel(l, p, q, P11) == coulomb_radial_kernel(l, q, p, P11)
+        ch = ChannelSpec.from_kappa(kappa)
+        params = PhysParams(Z=1.0)
+        assert br_channel_kernel(ch, p, q, params) == br_channel_kernel(ch, q, p, params)
+        for a, b in zip(br_kernel_split(ch, p, q, params), br_kernel_split(ch, q, p, params)):
+            assert a == b
+
+    @settings(max_examples=80, deadline=None)
+    @given(pq=MOMENTA, l=st.integers(0, 3), kappa=st.sampled_from([-3, -2, -1, 1, 2, 3]),
+           Z=st.floats(1e-3, 200.0))
+    def test_split_linear_in_charge(self, pq, l, kappa, Z):
+        p, q = pq
+        ch = ChannelSpec.from_kappa(kappa)
+        for split in (lambda par: coulomb_kernel_split(l, p, q, par),
+                      lambda par: br_kernel_split(ch, p, q, par)):
+            for unit, scaled in zip(split(PhysParams(Z=1.0)), split(PhysParams(Z=Z))):
+                np.testing.assert_allclose(scaled, Z * unit, rtol=1e-14, atol=0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(pq=MOMENTA, l=st.integers(0, 3), k=st.integers(-10, 10))
+    def test_nonrel_kernel_homogeneous(self, pq, l, k):
+        # k_l(tp, tq) = k_l(p, q) / t^2; a dyadic t scales p, q, z and the
+        # prefactor exactly, so only the logarithms round differently
+        p, q = pq
+        t = 2.0 ** k
+        base = coulomb_radial_kernel(l, p, q, P11)
+        scaled = coulomb_radial_kernel(l, t * p, t * q, P11) * t * t
+        scale = max(_term_scale(l, p, q), _term_scale(l, t * p, t * q) * t * t)
+        assert abs(scaled - base) <= 1e-12 * abs(base) + 8 * EPS * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(pq=MOMENTA, l=st.integers(0, 3))
+    def test_split_reconstructs_exact_kernel(self, pq, l):
+        p, q = pq
+        smooth, logc = coulomb_kernel_split(l, p, q, P11)
+        value = smooth + logc * np.log(abs(p - q))
+        assert value == coulomb_radial_kernel(l, p, q, P11)
+        with mpmath.workdps(40):
+            mp, mq = mpmath.mpf(p), mpmath.mpf(q)
+            z = (mp * mp + mq * mq) / (2 * mp * mq)
+            exact = float(-mpmath.re(mpmath.legenq(l, 0, z, type=3)) / (mpmath.pi * mp * mq))
+        assert abs(value - exact) <= 1e-11 * abs(exact) + 8 * EPS * _term_scale(l, p, q)
 
 
 class TestScaledBessel:

@@ -145,6 +145,11 @@ class TestMain:
         ("commutator-decay", "experiments.commutator_n=8"),
         ("inequalities", "experiments.inequality_n=8"),
         ("commutator-decay", "experiments.commutator_n=null"),
+        ("dtn-check", "checks.boundary_samples=0"),
+        ("dtn-check", "checks.perturbation_samples=0"),
+        ("dtn-check", "checks.trace_samples=-1"),
+        ("nonrel-limit", "channel.kappa=4"),
+        ("nonrel-limit", "channel.kappa=-5"),
     ])
     def test_invalid_input_exit_code(self, command, override, tmp_path, capsys):
         code = main(sum((["--set", kv] for kv in FAST), [command])

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -5,8 +7,8 @@ from scipy.integrate import quad
 from brspec import PhysParams
 from brspec.assemble import (assemble_nonrel_operator, assemble_operator,
                              subtraction_integral_adaptive, subtraction_integrals,
-                             subtraction_profile, _kernel_callables)
-from brspec.channels import ChannelSpec
+                             subtraction_profile)
+from brspec.channels import ChannelSpec, br_kernel_split
 from brspec.dirac import lambda_of
 from brspec.errors import ConfigurationError
 from brspec.grids import (MetricH12, RadialGrid, assemble_h12_metric, build_grid,
@@ -114,8 +116,8 @@ class TestSubtractionIntegrals:
     def test_panel_rule_matches_adaptive(self):
         params = PhysParams(Z=1.0)
         g = build_grid(60, 1.0)
-        kern, split = _kernel_callables(CH, params, 1.0)
-        vals = subtraction_integrals(kern, split, g.nodes, g.domain)
+        kern = partial(br_kernel_split, CH, params=params)
+        vals = subtraction_integrals(kern, g.nodes, g.domain)
         for i in range(0, 60, 9):
             ref = subtraction_integral_adaptive(kern, g.nodes[i], g.domain, tol=1e-13)
             assert vals[i] == pytest.approx(ref, rel=1e-11)
@@ -123,8 +125,8 @@ class TestSubtractionIntegrals:
     def test_finite_domain(self):
         params = PhysParams(Z=2.0)
         g = build_log_grid(60, 1e-2, 1e2)
-        kern, split = _kernel_callables(CH, params, 1.0)
-        vals = subtraction_integrals(kern, split, g.nodes, g.domain)
+        kern = partial(br_kernel_split, CH, params=params)
+        vals = subtraction_integrals(kern, g.nodes, g.domain)
         for i in (0, 17, 44, 59):
             ref = subtraction_integral_adaptive(kern, g.nodes[i], g.domain, tol=1e-13)
             assert vals[i] == pytest.approx(ref, rel=1e-10)
@@ -133,10 +135,9 @@ class TestSubtractionIntegrals:
         # with the mixing switched off the subtraction integral collapses to
         # a charge- and momentum-scaled universal integral of Q_0; both sides
         # come from independent adaptive quadratures
-        from brspec.assemble import _nonrel_kernel_callables
-        from brspec.channels import legendre_q
+        from brspec.channels import coulomb_kernel_split, legendre_q
         params = PhysParams(c=1.0, m=1.0, Z=3.0)
-        kern, split = _nonrel_kernel_callables(0, params)
+        kern = partial(coulomb_kernel_split, 0, params=params)
         universal = quad(lambda u: legendre_q(0, 0.5 * (u + 1 / u)) * u / (1 + u * u),
                          0, 1, points=[1.0], limit=200)[0] \
             + quad(lambda u: legendre_q(0, 0.5 * (u + 1 / u)) * u / (1 + u * u),
