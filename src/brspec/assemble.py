@@ -71,7 +71,9 @@ _LEFT_EDGES, _RIGHT_EDGES = _panel_edges()
 def _row_rule(p_nodes, domain, order):
     """Quadrature nodes/weights in q for every row, avoiding each row's diagonal.
 
-    Returns (Q, W) of shape (n_rows, n_quad); clipped panels get zero weight.
+    Returns (Q, W) of shape (n_rows, n_quad).  Panels that the domain clips
+    to zero width in every row are dropped; those clipped in only some rows
+    keep zero weight there.
     """
     t, wt = np.polynomial.legendre.leggauss(order)
     p = np.asarray(p_nodes, dtype=float)[:, None]
@@ -83,6 +85,8 @@ def _row_rule(p_nodes, domain, order):
     for edges in (_LEFT_EDGES, _RIGHT_EDGES):
         a = np.clip(edges[None, :-1], xlo, xhi)
         b = np.clip(edges[None, 1:], xlo, xhi)
+        live = np.any(b > a, axis=0)
+        a, b = a[:, live], b[:, live]
         half = 0.5 * (b - a)
         mid = 0.5 * (b + a)
         x = mid[..., None] + half[..., None] * t          # (rows?, panels, order)
@@ -217,10 +221,11 @@ def assemble_potential(grid: RadialGrid, kernel, tol=1e-10):
     n = grid.n
     lw = grid.l2_weights
     sq = np.sqrt(lw)
-    iu = np.triu_indices(n, k=1)
-    pi, qi = p[iu[0]], p[iu[1]]
     K = np.zeros((n, n))
-    K[iu] = split_value(kernel(pi, qi), pi, qi)
+    for lo in range(0, n, _ROW_BLOCK):          # upper triangle, a block of rows at a time
+        r, c = np.triu_indices(min(_ROW_BLOCK, n - lo), k=1, m=n - lo)
+        pi, qi = p[lo + r], p[lo + c]
+        K[lo + r, lo + c] = split_value(kernel(pi, qi), pi, qi)
     K = K + K.T                                  # exact symmetry by construction
     M = K * sq[:, None] * sq[None, :]
     ints = subtraction_integrals(kernel, p, grid.domain, tol=tol)

@@ -93,17 +93,45 @@ def _check_offdiag(p, q):
 # where Q_l itself is O(z^-(l+1)) but both terms are O(z^l log z).
 _SERIES_SWITCH = 2.0
 _SERIES_TERMS = 30
+# tail bound, relative to the leading term, below which the series stops
+# (half an ulp is 1.1e-16)
+_SERIES_TOL = 5e-17
+# far points are summed in these z tiers, each with the term count its
+# smallest z needs: up to 27 coefficients just above z = 2, 9 above 8 and
+# 4 above 128
+_SERIES_TIERS = (_SERIES_SWITCH, 8.0, 128.0, np.inf)
+
+
+def _series_coefficients(l):
+    c = [(1.0, 1.0 / 3.0, 2.0 / 15.0, 2.0 / 35.0)[l]]
+    for k in range(_SERIES_TERMS):
+        c.append(c[-1] * ((l + 2 * k + 1) * (l + 2 * k + 2)) / ((2 * k + 2) * (2 * l + 2 * k + 3)))
+    return c
+
+
+_SERIES_COEFFS = np.array([_series_coefficients(l) for l in range(MAX_CHANNEL + 1)])
+
+
+def _series_terms(l, umax):
+    """Index n of the last coefficient needed: the tail after c_n is below _SERIES_TOL at umax.
+
+    The coefficients decrease from k = 1 on, so the tail after c_n is at
+    most c_{n+1} u^(2n+2) / (1 - u^2), and the series is at least c_0.
+    """
+    c = _SERIES_COEFFS[l]
+    u2 = umax * umax
+    tail = c[1:] * u2 ** np.arange(1, c.size) / ((1.0 - u2) * c[0])
+    return int(np.argmax(tail < _SERIES_TOL)) if tail[-1] < _SERIES_TOL else _SERIES_TERMS
 
 
 def _q_l_series(l, u):
-    c = (1.0, 1.0 / 3.0, 2.0 / 15.0, 2.0 / 35.0)[l]
-    acc = np.full_like(u, c)
-    term = np.full_like(u, c)
+    """Series for Q_l at u = 1/z < 1/2, by Horner, as long as the largest u needs."""
+    coeffs = _SERIES_COEFFS[l, :_series_terms(l, u.max()) + 1]
     u2 = u * u
-    for k in range(_SERIES_TERMS):
-        term = term * u2 * ((l + 2 * k + 1) * (l + 2 * k + 2)) \
-            / ((2 * k + 2) * (2 * l + 2 * k + 3))
-        acc += term
+    acc = np.full_like(u, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= u2
+        acc += c
     return acc * u ** (l + 1)
 
 
@@ -113,8 +141,9 @@ def _q_l_split(l, z, log_term):
     Up to z = 2 the closed form Q_l = P_l Q_0 - W_{l-1} holds with the
     caller's Q_0 = log_term(near) - L, so smooth = P_l log_term - W_{l-1}
     and logcoef = -P_l; ``log_term`` maps the boolean mask of those points
-    to its values there.  Beyond z = 2 the series gives all of Q_l and
-    logcoef = 0.  A caller whose log_term is Q_0 itself reads Q_l = smooth.
+    to its values there.  Beyond z = 2 the series, summed tier by tier of
+    _SERIES_TIERS, gives all of Q_l and logcoef = 0.  A caller whose
+    log_term is Q_0 itself reads Q_l = smooth.
     """
     far = z > _SERIES_SWITCH
     smooth = np.empty(z.shape, dtype=float)
@@ -123,7 +152,13 @@ def _q_l_split(l, z, log_term):
     pl = _LEGENDRE_P[l](zn)
     smooth[~far] = pl * log_term(~far) - _LEGENDRE_W[l](zn)
     logcoef[~far] = -pl
-    smooth[far] = _q_l_series(l, 1.0 / z[far])
+    zf = z[far]
+    series = np.empty(zf.shape, dtype=float)
+    for lo, hi in zip(_SERIES_TIERS[:-1], _SERIES_TIERS[1:]):
+        tier = (zf > lo) & (zf <= hi)
+        if tier.any():
+            series[tier] = _q_l_series(l, 1.0 / zf[tier])
+    smooth[far] = series
     return smooth, logcoef
 
 
@@ -142,8 +177,6 @@ def split_value(split, p, q):
 
 def coulomb_radial_kernel(l, p, q, params: PhysParams):
     """Channel-l momentum kernel of -Z/|x|: -Z Q_l((p^2+q^2)/(2pq)) / (pi p q)."""
-    if l not in (0, 1, 2, 3):
-        raise DomainError(f"channel kernels support l in 0..3, got {l}")
     p, q = _check_offdiag(p, q)
     return split_value(coulomb_kernel_split(l, p, q, params), p, q)
 
@@ -169,6 +202,8 @@ def coulomb_kernel_split(l, p, q, params: PhysParams):
     the one kernel representation: quadratures integrate the logarithm
     explicitly and ``split_value`` gives the pointwise value.
     """
+    if l not in (0, 1, 2, 3):
+        raise DomainError(f"channel kernels support l in 0..3, got {l}")
     p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
     z = (p * p + q * q) / (2 * p * q)
     pref = -params.Z / (np.pi * (p * q))

@@ -60,12 +60,17 @@ _DEFAULT_CONFIG = {
 
 
 def _finite_numbers(values):
-    return all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-               for x in values)
+    try:
+        return all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+                   for x in values)
+    except OverflowError:                                         # an integer beyond 1e308
+        return False
 
 
 _VALIDATORS = {
     ("grid", "n"): lambda v: v >= 16 or "n >= 16",
+    ("grid", "s"): lambda v: (_finite_numbers([v]) and v > 0
+                              or "s must be null or a finite number > 0"),
     ("grid", "scheme"): lambda v: v in ("nystrom", "galerkin") or "scheme must be nystrom|galerkin",
     ("grid", "kind"): lambda v: v in ("rational", "log") or "kind must be rational|log",
     ("solver", "route"): lambda v: v in ("dense", "variational", "both") or "route must be dense|variational|both",
@@ -106,11 +111,14 @@ def _coerce(default, value, key):
     if isinstance(default, (int, float)) and isinstance(value, bool):
         raise ConfigurationError(f"key {key}: expected a number, got {value!r}")
     if isinstance(default, int) and isinstance(value, (int, float)):
-        if float(value) != int(value):
+        if isinstance(value, float) and not value.is_integer():   # also NaN and inf
             raise ConfigurationError(f"key {key}: expected an integer, got {value!r}")
         return int(value)
     if isinstance(default, float) and isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:                                     # an integer beyond 1e308
+            raise ConfigurationError(f"key {key}: expected a finite number") from None
     if isinstance(default, str) and isinstance(value, str):
         return value
     if isinstance(default, list) and isinstance(value, list):

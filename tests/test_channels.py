@@ -105,6 +105,16 @@ class TestCoulombKernel:
         with pytest.raises(SingularPointError):
             coulomb_radial_kernel(0, 1.0, 1.0, P11)
 
+    @pytest.mark.parametrize("l", [-1, 4])
+    def test_unsupported_l_rejected(self, l):
+        with pytest.raises(DomainError):
+            coulomb_kernel_split(l, 1.0, 2.0, P11)
+        with pytest.raises(DomainError):
+            coulomb_radial_kernel(l, 1.0, 2.0, P11)
+        deep = ChannelSpec(kappa=l + 1, l_up=l, l_down=l, j=abs(l) + 0.5)
+        with pytest.raises(DomainError):
+            br_kernel_split(deep, 1.0, 2.0, P11)
+
     def test_negative_for_positive_charge(self):
         rng = np.random.default_rng(0)
         p = np.exp(rng.uniform(-5, 5, 100))
@@ -122,6 +132,38 @@ class TestCoulombKernel:
             recon = smooth + logc * np.log(np.abs(p - q))
             np.testing.assert_allclose(recon, coulomb_radial_kernel(l, p, q, P11),
                                        rtol=1e-11)
+
+
+# z on both sides of the tier edges 8 and 128 where the series changes its
+# term count, on the series side of the closed-form switch at 2, and deep
+# in the far field
+SERIES_Z = [np.nextafter(2.0, 3.0), 2.0 * (1 + 1e-9)] + [
+    z for edge in (8.0, 128.0)
+    for z in (edge * (1 - 1e-9), np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf),
+              edge * (1 + 1e-9))] + [3.0, 30.0, 1e3, 1e8]
+
+
+class TestSeriesAccuracy:
+    """The far-field series against mpmath wherever its term count changes."""
+
+    @pytest.mark.parametrize("l", [0, 1, 2, 3])
+    def test_legendre_q(self, l):
+        for z in SERIES_Z:
+            ref = float(mpmath.re(mpmath.legenq(l, 0, mpmath.mpf(z), type=3)))
+            assert abs(legendre_q(l, z) - ref) <= 1e-15 * abs(ref), z
+
+    @pytest.mark.parametrize("l", [0, 1, 2, 3])
+    def test_coulomb_kernel_split(self, l):
+        for z in SERIES_Z:
+            for p in (1e-3, 1.0, 1e4):
+                q = p * (z + np.sqrt(z * z - 1))        # (p^2 + q^2) / (2pq) = z
+                smooth, logcoef = coulomb_kernel_split(l, p, q, P11)
+                with mpmath.workdps(40):
+                    mp, mq = mpmath.mpf(p), mpmath.mpf(q)
+                    zz = (mp * mp + mq * mq) / (2 * mp * mq)
+                    exact = float(-mpmath.re(mpmath.legenq(l, 0, zz, type=3)) / (mpmath.pi * mp * mq))
+                assert logcoef == 0
+                assert abs(smooth - exact) <= 1e-15 * abs(exact), (z, p)
 
 
 class TestAngularReduce:

@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brspec.cli import (main, parse_config, read_report, run_command, write_report,
-                        _DEFAULT_CONFIG)
+                        _DEFAULT_CONFIG, _validate)
 from brspec.errors import ConfigurationError
 from brspec.params import SPEED_OF_LIGHT
 
@@ -57,6 +59,52 @@ class TestParseConfig:
     def test_defaults_not_mutated(self):
         parse_config(overrides=["params.Z=9"])
         assert _DEFAULT_CONFIG["params"]["Z"] == 1.0
+
+
+def _leaves(table, prefix=""):
+    for key, value in table.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+LEAVES = dict(_leaves(_DEFAULT_CONFIG))
+# dotted paths and bare leaf names, as `--set` accepts both, with their defaults
+DEFAULTS = {**LEAVES, **{key.rsplit(".", 1)[-1]: value for key, value in LEAVES.items()}}
+KEYS = sorted(DEFAULTS)
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-40, 600), st.integers(),
+                    st.integers(min_value=2**1024, max_value=2**1400),
+                    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6),
+                    st.sampled_from([v for v in LEAVES.values() if not isinstance(v, list)]))
+VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=4),
+                   st.dictionaries(st.text(max_size=3), SCALARS, max_size=2),
+                   st.sampled_from([v for v in LEAVES.values() if isinstance(v, list)]))
+# what follows `key=` is read as JSON when it parses and as a string otherwise
+RAW = st.one_of(VALUES.map(json.dumps), st.text(max_size=10))
+
+
+class TestParseConfigProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(KEYS), RAW), min_size=1, max_size=4))
+    def test_overrides_validate_or_raise(self, overrides):
+        try:
+            cfg = parse_config(overrides=[f"{key}={raw}" for key, raw in overrides])
+        except ConfigurationError:
+            return
+        _validate(cfg)
+        for key, default in LEAVES.items():
+            section, _, leaf = key.rpartition(".")
+            value = cfg[section][leaf] if section else cfg[leaf]
+            if default is not None:
+                assert type(value) is type(default), (key, value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from(KEYS), min_size=1, max_size=4))
+    def test_defaults_round_trip(self, keys):
+        # every key set to its own default value is accepted unchanged
+        overrides = [f"{key}={json.dumps(DEFAULTS[key])}" for key in keys]
+        assert parse_config(overrides=overrides) == parse_config()
 
 
 @pytest.fixture(scope="module")

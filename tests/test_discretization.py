@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from brspec import PhysParams
-from brspec.assemble import (assemble_nonrel_operator, assemble_operator,
+from brspec import PhysParams, channels
+from brspec.assemble import (assemble_nonrel_operator, assemble_operator, assemble_potential,
                              subtraction_integral_adaptive, subtraction_integrals,
                              subtraction_profile)
 from brspec.channels import ChannelSpec, br_kernel_split
@@ -145,6 +145,57 @@ class TestSubtractionIntegrals:
         for p in (0.2, 1.0, 7.5):
             direct = subtraction_integral_adaptive(kern, p, (0.0, np.inf), tol=1e-12)
             assert direct == pytest.approx(-2 * params.Z * p / np.pi * universal, rel=1e-9)
+
+
+def _plain_q_l_series(l, u):
+    """Reference far-field series: all 30 terms, generated and summed in ascending order."""
+    c = (1.0, 1.0 / 3.0, 2.0 / 15.0, 2.0 / 35.0)[l]
+    acc = np.full_like(u, c)
+    term = np.full_like(u, c)
+    u2 = u * u
+    for k in range(30):
+        term = term * u2 * ((l + 2 * k + 1) * (l + 2 * k + 2)) \
+            / ((2 * k + 2) * (2 * l + 2 * k + 3))
+        acc += term
+    return acc * u ** (l + 1)
+
+
+class TestKernelEvaluation:
+    @pytest.mark.parametrize("grid, points", [
+        # a finite window clips most far panels; evaluating them at zero
+        # weight would cost 301,450 points
+        (build_log_grid(100, 1e-4, 2e3), 183306),
+        # the rational grid's domain (0, inf) clips nothing
+        (build_grid(100, 1.0), 301450),
+    ])
+    def test_points_per_assembly(self, grid, points):
+        params = PhysParams(Z=1.0)
+        seen = []
+
+        def kernel(p, q):
+            seen.append(np.broadcast(p, q).size)
+            return br_kernel_split(CH, p, q, params)
+
+        assemble_potential(grid, kernel)
+        assert sum(seen) == points
+
+    @pytest.mark.parametrize("grid", [build_log_grid(200, 4e-3, 8e4), build_grid(100, 40.0)])
+    def test_matrix_matches_plain_series(self, grid, monkeypatch):
+        params = PhysParams(Z=40.0)
+        new = assemble_operator(grid, CH, params).matrix
+        monkeypatch.setattr(channels, "_q_l_series", _plain_q_l_series)
+        monkeypatch.setattr(channels, "_SERIES_TIERS", (2.0, np.inf))
+        old = assemble_operator(grid, CH, params).matrix
+        off = ~np.eye(grid.n, dtype=bool)
+        assert np.all(np.abs(new - old)[off] <= 2e-15 * np.abs(old[off]))
+        # a diagonal entry is the subtraction integral minus the row's
+        # collocation sum, hundreds of times smaller than its terms; its
+        # rounding is relative to the terms
+        sq = np.sqrt(grid.l2_weights)
+        terms = np.where(off, np.abs(old), 0.0) * subtraction_profile(
+            grid.nodes[:, None], grid.nodes[None, :]) * sq[None, :] / sq[:, None]
+        scale = np.abs(np.diag(old)) + 2 * terms.sum(axis=1)
+        assert np.all(np.abs(np.diag(new - old)) <= 2e-15 * scale)
 
 
 class TestAssembly:
