@@ -24,16 +24,17 @@ the assembled operator is symmetric.
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import cholesky, solve_triangular
 
-from .channels import ChannelSpec, br_kernel_split, coulomb_kernel_split, split_value
+from .channels import (ChannelSpec, KernelTerms, br_terms, coulomb_terms, kernel_split,
+                       kernel_value, legendre_q_cosh, log_ratio)
 from .dirac import lambda_of
 from .errors import ConfigurationError, DomainError
-from .grids import RadialGrid
+from .grids import LogPanels, RadialGrid
 from .params import PhysParams
 
 
@@ -50,6 +51,13 @@ def subtraction_profile(p, q):
 # edge clips them.  Two Gauss orders per panel give the adaptive error
 # estimate; rows that miss the tolerance fall back to scipy's adaptive
 # routine.
+#
+# In x the integrand is -(Z p/pi) sum_t f_t(p) f_t(p e^x) Q_l(cosh x) rho(x)
+# with rho(x) = 2/(1 + e^-2x) (the profile times q^2 dq/dx over p^3 e^x).
+# Everything but f_t(p e^x) depends on x alone, and the panels are the same
+# in every row, so Q_l rho w is tabulated once per (l, order); a row pays
+# for its mixing factors, and for Q_l only on the at most two panels its
+# domain clips.
 
 _SLIVER = 1e-13
 
@@ -62,44 +70,43 @@ def _panel_edges():
     near = near[near < 1.0]
     right = np.concatenate([near, np.arange(1.0, 47.0, 1.0)])
     left = -np.concatenate([near, np.arange(1.0, 27.0, 1.0)])
-    return np.sort(left), np.sort(right)
+    left, right = np.sort(left), np.sort(right)
+    # lower and upper edges of every panel, the left side's first
+    return (np.concatenate([left[:-1], right[:-1]]),
+            np.concatenate([left[1:], right[1:]]))
 
 
-_LEFT_EDGES, _RIGHT_EDGES = _panel_edges()
+_PANEL_LO, _PANEL_HI = _panel_edges()
 
 
-def _row_rule(p_nodes, domain, order):
-    """Quadrature nodes/weights in q for every row, avoiding each row's diagonal.
+def _gauss_panels(a, b, rule):
+    """Nodes and weights of the Gauss ``rule`` on panels [a, b] (any leading shape)."""
+    t, wt = rule
+    half = 0.5 * (b - a)
+    mid = 0.5 * (b + a)
+    return mid[..., None] + half[..., None] * t, half[..., None] * wt
 
-    Returns (Q, W) of shape (n_rows, n_quad).  Panels that the domain clips
-    to zero width in every row are dropped; those clipped in only some rows
-    keep zero weight there.
+
+def _rho(x):
+    return 2.0 / (1.0 + np.exp(-2.0 * x))
+
+
+@lru_cache(maxsize=None)
+def _rule_table(l, order):
+    """Q_l(cosh x) rho(x) w at every node of the full panel rule, (panels, order).
+
+    Built on first use and shared, read-only, by every row, call and sweep
+    thread.
     """
-    t, wt = np.polynomial.legendre.leggauss(order)
-    p = np.asarray(p_nodes, dtype=float)[:, None]
-    qlo, qhi = domain
-    xlo = -np.inf if qlo == 0.0 else np.log(qlo / p)
-    xhi = np.inf if not np.isfinite(qhi) else np.log(qhi / p)
-
-    qs, ws = [], []
-    for edges in (_LEFT_EDGES, _RIGHT_EDGES):
-        a = np.clip(edges[None, :-1], xlo, xhi)
-        b = np.clip(edges[None, 1:], xlo, xhi)
-        live = np.any(b > a, axis=0)
-        a, b = a[:, live], b[:, live]
-        half = 0.5 * (b - a)
-        mid = 0.5 * (b + a)
-        x = mid[..., None] + half[..., None] * t          # (rows?, panels, order)
-        w = half[..., None] * wt
-        q = p[..., None] * np.exp(x)                      # broadcasts rows in
-        qs.append(np.broadcast_to(q, (p.size,) + q.shape[1:]).reshape(p.size, -1))
-        ws.append((w * q).reshape(p.size, -1))            # dq = q dx
-    return np.concatenate(qs, axis=1), np.concatenate(ws, axis=1)
+    x, w = _gauss_panels(_PANEL_LO, _PANEL_HI, np.polynomial.legendre.leggauss(order))
+    table = legendre_q_cosh((l,), x)[0] * _rho(x) * w
+    table.flags.writeable = False
+    return table
 
 
-def _sliver_term(kernel, p):
+def _sliver_term(terms, p):
     """Analytic contribution of |ln(q/p)| < 1e-13 around the diagonal."""
-    s, g = kernel(p, p * (1.0 + 1e-8))
+    s, g = kernel_split(terms, p, p * (1.0 + 1e-8))
     eps = _SLIVER
     # Int_{-eps}^{eps} ln|p(e^x - 1)| dx = 2 eps (ln p + ln eps - 1) + O(eps^2)
     log_part = 2 * eps * (np.log(p) + np.log(eps) - 1.0)
@@ -107,40 +114,68 @@ def _sliver_term(kernel, p):
 
 
 # rows per block of the panel rule: each row carries ~1.8k quadrature points,
-# so evaluating all rows at once would make the kernel's temporaries dwarf
-# the assembled matrix
+# so evaluating all rows at once would make the temporaries dwarf the
+# assembled matrix
 _ROW_BLOCK = 64
 
 
-def subtraction_integrals(kernel, p_nodes, domain, tol=1e-10):
-    """I(p_i) = Int_domain kernel(p_i, q) phi_{p_i}(q) q^2 dq for all rows.
-
-    ``kernel(p, q)`` returns the (smooth, logcoef) split for arrays.  Rows
-    whose two-level panel estimates disagree beyond ``tol`` are recomputed
-    adaptively.
-    """
-    p = np.asarray(p_nodes, dtype=float)
-    vals = {10: np.empty(p.size), 16: np.empty(p.size)}
+def _panel_rule_sums(terms, p, xlo, xhi, order):
+    """Sum over the panel rule of f_t(p) f_t(p e^x) Q_l(cosh x) rho(x) w, per row."""
+    rule = np.polynomial.legendre.leggauss(order)
+    ex = np.exp(_gauss_panels(_PANEL_LO, _PANEL_HI, rule)[0])
+    tables = [_rule_table(l, order) for l in terms.ls]
+    fp = terms.factors(p)
+    out = np.empty(p.size)
     for lo in range(0, p.size, _ROW_BLOCK):
         rows = slice(lo, lo + _ROW_BLOCK)
-        pb = p[rows, None]
-        for order, val in vals.items():
-            Q, W = _row_rule(p[rows], domain, order)
-            F = split_value(kernel(pb, Q), pb, Q) * subtraction_profile(pb, Q) * Q * Q
-            val[rows] = (F * W).sum(axis=1)
-    out = vals[16] + _sliver_term(kernel, p)
+        pr = p[rows, None]
+        fr = [f[rows] for f in fp]
+        a = np.clip(_PANEL_LO, xlo[rows, None], xhi[rows, None])
+        b = np.clip(_PANEL_HI, xlo[rows, None], xhi[rows, None])
+        whole = (a == _PANEL_LO) & (b == _PANEL_HI)
+        # panels inside the domain: the shared table, masked per row, over
+        # the panels that some row of the block keeps
+        live = whole.any(axis=0)
+        inside = np.repeat(whole[:, live], order, axis=1)
+        fq = terms.factors(pr * ex[live].ravel())
+        acc = sum(f0 * ((f * inside) @ tab[live].ravel()) for f0, f, tab in zip(fr, fq, tables))
+        # panels the domain clips: at most two per row, evaluated per row
+        r, k = np.nonzero(~whole & (b > a))
+        if r.size:
+            xc, wc = _gauss_panels(a[r, k], b[r, k], rule)
+            fc = terms.factors(pr[r] * np.exp(xc))
+            clipped = sum(f0[r, None] * f * v for f0, f, v
+                          in zip(fr, fc, legendre_q_cosh(terms.ls, xc)))
+            acc += np.bincount(r, (clipped * _rho(xc) * wc).sum(axis=1), minlength=acc.size)
+        out[rows] = acc
+    return out
+
+
+def subtraction_integrals(terms: KernelTerms, p_nodes, domain, tol=1e-10):
+    """I(p_i) = Int_domain k(p_i, q) phi_{p_i}(q) q^2 dq for all rows of the kernel ``terms``.
+
+    Rows whose two-level panel estimates disagree beyond ``tol`` are
+    recomputed adaptively.
+    """
+    p = np.asarray(p_nodes, dtype=float)
+    qlo, qhi = domain
+    xlo = np.log(qlo / p) if qlo > 0 else np.full(p.size, -np.inf)
+    xhi = np.log(qhi / p) if np.isfinite(qhi) else np.full(p.size, np.inf)
+    pref = -terms.Z / np.pi * p
+    vals = {order: pref * _panel_rule_sums(terms, p, xlo, xhi, order) for order in (10, 16)}
+    out = vals[16] + _sliver_term(terms, p)
     err = np.abs(vals[16] - vals[10])
     scale = np.maximum(np.abs(out), np.abs(out).max() * 1e-3 + 1e-300)
     bad = err > tol * scale
     for i in np.nonzero(bad)[0]:
-        out[i] = subtraction_integral_adaptive(kernel, p[i], domain, tol=tol)
+        out[i] = subtraction_integral_adaptive(terms, p[i], domain, tol=tol)
     return out
 
 
-def subtraction_integral_adaptive(kernel, p, domain, tol=1e-12):
+def subtraction_integral_adaptive(terms: KernelTerms, p, domain, tol=1e-12):
     """Reference adaptive quadrature of one subtraction integral (scipy)."""
     qlo, qhi = domain
-    f = lambda q: split_value(kernel(p, q), p, q) * subtraction_profile(p, q) * q * q
+    f = lambda q: kernel_value(terms, p, q) * subtraction_profile(p, q) * q * q
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         if not np.isfinite(qhi):
@@ -211,26 +246,69 @@ class DiscreteOperator:
         return x / self._dscale
 
 
-def assemble_potential(grid: RadialGrid, kernel, tol=1e-10):
+def _toeplitz_strips(panels: LogPanels, ls):
+    """Block-rows of Q_l(cosh x_ij) and of the profile on a log-panel grid.
+
+    x_ij = ln(p_j/p_i) depends only on the panel offset d = j - i and the
+    two nodes' places in their panels, so Q_l is evaluated once per offset
+    d >= 0 (P m^2 - m values per l), the blocks d < 0 are their transposes,
+    and every block-row is a window of the concatenated blocks.  Yields
+    (rows, [Q_l rows for each l], profile rows); the diagonal Q entries are 0.
+    """
+    P, m = panels.count, panels.order
+    x = panels.offsets()                        # d = -(P-1) .. P-1
+    upper = x[P - 1:]
+    off = upper != 0
+    q = np.zeros((len(ls),) + upper.shape)
+    for k, v in enumerate(legendre_q_cosh(ls, upper[off])):
+        q[k][off] = v
+    blocks = np.concatenate([q[:, :0:-1].swapaxes(-1, -2), q], axis=1)
+    cat = blocks.transpose(0, 2, 1, 3).reshape(len(ls), m, (2 * P - 1) * m)
+    phi = (2.0 / (1.0 + np.exp(2.0 * x))).transpose(1, 0, 2).reshape(m, -1)
+    for i in range(P):
+        cols = slice((P - 1 - i) * m, (2 * P - 1 - i) * m)
+        yield slice(i * m, (i + 1) * m), [c[:, cols] for c in cat], phi[:, cols]
+
+
+def _pointwise_strips(p, ls):
+    """Row blocks of Q_l(cosh x_ij) and of the profile on any grid, each pair evaluated once."""
+    n = p.size
+    q = np.zeros((len(ls), n, n))
+    for lo in range(0, n, _ROW_BLOCK):          # upper triangle, a block of rows at a time
+        r, c = np.triu_indices(min(_ROW_BLOCK, n - lo), k=1, m=n - lo)
+        r, c = r + lo, c + lo
+        for k, v in enumerate(legendre_q_cosh(ls, log_ratio(p[r], p[c]))):
+            q[k, r, c] = v
+            q[k, c, r] = v
+    for lo in range(0, n, _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        yield rows, [qk[rows] for qk in q], subtraction_profile(p[rows, None], p[None, :])
+
+
+def assemble_potential(grid: RadialGrid, terms: KernelTerms, tol=1e-10):
     """Symmetric metric-normalized potential matrix by collocation + subtraction.
 
-    ``kernel(p, q)`` returns the (smooth, logcoef) split of the channel
-    kernel, e.g. ``partial(br_kernel_split, channel, params=params)``.
+    M_ij = -(Z/pi) sum_t d_t(p_i) d_t(p_j) Q_l(cosh ln(p_j/p_i)) with the
+    diagonal factors d_t(p) = f_t(p) sqrt(w p^2)/p, and the diagonal is the
+    subtraction integral minus the row's collocation sum against the
+    profile.  A grid that records its log-panel structure gets the
+    block-Toeplitz fill, any other grid the pointwise one.
     """
     p = grid.nodes
     n = grid.n
-    lw = grid.l2_weights
-    sq = np.sqrt(lw)
-    K = np.zeros((n, n))
-    for lo in range(0, n, _ROW_BLOCK):          # upper triangle, a block of rows at a time
-        r, c = np.triu_indices(min(_ROW_BLOCK, n - lo), k=1, m=n - lo)
-        pi, qi = p[lo + r], p[lo + c]
-        K[lo + r, lo + c] = split_value(kernel(pi, qi), pi, qi)
-    K = K + K.T                                  # exact symmetry by construction
-    M = K * sq[:, None] * sq[None, :]
-    ints = subtraction_integrals(kernel, p, grid.domain, tol=tol)
-    row_correction = ints - (K * subtraction_profile(p[:, None], p[None, :]) * lw[None, :]).sum(axis=1)
-    M[np.diag_indices(n)] = row_correction
+    sq = np.sqrt(grid.l2_weights)
+    ints = subtraction_integrals(terms, p, grid.domain, tol=tol)
+    diag = [f * np.sqrt(grid.weights) for f in terms.factors(p)]
+    strips = (_pointwise_strips(p, terms.ls) if grid.panels is None
+              else _toeplitz_strips(grid.panels, terms.ls))
+    M = np.empty((n, n))
+    row_sums = np.empty(n)
+    for rows, qs, phi in strips:
+        # d_i d_j before Q_ij keeps every entry exactly symmetric
+        M[rows] = sum(np.multiply.outer(d[rows], d) * qk for d, qk in zip(diag, qs))
+        M[rows] *= -terms.Z / np.pi
+        row_sums[rows] = (M[rows] * phi) @ sq / sq[rows]
+    M[np.diag_indices(n)] = ints - row_sums
     return M
 
 
@@ -244,22 +322,22 @@ def assemble_operator(grid: RadialGrid, channel: ChannelSpec, params: PhysParams
             f"Z = {params.Z} lies outside the subordinacy window Z < "
             f"{params.critical_charge:.2f}; the operator is not bounded below",
             UserWarning, stacklevel=2)
-    kernel = partial(br_kernel_split, channel, params=params, fw_scale=fw_scale)
+    terms = br_terms(channel, params, fw_scale)
     kinetic = lambda p: lambda_of(p, params)
     if scheme == "nystrom":
         kin = kinetic(grid.nodes)
-        M = assemble_potential(grid, kernel, tol=tol)
+        M = assemble_potential(grid, terms, tol=tol)
         M[np.diag_indices(grid.n)] += kin
         return DiscreteOperator(M, grid, channel, params, grid.l2_weights,
                                 "nystrom", kinetic_diagonal=kin)
-    return _assemble_galerkin(grid, channel, params, kernel, kinetic)
+    return _assemble_galerkin(grid, channel, params, terms, kinetic)
 
 
 def assemble_nonrel_operator(grid: RadialGrid, l, params: PhysParams,
                              tol=1e-10) -> DiscreteOperator:
     """Nonrelativistic comparison operator p^2/2m + Coulomb channel-l kernel."""
     kin = grid.nodes**2 / (2 * params.m)
-    M = assemble_potential(grid, partial(coulomb_kernel_split, l, params=params), tol=tol)
+    M = assemble_potential(grid, coulomb_terms(l, params), tol=tol)
     M[np.diag_indices(grid.n)] += kin
     channel = ChannelSpec.from_kappa(-(l + 1) if l < 3 else l)  # l_up = l
     return DiscreteOperator(M, grid, channel, params, grid.l2_weights,
@@ -324,7 +402,7 @@ def _duffy_triangle_rule(nu_levels=12, order=6):
     return U.ravel(), V.ravel(), W.ravel()
 
 
-def _diagonal_blocks(nodes, kernel, order=6):
+def _diagonal_blocks(nodes, terms, order=6):
     """2x2 hat-pair integrals over each diagonal cell [a,b]^2 (all elements at once).
 
     The cell is split along p = q into two congruent triangles; the lower
@@ -338,7 +416,7 @@ def _diagonal_blocks(nodes, kernel, order=6):
     D = b - a
     P = a + D * U[None, :]
     Q = a + D * (U * V)[None, :]
-    S, G = kernel(P, Q)
+    S, G = kernel_split(terms, P, Q)
     K = S + G * np.log(D * (U * (1 - V))[None, :])
     F = K * P * P * Q * Q * (W * U)[None, :] * D**2
     hlp, hrp = _hat_pair(P, a, b)
@@ -366,7 +444,7 @@ def _corner_rule(levels=8, order=6):
     return X.ravel(), Y.ravel(), W.ravel()
 
 
-def _adjacent_blocks(nodes, kernel, order=6):
+def _adjacent_blocks(nodes, terms, order=6):
     """Hat-pair integrals over adjacent cells [p_e, p_m] x [p_m, p_r].
 
     The kernel is singular only at the shared corner (p_m, p_m); geometric
@@ -379,7 +457,7 @@ def _adjacent_blocks(nodes, kernel, order=6):
     D1, D2 = m - a, r - m
     P = m - D1 * X[None, :]
     Q = m + D2 * Y[None, :]
-    S, G = kernel(P, Q)
+    S, G = kernel_split(terms, P, Q)
     F = (S + G * np.log(Q - P)) * P * P * Q * Q * W[None, :] * D1 * D2
     hlp, hrp = _hat_pair(P, a, m)
     hlq, hrq = _hat_pair(Q, m, r)
@@ -391,7 +469,7 @@ def _adjacent_blocks(nodes, kernel, order=6):
     return L
 
 
-def _assemble_galerkin(grid, channel, params, kernel, kinetic_fn,
+def _assemble_galerkin(grid, channel, params, terms, kinetic_fn,
                        far_order=6):
     nodes = grid.nodes
     n = nodes.size
@@ -408,7 +486,7 @@ def _assemble_galerkin(grid, channel, params, kernel, kinetic_fn,
     Hg[np.arange(xg.size), rows] = hl.ravel()
     Hg[np.arange(xg.size), rows + 1] = hr.ravel()
     wg = (w * x * x).ravel()
-    S, G = kernel(xg[:, None], xg[None, :])
+    S, G = kernel_split(terms, xg[:, None], xg[None, :])
     dist = np.abs(xg[:, None] - xg[None, :])
     el = np.repeat(np.arange(n - 1), far_order)
     near = np.abs(el[:, None] - el[None, :]) <= 1
@@ -416,8 +494,8 @@ def _assemble_galerkin(grid, channel, params, kernel, kinetic_fn,
     K[near] = 0.0
     A = Hg.T @ (K * wg[:, None] * wg[None, :]) @ Hg
 
-    Ldiag = _diagonal_blocks(nodes, kernel)
-    Ladj = _adjacent_blocks(nodes, kernel)
+    Ldiag = _diagonal_blocks(nodes, terms)
+    Ladj = _adjacent_blocks(nodes, terms)
     idx = np.arange(n - 1)
     for di, dj, vals in (
         (idx, idx, Ldiag[:, 0, 0]),

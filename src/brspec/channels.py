@@ -9,7 +9,9 @@ oracle, and the radial spherical Bessel transform used to cross-check
 position- and momentum-space representations.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.integrate import quad
@@ -69,13 +71,35 @@ def legendre_q(l, z):
     Q_l = P_l Q_0 - W_{l-1}; beyond z = 2 the closed form cancels and the
     inverse-power series takes over.
     """
-    if l not in (0, 1, 2, 3):
-        raise DomainError(f"legendre_q supports l in 0..3, got {l}")
+    _check_orders((l,))
     z = np.asarray(z, dtype=float)
     if np.any(z <= 1.0):
         raise DomainError("legendre_q requires z > 1")
-    out, _ = _q_l_split(l, z, lambda near: 0.5 * np.log((z[near] + 1) / (z[near] - 1)))
+    out = _q_l_split((l,), z, lambda near: 0.5 * np.log((z[near] + 1) / (z[near] - 1)))[0][0]
     return out if out.shape else float(out)
+
+
+def legendre_q_cosh(ls, x):
+    """Q_l(cosh x) for each l in ls at x != 0, one array per l.
+
+    With x = ln(q/p) this is the whole (p, q)-dependence of the Coulomb
+    channel kernel beyond its prefactor: z = (p^2+q^2)/(2pq) = cosh x.  The
+    logarithm enters as Q_0(cosh x) = -ln tanh(|x|/2), which is scale-free
+    and accurate however close x is to the diagonal x = 0.
+    """
+    ax = np.abs(np.asarray(x, dtype=float))
+    return _q_l_split(ls, np.cosh(ax), lambda near: -np.log(np.tanh(0.5 * ax[near])))[0]
+
+
+def log_ratio(p, q):
+    """|ln(q/p)| to a few ulp, also next to the diagonal where q/p rounds to 1."""
+    return np.log1p(np.abs(q - p) / np.minimum(p, q))
+
+
+def _check_orders(ls):
+    for l in ls:
+        if l not in (0, 1, 2, 3):
+            raise DomainError(f"Legendre orders l in 0..3 are supported, got {l}")
 
 
 def _check_offdiag(p, q):
@@ -135,90 +159,137 @@ def _q_l_series(l, u):
     return acc * u ** (l + 1)
 
 
-def _q_l_split(l, z, log_term):
-    """Q_l(z) = smooth + logcoef * L for z > 1, the one Q_l evaluator.
+def _q_l_split(ls, z, log_term):
+    """Q_l(z) = smooth + logcoef * L for each l in ls and z > 1, the one Q_l evaluator.
 
     Up to z = 2 the closed form Q_l = P_l Q_0 - W_{l-1} holds with the
     caller's Q_0 = log_term(near) - L, so smooth = P_l log_term - W_{l-1}
     and logcoef = -P_l; ``log_term`` maps the boolean mask of those points
     to its values there.  Beyond z = 2 the series, summed tier by tier of
     _SERIES_TIERS, gives all of Q_l and logcoef = 0.  A caller whose
-    log_term is Q_0 itself reads Q_l = smooth.
+    log_term is Q_0 itself reads Q_l = smooth.  Returns two lists with one
+    array per l; the masks, the tiers and the log term are evaluated once
+    for all orders.
     """
     far = z > _SERIES_SWITCH
-    smooth = np.empty(z.shape, dtype=float)
-    logcoef = np.zeros(z.shape, dtype=float)
-    zn = z[~far]
-    pl = _LEGENDRE_P[l](zn)
-    smooth[~far] = pl * log_term(~far) - _LEGENDRE_W[l](zn)
-    logcoef[~far] = -pl
+    near = ~far
+    zn = z[near]
+    log_near = log_term(near)
     zf = z[far]
-    series = np.empty(zf.shape, dtype=float)
+    tiers = []
     for lo, hi in zip(_SERIES_TIERS[:-1], _SERIES_TIERS[1:]):
         tier = (zf > lo) & (zf <= hi)
         if tier.any():
-            series[tier] = _q_l_series(l, 1.0 / zf[tier])
-    smooth[far] = series
+            tiers.append((tier, 1.0 / zf[tier]))
+    smooth, logcoef = [], []
+    for l in ls:
+        s = np.empty(z.shape, dtype=float)
+        g = np.zeros(z.shape, dtype=float)
+        pl = _LEGENDRE_P[l](zn)
+        s[near] = pl * log_near - _LEGENDRE_W[l](zn)
+        g[near] = -pl
+        series = np.empty(zf.shape, dtype=float)
+        for tier, u in tiers:
+            series[tier] = _q_l_series(l, u)
+        s[far] = series
+        smooth.append(s)
+        logcoef.append(g)
     return smooth, logcoef
 
 
-def split_value(split, p, q):
-    """Pointwise kernel value smooth + logcoef * ln|p - q| of a (smooth, logcoef) split.
+@dataclass(frozen=True)
+class KernelTerms:
+    """A channel kernel as its Legendre-Q terms:
 
-    The logarithm is taken only where logcoef != 0, near the diagonal.
+        k(p, q) = -Z / (pi p q) * sum_t f_t(p) f_t(q) Q_{l_t}(cosh x),  x = ln(q/p).
+
+    ``ls`` lists the orders l_t; ``mixing(p)`` returns the factors
+    (f_1(p), ..., f_T(p)) in the same order, and None means every factor
+    is 1 (the bare Coulomb kernel); ``factors`` always gives arrays.
+    Everything but the factors depends on x alone, which is what lets the
+    assembly evaluate each Q_l value once.
     """
-    smooth, logcoef = split
-    value = np.array(smooth, dtype=float)
-    near = logcoef != 0
-    dist = np.broadcast_to(np.abs(np.subtract(p, q)), value.shape)
-    value[near] += logcoef[near] * np.log(dist[near])
-    return value
+
+    Z: float
+    ls: tuple
+    mixing: Callable | None = None
+
+    def __post_init__(self):
+        _check_orders(self.ls)
+
+    def factors(self, p):
+        if self.mixing is None:
+            return (np.ones(np.shape(p)),) * len(self.ls)
+        return self.mixing(p)
 
 
-def coulomb_radial_kernel(l, p, q, params: PhysParams):
-    """Channel-l momentum kernel of -Z/|x|: -Z Q_l((p^2+q^2)/(2pq)) / (pi p q)."""
-    p, q = _check_offdiag(p, q)
-    return split_value(coulomb_kernel_split(l, p, q, params), p, q)
+def _fw_mixing(p, params, scale):
+    return a_plus_minus(scale * np.asarray(p, dtype=float), params)
 
 
-def br_channel_kernel(channel: ChannelSpec, p, q, params: PhysParams, fw_scale=1.0):
+def coulomb_terms(l, params: PhysParams):
+    """Channel-l Coulomb kernel -Z Q_l((p^2+q^2)/(2pq)) / (pi p q), no mixing."""
+    return KernelTerms(params.Z, (l,))
+
+
+def br_terms(channel: ChannelSpec, params: PhysParams, fw_scale=1.0):
     """Transformed-potential channel kernel for the Coulomb potential.
 
     k_kappa(p,q) = a+(p) a+(q) k_{l_up}(p,q) + a-(p) a-(q) k_{l_down}(p,q).
     ``fw_scale`` evaluates the mixing coefficients at (fw_scale * momentum),
     which is what the small-scale rescaling experiment needs.
     """
+    return KernelTerms(params.Z, (channel.l_up, channel.l_down),
+                       partial(_fw_mixing, params=params, scale=fw_scale))
+
+
+def kernel_value(terms: KernelTerms, p, q):
+    """Pointwise kernel value off the diagonal, through Q_l(cosh |ln(q/p)|)."""
     p, q = _check_offdiag(p, q)
-    return split_value(br_kernel_split(channel, p, q, params, fw_scale), p, q)
+    mix = [fp * fq for fp, fq in zip(terms.factors(p), terms.factors(q))]
+    qs = legendre_q_cosh(terms.ls, log_ratio(p, q))
+    return -terms.Z / (np.pi * (p * q)) * sum(m * v for m, v in zip(mix, qs))
+
+
+def kernel_split(terms: KernelTerms, p, q):
+    """Split the kernel into smooth + logcoef * ln|p-q|.
+
+    Returns (smooth, logcoef) with kernel = smooth + logcoef * ln|p-q|;
+    both factors are smooth across the diagonal, so quadratures that reach
+    the diagonal (the Galerkin blocks, the subtraction integrals' sliver)
+    integrate the logarithm explicitly.  Far from the diagonal (z > 2,
+    where the kernel is regular anyway) the whole kernel moves into the
+    smooth part, evaluated by the stable series.  z, the prefactor and the
+    near-diagonal ln(p+q) are computed once for all terms.
+    """
+    p0, q0 = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    p, q = np.broadcast_arrays(p0, q0)
+    z = (p * p + q * q) / (2 * p * q)
+    pref = -terms.Z / (np.pi * (p * q))
+    smooth, logcoef = _q_l_split(terms.ls, z, lambda near: np.log(p[near] + q[near]))
+    mix = [fp * fq for fp, fq in zip(terms.factors(p0), terms.factors(q0))]
+    return (sum(m * (pref * s) for m, s in zip(mix, smooth)),
+            sum(m * (pref * g) for m, g in zip(mix, logcoef)))
+
+
+def coulomb_radial_kernel(l, p, q, params: PhysParams):
+    """Channel-l momentum kernel of -Z/|x|: -Z Q_l((p^2+q^2)/(2pq)) / (pi p q)."""
+    return kernel_value(coulomb_terms(l, params), p, q)
+
+
+def br_channel_kernel(channel: ChannelSpec, p, q, params: PhysParams, fw_scale=1.0):
+    """Transformed-potential channel kernel value, see ``br_terms``."""
+    return kernel_value(br_terms(channel, params, fw_scale), p, q)
 
 
 def coulomb_kernel_split(l, p, q, params: PhysParams):
-    """Split the Coulomb channel kernel into smooth + logcoef * ln|p-q|.
-
-    Returns (smooth, logcoef) with kernel = smooth + logcoef * ln|p-q|;
-    both factors are smooth across the diagonal.  Far from the diagonal
-    (z > 2, where the kernel is regular anyway) the whole kernel moves
-    into the smooth part, evaluated by the stable series.  This split is
-    the one kernel representation: quadratures integrate the logarithm
-    explicitly and ``split_value`` gives the pointwise value.
-    """
-    if l not in (0, 1, 2, 3):
-        raise DomainError(f"channel kernels support l in 0..3, got {l}")
-    p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
-    z = (p * p + q * q) / (2 * p * q)
-    pref = -params.Z / (np.pi * (p * q))
-    smooth, logcoef = _q_l_split(l, z, lambda near: np.log(p[near] + q[near]))
-    return pref * smooth, pref * logcoef
+    """(smooth, logcoef) split of the channel-l Coulomb kernel, see ``kernel_split``."""
+    return kernel_split(coulomb_terms(l, params), p, q)
 
 
 def br_kernel_split(channel: ChannelSpec, p, q, params: PhysParams, fw_scale=1.0):
-    """Smooth/log split of the transformed-potential channel kernel."""
-    ap_p, am_p = a_plus_minus(fw_scale * np.asarray(p, dtype=float), params)
-    ap_q, am_q = a_plus_minus(fw_scale * np.asarray(q, dtype=float), params)
-    s_up, g_up = coulomb_kernel_split(channel.l_up, p, q, params)
-    s_dn, g_dn = coulomb_kernel_split(channel.l_down, p, q, params)
-    up, dn = ap_p * ap_q, am_p * am_q
-    return up * s_up + dn * s_dn, up * g_up + dn * g_dn
+    """(smooth, logcoef) split of the transformed-potential channel kernel."""
+    return kernel_split(br_terms(channel, params, fw_scale), p, q)
 
 
 def angular_reduce(pointwise_kernel, l, p, q, tol=1e-10):

@@ -67,33 +67,55 @@ def _finite_numbers(values):
         return False
 
 
+def _within(name, lo, hi):
+    """Validator of a number in [lo, hi]; huge integers and non-finite values fail."""
+    return lambda v: (_finite_numbers([v]) and lo <= v <= hi
+                      or f"{name} >= {lo:g} and {name} <= {hi:g}")
+
+
+def _all_within(lo, hi, integral=False):
+    """Validator of a non-empty list of numbers in [lo, hi]."""
+    return lambda v: (len(v) > 0 and _finite_numbers(v) and all(lo <= x <= hi for x in v)
+                      and (not integral or all(x == int(x) for x in v))
+                      or f"needs at least one {'integer ' if integral else ''}value, "
+                         f"all in [{lo:g}, {hi:g}]")
+
+
+# Stated ranges of the numeric keys.  Sizes stop where one dense matrix
+# passes 128 MB (the commutator acts on two channel copies, 2n x 2n); the
+# physical scales keep m c^2, Z and the grid windows far inside
+# floating-point range.  Inside them every command runs
+# to a report (checks may fail at the extremes); outside, parse_config
+# raises ConfigurationError.
+MAX_GRID_N = 4096
+MAX_CHARGE = 1e3
+MAX_LEVELS = 64
+
 _VALIDATORS = {
-    ("grid", "n"): lambda v: v >= 16 or "n >= 16",
-    ("grid", "s"): lambda v: (_finite_numbers([v]) and v > 0
-                              or "s must be null or a finite number > 0"),
+    ("grid", "n"): _within("n", 16, MAX_GRID_N),
+    ("grid", "s"): lambda v: (_finite_numbers([v]) and 1e-6 <= v <= 1e6
+                              or "s must be null or a number in [1e-6, 1e6]"),
     ("grid", "scheme"): lambda v: v in ("nystrom", "galerkin") or "scheme must be nystrom|galerkin",
     ("grid", "kind"): lambda v: v in ("rational", "log") or "kind must be rational|log",
     ("solver", "route"): lambda v: v in ("dense", "variational", "both") or "route must be dense|variational|both",
-    ("solver", "k"): lambda v: v >= 1 or "k >= 1",
+    ("solver", "k"): _within("k", 1, MAX_LEVELS),
     ("solver", "tol"): lambda v: v > 0 or "tol > 0",
     ("solver", "max_iter"): lambda v: v >= 1 or "max_iter >= 1",
     ("channel", "kappa"): lambda v: 1 <= abs(v) <= MAX_CHANNEL or f"1 <= |kappa| <= {MAX_CHANNEL}",
-    ("params", "c"): lambda v: v > 0 or "c > 0",
-    ("params", "m"): lambda v: v > 0 or "m > 0",
-    ("params", "Z"): lambda v: v >= 0 or "Z >= 0",
+    ("params", "c"): _within("c", 1.0, 1e6),
+    ("params", "m"): _within("m", 1e-3, 1e3),
+    ("params", "Z"): _within("Z", 0.0, MAX_CHARGE),
     **{("experiments", key): lambda v: (len(v) > 0 and _finite_numbers(v)
                                         or "needs at least one value, all finite numbers")
        for key in ("R_values", "eta_values")},
-    ("experiments", "Z_values"): lambda v: (len(v) > 0 and _finite_numbers(v) and min(v) >= 0
-                                            or "needs at least one charge, all finite and >= 0"),
+    ("experiments", "Z_values"): _all_within(0.0, MAX_CHARGE),
     # the exhaustion drop compares the smallest and the largest size, so a
     # single size could never show a collapse
     ("experiments", "grid_sizes"): lambda v: (
-        _finite_numbers(v) and all(x == int(x) and x >= 16 for x in v)
-        and len({int(x) for x in v}) >= 2
-        or "needs at least two distinct integer sizes, all >= 16"),
-    ("experiments", "commutator_n"): lambda v: v >= 16 or "commutator_n >= 16",
-    ("experiments", "inequality_n"): lambda v: v >= 16 or "inequality_n >= 16",
+        _all_within(16, MAX_GRID_N, integral=True)(v) is True and len({int(x) for x in v}) >= 2
+        or f"needs at least two distinct integer sizes, all in [16, {MAX_GRID_N}]"),
+    ("experiments", "commutator_n"): _within("commutator_n", 16, MAX_GRID_N // 2),
+    ("experiments", "inequality_n"): _within("inequality_n", 16, MAX_GRID_N),
     **{("checks", key): lambda v: v >= 1 or "needs at least one sample"
        for key in ("boundary_samples", "perturbation_samples", "trace_samples")},
     ("output", "formats"): lambda v: (all(f in ("json", "csv") for f in v)

@@ -8,14 +8,13 @@ report invariants are enforced by the acceptance suite.
 """
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eigh
 
 from .assemble import assemble_operator, assemble_potential
-from .channels import (GAUSSIAN_PROFILE, ChannelSpec, br_kernel_split, coulomb_kernel_split,
+from .channels import (GAUSSIAN_PROFILE, ChannelSpec, br_terms, coulomb_terms,
                        multiplier_channel_kernel, spherical_bessel_transform)
 from .dirac import a_plus_minus, lambda_of
 from .errors import DomainError
@@ -78,7 +77,7 @@ def kato_check(params: PhysParams = None, n=300, window=(1e-6, 1e6)) -> Inequali
     """
     base = (params or PhysParams()).replace(Z=1.0)
     grid = build_log_grid(n, *window)
-    W = -assemble_potential(grid, partial(coulomb_kernel_split, 0, params=base))
+    W = -assemble_potential(grid, coulomb_terms(0, base))
     B = np.diag(grid.nodes)
     mu = eigh(W, B, eigvals_only=True)
     return InequalityReport(
@@ -97,7 +96,7 @@ def tix_check(channels=(-1, 1), params: PhysParams = None, n=300) -> InequalityR
     ratios = []
     for kappa in channels:
         ch = ChannelSpec.from_kappa(kappa)
-        W = -assemble_potential(grid, partial(br_kernel_split, ch, params=base))
+        W = -assemble_potential(grid, br_terms(ch, base))
         mu = eigh(W, B, eigvals_only=True)
         ratios.append(float(mu[-1]))
     return InequalityReport(
@@ -274,7 +273,7 @@ def scaling_limit(eta_values=(0.4, 0.2, 0.1, 0.05, 0.025), grid=None,
 
     forms = []
     for eta in etas:
-        P = assemble_potential(grid, partial(br_kernel_split, ch, params=base, fw_scale=eta))
+        P = assemble_potential(grid, br_terms(ch, base, fw_scale=eta))
         forms.append(float(eta * (coords @ (P @ coords))))
 
     # F/eta = -A + B eta^(e-1): successive differences of d = F/eta cancel A,

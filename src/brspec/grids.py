@@ -6,6 +6,39 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 
+# how far (relative to max(1, |ln p|)) a node may sit from its recorded
+# log-panel position: a few ulp of rounding, nothing more
+_PANEL_RTOL = 1e-14
+
+
+@dataclass(frozen=True)
+class LogPanels:
+    """Structure of a log-panel grid: ``count`` panels of width ``width`` in
+    ln p from ``log_lo``, each carrying the ``order``-point Gauss rule."""
+
+    log_lo: float
+    width: float
+    count: int
+    order: int
+
+    def _places(self):
+        # node positions inside a panel, as fractions of its width
+        return 0.5 * (1.0 + np.polynomial.legendre.leggauss(self.order)[0])
+
+    def node_logs(self):
+        """ln p of every node, panel by panel."""
+        return self.log_lo + self.width * (np.arange(self.count)[:, None] + self._places())
+
+    def offsets(self):
+        """x = ln(p_j/p_i) from node a of panel i to node b of panel i + d.
+
+        Shape (2 count - 1, order, order) for d = -(count-1) .. count-1;
+        exactly antisymmetric under (d, a, b) -> (-d, b, a).
+        """
+        s = self._places()
+        d = np.arange(1 - self.count, self.count, dtype=float)
+        return self.width * (d[:, None, None] + (s[None, None, :] - s[None, :, None]))
+
 
 @dataclass(frozen=True)
 class RadialGrid:
@@ -15,7 +48,9 @@ class RadialGrid:
     (0, inf) for the rational map, a finite (p_lo, p_hi) window for the
     log-panel grid.  Kernel assembly restricts its singularity-subtraction
     integrals to this domain so that the discrete quadratic form is a
-    restriction of the continuum one.
+    restriction of the continuum one.  ``panels`` records the structure of a
+    log-panel grid; its nodes must follow it, and the assembly then fills the
+    potential from one table per panel offset.
     """
 
     nodes: np.ndarray
@@ -23,6 +58,7 @@ class RadialGrid:
     mapping_scale: float
     kind: str = "rational"
     domain: tuple = (0.0, np.inf)
+    panels: LogPanels | None = None
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -33,6 +69,11 @@ class RadialGrid:
             raise ConfigurationError("grid nodes must be positive and strictly increasing")
         if np.any(weights <= 0):
             raise ConfigurationError("grid weights must be positive")
+        if self.panels is not None:
+            logs = self.panels.node_logs().ravel()
+            if logs.size != nodes.size or np.any(
+                    np.abs(np.log(nodes) - logs) > _PANEL_RTOL * np.maximum(1.0, np.abs(logs))):
+                raise ConfigurationError("grid nodes disagree with the recorded log-panel structure")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
@@ -90,18 +131,13 @@ def build_log_grid(n, p_lo, p_hi, nodes_per_panel=10):
     if not (0 < p_lo < p_hi):
         raise ConfigurationError(f"need 0 < p_lo < p_hi, got ({p_lo}, {p_hi})")
     npan = max(2, n // nodes_per_panel)
-    edges = np.exp(np.linspace(np.log(p_lo), np.log(p_hi), npan + 1))
-    t, wt = np.polynomial.legendre.leggauss(nodes_per_panel)
-    ps, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        ua, ub = np.log(a), np.log(b)
-        u = 0.5 * (ub - ua) * t + 0.5 * (ua + ub)
-        p = np.exp(u)
-        ps.append(p)
-        ws.append(0.5 * (ub - ua) * wt * p)
-    return RadialGrid(np.concatenate(ps), np.concatenate(ws),
-                      mapping_scale=float(np.sqrt(p_lo * p_hi)), kind="log",
-                      domain=(float(p_lo), float(p_hi)))
+    lo, hi = np.log(p_lo), np.log(p_hi)
+    panels = LogPanels(float(lo), float((hi - lo) / npan), npan, nodes_per_panel)
+    nodes = np.exp(panels.node_logs()).ravel()
+    wt = np.polynomial.legendre.leggauss(nodes_per_panel)[1]
+    weights = (0.5 * panels.width * np.tile(wt, npan)) * nodes
+    return RadialGrid(nodes, weights, mapping_scale=float(np.sqrt(p_lo * p_hi)), kind="log",
+                      domain=(float(p_lo), float(p_hi)), panels=panels)
 
 
 @dataclass(frozen=True)

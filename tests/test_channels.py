@@ -166,6 +166,67 @@ class TestSeriesAccuracy:
                 assert abs(smooth - exact) <= 1e-15 * abs(exact), (z, p)
 
 
+class TestScaleFreeValue:
+    """The pointwise kernel value goes through Q_l(cosh x), x = ln(q/p), at every scale."""
+
+    # near the closed form's switch at z = 2, P_l Q_0 - W_{l-1} cancels by
+    # ~140x (l = 2) and ~2500x (l = 3); at p = 1e6 the ln|p - q| split's
+    # terms are larger still
+    BOUND = {0: 1e-13, 1: 1e-13, 2: 1e-13, 3: 1.5e-12}
+    XS = np.concatenate([np.geomspace(1e-3, 0.1, 8), np.linspace(0.1, np.arccosh(2.0), 24)])
+
+    @staticmethod
+    def _exact_q(l, p, q):
+        with mpmath.workdps(40):
+            mp, mq = mpmath.mpf(p), mpmath.mpf(q)
+            z = (mp * mp + mq * mq) / (2 * mp * mq)
+            return mpmath.re(mpmath.legenq(l, 0, z, type=3)), mp * mq
+
+    @pytest.mark.parametrize("l", [0, 1, 2, 3])
+    def test_coulomb_against_mpmath(self, l):
+        for p in (1e-4, 1.0, 1e6):
+            for x in self.XS:
+                q = p * np.exp(x)
+                ql, pq = self._exact_q(l, p, q)
+                exact = float(-ql / (mpmath.pi * pq))
+                for a, b in ((p, q), (q, p)):
+                    value = coulomb_radial_kernel(l, a, b, P11)
+                    assert abs(value - exact) <= self.BOUND[l] * abs(exact), (p, x)
+
+    @pytest.mark.parametrize("kappa", [-3, -2, -1, 1, 2, 3])
+    def test_br_against_mpmath(self, kappa):
+        ch = ChannelSpec.from_kappa(kappa)
+        params = PhysParams(Z=1.0)
+        bound = max(self.BOUND[ch.l_up], self.BOUND[ch.l_down])
+        for p in (1e-4, 1.0, 1e6):
+            for x in self.XS[::3]:
+                q = p * np.exp(x)
+                (ap_p, am_p), (ap_q, am_q) = a_plus_minus(p, params), a_plus_minus(q, params)
+                q_up, pq = self._exact_q(ch.l_up, p, q)
+                q_dn, _ = self._exact_q(ch.l_down, p, q)
+                exact = float(-(ap_p * ap_q * q_up + am_p * am_q * q_dn) / (mpmath.pi * pq))
+                value = br_channel_kernel(ch, p, q, params)
+                assert abs(value - exact) <= bound * abs(exact), (p, x)
+
+    def test_br_split_is_the_two_term_sum(self):
+        # the orders share z, the masks and ln(p + q); the sum is unchanged
+        rng = np.random.default_rng(11)
+        p = np.exp(rng.uniform(np.log(1e-4), np.log(1e6), 600))
+        q = p * np.exp(rng.uniform(-6.0, 6.0, 600))
+        params = PhysParams(Z=7.0)
+        for kappa in (-3, -2, -1, 1, 2, 3):
+            ch = ChannelSpec.from_kappa(kappa)
+            for fw in (1.0, 0.25):
+                ap_p, am_p = a_plus_minus(fw * p, params)
+                ap_q, am_q = a_plus_minus(fw * q, params)
+                s_up, g_up = coulomb_kernel_split(ch.l_up, p, q, params)
+                s_dn, g_dn = coulomb_kernel_split(ch.l_down, p, q, params)
+                up, dn = ap_p * ap_q, am_p * am_q
+                smooth, logcoef = br_kernel_split(ch, p, q, params, fw)
+                assert np.array_equal(smooth, up * s_up + dn * s_dn)
+                assert np.array_equal(logcoef, up * g_up + dn * g_dn)
+
+
 class TestAngularReduce:
     def test_constant_kernel_monopole(self):
         val = angular_reduce(lambda d: 3.5, 0, 1.0, 2.0)
@@ -318,15 +379,17 @@ class TestKernelProperties:
     @settings(max_examples=60, deadline=None)
     @given(pq=MOMENTA, l=st.integers(0, 3))
     def test_split_reconstructs_exact_kernel(self, pq, l):
+        # the split carries ln|p - q|, so its rounding scales with its terms;
+        # the pointwise value goes through x = ln(q/p) and is scale-free
         p, q = pq
         smooth, logc = coulomb_kernel_split(l, p, q, P11)
         value = smooth + logc * np.log(abs(p - q))
-        assert value == coulomb_radial_kernel(l, p, q, P11)
         with mpmath.workdps(40):
             mp, mq = mpmath.mpf(p), mpmath.mpf(q)
             z = (mp * mp + mq * mq) / (2 * mp * mq)
             exact = float(-mpmath.re(mpmath.legenq(l, 0, z, type=3)) / (mpmath.pi * mp * mq))
         assert abs(value - exact) <= 1e-11 * abs(exact) + 8 * EPS * _term_scale(l, p, q)
+        assert abs(coulomb_radial_kernel(l, p, q, P11) - exact) <= 1.5e-12 * abs(exact)
 
 
 class TestScaledBessel:

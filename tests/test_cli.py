@@ -56,6 +56,27 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError):
             parse_config(path)
 
+    @pytest.mark.parametrize("override", [
+        "params.Z=1e308", "params.c=1e-300", "params.m=1e300", "grid.s=1e300",
+        "grid.n=1e300", "grid.n=1" + "0" * 400, "params.Z=1001", "params.c=0.5",
+        "params.m=2000", "grid.s=1e-7", "grid.n=4097", "solver.k=65", "solver.k=1e300",
+        "experiments.Z_values=[100,1e308]", "experiments.grid_sizes=[100,5000]",
+        "experiments.commutator_n=2049", "experiments.inequality_n=1e300",
+    ])
+    def test_values_outside_the_stated_ranges_rejected(self, override):
+        with pytest.raises(ConfigurationError):
+            parse_config(overrides=[override])
+
+    def test_range_ends_accepted(self):
+        cfg = parse_config(overrides=[
+            "params.Z=0", "params.c=1", "params.m=1e-3", "grid.s=1e-6", "grid.n=4096",
+            "solver.k=64", "experiments.Z_values=[0,1000]", "experiments.grid_sizes=[16,4096]",
+            "experiments.commutator_n=2048", "experiments.inequality_n=4096"])
+        assert cfg["grid"]["n"] == 4096 and cfg["params"]["Z"] == 0.0
+        cfg = parse_config(overrides=["params.Z=1000", "params.c=1e6", "params.m=1e3",
+                                      "grid.s=1e6", "grid.n=16", "solver.k=1"])
+        assert cfg["params"]["c"] == 1e6 and cfg["grid"]["s"] == 1e6
+
     def test_defaults_not_mutated(self):
         parse_config(overrides=["params.Z=9"])
         assert _DEFAULT_CONFIG["params"]["Z"] == 1.0
@@ -206,6 +227,15 @@ class TestMain:
         assert code == 2
         assert "error:" in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("override", [
+        "params.Z=1e308", "params.c=1e-300", "params.m=1e300", "grid.s=1e300"])
+    def test_extreme_values_exit_code(self, override, tmp_path, capsys):
+        code = main(["spectrum", "--set", "solver.route=dense", "--set", "grid.n=32",
+                     "--set", override, "--set", "output.directory=" + str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
 
     def test_dtn_check_command(self, tmp_path, capsys):
         code = main(["dtn-check", "--set", "params.c=1", "--set", "params.m=1",

@@ -1,14 +1,14 @@
-from functools import partial
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from brspec import PhysParams, channels
+from brspec import PhysParams, assemble, channels
 from brspec.assemble import (assemble_nonrel_operator, assemble_operator, assemble_potential,
                              subtraction_integral_adaptive, subtraction_integrals,
                              subtraction_profile)
-from brspec.channels import ChannelSpec, br_kernel_split
+from brspec.channels import ChannelSpec, br_terms, coulomb_terms
 from brspec.dirac import lambda_of
 from brspec.errors import ConfigurationError
 from brspec.grids import (MetricH12, RadialGrid, assemble_h12_metric, build_grid,
@@ -116,7 +116,7 @@ class TestSubtractionIntegrals:
     def test_panel_rule_matches_adaptive(self):
         params = PhysParams(Z=1.0)
         g = build_grid(60, 1.0)
-        kern = partial(br_kernel_split, CH, params=params)
+        kern = br_terms(CH, params)
         vals = subtraction_integrals(kern, g.nodes, g.domain)
         for i in range(0, 60, 9):
             ref = subtraction_integral_adaptive(kern, g.nodes[i], g.domain, tol=1e-13)
@@ -125,7 +125,7 @@ class TestSubtractionIntegrals:
     def test_finite_domain(self):
         params = PhysParams(Z=2.0)
         g = build_log_grid(60, 1e-2, 1e2)
-        kern = partial(br_kernel_split, CH, params=params)
+        kern = br_terms(CH, params)
         vals = subtraction_integrals(kern, g.nodes, g.domain)
         for i in (0, 17, 44, 59):
             ref = subtraction_integral_adaptive(kern, g.nodes[i], g.domain, tol=1e-13)
@@ -135,9 +135,9 @@ class TestSubtractionIntegrals:
         # with the mixing switched off the subtraction integral collapses to
         # a charge- and momentum-scaled universal integral of Q_0; both sides
         # come from independent adaptive quadratures
-        from brspec.channels import coulomb_kernel_split, legendre_q
+        from brspec.channels import legendre_q
         params = PhysParams(c=1.0, m=1.0, Z=3.0)
-        kern = partial(coulomb_kernel_split, 0, params=params)
+        kern = coulomb_terms(0, params)
         universal = quad(lambda u: legendre_q(0, 0.5 * (u + 1 / u)) * u / (1 + u * u),
                          0, 1, points=[1.0], limit=200)[0] \
             + quad(lambda u: legendre_q(0, 0.5 * (u + 1 / u)) * u / (1 + u * u),
@@ -161,23 +161,29 @@ def _plain_q_l_series(l, u):
 
 
 class TestKernelEvaluation:
-    @pytest.mark.parametrize("grid, points", [
-        # a finite window clips most far panels; evaluating them at zero
-        # weight would cost 301,450 points
-        (build_log_grid(100, 1e-4, 2e3), 183306),
-        # the rational grid's domain (0, inf) clips nothing
-        (build_grid(100, 1.0), 301450),
+    @pytest.mark.parametrize("grid, evaluations", [
+        # l = 0 and 1 at the fill's P m^2 - m = 990 panel offsets, on the
+        # <= 2 panels per row and order that the window clips, and at the
+        # 100 sliver points (the pairwise fill took 366,612)
+        (build_log_grid(100, 1e-4, 2e3), 12580),
+        # l = 0 and 1 at the 4,950 node pairs and the 100 sliver points;
+        # the domain (0, inf) clips no panel (the pairwise fill took 602,900)
+        (build_grid(100, 1.0), 10100),
     ])
-    def test_points_per_assembly(self, grid, points):
+    def test_q_evaluations_per_assembly(self, grid, evaluations, monkeypatch):
         params = PhysParams(Z=1.0)
+        # the first assembly also tabulates the shared panel rule, once per process
+        assemble_potential(grid, br_terms(CH, params))
         seen = []
+        evaluator = channels._q_l_split
 
-        def kernel(p, q):
-            seen.append(np.broadcast(p, q).size)
-            return br_kernel_split(CH, p, q, params)
+        def counting(ls, z, log_term):
+            seen.append(np.size(z) * len(ls))
+            return evaluator(ls, z, log_term)
 
-        assemble_potential(grid, kernel)
-        assert sum(seen) == points
+        monkeypatch.setattr(channels, "_q_l_split", counting)
+        assemble_potential(grid, br_terms(CH, params))
+        assert sum(seen) == evaluations
 
     @pytest.mark.parametrize("grid", [build_log_grid(200, 4e-3, 8e4), build_grid(100, 40.0)])
     def test_matrix_matches_plain_series(self, grid, monkeypatch):
@@ -185,7 +191,13 @@ class TestKernelEvaluation:
         new = assemble_operator(grid, CH, params).matrix
         monkeypatch.setattr(channels, "_q_l_series", _plain_q_l_series)
         monkeypatch.setattr(channels, "_SERIES_TIERS", (2.0, np.inf))
-        old = assemble_operator(grid, CH, params).matrix
+        # the shared panel-rule tables are cached per process: rebuild them
+        # from the plain series, and drop those before the next test
+        assemble._rule_table.cache_clear()
+        try:
+            old = assemble_operator(grid, CH, params).matrix
+        finally:
+            assemble._rule_table.cache_clear()
         off = ~np.eye(grid.n, dtype=bool)
         assert np.all(np.abs(new - old)[off] <= 2e-15 * np.abs(old[off]))
         # a diagonal entry is the subtraction integral minus the row's
@@ -196,6 +208,39 @@ class TestKernelEvaluation:
             grid.nodes[:, None], grid.nodes[None, :]) * sq[None, :] / sq[:, None]
         scale = np.abs(np.diag(old)) + 2 * terms.sum(axis=1)
         assert np.all(np.abs(np.diag(new - old)) <= 2e-15 * scale)
+
+
+class TestToeplitzFill:
+    """The log grid's block-Toeplitz fill against the pointwise fill on the same nodes."""
+
+    @pytest.mark.parametrize("terms, window", [
+        (br_terms(CH, PhysParams(Z=40.0)), (4e-3, 8e4)),
+        (br_terms(ChannelSpec.from_kappa(2), PhysParams(Z=80.0), fw_scale=0.3), (1e-2, 5e4)),
+        (coulomb_terms(1, PhysParams(c=1.0, m=1.0, Z=3.0)), (1e-4, 1e3)),
+    ])
+    def test_matches_pointwise_fill(self, terms, window):
+        grid = build_log_grid(400, *window)
+        toeplitz = assemble_potential(grid, terms)
+        pointwise = assemble_potential(replace(grid, panels=None), terms)
+        off = ~np.eye(grid.n, dtype=bool)
+        assert np.all(np.abs(toeplitz - pointwise)[off] <= 1e-12 * np.abs(pointwise[off]))
+        assert np.array_equal(toeplitz, toeplitz.T)
+        kin = lambda_of(grid.nodes, PhysParams())
+        mc2 = PhysParams().mc2
+        ev_t = np.linalg.eigvalsh(toeplitz + np.diag(kin))[:4]
+        ev_p = np.linalg.eigvalsh(pointwise + np.diag(kin))[:4]
+        assert np.abs(ev_t - ev_p).max() <= 1e-11 * mc2
+
+    def test_nodes_must_follow_the_recorded_panels(self):
+        grid = build_log_grid(100, 1e-3, 1e2)
+        nodes = grid.nodes.copy()
+        nodes[37] *= 1 + 1e-12
+        with pytest.raises(ConfigurationError, match="log-panel"):
+            RadialGrid(nodes, grid.weights, grid.mapping_scale, "log", grid.domain, grid.panels)
+        with pytest.raises(ConfigurationError, match="log-panel"):
+            replace(grid, panels=replace(grid.panels, count=grid.panels.count - 1))
+        with pytest.raises(ConfigurationError, match="log-panel"):
+            replace(grid, panels=replace(grid.panels, width=grid.panels.width * (1 + 1e-9)))
 
 
 class TestAssembly:

@@ -1,12 +1,10 @@
-from functools import partial
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from brspec import PhysParams, experiments
 from brspec.assemble import assemble_operator, assemble_potential
-from brspec.channels import ChannelSpec, coulomb_kernel_split, spherical_bessel_transform
+from brspec.channels import ChannelSpec, coulomb_terms, spherical_bessel_transform
 from brspec.errors import DomainError
 from brspec.experiments import (commutator_decay, critical_coupling_scan,
                                 hardy_check, kato_check, scaling_limit, tix_check)
@@ -41,7 +39,7 @@ class TestHardy:
         # value is Int r e^-2r / Int r^2 e^-2r = 1
         grid = build_grid(300, 1.0)
         params = PhysParams(c=1.0, m=1.0, Z=1.0)
-        W = -assemble_potential(grid, partial(coulomb_kernel_split, 0, params=params))
+        W = -assemble_potential(grid, coulomb_terms(0, params))
         f = np.sqrt(2 / np.pi) * 2.0 / (1 + grid.nodes**2) ** 2
         coords = f * np.sqrt(grid.l2_weights)
         val = (coords @ (W @ coords)) / (coords @ coords)
@@ -63,7 +61,7 @@ class TestKato:
     def test_gaussian_ratio_strictly_below(self):
         grid = build_log_grid(240, 1e-5, 1e4)
         params = PhysParams(c=1.0, m=1.0, Z=1.0)
-        W = -assemble_potential(grid, partial(coulomb_kernel_split, 0, params=params))
+        W = -assemble_potential(grid, coulomb_terms(0, params))
         for s in (1.0, 2.0):
             f = np.exp(-(grid.nodes / s) ** 2 / 2)
             coords = f * np.sqrt(grid.l2_weights)
@@ -73,7 +71,7 @@ class TestKato:
     def test_scaling_invariance_of_single_ratio(self):
         grid = build_log_grid(400, 1e-4, 1e4)
         params = PhysParams(c=1.0, m=1.0, Z=1.0)
-        W = -assemble_potential(grid, partial(coulomb_kernel_split, 0, params=params))
+        W = -assemble_potential(grid, coulomb_terms(0, params))
 
         def ratio(scale):
             f = np.exp(-(grid.nodes / scale) ** 2 / 2)
