@@ -348,17 +348,16 @@ def assemble_nonrel_operator(grid: RadialGrid, l, params: PhysParams,
 # Galerkin fallback: piecewise-linear elements, Duffy panels on the diagonal
 
 
-def _gl(order):
-    return np.polynomial.legendre.leggauss(order)
-
-
 def _element_quad(edges, order):
     """GL nodes/weights on each element; arrays (n_el, order)."""
-    t, wt = _gl(order)
-    a, b = edges[:-1, None], edges[1:, None]
-    x = 0.5 * (b - a) * t + 0.5 * (a + b)
-    w = 0.5 * (b - a) * wt
-    return x, w
+    return _gauss_panels(edges[:-1], edges[1:], np.polynomial.legendre.leggauss(order))
+
+
+def _graded_rule(levels, order):
+    """GL on the panels [0, 4^-levels], ..., [1/4, 1], graded toward 0; levels=0 is one panel."""
+    edges = np.concatenate([[0.0], 4.0 ** np.arange(-levels, 1, dtype=float)])
+    x, w = _element_quad(edges, order)
+    return x.ravel(), w.ravel()
 
 
 def _hat_pair(x, a, b):
@@ -387,16 +386,8 @@ def _assemble_tridiag(nodes, weight_fn, order=12):
 
 def _duffy_triangle_rule(nu_levels=12, order=6):
     """Graded panels in the Duffy u-variable times GL in v, on [0,1]^2."""
-    t, wt = _gl(order)
-    edges = np.concatenate([[0.0], 4.0 ** np.arange(-nu_levels, 1, dtype=float)])
-    us, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        us.append(0.5 * (b - a) * t + 0.5 * (a + b))
-        ws.append(0.5 * (b - a) * wt)
-    u = np.concatenate(us)
-    wu = np.concatenate(ws)
-    v = 0.5 * t + 0.5
-    wv = 0.5 * wt
+    u, wu = _graded_rule(nu_levels, order)
+    v, wv = _graded_rule(0, order)
     U, V = np.meshgrid(u, v, indexing="ij")
     W = np.outer(wu, wv)
     return U.ravel(), V.ravel(), W.ravel()
@@ -431,14 +422,7 @@ def _diagonal_blocks(nodes, terms, order=6):
 
 def _corner_rule(levels=8, order=6):
     """Tensor rule on [0,1]^2 geometrically refined toward the (0, 0) corner."""
-    t, wt = _gl(order)
-    edges = np.concatenate([[0.0], 4.0 ** np.arange(-levels, 1, dtype=float)])
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        xs.append(0.5 * (b - a) * t + 0.5 * (a + b))
-        ws.append(0.5 * (b - a) * wt)
-    x = np.concatenate(xs)
-    w = np.concatenate(ws)
+    x, w = _graded_rule(levels, order)
     X, Y = np.meshgrid(x, x, indexing="ij")
     W = np.outer(w, w)
     return X.ravel(), Y.ravel(), W.ravel()

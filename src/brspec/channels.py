@@ -282,16 +282,6 @@ def br_channel_kernel(channel: ChannelSpec, p, q, params: PhysParams, fw_scale=1
     return kernel_value(br_terms(channel, params, fw_scale), p, q)
 
 
-def coulomb_kernel_split(l, p, q, params: PhysParams):
-    """(smooth, logcoef) split of the channel-l Coulomb kernel, see ``kernel_split``."""
-    return kernel_split(coulomb_terms(l, params), p, q)
-
-
-def br_kernel_split(channel: ChannelSpec, p, q, params: PhysParams, fw_scale=1.0):
-    """(smooth, logcoef) split of the transformed-potential channel kernel."""
-    return kernel_split(br_terms(channel, params, fw_scale), p, q)
-
-
 def angular_reduce(pointwise_kernel, l, p, q, tol=1e-10):
     """Channel-l reduction 2 pi Int_{-1}^{1} kernel(|p - q|) P_l(t) dt.
 

@@ -1,10 +1,15 @@
 """Command-line entry point: configuration, run orchestration, persistence.
 
-Configuration is a JSON file plus flat ``--set key=value`` dot-path
-overrides; every command produces a RunReport that echoes the exact
-configuration, carries a deterministic content hash, and serializes
-losslessly to JSON (plus flat CSV tables for external plotting).
-Exit status is nonzero whenever any check embedded in the run fails.
+Configuration is the defaults, then a JSON file, then ``--set key=value``
+overrides; an override is read as the one-key table {"a": {"b": value}}
+and merged exactly like the file, and every key has one declared rule, a
+range or a choice.  Each command is declared once, in ``_COMMANDS``, with
+its runner and its CSV schema.  A check carries a comparator and a
+threshold, and its verdict is ``value op threshold``.  Every command
+produces a RunReport that echoes the exact configuration, carries a
+deterministic content hash, and serializes losslessly to JSON (plus a
+flat CSV table for external plotting).  Exit status is 1 when a check
+fails and 2 on bad input.
 """
 
 import argparse
@@ -13,10 +18,12 @@ import csv
 import hashlib
 import json
 import math
+import operator
 import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -35,9 +42,6 @@ from .params import (HARDY_CONSTANT, KATO_CONSTANT, SPEED_OF_LIGHT, TIX_CONSTANT
                      PhysParams)
 from .spectra import (binding_grid, dense_spectrum, nonrel_spectrum,
                       variational_spectrum)
-
-COMMANDS = ("spectrum", "dtn-check", "inequalities", "commutator-decay",
-            "scaling-limit", "critical-scan", "nonrel-limit")
 
 _DEFAULT_CONFIG = {
     "params": {"c": SPEED_OF_LIGHT, "m": 1.0, "Z": 1.0},
@@ -59,92 +63,90 @@ _DEFAULT_CONFIG = {
 }
 
 
-def _finite_numbers(values):
-    try:
-        return all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-                   for x in values)
-    except OverflowError:                                         # an integer beyond 1e308
-        return False
-
-
-def _within(name, lo, hi):
-    """Validator of a number in [lo, hi]; huge integers and non-finite values fail."""
-    return lambda v: (_finite_numbers([v]) and lo <= v <= hi
-                      or f"{name} >= {lo:g} and {name} <= {hi:g}")
-
-
-def _all_within(lo, hi, integral=False):
-    """Validator of a non-empty list of numbers in [lo, hi]."""
-    return lambda v: (len(v) > 0 and _finite_numbers(v) and all(lo <= x <= hi for x in v)
-                      and (not integral or all(x == int(x) for x in v))
-                      or f"needs at least one {'integer ' if integral else ''}value, "
-                         f"all in [{lo:g}, {hi:g}]")
-
-
-# Stated ranges of the numeric keys.  Sizes stop where one dense matrix
-# passes 128 MB (the commutator acts on two channel copies, 2n x 2n); the
-# physical scales keep m c^2, Z and the grid windows far inside
-# floating-point range.  Inside them every command runs
-# to a report (checks may fail at the extremes); outside, parse_config
-# raises ConfigurationError.
+# Stated ranges.  Sizes stop where one dense matrix passes 128 MB (the
+# commutator acts on two channel copies, 2n x 2n); the physical scales
+# keep m c^2, Z and the grid windows far inside floating-point range; the
+# iteration and sample counts bound the length of a run.  Inside them every
+# command runs to a report (checks may fail at the extremes); outside,
+# parse_config raises ConfigurationError.
 MAX_GRID_N = 4096
 MAX_CHARGE = 1e3
 MAX_LEVELS = 64
+MAX_SAMPLES = 1000
 
-_VALIDATORS = {
-    ("grid", "n"): _within("n", 16, MAX_GRID_N),
-    ("grid", "s"): lambda v: (_finite_numbers([v]) and 1e-6 <= v <= 1e6
-                              or "s must be null or a number in [1e-6, 1e6]"),
-    ("grid", "scheme"): lambda v: v in ("nystrom", "galerkin") or "scheme must be nystrom|galerkin",
-    ("grid", "kind"): lambda v: v in ("rational", "log") or "kind must be rational|log",
-    ("solver", "route"): lambda v: v in ("dense", "variational", "both") or "route must be dense|variational|both",
-    ("solver", "k"): _within("k", 1, MAX_LEVELS),
-    ("solver", "tol"): lambda v: v > 0 or "tol > 0",
-    ("solver", "max_iter"): lambda v: v >= 1 or "max_iter >= 1",
-    ("channel", "kappa"): lambda v: 1 <= abs(v) <= MAX_CHANNEL or f"1 <= |kappa| <= {MAX_CHANNEL}",
-    ("params", "c"): _within("c", 1.0, 1e6),
-    ("params", "m"): _within("m", 1e-3, 1e3),
-    ("params", "Z"): _within("Z", 0.0, MAX_CHARGE),
-    **{("experiments", key): lambda v: (len(v) > 0 and _finite_numbers(v)
-                                        or "needs at least one value, all finite numbers")
-       for key in ("R_values", "eta_values")},
-    ("experiments", "Z_values"): _all_within(0.0, MAX_CHARGE),
-    # the exhaustion drop compares the smallest and the largest size, so a
-    # single size could never show a collapse
-    ("experiments", "grid_sizes"): lambda v: (
-        _all_within(16, MAX_GRID_N, integral=True)(v) is True and len({int(x) for x in v}) >= 2
-        or f"needs at least two distinct integer sizes, all in [16, {MAX_GRID_N}]"),
-    ("experiments", "commutator_n"): _within("commutator_n", 16, MAX_GRID_N // 2),
-    ("experiments", "inequality_n"): _within("inequality_n", 16, MAX_GRID_N),
-    **{("checks", key): lambda v: v >= 1 or "needs at least one sample"
-       for key in ("boundary_samples", "perturbation_samples", "trace_samples")},
-    ("output", "formats"): lambda v: (all(f in ("json", "csv") for f in v)
-                                      or "formats must be drawn from json|csv"),
+
+class _Range(NamedTuple):
+    """Numbers in [lo, hi]; a list needs ``least`` distinct elements, each in range."""
+    lo: float
+    hi: float
+    least: int = 1
+    integral: bool = False
+
+    def accepts(self, x):
+        # integers compare exactly at any size; floats must be finite
+        return ((isinstance(x, int) and not isinstance(x, bool)
+                 or isinstance(x, float) and math.isfinite(x)
+                 and (x.is_integer() or not self.integral))
+                and self.lo <= x <= self.hi)
+
+    def __str__(self):
+        return f">= {self.lo:g} and <= {self.hi:g}"
+
+
+class _Choice(tuple):
+    """One of the options; a list may hold any number of them."""
+    least = 0
+    accepts = tuple.__contains__
+
+    def __str__(self):
+        return "one of " + "|".join(map(str, self))
+
+
+# one rule per key; output.directory is any path, made before the run
+_RULES = {
+    "params.c": _Range(1.0, 1e6),
+    "params.m": _Range(1e-3, 1e3),
+    "params.Z": _Range(0.0, MAX_CHARGE),
+    "channel.kappa": _Choice(tuple(k for k in range(-MAX_CHANNEL, MAX_CHANNEL + 1) if k)),
+    "grid.n": _Range(16, MAX_GRID_N),
+    "grid.s": _Range(1e-6, 1e6),                  # or null: the charge scale
+    "grid.scheme": _Choice(("nystrom", "galerkin")),
+    "grid.kind": _Choice(("rational", "log")),
+    "solver.route": _Choice(("dense", "variational", "both")),
+    "solver.k": _Range(1, MAX_LEVELS),
+    "solver.tol": _Range(1e-14, 0.1),
+    "solver.max_iter": _Range(1, 10_000),
+    # the fits need two points: the decay rate two norms, the remainder
+    # exponent two successive differences, the exhaustion drop two sizes
+    "experiments.R_values": _Range(1e-6, 1e6, least=2),
+    "experiments.eta_values": _Range(1e-6, 0.5, least=3),
+    "experiments.Z_values": _Range(0.0, MAX_CHARGE),
+    "experiments.grid_sizes": _Range(16, MAX_GRID_N, least=2, integral=True),
+    "experiments.commutator_n": _Range(16, MAX_GRID_N // 2),
+    "experiments.inequality_n": _Range(16, MAX_GRID_N),
+    "checks.boundary_samples": _Range(1, MAX_SAMPLES),
+    "checks.perturbation_samples": _Range(1, MAX_SAMPLES),
+    "checks.trace_samples": _Range(1, MAX_SAMPLES),
+    "seed": _Range(0, math.inf),
+    "output.formats": _Choice(("json", "csv")),
 }
 
 
+def _get(config, key):
+    for part in key.split("."):
+        config = config[part]
+    return config
+
+
 def _coerce(default, value, key):
-    if default is None:
+    """``value`` as the type of the key's default (null: any value, for its rule)."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if default is None or isinstance(default, (str, list)) and type(value) is type(default):
         return value
-    if isinstance(default, bool):
-        if isinstance(value, bool):
-            return value
-        raise ConfigurationError(f"key {key}: expected a boolean, got {value!r}")
-    if isinstance(default, (int, float)) and isinstance(value, bool):
-        raise ConfigurationError(f"key {key}: expected a number, got {value!r}")
-    if isinstance(default, int) and isinstance(value, (int, float)):
-        if isinstance(value, float) and not value.is_integer():   # also NaN and inf
-            raise ConfigurationError(f"key {key}: expected an integer, got {value!r}")
+    if isinstance(default, int) and number and (isinstance(value, int) or value.is_integer()):
         return int(value)
-    if isinstance(default, float) and isinstance(value, (int, float)):
-        try:
-            return float(value)
-        except OverflowError:                                     # an integer beyond 1e308
-            raise ConfigurationError(f"key {key}: expected a finite number") from None
-    if isinstance(default, str) and isinstance(value, str):
-        return value
-    if isinstance(default, list) and isinstance(value, list):
-        return value
+    if isinstance(default, float) and number and abs(value) <= sys.float_info.max:
+        return float(value)
     raise ConfigurationError(f"key {key}: expected {type(default).__name__}, got {value!r}")
 
 
@@ -161,56 +163,52 @@ def _merge(config, incoming, prefix=""):
             config[key] = _coerce(config[key], value, path)
 
 
-def _apply_override(config, assignment):
-    if "=" not in assignment:
+def _override(assignment):
+    """``a.b=v`` as the table {"a": {"b": v}}; v is read as JSON when it parses."""
+    key, eq, raw = assignment.partition("=")
+    if not eq:
         raise ConfigurationError(f"override {assignment!r} is not key=value")
-    key, raw = assignment.split("=", 1)
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    node = config
     parts = key.split(".")
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            raise ConfigurationError(f"unknown configuration key {key!r}")
-        node = node[part]
-    leaf = parts[-1]
-    # allow bare leaf names that are unambiguous, e.g. --set Z=2
-    if leaf not in node:
-        hits = [(sect, tbl) for sect, tbl in config.items()
-                if isinstance(tbl, dict) and leaf in tbl]
-        if node is config and len(hits) == 1:
-            node = hits[0][1]
-        else:
-            raise ConfigurationError(f"unknown configuration key {key!r}")
-    node[leaf] = _coerce(node[leaf], value, key)
+    # a bare leaf name is accepted when one section alone has it, e.g. Z=2
+    owners = [section for section, table in _DEFAULT_CONFIG.items()
+              if isinstance(table, dict) and key in table]
+    if key not in _DEFAULT_CONFIG and len(owners) == 1:
+        parts = owners + parts
+    for part in reversed(parts):
+        value = {part: value}
+    return value
 
 
 def _validate(config):
-    for (section, key), check in _VALIDATORS.items():
-        value = config[section][key]
-        if value is None:
+    for key, rule in _RULES.items():
+        value = _get(config, key)
+        if value is None:                                   # only grid.s defaults to null
             continue
-        verdict = check(value)
-        if verdict is not True:
-            raise ConfigurationError(f"configuration key {section}.{key}: {verdict}")
+        many = isinstance(_get(_DEFAULT_CONFIG, key), list)
+        items = value if many else [value]
+        if not (all(map(rule.accepts, items)) and len(set(items)) >= rule.least):
+            need = (f"needs at least {rule.least} distinct values, each" if many
+                    else key)
+            raise ConfigurationError(f"configuration key {key}: {need} {rule}")
 
 
 def parse_config(path=None, overrides=()):
-    """Validated configuration: defaults <- file <- overrides."""
+    """Validated configuration: defaults <- file <- overrides, merged alike."""
     config = copy.deepcopy(_DEFAULT_CONFIG)
     if path is not None:
-        text = Path(path).read_text()
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"config file {path}: invalid JSON ({exc})")
+            data = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as exc:                # unreadable, or not JSON
+            raise ConfigurationError(f"config file {path}: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigurationError(f"config file {path}: top level must be an object")
         _merge(config, data)
     for assignment in overrides:
-        _apply_override(config, assignment)
+        _merge(config, _override(assignment))
     _validate(config)
     return config
 
@@ -230,12 +228,20 @@ def _spectrum_grid(config, params):
     return build_grid(g["n"], s)
 
 
-def _check(name, value, threshold, ok):
-    return {"name": name, "value": value, "threshold": threshold, "ok": bool(ok)}
+# a check's verdict is ``value op threshold``; "in" is a closed interval
+OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+       "==": operator.eq, "in": lambda value, window: window[0] <= value <= window[1]}
+
+
+def _check(name, value, op, threshold):
+    return {"name": name, "value": value, "op": op, "threshold": threshold,
+            "ok": bool(OPS[op](value, threshold))}
 
 
 # ---------------------------------------------------------------------------
 # command implementations: each returns (payload, checks)
+
+_ROUTES = ("dense", "variational")
 
 
 def _run_spectrum(config):
@@ -243,42 +249,30 @@ def _run_spectrum(config):
     channel = ChannelSpec.from_kappa(config["channel"]["kappa"])
     grid = _spectrum_grid(config, params)
     op = assemble_operator(grid, channel, params, scheme=config["grid"]["scheme"])
-    route = config["solver"]["route"]
-    k = min(config["solver"]["k"], op.n)
-    payload = {"mc2": params.mc2}
-    checks = []
-    dense = var = None
-    if route in ("dense", "both"):
-        dense = dense_spectrum(op, k)
-        payload["dense"] = {
-            "eigenvalues": dense.eigenvalues.tolist(),
-            "bindings": dense.binding_energies().tolist(),
-            "residuals": dense.residuals.tolist(),
-            "bound_flags": dense.bound_flags().tolist(),
-        }
-        checks.append(_check("dense_residuals_small", float(dense.residuals.max()),
-                             1e-7 * params.mc2, dense.residuals.max() < 1e-7 * params.mc2))
-    if route in ("variational", "both"):
-        var = variational_spectrum(op, k, tol=config["solver"]["tol"],
-                                   max_iter=config["solver"]["max_iter"])
-        payload["variational"] = {
-            "eigenvalues": var.eigenvalues.tolist(),
-            "bindings": var.binding_energies().tolist(),
-            "residuals": var.residuals.tolist(),
-        }
-        checks.append(_check("variational_residuals_small", float(var.residuals.max()),
-                             1e-7 * params.mc2, var.residuals.max() < 1e-7 * params.mc2))
-    if dense is not None and var is not None:
-        gap = float(np.abs(dense.eigenvalues - var.eigenvalues).max())
-        checks.append(_check("route_equivalence", gap, 1e-8 * params.mc2,
-                             gap < 1e-8 * params.mc2))
-    ref = dense if dense is not None else var
-    bound = ref.eigenvalues[ref.bound_flags()]
+    solver = config["solver"]
+    k = min(solver["k"], op.n)
+    payload, checks, runs = {"mc2": params.mc2}, [], []
+    for route in _ROUTES:
+        if solver["route"] not in (route, "both"):
+            continue
+        res = (dense_spectrum(op, k) if route == "dense" else
+               variational_spectrum(op, k, tol=solver["tol"], max_iter=solver["max_iter"]))
+        payload[route] = {"eigenvalues": res.eigenvalues.tolist(),
+                          "bindings": res.binding_energies().tolist(),
+                          "residuals": res.residuals.tolist()}
+        checks.append(_check(f"{route}_residuals_small", float(res.residuals.max()),
+                             "<", 1e-7 * params.mc2))
+        runs.append(res)
+    if "dense" in payload:
+        payload["dense"]["bound_flags"] = runs[0].bound_flags().tolist()
+    if len(runs) == 2:
+        gap = float(np.abs(runs[0].eigenvalues - runs[1].eigenvalues).max())
+        checks.append(_check("route_equivalence", gap, "<", 1e-8 * params.mc2))
+    bound = runs[0].eigenvalues[runs[0].bound_flags()]
     if params.Z > 0 and params.in_subordinacy_window():
         checks.append(_check("bound_states_in_gap",
-                             float(bound.min()) if bound.size else params.mc2,
-                             0.0, bool(np.all(bound > 0)) if bound.size else True))
-    payload["grid"] = ref.grid_meta
+                             float(bound.min()) if bound.size else params.mc2, ">", 0.0))
+    payload["grid"] = runs[0].grid_meta
     return payload, checks
 
 
@@ -332,12 +326,11 @@ def _run_dtn_check(config):
         "samples": {"boundary": nb, "perturbations": npert, "trace": ntr},
     }
     checks = [
-        _check("energy_route_agreement", max(energy_err), 1e-7, max(energy_err) < 1e-7),
-        _check("dtn_richardson", max(dtn_err), 1e-8, max(dtn_err) < 1e-8),
-        _check("minimality", max(min_viol), 1e-10, max(min_viol) < 1e-10),
-        _check("trace_margin", min(margins), -1e-10, min(margins) >= -1e-10),
-        _check("trace_equality_case", abs(eq.margin / eq.scale), 1e-10,
-               abs(eq.margin / eq.scale) < 1e-10),
+        _check("energy_route_agreement", max(energy_err), "<", 1e-7),
+        _check("dtn_richardson", max(dtn_err), "<", 1e-8),
+        _check("minimality", max(min_viol), "<", 1e-10),
+        _check("trace_margin", min(margins), ">=", -1e-10),
+        _check("trace_equality_case", abs(eq.margin / eq.scale), "<", 1e-10),
     ]
     return payload, checks
 
@@ -353,8 +346,8 @@ def _run_inequalities(config):
          "max_ratio": r.max_ratio, "constant": r.theoretical_constant,
          "margin": r.margin, "samples": r.sample_count, "ratios": list(r.ratios)}
         for r in reports]}
-    checks = [_check(f"{r.inequality_name}_bounded", r.max_ratio,
-                     r.theoretical_constant, r.satisfied) for r in reports]
+    checks = [_check(f"{r.inequality_name}_bounded", r.max_ratio, "<=", r.bound)
+              for r in reports]
     return payload, checks
 
 
@@ -367,11 +360,10 @@ def _run_commutator(config):
     payload = {"R_values": rep.R_values, "norms": rep.norms,
                "fitted_slope": rep.fitted_slope, "fit_residual": rep.fit_residual}
     checks = [
-        _check("slope_in_window", rep.fitted_slope, [-1.15, -0.85],
-               -1.15 <= rep.fitted_slope <= -0.85),
-        _check("fit_residual", rep.fit_residual, 0.1, rep.fit_residual < 0.1),
-        _check("norms_decreasing", rep.norms[-1], rep.norms[0],
-               all(a > b for a, b in zip(rep.norms, rep.norms[1:]))),
+        _check("slope_in_window", rep.fitted_slope, "in", [-1.15, -0.85]),
+        _check("fit_residual", rep.fit_residual, "<", 0.1),
+        _check("norms_decreasing", max(b / a for a, b in zip(rep.norms, rep.norms[1:])),
+               "<", 1.0),
     ]
     return payload, checks
 
@@ -380,18 +372,13 @@ def _run_scaling(config):
     params = _params(config)
     rep = scaling_limit(config["experiments"]["eta_values"],
                         kappa=config["channel"]["kappa"], params=params)
-    payload = {"eta_values": rep.eta_values, "form_values": rep.form_values,
-               "leading_coefficient": rep.leading_coefficient,
-               "oracle_coefficient": rep.oracle_coefficient,
-               "remainder_exponent": rep.remainder_exponent,
-               "monotone_divergence": rep.monotone_divergence}
+    payload = asdict(rep)
+    del payload["flagged"]
     rel = abs(rep.leading_coefficient - rep.oracle_coefficient) / rep.oracle_coefficient
     checks = [
-        _check("leading_coefficient_match", rel, 0.02, rel < 0.02),
-        _check("remainder_exponent", rep.remainder_exponent, 1.7,
-               rep.remainder_exponent >= 1.7),
-        _check("monotone_divergence", rep.monotone_divergence, True,
-               rep.monotone_divergence),
+        _check("leading_coefficient_match", rel, "<", 0.02),
+        _check("remainder_exponent", rep.remainder_exponent, ">=", 1.7),
+        _check("monotone_divergence", rep.monotone_divergence, "==", True),
     ]
     return payload, checks
 
@@ -403,21 +390,16 @@ def _run_critical_scan(config):
                                  kappa=config["channel"]["kappa"], params=params)
     payload = {"stability_tol": rep.stability_tol, "collapse_drop": rep.collapse_drop,
                "critical_charge": params.critical_charge,
-               "rows": [{"Z": r.Z, "grid_sizes": r.grid_sizes,
-                         "lambda1_fixed": r.lambda1_fixed,
-                         "lambda1_exhaustion": r.lambda1_exhaustion,
-                         "variation_fixed": r.variation_fixed,
-                         "exhaustion_drop": r.exhaustion_drop,
-                         "stable": r.stable, "collapsed": r.collapsed}
-                        for r in rep.rows]}
+               "rows": [asdict(r) for r in rep.rows]}
     checks = []
     for r in rep.rows:
         if r.Z < params.critical_charge:
-            checks.append(_check(f"Z={r.Z:g}_stable", r.variation_fixed,
-                                 rep.stability_tol, r.stable and not r.collapsed))
+            checks += [_check(f"Z={r.Z:g}_stable", r.variation_fixed, "<", rep.stability_tol),
+                       _check(f"Z={r.Z:g}_positive", min(r.lambda1_fixed), ">", 0.0),
+                       _check(f"Z={r.Z:g}_no_collapse", r.collapsed, "==", False)]
         else:
-            checks.append(_check(f"Z={r.Z:g}_collapsed", r.exhaustion_drop,
-                                 rep.collapse_drop, r.collapsed))
+            checks.append(_check(f"Z={r.Z:g}_collapsed", r.exhaustion_drop, ">",
+                                 rep.collapse_drop))
     return payload, checks
 
 
@@ -433,25 +415,12 @@ def _run_nonrel(config):
     errors = [abs(v - e) for v, e in zip(vals, exact)]
     payload = {"Z": Z, "l": l, "levels": list(range(l + 1, l + 1 + k)),
                "computed": vals.tolist(), "exact": exact, "errors": errors}
-    checks = [_check("hydrogen_levels", max(errors), 1e-4, max(errors) < 1e-4)]
+    checks = [_check("hydrogen_levels", max(errors), "<", 1e-4)]
     return payload, checks
 
 
-_RUNNERS = {
-    "spectrum": _run_spectrum,
-    "dtn-check": _run_dtn_check,
-    "inequalities": _run_inequalities,
-    "commutator-decay": _run_commutator,
-    "scaling-limit": _run_scaling,
-    "critical-scan": _run_critical_scan,
-    "nonrel-limit": _run_nonrel,
-}
-
-_CONSTANT_TABLE = {
-    "hardy": HARDY_CONSTANT,
-    "kato": KATO_CONSTANT,
-    "tix": TIX_CONSTANT,
-}
+# ---------------------------------------------------------------------------
+# the report, and the command table: each command's runner and CSV schema
 
 
 @dataclass
@@ -471,89 +440,90 @@ class RunReport:
         return asdict(self)
 
 
-def _canonical(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+class _Command(NamedTuple):
+    run: Callable[[dict], tuple]              # config -> (results, checks)
+    header: tuple                             # CSV columns, the same for every config
+    rows: Callable[[RunReport], Iterable]     # one cell per column; None leaves it empty
+
+
+def _spectrum_rows(report):
+    # a route that did not run leaves its cells empty
+    runs = [report.results.get(route) for route in _ROUTES]
+    levels = len(next(run for run in runs if run)["eigenvalues"])
+    return [[i + 1] + [run[key][i] if run else None for run in runs
+                       for key in ("eigenvalues", "bindings", "residuals")]
+            for i in range(levels)]
+
+
+def _columns(*keys):
+    return lambda report: zip(*(report.results[key] for key in keys))
+
+
+_COMMANDS = {
+    "spectrum": _Command(
+        _run_spectrum,
+        ("k",) + tuple(f"{route}_{col}" for route in _ROUTES
+                       for col in ("eigenvalue", "binding", "residual")),
+        _spectrum_rows),
+    "dtn-check": _Command(
+        _run_dtn_check, ("check", "value", "ok"),
+        lambda report: [(c["name"], c["value"], c["ok"]) for c in report.checks]),
+    "inequalities": _Command(
+        _run_inequalities, ("name", "max_ratio", "constant", "margin"),
+        lambda report: [(q["name"], q["max_ratio"], q["constant"], q["margin"])
+                        for q in report.results["reports"]]),
+    "commutator-decay": _Command(_run_commutator, ("R", "norm"),
+                                 _columns("R_values", "norms")),
+    "scaling-limit": _Command(_run_scaling, ("eta", "form_value"),
+                              _columns("eta_values", "form_values")),
+    "critical-scan": _Command(
+        _run_critical_scan, ("Z", "n", "lambda1_fixed", "lambda1_exhaustion"),
+        lambda report: [(row["Z"], *cells) for row in report.results["rows"]
+                        for cells in zip(row["grid_sizes"], row["lambda1_fixed"],
+                                         row["lambda1_exhaustion"])]),
+    "nonrel-limit": _Command(_run_nonrel, ("level", "computed", "exact", "error"),
+                             _columns("levels", "computed", "exact", "errors")),
+}
+COMMANDS = tuple(_COMMANDS)
 
 
 def _sha(obj):
-    return hashlib.sha256(_canonical(obj).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(obj, sort_keys=True, separators=(",", ":"))
+                          .encode()).hexdigest()
 
 
 def run_command(command, config) -> RunReport:
     """Execute one command; deterministic report for a fixed configuration."""
-    if command not in _RUNNERS:
+    if command not in _COMMANDS:
         raise ConfigurationError(
             f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
     t0 = time.perf_counter()
-    payload, checks = _RUNNERS[command](config)
+    payload, checks = _COMMANDS[command].run(config)
     elapsed = time.perf_counter() - t0
-    params = _params(config)
-    constants = dict(_CONSTANT_TABLE, critical_charge=params.critical_charge)
+    constants = {"hardy": HARDY_CONSTANT, "kato": KATO_CONSTANT, "tix": TIX_CONSTANT,
+                 "critical_charge": _params(config).critical_charge}
     core = {"command": command, "config": config, "version": __version__}
-    report = RunReport(
+    return RunReport(
         command=command, config=config, results=payload, checks=checks,
         constants=constants, version=__version__,
         ok=all(c["ok"] for c in checks),
         input_hash=_sha(core),
         report_hash=_sha({**core, "results": payload, "checks": checks}),
         timings={"seconds": elapsed})
-    return report
 
 
 # ---------------------------------------------------------------------------
 # persistence
 
 
-def _g17(x):
-    return format(float(x), ".17g")
-
-
-def _csv_rows(report):
-    r = report.results
-    cmd = report.command
-    if cmd == "spectrum":
-        routes = [k for k in ("dense", "variational") if k in r]
-        head = ["k"] + [f"{route}_{col}" for route in routes
-                        for col in ("eigenvalue", "binding", "residual")]
-        rows = []
-        nk = len(r[routes[0]]["eigenvalues"])
-        for i in range(nk):
-            row = [str(i + 1)]
-            for route in routes:
-                row += [_g17(r[route]["eigenvalues"][i]), _g17(r[route]["bindings"][i]),
-                        _g17(r[route]["residuals"][i])]
-            rows.append(row)
-        return head, rows
-    if cmd == "commutator-decay":
-        return ["R", "norm"], [[_g17(R), _g17(v)]
-                               for R, v in zip(r["R_values"], r["norms"])]
-    if cmd == "scaling-limit":
-        return ["eta", "form_value"], [[_g17(e), _g17(v)]
-                                       for e, v in zip(r["eta_values"], r["form_values"])]
-    if cmd == "critical-scan":
-        head = ["Z", "n", "lambda1_fixed", "lambda1_exhaustion"]
-        rows = []
-        for row in r["rows"]:
-            for n, lf, le in zip(row["grid_sizes"], row["lambda1_fixed"],
-                                 row["lambda1_exhaustion"]):
-                rows.append([_g17(row["Z"]), str(n), _g17(lf), _g17(le)])
-        return head, rows
-    if cmd == "inequalities":
-        return (["name", "max_ratio", "constant", "margin"],
-                [[q["name"], _g17(q["max_ratio"]), _g17(q["constant"]),
-                  _g17(q["margin"])] for q in r["reports"]])
-    if cmd == "nonrel-limit":
-        return (["level", "computed", "exact", "error"],
-                [[str(n), _g17(c), _g17(e), _g17(err)] for n, c, e, err in
-                 zip(r["levels"], r["computed"], r["exact"], r["errors"])])
-    # dtn-check and anything else: flatten the checks
-    return (["check", "value", "ok"],
-            [[c["name"], _g17(c["value"]) if isinstance(c["value"], (int, float))
-              else str(c["value"]), str(c["ok"])] for c in report.checks])
+def _cell(value):
+    if value is None:
+        return ""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def write_report(report: RunReport, formats=None, destination="."):
-    """Persist a report; JSON is complete, CSV holds the flat tables."""
+    """Persist a report; JSON is complete, CSV holds the command's flat table."""
     dest = Path(destination)
     dest.mkdir(parents=True, exist_ok=True)
     formats = report.config["output"]["formats"] if formats is None else formats
@@ -564,12 +534,12 @@ def write_report(report: RunReport, formats=None, destination="."):
         path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
         written.append(path)
     if "csv" in formats:
-        head, rows = _csv_rows(report)
+        table = _COMMANDS[report.command]
         path = dest / f"{stem}_table.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(head)
-            writer.writerows(rows)
+            writer.writerow(table.header)
+            writer.writerows([_cell(v) for v in row] for row in table.rows(report))
         written.append(path)
     return written
 
@@ -592,14 +562,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = parse_config(args.config, args.overrides)
+        # an output directory that cannot be made fails before the run, not after it
+        Path(config["output"]["directory"]).mkdir(parents=True, exist_ok=True)
         report = run_command(args.command, config)
-    except BrspecError as exc:
+    except (BrspecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     written = write_report(report, destination=config["output"]["directory"])
     for c in report.checks:
         status = "PASS" if c["ok"] else "FAIL"
-        print(f"{status} {c['name']}: value={c['value']} threshold={c['threshold']}")
+        print(f"{status} {c['name']}: {c['value']} {c['op']} {c['threshold']}")
     for path in written:
         print(f"wrote {path}")
     print(f"{report.command}: {'ok' if report.ok else 'CHECKS FAILED'} "

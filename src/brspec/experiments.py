@@ -37,8 +37,13 @@ class InequalityReport:
         return self.theoretical_constant - self.max_ratio
 
     @property
+    def bound(self):
+        """The gate on ``max_ratio``: the constant with 1e-9 relative slack for rounding."""
+        return self.theoretical_constant * (1 + 1e-9)
+
+    @property
     def satisfied(self):
-        return self.max_ratio <= self.theoretical_constant * (1 + 1e-9)
+        return self.max_ratio <= self.bound
 
 
 # ---------------------------------------------------------------------------

@@ -105,8 +105,7 @@ def _extension_metric(op: DiscreteOperator):
     return np.maximum(d, 1e-3 * op.params.mc2)
 
 
-def minimize_pk(op: DiscreteOperator, prior=None, tol=1e-10, max_iter=2000,
-                seed_profile=None):
+def minimize_pk(op: DiscreteOperator, prior=None, tol=1e-10, max_iter=2000):
     """Deflated constrained minimization of the boundary Rayleigh energy.
 
     Minimizes (f, A f) over unit-L^2 trace data orthogonal to the columns
@@ -137,17 +136,13 @@ def minimize_pk(op: DiscreteOperator, prior=None, tol=1e-10, max_iter=2000,
     def deflate(v):
         return v - prior @ (prior.T @ v) if prior.shape[1] else v
 
-    if seed_profile is None:
-        # smooth deterministic start in eigenvector coordinates: decays with
-        # the node index (low momentum first), with a floor so every
-        # coordinate direction keeps some overlap after deflation
-        f = np.exp(-np.arange(n) / 15.0) + 1e-3
-    else:
-        f = seed_profile * np.sqrt(op.metric) if op.scheme == "nystrom" else seed_profile
-    f = deflate(f)
+    # smooth deterministic start in eigenvector coordinates: decays with
+    # the node index (low momentum first), with a floor so every
+    # coordinate direction keeps some overlap after deflation
+    f = deflate(np.exp(-np.arange(n) / 15.0) + 1e-3)
     nrm = np.linalg.norm(f)
     if nrm == 0:
-        raise DomainError("seed profile lies entirely in the deflated subspace")
+        raise DomainError("the start profile lies entirely in the deflated subspace")
     f = f / nrm
 
     trace = MinimizationTrace()

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from brspec import PhysParams
 from brspec.channels import (GAUSSIAN_PROFILE, ChannelSpec, angular_reduce,
-                             br_channel_kernel, br_kernel_split, coulomb_kernel_split,
-                             coulomb_radial_kernel, legendre_q,
+                             br_channel_kernel, br_terms, coulomb_radial_kernel,
+                             coulomb_terms, kernel_split, legendre_q,
                              multiplier_channel_kernel, scaled_sph_bessel_i,
                              spherical_bessel_transform)
 from brspec.dirac import PAULI, a_plus_minus, spherical_spinor
@@ -108,12 +108,12 @@ class TestCoulombKernel:
     @pytest.mark.parametrize("l", [-1, 4])
     def test_unsupported_l_rejected(self, l):
         with pytest.raises(DomainError):
-            coulomb_kernel_split(l, 1.0, 2.0, P11)
+            kernel_split(coulomb_terms(l, P11), 1.0, 2.0)
         with pytest.raises(DomainError):
             coulomb_radial_kernel(l, 1.0, 2.0, P11)
         deep = ChannelSpec(kappa=l + 1, l_up=l, l_down=l, j=abs(l) + 0.5)
         with pytest.raises(DomainError):
-            br_kernel_split(deep, 1.0, 2.0, P11)
+            kernel_split(br_terms(deep, P11), 1.0, 2.0)
 
     def test_negative_for_positive_charge(self):
         rng = np.random.default_rng(0)
@@ -128,7 +128,7 @@ class TestCoulombKernel:
         q = p * np.exp(rng.uniform(-3, 3, 200))
         q[q == p] *= 1.0001
         for l in (0, 1, 2, 3):
-            smooth, logc = coulomb_kernel_split(l, p, q, P11)
+            smooth, logc = kernel_split(coulomb_terms(l, P11), p, q)
             recon = smooth + logc * np.log(np.abs(p - q))
             np.testing.assert_allclose(recon, coulomb_radial_kernel(l, p, q, P11),
                                        rtol=1e-11)
@@ -157,7 +157,7 @@ class TestSeriesAccuracy:
         for z in SERIES_Z:
             for p in (1e-3, 1.0, 1e4):
                 q = p * (z + np.sqrt(z * z - 1))        # (p^2 + q^2) / (2pq) = z
-                smooth, logcoef = coulomb_kernel_split(l, p, q, P11)
+                smooth, logcoef = kernel_split(coulomb_terms(l, P11), p, q)
                 with mpmath.workdps(40):
                     mp, mq = mpmath.mpf(p), mpmath.mpf(q)
                     zz = (mp * mp + mq * mq) / (2 * mp * mq)
@@ -219,10 +219,10 @@ class TestScaleFreeValue:
             for fw in (1.0, 0.25):
                 ap_p, am_p = a_plus_minus(fw * p, params)
                 ap_q, am_q = a_plus_minus(fw * q, params)
-                s_up, g_up = coulomb_kernel_split(ch.l_up, p, q, params)
-                s_dn, g_dn = coulomb_kernel_split(ch.l_down, p, q, params)
+                s_up, g_up = kernel_split(coulomb_terms(ch.l_up, params), p, q)
+                s_dn, g_dn = kernel_split(coulomb_terms(ch.l_down, params), p, q)
                 up, dn = ap_p * ap_q, am_p * am_q
-                smooth, logcoef = br_kernel_split(ch, p, q, params, fw)
+                smooth, logcoef = kernel_split(br_terms(ch, params, fw), p, q)
                 assert np.array_equal(smooth, up * s_up + dn * s_dn)
                 assert np.array_equal(logcoef, up * g_up + dn * g_dn)
 
@@ -337,7 +337,7 @@ def _term_scale(l, p, q):
     value itself by up to ~1e5 near z = 2 for l = 3 at the ends of the
     momentum range, where ln|p - q| is large and Q_l small.
     """
-    smooth, logc = coulomb_kernel_split(l, p, q, P11)
+    smooth, logc = kernel_split(coulomb_terms(l, P11), p, q)
     return abs(smooth) + abs(logc * np.log(abs(p - q)))
 
 
@@ -350,7 +350,8 @@ class TestKernelProperties:
         ch = ChannelSpec.from_kappa(kappa)
         params = PhysParams(Z=1.0)
         assert br_channel_kernel(ch, p, q, params) == br_channel_kernel(ch, q, p, params)
-        for a, b in zip(br_kernel_split(ch, p, q, params), br_kernel_split(ch, q, p, params)):
+        terms = br_terms(ch, params)
+        for a, b in zip(kernel_split(terms, p, q), kernel_split(terms, q, p)):
             assert a == b
 
     @settings(max_examples=80, deadline=None)
@@ -359,8 +360,8 @@ class TestKernelProperties:
     def test_split_linear_in_charge(self, pq, l, kappa, Z):
         p, q = pq
         ch = ChannelSpec.from_kappa(kappa)
-        for split in (lambda par: coulomb_kernel_split(l, p, q, par),
-                      lambda par: br_kernel_split(ch, p, q, par)):
+        for split in (lambda par: kernel_split(coulomb_terms(l, par), p, q),
+                      lambda par: kernel_split(br_terms(ch, par), p, q)):
             for unit, scaled in zip(split(PhysParams(Z=1.0)), split(PhysParams(Z=Z))):
                 np.testing.assert_allclose(scaled, Z * unit, rtol=1e-14, atol=0)
 
@@ -382,7 +383,7 @@ class TestKernelProperties:
         # the split carries ln|p - q|, so its rounding scales with its terms;
         # the pointwise value goes through x = ln(q/p) and is scale-free
         p, q = pq
-        smooth, logc = coulomb_kernel_split(l, p, q, P11)
+        smooth, logc = kernel_split(coulomb_terms(l, P11), p, q)
         value = smooth + logc * np.log(abs(p - q))
         with mpmath.workdps(40):
             mp, mq = mpmath.mpf(p), mpmath.mpf(q)

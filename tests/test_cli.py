@@ -5,13 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brspec.cli import (main, parse_config, read_report, run_command, write_report,
-                        _DEFAULT_CONFIG, _validate)
+from brspec import cli
+from brspec.cli import (COMMANDS, OPS, main, parse_config, read_report, run_command,
+                        write_report, _COMMANDS, _DEFAULT_CONFIG, _RULES, _validate)
 from brspec.errors import ConfigurationError
+from brspec.experiments import CommutatorDecayReport
 from brspec.params import SPEED_OF_LIGHT
 
 FAST = ["params.c=1", "params.m=1", "params.Z=0.5", "grid.n=64", "grid.s=0.5",
         "solver.k=2"]
+
+
+def _leaves(table, prefix=""):
+    for key, value in table.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+LEAVES = dict(_leaves(_DEFAULT_CONFIG))
 
 
 class TestParseConfig:
@@ -62,6 +75,13 @@ class TestParseConfig:
         "params.m=2000", "grid.s=1e-7", "grid.n=4097", "solver.k=65", "solver.k=1e300",
         "experiments.Z_values=[100,1e308]", "experiments.grid_sizes=[100,5000]",
         "experiments.commutator_n=2049", "experiments.inequality_n=1e300",
+        "seed=-1", "seed=1.5", "seed=Infinity", "solver.tol=0", "solver.tol=1e-15",
+        "solver.tol=0.2", "solver.max_iter=10001", "solver.max_iter=1e300",
+        "checks.boundary_samples=1e12", "checks.perturbation_samples=1001",
+        "checks.trace_samples=1" + "0" * 400, "experiments.R_values=[2]",
+        "experiments.R_values=[2,2]", "experiments.R_values=[1e300,1e301]",
+        "experiments.eta_values=[0.4]", "experiments.eta_values=[1e-300,1e-301]",
+        "experiments.eta_values=[0.4,0.2]", "experiments.eta_values=[0.6,0.4,0.2]",
     ])
     def test_values_outside_the_stated_ranges_rejected(self, override):
         with pytest.raises(ConfigurationError):
@@ -76,21 +96,26 @@ class TestParseConfig:
         cfg = parse_config(overrides=["params.Z=1000", "params.c=1e6", "params.m=1e3",
                                       "grid.s=1e6", "grid.n=16", "solver.k=1"])
         assert cfg["params"]["c"] == 1e6 and cfg["grid"]["s"] == 1e6
+        cfg = parse_config(overrides=[
+            "seed=0", "solver.tol=1e-14", "solver.max_iter=1", "checks.boundary_samples=1",
+            "checks.perturbation_samples=1", "checks.trace_samples=1",
+            "experiments.R_values=[1e-6,1e6]", "experiments.eta_values=[0.5,0.1,1e-6]"])
+        assert cfg["seed"] == 0 and cfg["solver"]["tol"] == 1e-14
+        cfg = parse_config(overrides=[
+            "seed=1" + "0" * 400, "solver.tol=0.1", "solver.max_iter=10000",
+            "checks.boundary_samples=1000", "checks.perturbation_samples=1000",
+            "checks.trace_samples=1000"])
+        assert cfg["seed"] == 10**400 and cfg["checks"]["trace_samples"] == 1000
+
+    def test_every_key_has_one_rule(self):
+        # the output directory is any path; main makes it before the run
+        assert set(_RULES) == set(LEAVES) - {"output.directory"}
 
     def test_defaults_not_mutated(self):
         parse_config(overrides=["params.Z=9"])
         assert _DEFAULT_CONFIG["params"]["Z"] == 1.0
 
 
-def _leaves(table, prefix=""):
-    for key, value in table.items():
-        if isinstance(value, dict):
-            yield from _leaves(value, f"{prefix}{key}.")
-        else:
-            yield f"{prefix}{key}", value
-
-
-LEAVES = dict(_leaves(_DEFAULT_CONFIG))
 # dotted paths and bare leaf names, as `--set` accepts both, with their defaults
 DEFAULTS = {**LEAVES, **{key.rsplit(".", 1)[-1]: value for key, value in LEAVES.items()}}
 KEYS = sorted(DEFAULTS)
@@ -119,6 +144,28 @@ class TestParseConfigProperties:
             value = cfg[section][leaf] if section else cfg[leaf]
             if default is not None:
                 assert type(value) is type(default), (key, value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.sampled_from(sorted(LEAVES)), VALUES, min_size=1, max_size=4))
+    def test_file_and_overrides_agree(self, tmp_path_factory, values):
+        # a --set override is the one-key table of the file, merged alike
+        table = {}
+        for key, value in values.items():
+            *sections, leaf = key.split(".")
+            node = table
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[leaf] = value
+        path = tmp_path_factory.mktemp("config") / "run.json"
+        path.write_text(json.dumps(table))
+        outcomes = []
+        for kwargs in ({"path": path},
+                       {"overrides": [f"{k}={json.dumps(v)}" for k, v in values.items()]}):
+            try:
+                outcomes.append(parse_config(**kwargs))
+            except ConfigurationError:
+                outcomes.append(ConfigurationError)
+        assert outcomes[0] == outcomes[1]
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.sampled_from(KEYS), min_size=1, max_size=4))
@@ -219,6 +266,9 @@ class TestMain:
         ("dtn-check", "checks.trace_samples=-1"),
         ("nonrel-limit", "channel.kappa=4"),
         ("nonrel-limit", "channel.kappa=-5"),
+        ("dtn-check", "seed=-1"),
+        ("scaling-limit", "experiments.eta_values=[0.4]"),
+        ("commutator-decay", "experiments.R_values=[1e300,1e301]"),
     ])
     def test_invalid_input_exit_code(self, command, override, tmp_path, capsys):
         code = main(sum((["--set", kv] for kv in FAST), [command])
@@ -227,6 +277,23 @@ class TestMain:
         assert code == 2
         assert "error:" in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
+
+    def test_missing_config_file_exit_code(self, tmp_path, capsys):
+        code = main(["spectrum", "--config", str(tmp_path / "missing.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
+
+    def test_output_directory_is_a_file_exit_code(self, tmp_path, capsys, monkeypatch):
+        # refused before the run starts, not after it
+        monkeypatch.setattr(cli, "run_command", lambda *args: pytest.fail("the run started"))
+        target = tmp_path / "taken"
+        target.write_text("")
+        code = main(sum((["--set", kv] for kv in FAST), ["nonrel-limit"])
+                    + ["--set", f"output.directory={target}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("override", [
         "params.Z=1e308", "params.c=1e-300", "params.m=1e300", "grid.s=1e300"])
@@ -245,3 +312,58 @@ class TestMain:
                      "--set", "checks.trace_samples=5",
                      "--set", "output.directory=" + str(tmp_path)])
         assert code == 0
+
+
+# every command at a small configuration; spectrum also on the dense route alone
+SMALL = FAST + ["experiments.commutator_n=32", "experiments.inequality_n=64",
+                "experiments.Z_values=[0.5,2]", "experiments.grid_sizes=[32,48]",
+                "checks.boundary_samples=2", "checks.perturbation_samples=2",
+                "checks.trace_samples=2"]
+RUNS = [(command, ()) for command in COMMANDS] + [("spectrum", ("solver.route=dense",))]
+
+
+@pytest.fixture(scope="module")
+def small_reports(tmp_path_factory):
+    out = {}
+    for command, extra in RUNS:
+        report = run_command(command, parse_config(overrides=SMALL + list(extra)))
+        paths = write_report(report, formats=["csv"], destination=tmp_path_factory.mktemp("csv"))
+        out[command, extra] = report, paths[0].read_text().splitlines()
+    return out
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("command, extra", RUNS)
+    def test_verdicts_come_from_the_comparator(self, small_reports, command, extra):
+        report, _ = small_reports[command, extra]
+        assert report.checks
+        for c in report.checks:
+            assert c["ok"] is bool(OPS[c["op"]](c["value"], c["threshold"])), c
+
+    @pytest.mark.parametrize("command, extra", RUNS)
+    def test_csv_header_is_the_declared_schema(self, small_reports, command, extra):
+        _, rows = small_reports[command, extra]
+        assert rows[0].split(",") == list(_COMMANDS[command].header)
+        assert len(rows) > 1 and all(len(r.split(",")) == len(_COMMANDS[command].header)
+                                     for r in rows[1:])
+
+    def test_spectrum_schema_independent_of_route(self, small_reports):
+        both = small_reports["spectrum", ()][1]
+        dense = small_reports["spectrum", ("solver.route=dense",)][1]
+        assert both[0] == dense[0]
+        assert dense[1].endswith(",,,")         # the variational cells stay empty
+        assert both[1].startswith(dense[1][:-3])
+
+    def test_scan_checks(self, small_reports):
+        report, _ = small_reports["critical-scan", ()]
+        assert [c["name"] for c in report.checks] == [
+            "Z=0.5_stable", "Z=0.5_positive", "Z=0.5_no_collapse", "Z=2_collapsed"]
+
+    def test_norms_not_decreasing_fails(self, monkeypatch):
+        fake = CommutatorDecayReport([2.0, 4.0, 8.0, 16.0], [1.0, 0.5, 0.6, 0.2],
+                                     fitted_slope=-1.0, fit_residual=0.05, flagged=False)
+        monkeypatch.setattr(cli, "commutator_decay", lambda *args, **kwargs: fake)
+        report = run_command("commutator-decay", parse_config(overrides=FAST))
+        check = next(c for c in report.checks if c["name"] == "norms_decreasing")
+        assert not check["ok"] and check["value"] >= 1
+        assert not report.ok
