@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import cholesky, solve_triangular
 
 from .channels import (ChannelSpec, KernelTerms, br_terms, coulomb_terms, kernel_split,
@@ -174,6 +173,8 @@ def subtraction_integrals(terms: KernelTerms, p_nodes, domain, tol=1e-10):
 
 def subtraction_integral_adaptive(terms: KernelTerms, p, domain, tol=1e-12):
     """Reference adaptive quadrature of one subtraction integral (scipy)."""
+    from scipy.integrate import quad
+
     qlo, qhi = domain
     f = lambda q: kernel_value(terms, p, q) * subtraction_profile(p, q) * q * q
     with warnings.catch_warnings():

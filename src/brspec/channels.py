@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import spherical_jn
 
 from .dirac import a_plus_minus
 from .errors import ConfigurationError, DomainError, NumericalError, SingularPointError
@@ -289,6 +287,8 @@ def angular_reduce(pointwise_kernel, l, p, q, tol=1e-10):
     magnitudes p, q at angle arccos(t) to the kernel value.  Adaptive
     quadrature oracle for the closed-form channel kernels.
     """
+    from scipy.integrate import quad
+
     if l not in (0, 1, 2, 3):
         raise DomainError(f"angular_reduce supports l in 0..3, got {l}")
     p, q = _check_offdiag(p, q)
@@ -370,6 +370,8 @@ def spherical_bessel_transform(l, samples, grid, direction="forward"):
     nodes; the inverse has the identical form.  Quadrature-level accuracy
     for functions resolved by the grid.
     """
+    from scipy.special import spherical_jn
+
     if direction not in ("forward", "inverse"):
         raise DomainError(f"direction must be forward or inverse, got {direction}")
     samples = np.asarray(samples)

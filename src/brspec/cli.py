@@ -164,20 +164,27 @@ def _merge(config, incoming, prefix=""):
 
 
 def _override(assignment):
-    """``a.b=v`` as the table {"a": {"b": v}}; v is read as JSON when it parses."""
+    """``a.b=v`` as the table {"a": {"b": v}}; v is read as JSON when it
+    parses, and a string key keeps the text itself unless it is a JSON string."""
     key, eq, raw = assignment.partition("=")
     if not eq:
         raise ConfigurationError(f"override {assignment!r} is not key=value")
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
     parts = key.split(".")
     # a bare leaf name is accepted when one section alone has it, e.g. Z=2
     owners = [section for section, table in _DEFAULT_CONFIG.items()
               if isinstance(table, dict) and key in table]
     if key not in _DEFAULT_CONFIG and len(owners) == 1:
         parts = owners + parts
+    try:
+        value = json.loads(raw)
+    except json.JSONDecodeError:
+        value = raw
+    try:
+        default = _get(_DEFAULT_CONFIG, ".".join(parts))
+    except (KeyError, TypeError):                           # unknown: _merge names it
+        default = None
+    if isinstance(default, str) and not isinstance(value, str):
+        value = raw                                         # a directory named 123
     for part in reversed(parts):
         value = {part: value}
     return value
@@ -239,7 +246,8 @@ def _check(name, value, op, threshold):
 
 
 # ---------------------------------------------------------------------------
-# command implementations: each returns (payload, checks)
+# command implementations: each returns (payload, checks, diagnostics); the
+# diagnostics describe how the numerics behaved and stay out of report_hash
 
 _ROUTES = ("dense", "variational")
 
@@ -251,7 +259,7 @@ def _run_spectrum(config):
     op = assemble_operator(grid, channel, params, scheme=config["grid"]["scheme"])
     solver = config["solver"]
     k = min(solver["k"], op.n)
-    payload, checks, runs = {"mc2": params.mc2}, [], []
+    payload, checks, runs, diagnostics = {"mc2": params.mc2}, [], [], {}
     for route in _ROUTES:
         if solver["route"] not in (route, "both"):
             continue
@@ -263,6 +271,9 @@ def _run_spectrum(config):
         checks.append(_check(f"{route}_residuals_small", float(res.residuals.max()),
                              "<", 1e-7 * params.mc2))
         runs.append(res)
+        if res.trace is not None:
+            diagnostics[route] = {"block_iterations": len(res.trace.gradient_norms),
+                                  "levels": [asdict(r) for r in res.trace.levels]}
     if "dense" in payload:
         payload["dense"]["bound_flags"] = runs[0].bound_flags().tolist()
     if len(runs) == 2:
@@ -273,7 +284,7 @@ def _run_spectrum(config):
         checks.append(_check("bound_states_in_gap",
                              float(bound.min()) if bound.size else params.mc2, ">", 0.0))
     payload["grid"] = runs[0].grid_meta
-    return payload, checks
+    return payload, checks, diagnostics
 
 
 def _run_dtn_check(config):
@@ -332,7 +343,7 @@ def _run_dtn_check(config):
         _check("trace_margin", min(margins), ">=", -1e-10),
         _check("trace_equality_case", abs(eq.margin / eq.scale), "<", 1e-10),
     ]
-    return payload, checks
+    return payload, checks, {}
 
 
 def _run_inequalities(config):
@@ -348,7 +359,7 @@ def _run_inequalities(config):
         for r in reports]}
     checks = [_check(f"{r.inequality_name}_bounded", r.max_ratio, "<=", r.bound)
               for r in reports]
-    return payload, checks
+    return payload, checks, {}
 
 
 def _run_commutator(config):
@@ -365,7 +376,7 @@ def _run_commutator(config):
         _check("norms_decreasing", max(b / a for a, b in zip(rep.norms, rep.norms[1:])),
                "<", 1.0),
     ]
-    return payload, checks
+    return payload, checks, {}
 
 
 def _run_scaling(config):
@@ -380,7 +391,7 @@ def _run_scaling(config):
         _check("remainder_exponent", rep.remainder_exponent, ">=", 1.7),
         _check("monotone_divergence", rep.monotone_divergence, "==", True),
     ]
-    return payload, checks
+    return payload, checks, {}
 
 
 def _run_critical_scan(config):
@@ -400,7 +411,7 @@ def _run_critical_scan(config):
         else:
             checks.append(_check(f"Z={r.Z:g}_collapsed", r.exhaustion_drop, ">",
                                  rep.collapse_drop))
-    return payload, checks
+    return payload, checks, {}
 
 
 def _run_nonrel(config):
@@ -416,7 +427,7 @@ def _run_nonrel(config):
     payload = {"Z": Z, "l": l, "levels": list(range(l + 1, l + 1 + k)),
                "computed": vals.tolist(), "exact": exact, "errors": errors}
     checks = [_check("hydrogen_levels", max(errors), "<", 1e-4)]
-    return payload, checks
+    return payload, checks, {}
 
 
 # ---------------------------------------------------------------------------
@@ -435,13 +446,14 @@ class RunReport:
     input_hash: str
     report_hash: str
     timings: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)     # like timings, not hashed
 
     def to_dict(self):
         return asdict(self)
 
 
 class _Command(NamedTuple):
-    run: Callable[[dict], tuple]              # config -> (results, checks)
+    run: Callable[[dict], tuple]              # config -> (results, checks, diagnostics)
     header: tuple                             # CSV columns, the same for every config
     rows: Callable[[RunReport], Iterable]     # one cell per column; None leaves it empty
 
@@ -498,7 +510,7 @@ def run_command(command, config) -> RunReport:
         raise ConfigurationError(
             f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
     t0 = time.perf_counter()
-    payload, checks = _COMMANDS[command].run(config)
+    payload, checks, diagnostics = _COMMANDS[command].run(config)
     elapsed = time.perf_counter() - t0
     constants = {"hardy": HARDY_CONSTANT, "kato": KATO_CONSTANT, "tix": TIX_CONSTANT,
                  "critical_charge": _params(config).critical_charge}
@@ -509,7 +521,7 @@ def run_command(command, config) -> RunReport:
         ok=all(c["ok"] for c in checks),
         input_hash=_sha(core),
         report_hash=_sha({**core, "results": payload, "checks": checks}),
-        timings={"seconds": elapsed})
+        timings={"seconds": elapsed}, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------

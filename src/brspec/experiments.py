@@ -10,7 +10,6 @@ report invariants are enforced by the acceptance suite.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import eigh
 
 from .assemble import assemble_operator, assemble_potential
@@ -53,6 +52,8 @@ class InequalityReport:
 # || psi/r ||^2 = Int u^2/r^2 dr, and the ratio tends to 2 as eps -> 0.
 
 def hardy_check(eps_family=None, params: PhysParams = None) -> InequalityReport:
+    from scipy.integrate import quad
+
     eps_family = [0.5, 0.25, 0.1, 0.05, 0.02, 0.01] if eps_family is None else list(eps_family)
     if any(e <= 0 for e in eps_family):
         raise DomainError("hardy trial exponents must be positive")
@@ -152,11 +153,12 @@ def critical_coupling_scan(Z_values, grid_sizes=(100, 200, 400), kappa=-1,
     workers = sweep_workers() if workers is None else workers
 
     # the potential is linear in Z and none of the grids depends on it:
-    # assemble each grid once at unit charge, then rescale for every charge
+    # assemble each grid once at a reference charge inside the subordinacy
+    # window (unit charge unless Z_c < 2), then rescale for every charge
     grids = ([build_log_grid(n, 1e-4 * mc, 2e3 * mc) for n in sizes]
              + [build_log_grid(n, 1e-3 * mc * sizes[0] / n, 5.0 * mc * n) for n in sizes])
-    unit = base.replace(Z=1.0)
-    ops = map_ordered(lambda grid: assemble_operator(grid, ch, unit), grids, workers)
+    ref = base.replace(Z=min(1.0, 0.5 * base.critical_charge))
+    ops = map_ordered(lambda grid: assemble_operator(grid, ch, ref), grids, workers)
 
     def run(Z):
         lam1 = [float(dense_spectrum(op.with_charge(Z), 1).eigenvalues[0]) for op in ops]

@@ -1,13 +1,13 @@
 """Eigenvalues of the discrete channel operator by two independent routes.
 
 The dense route diagonalizes the assembled symmetric matrix.  The
-variational route minimizes the boundary Rayleigh energy (f, A f) over
-unit-norm trace data orthogonal to the previously found minimizers,
-mirroring the deflated constrained-minimization characterization of the
-discrete spectrum: the optimal half-space extension of any trace is the
-exponential multiplier, so the full extension energy restricted to its
-minimizing fiber is exactly the boundary energy, and the constrained
-gradient is taken in the extension-energy metric.
+variational route minimizes the boundary Rayleigh energy over orthonormal
+k-frames of trace data, the block (Ky Fan) form of the successive
+constrained-minimization characterization of the discrete spectrum: the
+optimal half-space extension of any trace is the exponential multiplier,
+so the full extension energy restricted to its minimizing fiber is exactly
+the boundary energy, and the constrained gradient is taken in the
+extension-energy metric.
 """
 
 import os
@@ -38,6 +38,7 @@ class SpectralResult:
     params: PhysParams
     solver_route: str
     grid_meta: dict
+    trace: "MinimizationTrace" = None  # the variational route's block minimization
 
     def bound_flags(self):
         return self.eigenvalues < self.params.mc2 * (1.0 - BOUND_STATE_EDGE)
@@ -50,18 +51,33 @@ class SpectralResult:
 
 
 @dataclass
-class MinimizationTrace:
-    """Per-iteration history of one constrained minimization.
+class LevelRecord:
+    """One variational level: the block iterations it spent above the
+    residual target, its final residual ||A f - E f||, and ``exit_reason``
+    (``"residual"`` or ``"max_iter"``)."""
 
-    ``iterates`` holds the energy after each strict decrease (so it is
-    monotone), ``gradient_norms`` the Euclidean residual ||A f - E f|| at
-    every iteration, and ``exit_reason`` is ``"residual"`` or ``"max_iter"``.
+    iterations: int = 0
+    residual: float = float("inf")
+    exit_reason: str = "max_iter"
+
+
+@dataclass
+class MinimizationTrace:
+    """History of one block minimization.
+
+    ``iterates`` holds the Ky Fan energy (the sum of the k level energies)
+    after each strict decrease (so it is monotone), ``gradient_norms`` the
+    largest level residual at every block iteration, and ``levels`` one
+    ``LevelRecord`` per level.
     """
 
     iterates: list = field(default_factory=list)
     gradient_norms: list = field(default_factory=list)
-    converged: bool = False
-    exit_reason: str = "max_iter"
+    levels: list = field(default_factory=list)
+
+    @property
+    def converged(self):
+        return bool(self.levels) and all(r.exit_reason == "residual" for r in self.levels)
 
 
 def _grid_meta(grid: RadialGrid):
@@ -105,103 +121,79 @@ def _extension_metric(op: DiscreteOperator):
     return np.maximum(d, 1e-3 * op.params.mc2)
 
 
-def minimize_pk(op: DiscreteOperator, prior=None, tol=1e-10, max_iter=2000):
-    """Deflated constrained minimization of the boundary Rayleigh energy.
+def minimize_pk(op: DiscreteOperator, k, tol=1e-10, max_iter=2000):
+    """The k lowest levels by one block minimization of the extension energy.
 
-    Minimizes (f, A f) over unit-L^2 trace data orthogonal to the columns
-    of ``prior``.  Each step minimizes the energy exactly over the span of
-    the iterate, the projected preconditioned gradient and the previous
-    displacement (a locally optimal three-term descent).  The gradient is
-    divided by the extension metric shifted to the running energy E,
+    Minimizes the trace of F^T A F over orthonormal frames F (the Ky Fan
+    form of the min-max characterization), with k level columns and
+    max(2, ceil(k/4)) guard columns, capped at n.  Each block iteration is
+    a Rayleigh-Ritz step over the span of the block, its preconditioned
+    residuals and the previous displacement (locally optimal block
+    preconditioned descent).  The residual of a column at energy E is
+    divided by the extension metric shifted to E,
     |lambda(p) - min(E, m c^2)| + max(m c^2 - E, 1e-12 m c^2), which stays
     of the size of the binding energy at low momentum, where bound states
-    live just below the continuum edge.  Converges when the Euclidean
-    residual ||A f - E f|| falls to tol * m c^2, the quantity the
-    spectrum checks gate.
+    live just below the continuum edge.  A level is done when its Euclidean
+    residual ||A f - E f|| falls to tol * m c^2, the quantity the spectrum
+    checks gate; ``max_iter`` bounds the block iterations.
 
-    Returns (eigenvalue, eigenvector coordinates, MinimizationTrace).
+    Returns (ascending eigenvalues, eigenvector columns, MinimizationTrace).
     """
     n = op.n
-    if prior is None:
-        prior = np.zeros((n, 0))
-    if prior.ndim != 2 or prior.shape[0] != n:
-        raise DomainError("prior eigenvectors must form an (n, k-1) array")
-    if prior.shape[1]:
-        gram = prior.T @ prior
-        if np.abs(gram - np.eye(prior.shape[1])).max() > 1e-8:
-            raise DomainError("prior eigenvectors must be orthonormal")
-    M = op.matrix
-    lam = _extension_metric(op)
-
-    def deflate(v):
-        return v - prior @ (prior.T @ v) if prior.shape[1] else v
-
-    # smooth deterministic start in eigenvector coordinates: decays with
-    # the node index (low momentum first), with a floor so every
-    # coordinate direction keeps some overlap after deflation
-    f = deflate(np.exp(-np.arange(n) / 15.0) + 1e-3)
-    nrm = np.linalg.norm(f)
-    if nrm == 0:
-        raise DomainError("the start profile lies entirely in the deflated subspace")
-    f = f / nrm
-
-    trace = MinimizationTrace()
-    mc2 = op.params.mc2
-    prev_step = None
-    Mf = M @ f
-    E = float(f @ Mf)
-    trace.iterates.append(E)
-
+    if not 1 <= k <= n or max_iter < 1:
+        raise DomainError(f"need 1 <= k <= {n} and max_iter >= 1, got {k} and {max_iter}")
+    M, lam, mc2 = op.matrix, _extension_metric(op), op.params.mc2
+    m = min(n, k + max(2, -(-k // 4)))
+    # smooth deterministic start: cosines of rising frequency in the node
+    # index under a decaying envelope (low momentum first), with a floor so
+    # every coordinate direction keeps some overlap
+    i = np.arange(n) + 0.5
+    S = (np.exp(-i / 15.0) + 1e-3)[:, None] * np.cos(np.outer(i, np.arange(m)) * np.pi / n)
+    Q = np.linalg.qr(S)[0]
+    trace = MinimizationTrace(levels=[LevelRecord() for _ in range(k)])
     for _ in range(max_iter):
-        r = Mf - E * f
-        rnorm = float(np.linalg.norm(r))
-        trace.gradient_norms.append(rnorm)
-        if rnorm <= tol * mc2:
-            trace.converged = True
-            trace.exit_reason = "residual"
-            break
-        # |.| keeps the shift positive where the Galerkin metric (a clipped
-        # matrix diagonal) sits below a deflated level's energy
-        shift = np.abs(lam - min(E, mc2)) + max(mc2 - E, 1e-12 * mc2)
-        g = deflate(r / shift)
-        g -= f * float(f @ g)
-        B = np.column_stack([f, g] if prev_step is None else [f, g, prev_step])
-        # unit columns, so that a tiny preconditioned gradient is not
-        # mistaken for a dependent direction
-        B /= np.maximum(np.linalg.norm(B, axis=0), np.finfo(float).tiny)
-        Q, R = np.linalg.qr(B)
-        Q = Q[:, np.abs(np.diag(R)) > 1e-12 * np.abs(R[0, 0])]
-        Hs = Q.T @ (M @ Q)
-        vals, vecs = eigh(0.5 * (Hs + Hs.T))
-        fn = deflate(Q @ vecs[:, 0])
-        fn /= np.linalg.norm(fn)
-        prev_step = fn - f
-        f = fn
-        Mf = M @ f
-        E = float(f @ Mf)
-        if E < trace.iterates[-1]:
+        MQ = M @ Q
+        H = Q.T @ MQ
+        theta, V = eigh(0.5 * (H + H.T), subset_by_index=[0, m - 1])
+        X = Q @ V
+        R = MQ @ V - X * theta
+        P = Q[:, m:] @ V[m:]              # the move out of the previous block
+        rnorm = np.linalg.norm(R, axis=0)
+        E = float(theta[:k].sum())
+        if not trace.iterates or E < trace.iterates[-1]:
             trace.iterates.append(E)
+        trace.gradient_norms.append(float(rnorm[:k].max()))
+        active = rnorm[:k] > tol * mc2
+        for rec, busy, r in zip(trace.levels, active, rnorm):
+            rec.iterations += int(busy)
+            rec.residual = float(r)
+            rec.exit_reason = "max_iter" if busy else "residual"
+        if not active.any():
+            break
+        # the guard columns keep working while any level does
+        cols = np.concatenate([np.flatnonzero(active), np.arange(k, m)])
+        shift = (np.abs(lam[:, None] - np.minimum(theta[cols], mc2))
+                 + np.maximum(mc2 - theta[cols], 1e-12 * mc2))
+        B = np.hstack([X, R[:, cols] / shift, P[:, cols]])
+        # unit columns, so that a tiny preconditioned residual is not
+        # mistaken for a dependent direction; X comes first and stays whole
+        B /= np.maximum(np.linalg.norm(B, axis=0), np.finfo(float).tiny)
+        Q, Rq = np.linalg.qr(B)
+        Q = Q[:, np.abs(np.diag(Rq)) > 1e-12]
     if not trace.converged:
         raise NumericalError(
-            f"constrained minimization did not converge in {max_iter} "
-            f"iterations (residual {trace.gradient_norms[-1]:.3e}, "
-            f"target {tol * mc2:.3e})",
+            f"block minimization did not converge in {max_iter} iterations "
+            f"(residual {trace.gradient_norms[-1]:.3e}, target {tol * mc2:.3e})",
             payload=trace)
-    return E, f, trace
+    return theta[:k], X[:, :k], trace
 
 
 def variational_spectrum(op: DiscreteOperator, k, tol=1e-10, max_iter=2000) -> SpectralResult:
-    """k lowest eigenpairs by successive deflated minimizations."""
-    prior = np.zeros((op.n, 0))
-    vals = []
-    for _ in range(k):
-        E, f, _ = minimize_pk(op, prior=prior, tol=tol, max_iter=max_iter)
-        vals.append(E)
-        prior = np.column_stack([prior, f])
-    vals = np.array(vals)
-    res = np.array([neumann_residual_vector(op, vals[j], prior[:, j]) for j in range(k)])
-    return SpectralResult(vals, prior, res, op.channel, op.params, "variational",
-                          _grid_meta(op.grid))
+    """k lowest eigenpairs by one block minimization of the extension energy."""
+    vals, vecs, trace = minimize_pk(op, k, tol=tol, max_iter=max_iter)
+    res = np.array([neumann_residual_vector(op, vals[j], vecs[:, j]) for j in range(k)])
+    return SpectralResult(vals, vecs, res, op.channel, op.params, "variational",
+                          _grid_meta(op.grid), trace)
 
 
 def nonrel_spectrum(grid: RadialGrid, Z, l, k, params: PhysParams = None):

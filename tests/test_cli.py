@@ -59,6 +59,12 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError):
             parse_config(overrides=["grid.n=fine"])
 
+    def test_string_key_keeps_its_text(self):
+        # a string key takes the text itself, or the string a JSON literal holds
+        cfg = parse_config(overrides=["output.directory=123", 'grid.kind="log"'])
+        assert cfg["output"]["directory"] == "123"
+        assert cfg["grid"]["kind"] == "log"
+
     def test_enum_validation(self):
         with pytest.raises(ConfigurationError, match="route"):
             parse_config(overrides=["solver.route=magic"])
@@ -148,14 +154,16 @@ class TestParseConfigProperties:
     @settings(max_examples=100, deadline=None)
     @given(st.dictionaries(st.sampled_from(sorted(LEAVES)), VALUES, min_size=1, max_size=4))
     def test_file_and_overrides_agree(self, tmp_path_factory, values):
-        # a --set override is the one-key table of the file, merged alike
+        # a --set override is the one-key table of the file, merged alike;
+        # a string key keeps the override's text unless it is a JSON string
         table = {}
         for key, value in values.items():
             *sections, leaf = key.split(".")
             node = table
             for section in sections:
                 node = node.setdefault(section, {})
-            node[leaf] = value
+            keeps_text = isinstance(LEAVES[key], str) and not isinstance(value, str)
+            node[leaf] = json.dumps(value) if keeps_text else value
         path = tmp_path_factory.mktemp("config") / "run.json"
         path.write_text(json.dumps(table))
         outcomes = []
@@ -222,6 +230,30 @@ class TestRunReports:
             run_command("transmogrify", parse_config())
 
 
+class TestDiagnostics:
+    def test_variational_levels_reported(self, report):
+        diag = report.diagnostics["variational"]
+        assert len(diag["levels"]) == report.config["solver"]["k"]
+        target = report.config["solver"]["tol"] * report.results["mc2"]
+        for rec in diag["levels"]:
+            assert rec["exit_reason"] == "residual"
+            assert rec["residual"] <= target
+            assert 0 <= rec["iterations"] <= diag["block_iterations"]
+
+    def test_dense_route_has_none(self):
+        dense = run_command("spectrum", parse_config(overrides=FAST + ["solver.route=dense"]))
+        assert dense.diagnostics == {}
+
+    def test_report_hash_ignores_diagnostics(self, report, monkeypatch):
+        real = _COMMANDS["spectrum"]
+        altered = real._replace(
+            run=lambda config: (*real.run(config)[:2], {"variational": {"block_iterations": -1}}))
+        monkeypatch.setitem(_COMMANDS, "spectrum", altered)
+        other = run_command("spectrum", report.config)
+        assert other.diagnostics != report.diagnostics
+        assert other.report_hash == report.report_hash
+
+
 class TestMain:
     def test_success_exit_code(self, tmp_path, capsys):
         code = main(sum((["--set", kv] for kv in FAST), ["spectrum"])
@@ -283,6 +315,13 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 2
         assert "error:" in err and "Traceback" not in err
+
+    def test_numeric_output_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main(sum((["--set", kv] for kv in FAST), ["nonrel-limit"])
+                    + ["--set", "output.directory=123"])
+        assert code == 0, capsys.readouterr().err
+        assert (tmp_path / "123" / "nonrel_limit_report.json").exists()
 
     def test_output_directory_is_a_file_exit_code(self, tmp_path, capsys, monkeypatch):
         # refused before the run starts, not after it

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -161,6 +163,20 @@ class TestCriticalScanUnitCharge:
                                      grid_sizes=sizes)
         assert len(rep.rows) == 8
         assert charges == [1.0] * (2 * len(sizes))
+
+    def test_no_warning_below_unit_critical_charge(self):
+        # at c = 1 the critical charge is 0.91: the grids are assembled at a
+        # reference charge inside the window, so no warning nobody asked for
+        params = PhysParams(c=1.0, m=1.0, Z=0.5)
+        sizes = (32, 48)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = critical_coupling_scan([0.5, 2.0], grid_sizes=sizes, params=params)
+            direct = [dense_spectrum(assemble_operator(
+                build_log_grid(n, 1e-4, 2e3), ChannelSpec.from_kappa(-1), params), 1)
+                .eigenvalues[0] for n in sizes]
+        assert [r.Z for r in rep.rows] == [0.5, 2.0]
+        assert np.abs(np.array(rep.rows[0].lambda1_fixed) - direct).max() <= 1e-12 * params.mc2
 
     def test_with_charge_is_nystrom_only(self):
         op = assemble_operator(build_grid(32, 1.0), ChannelSpec.from_kappa(-1),

@@ -61,59 +61,85 @@ class TestMinimizePk:
     def test_free_case_reaches_lowest_node(self):
         params = PhysParams(c=1.0, m=1.0, Z=0.0)
         op = assemble_operator(build_grid(24, 1.0), CH, params)
-        E, f, trace = minimize_pk(op)
-        assert E == pytest.approx(op.kinetic_diagonal.min(), rel=1e-12)
-        assert np.argmax(np.abs(f)) == 0
+        vals, X, trace = minimize_pk(op, 1)
+        assert vals[0] == pytest.approx(op.kinetic_diagonal.min(), rel=1e-12)
+        assert np.argmax(np.abs(X[:, 0])) == 0
         assert trace.converged
 
     def test_matches_dense_ground_state(self, op_atomic):
         dense = dense_spectrum(op_atomic, 1)
-        E, f, _ = minimize_pk(op_atomic)
-        assert abs(E - dense.eigenvalues[0]) < 1e-8 * op_atomic.params.mc2
+        vals, _, _ = minimize_pk(op_atomic, 1)
+        assert abs(vals[0] - dense.eigenvalues[0]) < 1e-8 * op_atomic.params.mc2
 
-    def test_deflated_level_is_orthogonal(self, op_relativistic):
-        E1, f1, _ = minimize_pk(op_relativistic)
-        E2, f2, _ = minimize_pk(op_relativistic, prior=f1[:, None])
-        assert abs(np.dot(f1, f2)) < 1e-10
-        assert E2 > E1
+    def test_levels_orthonormal_and_ascending(self, op_relativistic):
+        vals, X, _ = minimize_pk(op_relativistic, 5)
+        assert np.abs(X.T @ X - np.eye(5)).max() < 1e-10
+        assert np.all(np.diff(vals) > 0)
 
     def test_monotone_energy_trace(self, op_relativistic):
-        _, _, trace = minimize_pk(op_relativistic)
+        _, _, trace = minimize_pk(op_relativistic, 3)
         assert np.all(np.diff(trace.iterates) <= 0)
         assert len(trace.gradient_norms) >= 1
+        assert len(trace.levels) == 3
 
-    def test_bad_prior_rejected(self, op_relativistic):
-        skew = np.ones((op_relativistic.n, 2))
-        with pytest.raises(DomainError):
-            minimize_pk(op_relativistic, prior=skew)
+    def test_one_record_per_level(self, op_atomic):
+        tol = 1e-10
+        _, _, trace = minimize_pk(op_atomic, 4, tol=tol)
+        iterations = len(trace.gradient_norms)
+        for rec in trace.levels:
+            assert rec.exit_reason == "residual"
+            assert rec.residual <= tol * op_atomic.params.mc2
+            assert 0 <= rec.iterations <= iterations
+
+    def test_k_validation(self, op_relativistic):
+        for k, max_iter in ((0, 10), (op_relativistic.n + 1, 10), (2, 0)):
+            with pytest.raises(DomainError):
+                minimize_pk(op_relativistic, k, max_iter=max_iter)
+
+    def test_whole_space_block(self):
+        # k = n = 16: the block is the whole space, one Rayleigh-Ritz step
+        params = PhysParams(Z=1.0)
+        op = assemble_operator(build_grid(16, 1.0), CH, params)
+        vals, X, trace = minimize_pk(op, 16)
+        assert len(trace.gradient_norms) == 1
+        assert np.abs(vals - np.linalg.eigvalsh(op.matrix)).max() < 1e-12 * params.mc2
+        assert np.abs(X.T @ X - np.eye(16)).max() < 1e-12
 
     def test_iteration_exhaustion_carries_trace(self, op_relativistic):
         from brspec.errors import NumericalError
         from brspec.spectra import MinimizationTrace
         with pytest.raises(NumericalError) as err:
-            minimize_pk(op_relativistic, max_iter=2)
-        assert isinstance(err.value.payload, MinimizationTrace)
-        assert not err.value.payload.converged
+            minimize_pk(op_relativistic, 4, max_iter=2)
+        trace = err.value.payload
+        assert isinstance(trace, MinimizationTrace)
+        assert not trace.converged
+        assert len(trace.gradient_norms) == 2
+        assert "max_iter" in [rec.exit_reason for rec in trace.levels]
 
 
 class TestPreconditionedConvergence:
-    @pytest.mark.parametrize("n", [200, 400])
+    @pytest.mark.parametrize("n", [200, 400, 800])
     def test_tens_of_iterations_per_level(self, n):
-        # the shifted metric keeps the count flat in n; the unshifted one
-        # needed thousands of iterations per level, growing with n
+        # the shifted metric keeps the block iteration count flat in n; the
+        # unshifted one needed thousands of iterations per level, growing with n
         op = assemble_operator(build_grid(n, 1.0), CH, PhysParams(Z=1.0))
-        prior = np.zeros((n, 0))
-        for j in range(4):
-            _, f, trace = minimize_pk(op, prior=prior, max_iter=100)
-            assert trace.exit_reason == "residual"
-            assert len(trace.gradient_norms) <= 100
-            prior = np.column_stack([prior, f])
+        _, _, trace = minimize_pk(op, 4, max_iter=50)
+        assert all(rec.exit_reason == "residual" for rec in trace.levels)
+        assert len(trace.gradient_norms) <= 50
+
+    def test_guard_columns_speed_the_highest_levels(self):
+        # k = 40 at n = 400 takes 18 block iterations with the guard columns
+        # and 37 without them: a level converges at a rate set by its gap to
+        # the first level outside the block, which the guard columns widen
+        op = assemble_operator(build_grid(400, 1.0), CH, PhysParams(Z=1.0))
+        _, _, trace = minimize_pk(op, 40, max_iter=25)
+        assert trace.converged
 
     @pytest.mark.parametrize("Z, kind", [(40, "rational"), (80, "rational"),
                                          (1, "log"), (40, "log"), (80, "log"),
                                          (120, "log")])
     def test_spectrum_variational_checks_pass(self, Z, kind):
-        # passes the gated checks on a budget of 100 iterations per level
+        # passes the gated checks on a budget of 100 block iterations
         report = run_command("spectrum", parse_config(
             overrides=[f"params.Z={Z}", f"grid.kind={kind}", "solver.route=both",
                        "solver.max_iter=100"]))
@@ -131,6 +157,15 @@ class TestRouteEquivalence:
         gram = var.eigenvectors.T @ var.eigenvectors
         assert np.abs(gram - np.eye(5)).max() < 1e-10
         assert var.residuals.max() < 1e-7
+
+    def test_forty_levels_in_order(self):
+        # up to the closely spaced levels below m c^2 (Z=1, the default grid),
+        # the block finds every level, in order
+        report = run_command("spectrum", parse_config(overrides=["solver.k=40"]))
+        check = next(c for c in report.checks if c["name"] == "route_equivalence")
+        assert check["ok"], check
+        levels = report.diagnostics["variational"]["levels"]
+        assert [rec["exit_reason"] for rec in levels] == ["residual"] * 40
 
 
 class TestNeumannResidual:
