@@ -30,10 +30,10 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 
 from .channels import (ChannelSpec, KernelTerms, br_terms, coulomb_terms, kernel_split,
-                       kernel_value, legendre_q_cosh, log_ratio)
+                       kernel_value, legendre_q_cosh, legendre_q_cosh_split, log_ratio)
 from .dirac import lambda_of
 from .errors import ConfigurationError, DomainError
-from .grids import LogPanels, RadialGrid
+from .grids import LogPanels, RadialGrid, gauss_legendre, gauss_log
 from .params import PhysParams
 
 
@@ -43,39 +43,48 @@ def subtraction_profile(p, q):
 
 
 # ---------------------------------------------------------------------------
-# Singularity-aware panel quadrature for the subtraction integrals
+# Panel quadrature for the subtraction integrals
 # I(p) = Int_domain k(p, q) phi_p(q) q^2 dq, log-singular at q = p.
-# Panels are geometric in the log-ratio x = ln(q/p) toward the singular
-# point and expand outward until the integrand underflows or the domain
-# edge clips them.  Two Gauss orders per panel give the adaptive error
-# estimate; rows that miss the tolerance fall back to scipy's adaptive
-# routine.
 #
-# In x the integrand is -(Z p/pi) sum_t f_t(p) f_t(p e^x) Q_l(cosh x) rho(x)
-# with rho(x) = 2/(1 + e^-2x) (the profile times q^2 dq/dx over p^3 e^x).
-# Everything but f_t(p e^x) depends on x alone, and the panels are the same
-# in every row, so Q_l rho w is tabulated once per (l, order); a row pays
-# for its mixing factors, and for Q_l only on the at most two panels its
-# domain clips.
+# In the log-ratio x = ln(q/p) the integrand is
+# -(Z p/pi) sum_t f_t(p) f_t(p e^x) Q_l(cosh x) rho(x) with
+# rho(x) = 2/(1 + e^-2x) (the profile times q^2 dq/dx over p^3 e^x).  On
+# [-1, 0] and [0, 1] a product rule takes the singularity: with
+# Q_l = smooth + logcoef ln|x|, Gauss-Legendre nodes carry the smooth part
+# and Gauss-log nodes (weight -ln|x|) the logcoef part.  Unit-width Gauss
+# panels continue outward to a tail cut per l.  Everything but f_t(p e^x)
+# depends on x alone and the panels are the same in every row, so the
+# weights times Q_l rho are tabulated once per (l, order); a row pays for
+# its mixing factors, and for Q_l only on the at most two panels its domain
+# clips.  Two Gauss orders give the error estimate; rows that miss the
+# tolerance fall back to scipy's adaptive routine.
 
-_SLIVER = 1e-13
+# Gauss orders of the estimate; with the logarithm in the weight the higher
+# one is at rounding and the lower one within 3.2e-13 of it on the grids,
+# channels and charges tried, far inside the fallback tolerance
+_ORDERS = (8, 12)
+# tail cut: Q_l(cosh x) rho(x) > 0 and every mixing factor lies in [0, 1],
+# so a row drops at most the dropped part of the table, which is kept below
+# this fraction of the kept part
+_TAIL = 1e-17
+# the outermost unit panels the cut chooses from
+_REACH = (-40.0, 60.0)
 
 
 def _panel_edges():
-    # geometric refinement into the log singularity at x = ln(q/p) = 0,
-    # then unit-width panels far enough out to resolve the relativistic
-    # transition of the mixing coefficients wherever it falls
-    near = _SLIVER * 4.0 ** np.arange(0, 23)     # 1e-13 .. ~7e-1
-    near = near[near < 1.0]
-    right = np.concatenate([near, np.arange(1.0, 47.0, 1.0)])
-    left = -np.concatenate([near, np.arange(1.0, 27.0, 1.0)])
-    left, right = np.sort(left), np.sort(right)
-    # lower and upper edges of every panel, the left side's first
-    return (np.concatenate([left[:-1], right[:-1]]),
-            np.concatenate([left[1:], right[1:]]))
+    # unit panels out to the reach on either side; the product panels
+    # [-1, 0] and [0, 1] appear twice, once per node set (Gauss-Legendre,
+    # Gauss-log)
+    left = np.arange(_REACH[0], -1.0)
+    right = np.arange(1.0, _REACH[1])
+    return (np.concatenate([left, [-1.0, -1.0, 0.0, 0.0], right]),
+            np.concatenate([left + 1.0, [0.0, 0.0, 1.0, 1.0], right + 1.0]))
 
 
 _PANEL_LO, _PANEL_HI = _panel_edges()
+_PRODUCT = np.abs(_PANEL_LO + _PANEL_HI) == 1.0
+_LOG_NODES = np.r_[False, (_PANEL_LO[1:] == _PANEL_LO[:-1]) & (_PANEL_HI[1:] == _PANEL_HI[:-1])]
+_GL_NODES = _PRODUCT & ~_LOG_NODES
 
 
 def _gauss_panels(a, b, rule):
@@ -90,84 +99,134 @@ def _rho(x):
     return 2.0 / (1.0 + np.exp(-2.0 * x))
 
 
+def _product_rule(order):
+    """Gauss-Legendre then Gauss-log nodes and weights on (0, 1), each ``order`` long."""
+    t, w = gauss_legendre(order)
+    tl, wl = gauss_log(order)
+    return np.concatenate([0.5 * (1.0 + t), tl]), np.concatenate([0.5 * w, wl])
+
+
+@lru_cache(maxsize=None)
+def _rule_nodes(order):
+    """Nodes x and weights of the whole rule, each (panels, order), read-only."""
+    x, w = _gauss_panels(_PANEL_LO, _PANEL_HI, gauss_legendre(order))
+    tl, wl = gauss_log(order)
+    x[_LOG_NODES] = np.sign(_PANEL_LO + _PANEL_HI)[_LOG_NODES, None] * tl
+    w[_LOG_NODES] = wl
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 @lru_cache(maxsize=None)
 def _rule_table(l, order):
-    """Q_l(cosh x) rho(x) w at every node of the full panel rule, (panels, order).
+    """Weight times Q_l(cosh x) rho(x) at every node of the rule, (panels, order).
 
-    Built on first use and shared, read-only, by every row, call and sweep
-    thread.
+    The Gauss-Legendre nodes of the product panels carry the smooth part of
+    Q_l, their Gauss-log nodes minus its logcoef.  Built on first use and
+    shared, read-only, by every row, call and sweep thread.
     """
-    x, w = _gauss_panels(_PANEL_LO, _PANEL_HI, np.polynomial.legendre.leggauss(order))
-    table = legendre_q_cosh((l,), x)[0] * _rho(x) * w
+    x, w = _rule_nodes(order)
+    q = np.empty_like(x)
+    q[~_PRODUCT] = legendre_q_cosh((l,), x[~_PRODUCT])[0]
+    (smooth,), (logcoef,) = legendre_q_cosh_split((l,), x[_PRODUCT])
+    q[_PRODUCT] = np.where(_LOG_NODES[_PRODUCT, None], -logcoef, smooth)
+    table = q * _rho(x) * w
     table.flags.writeable = False
     return table
 
 
-def _sliver_term(terms, p):
-    """Analytic contribution of |ln(q/p)| < 1e-13 around the diagonal."""
-    s, g = kernel_split(terms, p, p * (1.0 + 1e-8))
-    eps = _SLIVER
-    # Int_{-eps}^{eps} ln|p(e^x - 1)| dx = 2 eps (ln p + ln eps - 1) + O(eps^2)
-    log_part = 2 * eps * (np.log(p) + np.log(eps) - 1.0)
-    return (s * 2 * eps + g * log_part) * p**3  # phi_p(p) = 1, q^2 dq = p^3 dx
+@lru_cache(maxsize=None)
+def _kept_panels(l):
+    """Mask of the panels inside the tail cut of Q_l.
+
+    The unit panels are dropped lightest first, which is outermost first on
+    either side, while their table mass stays below _TAIL of the whole; the
+    product panels are always kept.
+    """
+    mass = _rule_table(l, _ORDERS[-1]).sum(axis=1)
+    unit = np.flatnonzero(~_PRODUCT)
+    light = unit[np.argsort(mass[unit])]
+    kept = _PRODUCT.copy()
+    kept[light] = np.cumsum(mass[light]) >= _TAIL * mass.sum()
+    return kept
 
 
-# rows per block of the panel rule: each row carries ~1.8k quadrature points,
-# so evaluating all rows at once would make the temporaries dwarf the
-# assembled matrix
+# rows per block of the panel rule: each row carries ~0.65k quadrature points
+# at order 12, so evaluating all rows at once would make the temporaries
+# dwarf the assembled matrix
 _ROW_BLOCK = 64
+
+
+def _clipped_sum(terms, f0, p, r, x, w, values):
+    """Per-row sums of f_t(p) f_t(p e^x) values_t rho(x) w over clipped nodes of rows r."""
+    fc = terms.factors(p[r, None] * np.exp(x))
+    v = sum(f[r, None] * fx * val for f, fx, val in zip(f0, fc, values))
+    return np.bincount(r, (v * _rho(x) * w).sum(axis=1), minlength=p.size)
 
 
 def _panel_rule_sums(terms, p, xlo, xhi, order):
     """Sum over the panel rule of f_t(p) f_t(p e^x) Q_l(cosh x) rho(x) w, per row."""
-    rule = np.polynomial.legendre.leggauss(order)
-    ex = np.exp(_gauss_panels(_PANEL_LO, _PANEL_HI, rule)[0])
+    ex = np.exp(_rule_nodes(order)[0])
     tables = [_rule_table(l, order) for l in terms.ls]
+    kept = np.logical_or.reduce([_kept_panels(l) for l in terms.ls])
+    rule = gauss_legendre(order)
+    t_prod, w_prod = _product_rule(order)
     fp = terms.factors(p)
     out = np.empty(p.size)
     for lo in range(0, p.size, _ROW_BLOCK):
         rows = slice(lo, lo + _ROW_BLOCK)
-        pr = p[rows, None]
+        pr = p[rows]
         fr = [f[rows] for f in fp]
         a = np.clip(_PANEL_LO, xlo[rows, None], xhi[rows, None])
         b = np.clip(_PANEL_HI, xlo[rows, None], xhi[rows, None])
         whole = (a == _PANEL_LO) & (b == _PANEL_HI)
         # panels inside the domain: the shared table, masked per row, over
-        # the panels that some row of the block keeps
-        live = whole.any(axis=0)
+        # the kept panels that some row of the block has whole
+        live = whole.any(axis=0) & kept
         inside = np.repeat(whole[:, live], order, axis=1)
-        fq = terms.factors(pr * ex[live].ravel())
+        fq = terms.factors(pr[:, None] * ex[live].ravel())
         acc = sum(f0 * ((f * inside) @ tab[live].ravel()) for f0, f, tab in zip(fr, fq, tables))
-        # panels the domain clips: at most two per row, evaluated per row
-        r, k = np.nonzero(~whole & (b > a))
+        clipped = ~whole & (b > a)
+        # unit panels the domain clips: at most one per side of a row, Gauss
+        # on the part inside
+        r, k = np.nonzero(clipped & kept & ~_PRODUCT)
         if r.size:
             xc, wc = _gauss_panels(a[r, k], b[r, k], rule)
-            fc = terms.factors(pr[r] * np.exp(xc))
-            clipped = sum(f0[r, None] * f * v for f0, f, v
-                          in zip(fr, fc, legendre_q_cosh(terms.ls, xc)))
-            acc += np.bincount(r, (clipped * _rho(xc) * wc).sum(axis=1), minlength=acc.size)
+            acc += _clipped_sum(terms, fr, pr, r, xc, wc, legendre_q_cosh(terms.ls, xc))
+        # product panels the domain clips to [0, c]: x = c t gives
+        # |c| Int_0^1 (smooth + logcoef (ln|c| + ln t)) dt, the product rule again
+        r, k = np.nonzero(clipped & _GL_NODES)
+        if r.size:
+            c = (a + b)[r, k, None]           # one end is 0: the signed length
+            xc = c * t_prod
+            log_c = np.log(np.abs(c))
+            values = [np.concatenate([s[:, :order] + g[:, :order] * log_c, -g[:, order:]], axis=1)
+                      for s, g in zip(*legendre_q_cosh_split(terms.ls, xc))]
+            acc += _clipped_sum(terms, fr, pr, r, xc, np.abs(c) * w_prod, values)
         out[rows] = acc
     return out
 
 
-def subtraction_integrals(terms: KernelTerms, p_nodes, domain, tol=1e-10):
+def subtraction_integrals(terms: KernelTerms, p_nodes, domain, tol=1e-10, counts=None):
     """I(p_i) = Int_domain k(p_i, q) phi_{p_i}(q) q^2 dq for all rows of the kernel ``terms``.
 
-    Rows whose two-level panel estimates disagree beyond ``tol`` are
-    recomputed adaptively.
+    Rows whose two-order panel estimates disagree beyond ``tol`` are
+    recomputed adaptively; their number is added to ``counts["fallback_rows"]``
+    when a ``counts`` dict is given.
     """
     p = np.asarray(p_nodes, dtype=float)
     qlo, qhi = domain
     xlo = np.log(qlo / p) if qlo > 0 else np.full(p.size, -np.inf)
     xhi = np.log(qhi / p) if np.isfinite(qhi) else np.full(p.size, np.inf)
     pref = -terms.Z / np.pi * p
-    vals = {order: pref * _panel_rule_sums(terms, p, xlo, xhi, order) for order in (10, 16)}
-    out = vals[16] + _sliver_term(terms, p)
-    err = np.abs(vals[16] - vals[10])
+    low, out = (pref * _panel_rule_sums(terms, p, xlo, xhi, order) for order in _ORDERS)
+    err = np.abs(out - low)
     scale = np.maximum(np.abs(out), np.abs(out).max() * 1e-3 + 1e-300)
-    bad = err > tol * scale
-    for i in np.nonzero(bad)[0]:
+    bad = np.nonzero(err > tol * scale)[0]
+    for i in bad:
         out[i] = subtraction_integral_adaptive(terms, p[i], domain, tol=tol)
+    if counts is not None:
+        counts["fallback_rows"] += bad.size
     return out
 
 
@@ -200,7 +259,8 @@ class DiscreteOperator:
     ``matrix`` includes kinetic and potential parts; eigenvector coordinates
     are Euclidean-orthonormal exactly when the underlying radial functions
     are L^2-orthonormal.  ``node_values`` maps eigenvector coordinates back
-    to function values on the grid nodes.
+    to function values on the grid nodes.  ``fallback_rows`` counts the
+    subtraction integrals recomputed adaptively during assembly.
     """
 
     matrix: np.ndarray
@@ -210,6 +270,7 @@ class DiscreteOperator:
     metric: np.ndarray            # discrete L^2 weights w_i p_i^2
     scheme: str
     kinetic_diagonal: np.ndarray | None = None
+    fallback_rows: int = 0
     _chol: np.ndarray | None = None
     _dscale: np.ndarray | None = None
 
@@ -286,19 +347,20 @@ def _pointwise_strips(p, ls):
         yield rows, [qk[rows] for qk in q], subtraction_profile(p[rows, None], p[None, :])
 
 
-def assemble_potential(grid: RadialGrid, terms: KernelTerms, tol=1e-10):
+def assemble_potential(grid: RadialGrid, terms: KernelTerms, tol=1e-10, counts=None):
     """Symmetric metric-normalized potential matrix by collocation + subtraction.
 
     M_ij = -(Z/pi) sum_t d_t(p_i) d_t(p_j) Q_l(cosh ln(p_j/p_i)) with the
     diagonal factors d_t(p) = f_t(p) sqrt(w p^2)/p, and the diagonal is the
     subtraction integral minus the row's collocation sum against the
     profile.  A grid that records its log-panel structure gets the
-    block-Toeplitz fill, any other grid the pointwise one.
+    block-Toeplitz fill, any other grid the pointwise one.  ``counts`` goes
+    to ``subtraction_integrals``.
     """
     p = grid.nodes
     n = grid.n
     sq = np.sqrt(grid.l2_weights)
-    ints = subtraction_integrals(terms, p, grid.domain, tol=tol)
+    ints = subtraction_integrals(terms, p, grid.domain, tol=tol, counts=counts)
     diag = [f * np.sqrt(grid.weights) for f in terms.factors(p)]
     strips = (_pointwise_strips(p, terms.ls) if grid.panels is None
               else _toeplitz_strips(grid.panels, terms.ls))
@@ -327,10 +389,12 @@ def assemble_operator(grid: RadialGrid, channel: ChannelSpec, params: PhysParams
     kinetic = lambda p: lambda_of(p, params)
     if scheme == "nystrom":
         kin = kinetic(grid.nodes)
-        M = assemble_potential(grid, terms, tol=tol)
+        counts = {"fallback_rows": 0}
+        M = assemble_potential(grid, terms, tol=tol, counts=counts)
         M[np.diag_indices(grid.n)] += kin
         return DiscreteOperator(M, grid, channel, params, grid.l2_weights,
-                                "nystrom", kinetic_diagonal=kin)
+                                "nystrom", kinetic_diagonal=kin,
+                                fallback_rows=counts["fallback_rows"])
     return _assemble_galerkin(grid, channel, params, terms, kinetic)
 
 
@@ -351,7 +415,7 @@ def assemble_nonrel_operator(grid: RadialGrid, l, params: PhysParams,
 
 def _element_quad(edges, order):
     """GL nodes/weights on each element; arrays (n_el, order)."""
-    return _gauss_panels(edges[:-1], edges[1:], np.polynomial.legendre.leggauss(order))
+    return _gauss_panels(edges[:-1], edges[1:], gauss_legendre(order))
 
 
 def _graded_rule(levels, order):

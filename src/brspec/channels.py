@@ -89,6 +89,16 @@ def legendre_q_cosh(ls, x):
     return _q_l_split(ls, np.cosh(ax), lambda near: -np.log(np.tanh(0.5 * ax[near])))[0]
 
 
+def legendre_q_cosh_split(ls, x):
+    """Q_l(cosh x) = smooth + logcoef * ln|x| for each l in ls at x != 0, two lists of arrays.
+
+    Both parts are smooth through x = 0, so a quadrature with the weight
+    ln|x| can take the logarithm; beyond z = cosh x = 2, logcoef is 0.
+    """
+    ax = np.abs(np.asarray(x, dtype=float))
+    return _q_l_split(ls, np.cosh(ax), lambda near: np.log(ax[near] / np.tanh(0.5 * ax[near])))
+
+
 def log_ratio(p, q):
     """|ln(q/p)| to a few ulp, also next to the diagonal where q/p rounds to 1."""
     return np.log1p(np.abs(q - p) / np.minimum(p, q))
@@ -253,12 +263,12 @@ def kernel_split(terms: KernelTerms, p, q):
     """Split the kernel into smooth + logcoef * ln|p-q|.
 
     Returns (smooth, logcoef) with kernel = smooth + logcoef * ln|p-q|;
-    both factors are smooth across the diagonal, so quadratures that reach
-    the diagonal (the Galerkin blocks, the subtraction integrals' sliver)
-    integrate the logarithm explicitly.  Far from the diagonal (z > 2,
-    where the kernel is regular anyway) the whole kernel moves into the
-    smooth part, evaluated by the stable series.  z, the prefactor and the
-    near-diagonal ln(p+q) are computed once for all terms.
+    both factors are smooth across the diagonal, so the Galerkin blocks,
+    whose quadratures reach the diagonal, integrate the logarithm
+    explicitly.  Far from the diagonal (z > 2, where the kernel is regular
+    anyway) the whole kernel moves into the smooth part, evaluated by the
+    stable series.  z, the prefactor and the near-diagonal ln(p+q) are
+    computed once for all terms.
     """
     p0, q0 = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     p, q = np.broadcast_arrays(p0, q0)

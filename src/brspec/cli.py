@@ -259,7 +259,8 @@ def _run_spectrum(config):
     op = assemble_operator(grid, channel, params, scheme=config["grid"]["scheme"])
     solver = config["solver"]
     k = min(solver["k"], op.n)
-    payload, checks, runs, diagnostics = {"mc2": params.mc2}, [], [], {}
+    payload, checks, runs = {"mc2": params.mc2}, [], []
+    diagnostics = {"assembly": {"fallback_rows": op.fallback_rows}}
     for route in _ROUTES:
         if solver["route"] not in (route, "both"):
             continue

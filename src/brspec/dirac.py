@@ -78,12 +78,13 @@ def a_plus_minus(p_mag, params: PhysParams):
 
     Satisfy a_plus^2 + a_minus^2 = 1, a_plus in (1/sqrt(2), 1],
     a_minus in [0, 1/sqrt(2)).  a_minus is evaluated as
-    c p / sqrt(2 lambda (lambda + m c^2)), which is exact where the
-    textbook square root cancels catastrophically (c p << m c^2).
+    (c p / lambda) / (2 a_plus), which equals c p / sqrt(2 lambda (lambda + m c^2))
+    and has no cancellation where the textbook square root cancels
+    catastrophically (c p << m c^2).
     """
     lam = lambda_of(p_mag, params)
     ap = np.sqrt(0.5 * (lam + params.mc2) / lam)
-    am = params.c * np.asarray(p_mag, dtype=float) / np.sqrt(2 * lam * (lam + params.mc2))
+    am = params.c * np.asarray(p_mag, dtype=float) / lam / (2.0 * ap)
     return ap, am
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dirac import lambda_of
 from .errors import DomainError
-from .grids import RadialGrid
+from .grids import RadialGrid, gauss_legendre
 from .params import PhysParams
 
 
@@ -42,7 +42,7 @@ def build_x_grid(x_max, n_nodes=400, order=8, grade_span=1e-10):
         raise DomainError("x_max must be positive")
     n_panels = max(2, int(n_nodes) // order)
     edges = np.concatenate([[0.0], x_max * np.geomspace(grade_span, 1.0, n_panels)])
-    t, wt = np.polynomial.legendre.leggauss(order)
+    t, wt = gauss_legendre(order)
     xs, ws = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         xs.append(0.5 * (b - a) * t + 0.5 * (a + b))

@@ -1,6 +1,8 @@
 """Radial momentum grids, quadrature weights, and discrete Sobolev metrics."""
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -9,6 +11,53 @@ from .errors import ConfigurationError, DomainError
 # how far (relative to max(1, |ln p|)) a node may sit from its recorded
 # log-panel position: a few ulp of rounding, nothing more
 _PANEL_RTOL = 1e-14
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def gauss_legendre(n):
+    """The n-point Gauss-Legendre rule on (-1, 1), ``leggauss(n)``, computed once per n.
+
+    The arrays are shared by every caller and read-only.
+    """
+    return _frozen(*np.polynomial.legendre.leggauss(n))
+
+
+@lru_cache(maxsize=None)
+def gauss_log(n):
+    """The n-point Gauss rule for the weight -ln t on (0, 1), computed once per n.
+
+    Exact for polynomials of degree < 2n: the modified Chebyshev algorithm
+    (Gautschi) turns the modified moments Int_0^1 P*_k(t) (-ln t) dt of the
+    shifted Legendre polynomials, 1 for k = 0 and (-1)^k / (k (k+1)) beyond,
+    into the weight's recurrence coefficients, and Golub-Welsch turns those
+    into nodes and weights.  The arrays are shared and read-only.
+    """
+    k = np.arange(2 * n)
+    # moments against the monic shifted Legendre polynomials, whose recurrence
+    # is pi_{k+1} = (t - 1/2) pi_k - b_k pi_{k-1}
+    sig = np.array([1.0] + [(-1.0) ** j / (j * (j + 1) * comb(2 * j, j)) for j in k[1:]])
+    a = 0.5
+    b = np.concatenate([[0.0], 0.25 / (4.0 - 1.0 / k[1:] ** 2)])
+    alpha, beta = np.empty(n), np.empty(n)
+    alpha[0], beta[0] = a + sig[1] / sig[0], sig[0]
+    prev = np.zeros(2 * n)
+    for j in range(1, n):
+        l = k[j:2 * n - j]
+        nxt = np.zeros(2 * n)
+        nxt[l] = (sig[l + 1] - (alpha[j - 1] - a) * sig[l] - beta[j - 1] * prev[l]
+                  + b[l] * sig[l - 1])
+        alpha[j] = a + nxt[j + 1] / nxt[j] - sig[j] / sig[j - 1]
+        beta[j] = nxt[j] / sig[j - 1]
+        prev, sig = sig, nxt
+    off = np.sqrt(beta[1:])
+    t, v = np.linalg.eigh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
+    return _frozen(t, beta[0] * v[0] ** 2)
 
 
 @dataclass(frozen=True)
@@ -23,7 +72,7 @@ class LogPanels:
 
     def _places(self):
         # node positions inside a panel, as fractions of its width
-        return 0.5 * (1.0 + np.polynomial.legendre.leggauss(self.order)[0])
+        return 0.5 * (1.0 + gauss_legendre(self.order)[0])
 
     def node_logs(self):
         """ln p of every node, panel by panel."""
@@ -110,7 +159,7 @@ def build_grid(n, s):
         raise ConfigurationError(f"grid size must satisfy n >= 16, got {n}")
     if not s > 0:
         raise ConfigurationError(f"mapping scale must be positive, got {s}")
-    t, wt = np.polynomial.legendre.leggauss(n)
+    t, wt = gauss_legendre(n)
     nodes = s * (1 + t) / (1 - t)
     weights = wt * 2 * s / (1 - t) ** 2
     return RadialGrid(nodes, weights, mapping_scale=float(s), kind="rational",
@@ -134,7 +183,7 @@ def build_log_grid(n, p_lo, p_hi, nodes_per_panel=10):
     lo, hi = np.log(p_lo), np.log(p_hi)
     panels = LogPanels(float(lo), float((hi - lo) / npan), npan, nodes_per_panel)
     nodes = np.exp(panels.node_logs()).ravel()
-    wt = np.polynomial.legendre.leggauss(nodes_per_panel)[1]
+    wt = gauss_legendre(nodes_per_panel)[1]
     weights = (0.5 * panels.width * np.tile(wt, npan)) * nodes
     return RadialGrid(nodes, weights, mapping_scale=float(np.sqrt(p_lo * p_hi)), kind="log",
                       domain=(float(p_lo), float(p_hi)), panels=panels)

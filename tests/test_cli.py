@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brspec import cli
+from brspec import assemble, cli
 from brspec.cli import (COMMANDS, OPS, main, parse_config, read_report, run_command,
                         write_report, _COMMANDS, _DEFAULT_CONFIG, _RULES, _validate)
 from brspec.errors import ConfigurationError
@@ -242,7 +242,20 @@ class TestDiagnostics:
 
     def test_dense_route_has_none(self):
         dense = run_command("spectrum", parse_config(overrides=FAST + ["solver.route=dense"]))
-        assert dense.diagnostics == {}
+        assert dense.diagnostics == {"assembly": {"fallback_rows": 0}}
+
+    def test_fallback_rows_reported(self, report, monkeypatch):
+        assert report.diagnostics["assembly"] == {"fallback_rows": 0}
+        # at tolerance 0 every row whose two panel estimates differ at all
+        # goes to the adaptive routine (stubbed here: only the count matters)
+        real = cli.assemble_operator
+        monkeypatch.setattr(cli, "assemble_operator", lambda *a, **k: real(*a, **k, tol=0.0))
+        rows = []
+        monkeypatch.setattr(assemble, "subtraction_integral_adaptive",
+                            lambda terms, p, *a, **k: rows.append(p) or 0.0)
+        strict = run_command("spectrum", report.config)
+        assert len(rows) > report.config["grid"]["n"] // 2
+        assert strict.diagnostics["assembly"] == {"fallback_rows": len(rows)}
 
     def test_report_hash_ignores_diagnostics(self, report, monkeypatch):
         real = _COMMANDS["spectrum"]

@@ -56,6 +56,17 @@ class TestMixingCoefficients:
         assert ap == pytest.approx(np.sqrt((1 + 1 / np.sqrt(2)) / 2), rel=1e-15)
         assert am == pytest.approx(np.sqrt((1 - 1 / np.sqrt(2)) / 2), rel=1e-15)
 
+    @pytest.mark.parametrize("params", [PhysParams(), P11, PhysParams(c=0.3, m=7.0)])
+    def test_minus_factor_from_plus(self, params):
+        # a_minus = (c p / lambda) / (2 a_plus) against the closed form, from
+        # deep nonrelativistic to ultrarelativistic momenta
+        p = np.geomspace(1e-8, 1e8, 2001) * params.m * params.c
+        ap, am = a_plus_minus(p, params)
+        lam = lambda_of(p, params)
+        closed = params.c * p / np.sqrt(2 * lam * (lam + params.mc2))
+        assert np.all(np.abs(ap * ap + am * am - 1.0) <= 2 * np.finfo(float).eps)
+        assert np.all(np.abs(am - closed) <= 1e-15 * closed)
+
     @settings(max_examples=60, deadline=None)
     @given(p=st.floats(0, 1e6), c=st.floats(0.1, 300), m=st.floats(0.1, 10))
     def test_normalization_and_ranges(self, p, c, m):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from brspec import PhysParams, assemble, channels
+from brspec import PhysParams, assemble, channels, grids
 from brspec.assemble import (assemble_nonrel_operator, assemble_operator, assemble_potential,
                              subtraction_integral_adaptive, subtraction_integrals,
                              subtraction_profile)
@@ -12,7 +12,7 @@ from brspec.channels import ChannelSpec, br_terms, coulomb_terms
 from brspec.dirac import lambda_of
 from brspec.errors import ConfigurationError
 from brspec.grids import (MetricH12, RadialGrid, assemble_h12_metric, build_grid,
-                          build_log_grid, operator_norm_h12)
+                          build_log_grid, gauss_log, operator_norm_h12)
 from brspec.params import TIX_CONSTANT
 
 CH = ChannelSpec.from_kappa(-1)
@@ -41,6 +41,23 @@ class TestRationalGrid:
     def test_bad_scale_rejected(self):
         with pytest.raises(ConfigurationError):
             build_grid(64, 0.0)
+
+    def test_gauss_rule_computed_once(self, monkeypatch):
+        leggauss = np.polynomial.legendre.leggauss
+        calls = []
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda n: calls.append(n) or leggauss(n))
+        grids.gauss_legendre.cache_clear()
+        try:
+            a, b = build_grid(200, 1.0), build_grid(200, 3.0)
+            t, w = grids.gauss_legendre(200)
+        finally:
+            grids.gauss_legendre.cache_clear()
+        assert calls == [200]
+        assert not t.flags.writeable and not w.flags.writeable
+        ref_t, ref_w = leggauss(200)
+        assert np.array_equal(t, ref_t) and np.array_equal(w, ref_w)
+        assert np.array_equal(a.nodes, 1.0 * (1 + ref_t) / (1 - ref_t))
 
 
 class TestLogGrid:
@@ -113,6 +130,72 @@ class TestOperatorNormH12:
 
 
 class TestSubtractionIntegrals:
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_gauss_log_exact_on_polynomials(self, n):
+        # Int_0^1 t^j (-ln t) dt = 1/(j+1)^2
+        t, w = gauss_log(n)
+        j = np.arange(2 * n)
+        exact = 1.0 / (j + 1.0) ** 2
+        assert np.all(np.abs(w @ t[:, None] ** j - exact) <= 1e-15)
+        assert np.all((t > 0) & (t < 1)) and np.all(w > 0)
+
+    @pytest.mark.parametrize("terms", [
+        *(br_terms(ChannelSpec.from_kappa(k), PhysParams(Z=30.0), fw)
+          for k in (-1, 1, -2, 2, -3, 3) for fw in (0.025, 1.0)),
+        *(coulomb_terms(l, PhysParams(Z=30.0)) for l in range(4)),
+    ])
+    def test_clipped_product_panels_match_adaptive(self, terms):
+        # the first and last three rows sit 0.02, 0.43 and 0.88 from the
+        # window's edge in ln p, so the edge cuts their product panel; the
+        # window holds the mixing factors' transition at p = mc and, at
+        # fw_scale 0.025, at 40 mc
+        g = build_log_grid(60, 10.0, 1e5)
+        rows = [0, 3, 5, 54, 56, 59]
+        edge = np.minimum(np.log(g.nodes / g.domain[0]), np.log(g.domain[1] / g.nodes))
+        assert np.all(edge[rows] < 1.0)
+        vals = subtraction_integrals(terms, g.nodes, g.domain)
+        for i in rows:
+            ref = subtraction_integral_adaptive(terms, g.nodes[i], g.domain, tol=1e-13)
+            assert vals[i] == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("l", range(4))
+    def test_tail_cut_drops_below_bound(self, l):
+        # Q_l(cosh x) rho(x) > 0 and every mixing factor is in [0, 1], so the
+        # mass beyond the kept panels bounds what any row drops
+        def f(x):                   # Q_l(cosh x) rho(x), without overflow at large |x|
+            e = np.exp(-2 * abs(x))
+            rho = 2 / (1 + e) if x > 0 else 2 * e / (1 + e)
+            return channels.legendre_q_cosh((l,), np.array([x]))[0][0] * rho
+
+        kept = assemble._kept_panels(l)
+        lo, hi = assemble._PANEL_LO[kept].min(), assemble._PANEL_HI[kept].max()
+        mass = quad(f, lo, 0, limit=200)[0] + quad(f, 0, hi, limit=200)[0]
+        # beyond |x| = 700 the integrand is below e^-700
+        dropped = (quad(f, -700, lo, epsabs=0, limit=200)[0]
+                   + quad(f, hi, 700, epsabs=0, limit=200)[0])
+        assert 0 < dropped <= 1e-17 * mass
+        # the cut is contiguous: every unit panel between lo and hi is kept
+        inside = (assemble._PANEL_LO >= lo) & (assemble._PANEL_HI <= hi)
+        assert np.array_equal(kept, inside)
+
+    def test_mixing_points_per_row(self):
+        # an unclipped kappa = -1 row evaluates the mixing factors at every
+        # node of the l = 0 cut, 51 unit panels and 2 product panels of two
+        # node sets, over both orders: 55 * (8 + 12) = 1,100 (2,964 with the
+        # geometric panels toward the singularity)
+        params = PhysParams(Z=1.0)
+        base = br_terms(CH, params)
+        seen = []
+
+        def counting(p):
+            if np.ndim(p) == 2:                 # the nodes p e^x of a row block
+                seen.append(np.size(p))
+            return base.mixing(p)
+
+        p = build_grid(100, 1.0).nodes
+        subtraction_integrals(replace(base, mixing=counting), p, (0.0, np.inf))
+        assert sum(seen) / p.size <= 1100
+
     def test_panel_rule_matches_adaptive(self):
         params = PhysParams(Z=1.0)
         g = build_grid(60, 1.0)
@@ -162,13 +245,15 @@ def _plain_q_l_series(l, u):
 
 class TestKernelEvaluation:
     @pytest.mark.parametrize("grid, evaluations", [
-        # l = 0 and 1 at the fill's P m^2 - m = 990 panel offsets, on the
-        # <= 2 panels per row and order that the window clips, and at the
-        # 100 sliver points (the pairwise fill took 366,612)
-        (build_log_grid(100, 1e-4, 2e3), 12580),
-        # l = 0 and 1 at the 4,950 node pairs and the 100 sliver points;
-        # the domain (0, inf) clips no panel (the pairwise fill took 602,900)
-        (build_grid(100, 1.0), 10100),
+        # l = 0 and 1 at the fill's P m^2 - m = 990 panel offsets and on the
+        # panels the window clips, over both Gauss orders (8 + 12 nodes a
+        # panel): 165 clipped unit panels inside the tail cut of 20 nodes
+        # and 12 clipped product panels of 40 (Gauss-Legendre and Gauss-log),
+        # 2 (990 + 165 * 20 + 12 * 40) = 9540 (the pairwise fill took 366,612)
+        (build_log_grid(100, 1e-4, 2e3), 9540),
+        # l = 0 and 1 at the 4,950 node pairs; the domain (0, inf) clips no
+        # panel (the pairwise fill took 602,900)
+        (build_grid(100, 1.0), 9900),
     ])
     def test_q_evaluations_per_assembly(self, grid, evaluations, monkeypatch):
         params = PhysParams(Z=1.0)
