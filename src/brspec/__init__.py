@@ -28,11 +28,11 @@ from .grids import (LogPanels, MetricH12, RadialGrid, assemble_h12_metric, build
 from .assemble import (DiscreteOperator, assemble_nonrel_operator, assemble_operator,
                        subtraction_integral_adaptive, subtraction_integrals,
                        subtraction_profile)
-from .extension import (BoundaryFunction, ExtensionField, XGrid, build_x_grid,
-                        default_x_grid, dirichlet_energy, dtn_apply,
+from .extension import (BoundaryFunction, DecayProfile, EnvelopeProfile, ExtensionField,
+                        XGrid, build_x_grid, default_x_grid, dirichlet_energy, dtn_apply,
                         dtn_finite_difference, extend, exponential_field,
-                        minimality_check, random_boundary, trace_inequality_margin,
-                        zero_trace_bump)
+                        minimality_check, multiplier_profile, random_boundary,
+                        trace_inequality_margin, zero_trace_bump)
 from .spectra import (MinimizationTrace, SpectralResult, binding_curve, dense_spectrum,
                       minimize_pk, neumann_residual, nonrel_spectrum,
                       variational_spectrum)

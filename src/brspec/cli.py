@@ -32,8 +32,8 @@ from .channels import MAX_CHANNEL, ChannelSpec
 from .errors import BrspecError, ConfigurationError
 from .extension import (default_x_grid, dirichlet_energy, dtn_apply,
                         dtn_finite_difference, extend, exponential_field,
-                        minimality_check, random_boundary, trace_inequality_margin,
-                        zero_trace_bump)
+                        minimality_check, multiplier_profile, random_boundary,
+                        trace_inequality_margin, zero_trace_bump)
 from .assemble import assemble_operator
 from .experiments import (commutator_decay, critical_coupling_scan, hardy_check,
                           kato_check, scaling_limit, tix_check)
@@ -293,18 +293,20 @@ def _run_dtn_check(config):
     rng = np.random.default_rng(config["seed"])
     grid = _spectrum_grid(config, params)
     xg = default_x_grid(params)
+    mult = multiplier_profile(grid, xg, params)     # shared by every sample
     nb = config["checks"]["boundary_samples"]
     npert = config["checks"]["perturbation_samples"]
     ntr = config["checks"]["trace_samples"]
 
     energy_err = []
     dtn_err = []
+    quadratures = []        # every x-quadrature EnergyResult of the run
     for _ in range(nb):
         u = random_boundary(grid, rng)
-        fld = extend(u, xg, params)
         e_mom = dirichlet_energy(u, "momentum", params).value
-        e_x = dirichlet_energy(fld, "x_quadrature", params).value
-        energy_err.append(abs(e_mom - e_x) / e_mom)
+        e_x = dirichlet_energy(extend(u, xg, params, mult), "x_quadrature", params)
+        quadratures.append(e_x)
+        energy_err.append(abs(e_mom - e_x.value) / e_mom)
         exact = dtn_apply(u, params)
         fd = dtn_finite_difference(u, params)
         floor = 1e-30 * np.abs(exact.values).max()
@@ -316,8 +318,9 @@ def _run_dtn_check(config):
         u = random_boundary(grid, rng)
         bump = zero_trace_bump(grid, xg, params, random_boundary(grid, rng).values,
                                rate=params.mc2 * rng.uniform(0.5, 2.0))
-        e0, e1 = minimality_check(u, bump, rng.uniform(0.02, 0.5), params)
-        min_viol.append((e0 - e1) / e0)
+        e0, e1 = minimality_check(u, bump, rng.uniform(0.02, 0.5), params, mult)
+        quadratures += [e0, e1]
+        min_viol.append((e0.value - e1.value) / e0.value)
 
     margins = []
     for _ in range(ntr):
@@ -344,7 +347,11 @@ def _run_dtn_check(config):
         _check("trace_margin", min(margins), ">=", -1e-10),
         _check("trace_equality_case", abs(eq.margin / eq.scale), "<", 1e-10),
     ]
-    return payload, checks, {}
+    diagnostics = {"x_quadrature": {
+        "nodes": xg.nodes.size,
+        "tail_ratio_max": max(q.tail_bound / q.value for q in quadratures),
+        "tails_ok": all(q.tail_ok for q in quadratures)}}
+    return payload, checks, diagnostics
 
 
 def _run_inequalities(config):

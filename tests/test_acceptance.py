@@ -133,7 +133,7 @@ def test_c04_extension_identities():
         bump = zero_trace_bump(grid, xg, params, random_boundary(grid, rng).values,
                                rate=params.mc2 * rng.uniform(0.5, 2.0))
         e0, e1 = minimality_check(u, bump, rng.uniform(0.02, 0.5), params)
-        min_viol = max(min_viol, (e0 - e1) / e0)
+        min_viol = max(min_viol, (e0.value - e1.value) / e0.value)
     assert min_viol < 1e-10
     assert dtn_err < 1e-8
     _report("04 extension identities", energy_rel_err=energy_err,

@@ -14,6 +14,8 @@ from brspec.params import SPEED_OF_LIGHT
 
 FAST = ["params.c=1", "params.m=1", "params.Z=0.5", "grid.n=64", "grid.s=0.5",
         "solver.k=2"]
+DTN_FEW = ["checks.boundary_samples=3", "checks.perturbation_samples=3",
+           "checks.trace_samples=3"]
 
 
 def _leaves(table, prefix=""):
@@ -266,6 +268,21 @@ class TestDiagnostics:
         assert other.diagnostics != report.diagnostics
         assert other.report_hash == report.report_hash
 
+    def test_dtn_check_tails_reported(self, monkeypatch):
+        config = parse_config(overrides=FAST + DTN_FEW)
+        base = run_command("dtn-check", config)
+        diag = base.diagnostics["x_quadrature"]
+        assert diag["nodes"] == 401
+        assert 0.0 <= diag["tail_ratio_max"] <= 1e-12 and diag["tails_ok"] is True
+        # the tail figures stay out of report_hash
+        real = _COMMANDS["dtn-check"]
+        altered = real._replace(run=lambda config: (*real.run(config)[:2], {
+            "x_quadrature": {"nodes": 3, "tail_ratio_max": 1.0, "tails_ok": False}}))
+        monkeypatch.setitem(_COMMANDS, "dtn-check", altered)
+        other = run_command("dtn-check", config)
+        assert other.diagnostics != base.diagnostics
+        assert other.report_hash == base.report_hash
+
 
 class TestMain:
     def test_success_exit_code(self, tmp_path, capsys):
@@ -364,6 +381,13 @@ class TestMain:
                      "--set", "checks.trace_samples=5",
                      "--set", "output.directory=" + str(tmp_path)])
         assert code == 0
+
+    @pytest.mark.parametrize("override", [
+        "grid.kind=log", "params.c=1", "params.c=1e6", "params.m=1e-3", "params.m=1e3",
+        "grid.s=1e-6", "grid.s=1e6", "grid.n=16", "params.Z=120"])
+    def test_dtn_check_range_corners(self, override):
+        report = run_command("dtn-check", parse_config(overrides=DTN_FEW + [override]))
+        assert report.ok, [c for c in report.checks if not c["ok"]]
 
 
 # every command at a small configuration; spectrum also on the dense route alone

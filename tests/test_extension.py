@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from brspec import PhysParams
+from brspec import PhysParams, extension
+from brspec.cli import parse_config, run_command
 from brspec.dirac import lambda_of
 from brspec.errors import DomainError
-from brspec.extension import (BoundaryFunction, build_x_grid, default_x_grid,
-                              dirichlet_energy, dtn_apply, dtn_finite_difference,
-                              extend, exponential_field, minimality_check,
-                              random_boundary, trace_inequality_margin,
-                              zero_trace_bump)
-from brspec.grids import build_grid
+from brspec.extension import (BoundaryFunction, ExtensionField, build_x_grid,
+                              default_x_grid, dirichlet_energy, dtn_apply,
+                              dtn_finite_difference, extend, exponential_field,
+                              minimality_check, multiplier_profile, random_boundary,
+                              trace_inequality_margin, zero_trace_bump)
+from brspec.grids import build_grid, build_log_grid
 
 P11 = PhysParams(c=1.0, m=1.0, Z=0.0)
 
@@ -152,7 +153,7 @@ class TestMinimality:
         u = random_boundary(grid, rng)
         bump = zero_trace_bump(grid, xg, P11, random_boundary(grid, rng).values)
         e0, e1 = minimality_check(u, bump, 0.0, P11)
-        assert e0 == e1
+        assert e0.value == e1.value
 
     def test_competitors_cost_more(self, grid, xg):
         rng = np.random.default_rng(9)
@@ -161,7 +162,7 @@ class TestMinimality:
             bump = zero_trace_bump(grid, xg, P11, random_boundary(grid, rng).values,
                                    rate=P11.mc2 * rng.uniform(0.5, 2.0))
             e0, e1 = minimality_check(u, bump, rng.uniform(0.02, 0.5), P11)
-            assert e1 >= e0 * (1 - 1e-10)
+            assert e1.value >= e0.value * (1 - 1e-10)
 
     def test_energy_quadratic_in_amplitude(self, grid, xg):
         rng = np.random.default_rng(10)
@@ -169,7 +170,7 @@ class TestMinimality:
         bump = zero_trace_bump(grid, xg, P11, random_boundary(grid, rng).values)
         e0, e1 = minimality_check(u, bump, 0.25, P11)
         _, e2 = minimality_check(u, bump, 0.5, P11)
-        ratio = (e2 - e0) / (e1 - e0)
+        ratio = (e2.value - e0.value) / (e1.value - e0.value)
         assert ratio == pytest.approx(4.0, rel=1e-8)
 
     def test_nonzero_trace_rejected(self, grid, xg):
@@ -224,13 +225,86 @@ class TestFieldAlgebra:
         u = random_boundary(grid, rng)
         fld = extend(u, xg, P11)
         double = fld.scaled(2.0)
-        np.testing.assert_array_equal(double.values, 2 * fld.values)
+        (coef, profile), = double.terms
+        np.testing.assert_array_equal(coef, 2 * u.values)
+        assert profile is fld.terms[0][1]
+        # (2c) g and 2 (c g) round alike except where c g is subnormal
+        tiny = np.finfo(float).tiny
+        for part in (np.real, np.imag):
+            single, doubled = part(fld.values), part(double.values)
+            normal = np.abs(single) >= tiny
+            np.testing.assert_array_equal(doubled[normal], 2 * single[normal])
+            assert np.all(np.abs(doubled[~normal]) <= 2 * tiny)
         s = fld + fld.scaled(-1.0)
         assert np.abs(s.values).max() == 0.0
 
     def test_boundary_mismatch_detected(self, grid, xg):
-        vals = np.ones((xg.nodes.size, grid.n), dtype=complex)
+        ones = np.ones(grid.n, dtype=complex)
         u = BoundaryFunction(grid, np.zeros(grid.n, dtype=complex))
-        from brspec.extension import ExtensionField
         with pytest.raises(DomainError):
-            ExtensionField(u, xg, vals, vals)
+            ExtensionField(u, xg, ((ones, multiplier_profile(grid, xg, P11)),))
+
+    def test_terms_checked(self, grid, xg):
+        u = random_boundary(grid, np.random.default_rng(17))
+        mult = multiplier_profile(grid, xg, P11)
+        with pytest.raises(DomainError):
+            ExtensionField(u, xg, ((u.values[:-1], mult),))
+        with pytest.raises(DomainError):
+            ExtensionField(u, xg, ())
+        other = build_x_grid(40.0, n_nodes=64)
+        with pytest.raises(DomainError):
+            ExtensionField(u, xg, ((u.values, multiplier_profile(grid, other, P11)),))
+        with pytest.raises(DomainError):
+            extend(u, other, P11, mult)
+        with pytest.raises(DomainError):
+            extend(u, xg, PhysParams(c=2.0, m=1.0, Z=0.0), mult)
+        assert extend(u, xg, P11, mult).terms[0][1] is mult
+
+
+def _materialized(field, k2):
+    """The product-grid quadrature Sum_x w_x Sum_p W_p (|d_x phi|^2 + k2 |phi|^2)
+    from the materialized (n_x, n_p) field arrays."""
+    density = np.abs(field.x_derivative) ** 2 + k2 * np.abs(field.values) ** 2
+    return float(field.x_grid.weights @ density @ field.boundary.grid.l2_weights)
+
+
+def _fields(grid, xg, rng):
+    u, v, b, d = (random_boundary(grid, rng) for _ in range(4))
+    rates = P11.mc2 * rng.uniform(0.5, 4.0, size=grid.n)
+    base = extend(u, xg, P11)
+    bump, other = (zero_trace_bump(grid, xg, P11, f.values, rate=P11.mc2 * rng.uniform(0.5, 2.0))
+                   for f in (b, d))
+    return {"extend": base, "exponential": exponential_field(v, rates, xg), "bump": bump,
+            "base + scaled bump": base + bump.scaled(0.3),
+            "three terms": base + exponential_field(v, rates, xg) + bump.scaled(-0.7j),
+            "two envelopes": base + bump + other.scaled(0.5)}
+
+
+class TestPerModeQuadrature:
+    """The per-mode profile integrals equal the quadrature of the materialized field."""
+
+    @pytest.mark.parametrize("grid", [build_grid(200, 1.0), build_log_grid(200, 1e-4, 2e3)],
+                             ids=["rational", "log"])
+    def test_matches_materialized_field(self, grid, xg):
+        lam2 = P11.c**2 * grid.nodes**2 + P11.mc2**2
+        for name, fld in _fields(grid, xg, np.random.default_rng(18)).items():
+            energy = dirichlet_energy(fld, "x_quadrature", P11).value
+            assert energy == pytest.approx(_materialized(fld, lam2), rel=1e-13), name
+            res = trace_inequality_margin(fld, P11)
+            positive = _materialized(fld, P11.mc2**2)
+            trace = P11.mc2 * np.dot(grid.l2_weights, np.abs(fld.values[0]) ** 2)
+            assert res.scale == pytest.approx(positive, rel=1e-13), name
+            assert abs(res.margin - (positive - trace)) <= 1e-13 * positive, name
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_dtn_check_payload(self, seed, monkeypatch):
+        config = parse_config(overrides=[f"seed={seed}"])
+        fast = run_command("dtn-check", config).results
+        monkeypatch.setattr(extension, "_product_quadrature", _materialized)
+        reference = run_command("dtn-check", config).results
+        assert fast.keys() == reference.keys()
+        for key, value in reference.items():
+            if isinstance(value, float):
+                assert abs(fast[key] - value) <= 1e-14, key
+            else:
+                assert fast[key] == value, key
