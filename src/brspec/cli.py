@@ -40,7 +40,7 @@ from .experiments import (commutator_decay, critical_coupling_scan, hardy_check,
 from .grids import build_grid, build_log_grid
 from .params import (HARDY_CONSTANT, KATO_CONSTANT, SPEED_OF_LIGHT, TIX_CONSTANT,
                      PhysParams)
-from .spectra import (binding_grid, dense_spectrum, nonrel_spectrum,
+from .spectra import (BOUND_STATE_EDGE, binding_grid, dense_spectrum, nonrel_spectrum,
                       variational_spectrum)
 
 _DEFAULT_CONFIG = {
@@ -282,8 +282,14 @@ def _run_spectrum(config):
         checks.append(_check("route_equivalence", gap, "<", 1e-8 * params.mc2))
     bound = runs[0].eigenvalues[runs[0].bound_flags()]
     if params.Z > 0 and params.in_subordinacy_window():
-        checks.append(_check("bound_states_in_gap",
-                             float(bound.min()) if bound.size else params.mc2, ">", 0.0))
+        # a positive charge always binds: with no level below the continuum
+        # edge the grid has lost the ground state, so the lowest level is
+        # compared with that edge, which it fails
+        if bound.size:
+            checks.append(_check("bound_states_in_gap", float(bound.min()), ">", 0.0))
+        else:
+            checks.append(_check("bound_states_in_gap", float(runs[0].eigenvalues.min()),
+                                 "<", params.mc2 * (1.0 - BOUND_STATE_EDGE)))
     payload["grid"] = runs[0].grid_meta
     return payload, checks, diagnostics
 
@@ -367,7 +373,8 @@ def _run_inequalities(config):
         for r in reports]}
     checks = [_check(f"{r.inequality_name}_bounded", r.max_ratio, "<=", r.bound)
               for r in reports]
-    return payload, checks, {}
+    diagnostics = {"assembly": {"fallback_rows": sum(r.fallback_rows for r in reports)}}
+    return payload, checks, diagnostics
 
 
 def _run_commutator(config):

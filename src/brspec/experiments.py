@@ -30,6 +30,7 @@ class InequalityReport:
     theoretical_constant: float
     sample_count: int
     ratios: list = field(default_factory=list)
+    fallback_rows: int = 0      # subtraction rows recomputed by adaptive quad
 
     @property
     def margin(self):
@@ -47,32 +48,38 @@ class InequalityReport:
 
 # ---------------------------------------------------------------------------
 # Hardy: || |x|^-1 psi || <= 2 || grad psi ||, sharp constant not attained.
-# Concentrating trial family psi_eps(r) = r^(eps - 1/2) e^{-r} (l = 0), whose
-# reduced radial part is u = r psi; then ||grad psi||^2 = Int u'^2 dr and
-# || psi/r ||^2 = Int u^2/r^2 dr, and the ratio tends to 2 as eps -> 0.
 
 def hardy_check(eps_family=None, params: PhysParams = None) -> InequalityReport:
-    from scipy.integrate import quad
+    """Hardy ratio ||psi/r|| / ||grad psi|| on a concentrating trial family.
 
+    psi_eps(r) = r^(eps - 1/2) e^-r (l = 0) has the reduced radial part
+    u = r psi = r^a e^-r with a = 1/2 + eps, so ||grad psi||^2 = Int u'^2 dr
+    and ||psi/r||^2 = Int u^2/r^2 dr.  With u' = r^(a-1) (a - r) e^-r and
+    Int_0^inf r^(s-1) e^-2r dr = Gamma(s) / 2^s, both integrals are Gamma
+    functions at s = 2 eps:
+
+        Int u^2/r^2 dr = Gamma(2 eps) / 2^(2 eps)
+        Int u'^2 dr    = Gamma(2 eps) / 2^(2 eps) * (a^2 - 2 a eps + eps (2 eps + 1) / 2)
+                       = Gamma(2 eps) / 2^(2 eps) * (1/4 + eps/2),
+
+    so the ratio is exactly 2 / sqrt(1 + 2 eps), which tends to 2 as eps -> 0.
+    """
     eps_family = [0.5, 0.25, 0.1, 0.05, 0.02, 0.01] if eps_family is None else list(eps_family)
     if any(e <= 0 for e in eps_family):
         raise DomainError("hardy trial exponents must be positive")
-    ratios = []
-    for eps in eps_family:
-        # reduced radial part u = r psi = r^(1/2+eps) e^-r;  both integrands
-        # carry the endpoint weight r^(2 eps - 1), handled by the algebraic-
-        # weight rule on [0, 1] and plain quadrature beyond
-        num_s = lambda r: np.exp(-2 * r)
-        den_s = lambda r: (0.5 + eps - r) ** 2 * np.exp(-2 * r)
-        alpha = 2 * eps - 1
-        num = quad(num_s, 0, 1, weight="alg", wvar=(alpha, 0))[0] \
-            + quad(lambda r: r**alpha * num_s(r), 1, np.inf, limit=200)[0]
-        den = quad(den_s, 0, 1, weight="alg", wvar=(alpha, 0))[0] \
-            + quad(lambda r: r**alpha * den_s(r), 1, np.inf, limit=200)[0]
-        ratios.append(float(np.sqrt(num / den)))
+    ratios = [float(2.0 / np.sqrt(1.0 + 2.0 * eps)) for eps in eps_family]
     return InequalityReport(
         "hardy", f"r^(eps-1/2) e^-r, eps in {eps_family}",
         max(ratios), HARDY_CONSTANT, len(ratios), ratios)
+
+
+def _top_scaled_eigenvalue(W, b):
+    """Largest eigenvalue of W v = mu diag(b) v: the top eigenvalue of
+    B^{-1/2} W B^{-1/2}, from its lower triangle as ``eigh(W, B)`` reads it."""
+    s = 1.0 / np.sqrt(b)
+    n = s.size
+    return float(eigh(W * s[:, None] * s[None, :], subset_by_index=[n - 1, n - 1],
+                      eigvals_only=True)[0])
 
 
 def kato_check(params: PhysParams = None, n=300, window=(1e-6, 1e6)) -> InequalityReport:
@@ -83,12 +90,12 @@ def kato_check(params: PhysParams = None, n=300, window=(1e-6, 1e6)) -> Inequali
     """
     base = (params or PhysParams()).replace(Z=1.0)
     grid = build_log_grid(n, *window)
-    W = -assemble_potential(grid, coulomb_terms(0, base))
-    B = np.diag(grid.nodes)
-    mu = eigh(W, B, eigvals_only=True)
+    counts = {"fallback_rows": 0}
+    W = -assemble_potential(grid, coulomb_terms(0, base), counts=counts)
     return InequalityReport(
         "kato", f"grid sup, l=0, n={n}, window={window}",
-        float(mu[-1]), KATO_CONSTANT, n)
+        _top_scaled_eigenvalue(W, grid.nodes), KATO_CONSTANT, n,
+        fallback_rows=counts["fallback_rows"])
 
 
 def tix_check(channels=(-1, 1), params: PhysParams = None, n=300) -> InequalityReport:
@@ -97,17 +104,17 @@ def tix_check(channels=(-1, 1), params: PhysParams = None, n=300) -> InequalityR
     base = (params or PhysParams()).replace(Z=1.0)
     mc = base.m * base.c
     grid = build_log_grid(n, 1e-5 * mc, 2e3 * mc)
-    lam = lambda_of(grid.nodes, base)
-    B = np.diag(lam / base.c)
+    b = lambda_of(grid.nodes, base) / base.c
+    counts = {"fallback_rows": 0}
     ratios = []
     for kappa in channels:
-        ch = ChannelSpec.from_kappa(kappa)
-        W = -assemble_potential(grid, br_terms(ch, base))
-        mu = eigh(W, B, eigvals_only=True)
-        ratios.append(float(mu[-1]))
+        W = -assemble_potential(grid, br_terms(ChannelSpec.from_kappa(kappa), base),
+                                counts=counts)
+        ratios.append(_top_scaled_eigenvalue(W, b))
     return InequalityReport(
         "tix", f"grid sup over channels {tuple(channels)}, n={n}",
-        max(ratios), TIX_CONSTANT, len(ratios) * n, ratios)
+        max(ratios), TIX_CONSTANT, len(ratios) * n, ratios,
+        fallback_rows=counts["fallback_rows"])
 
 
 # ---------------------------------------------------------------------------
@@ -194,24 +201,28 @@ def commutator_matrix(R, grid, channel: ChannelSpec, params: PhysParams,
     """Channel-reduced matrix of [chi_R, U^-1] U on the (upper, lower) pair.
 
     chi_R acts blockwise through the channel kernels of its two orbital
-    components; the transformation acts momentum-diagonally through the
-    channel rotation, so the commutator reduces to X - G^T X G.  The matrix
-    acts on node values (quadrature weights on the columns).
+    components, X = diag(Xu, Xd); the transformation acts momentum-diagonally
+    through the channel rotation G = [[A, -B], [B, A]] with A = diag(a_+),
+    B = diag(a_-), so the commutator reduces to X - G^T X G.  Diagonal
+    factors act elementwise, diag(a) Y diag(b) = (a b^T) o Y, which gives
+    each block from outer products of the mixing coefficients, e.g.
+    C_11 = Xu - (a_+ a_+^T) o Xu - (a_- a_-^T) o Xd.  The matrix acts on
+    node values (quadrature weights on the columns).
     """
     p = grid.nodes
     n = grid.n
     lw = grid.l2_weights
-    P, Q = np.meshgrid(p, p, indexing="ij")
-    X = np.zeros((2 * n, 2 * n))
-    X[:n, :n] = multiplier_channel_kernel(chi_profile, channel.l_up, R, P, Q) * lw[None, :]
-    X[n:, n:] = multiplier_channel_kernel(chi_profile, channel.l_down, R, P, Q) * lw[None, :]
+    P, Q = p[:, None], p[None, :]
+    Xu = multiplier_channel_kernel(chi_profile, channel.l_up, R, P, Q) * lw[None, :]
+    Xd = multiplier_channel_kernel(chi_profile, channel.l_down, R, P, Q) * lw[None, :]
     ap, am = a_plus_minus(p, params)
-    G = np.zeros((2 * n, 2 * n))
-    G[:n, :n] = np.diag(ap)
-    G[:n, n:] = np.diag(-am)
-    G[n:, :n] = np.diag(am)
-    G[n:, n:] = np.diag(ap)
-    return X - G.T @ X @ G
+    pp, mm, pm = np.outer(ap, ap), np.outer(am, am), np.outer(ap, am)
+    C = np.empty((2 * n, 2 * n))
+    C[:n, :n] = Xu - pp * Xu - mm * Xd
+    C[:n, n:] = pm * Xu - pm.T * Xd
+    C[n:, :n] = pm.T * Xu - pm * Xd
+    C[n:, n:] = Xd - mm * Xu - pp * Xd
+    return C
 
 
 def commutator_decay(R_values=(2., 4., 8., 16., 32., 64.), grid=None, kappa=-1,

@@ -5,6 +5,7 @@ from functools import lru_cache
 from math import comb
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .errors import ConfigurationError, DomainError
 
@@ -213,7 +214,9 @@ def assemble_h12_metric(grid: RadialGrid) -> MetricH12:
 def operator_norm_h12(A, metric: MetricH12):
     """Operator norm of A as a map of the weighted space onto itself.
 
-    Largest singular value of D^{1/2} A D^{-1/2} with D the metric diagonal.
+    Largest singular value of M = D^{1/2} A D^{-1/2} with D the metric
+    diagonal, as the square root of the top eigenvalue of M^T M (one
+    eigenvalue, not a full SVD; clamped at 0 so that A = 0 gives 0).
     A may act on k stacked channel copies of the grid (size k * n).
     """
     A = np.asarray(A)
@@ -222,4 +225,7 @@ def operator_norm_h12(A, metric: MetricH12):
         raise DomainError(f"operator shape {A.shape} incompatible with metric size {d.size}")
     reps = A.shape[0] // d.size
     dr = np.sqrt(np.tile(d, reps))
-    return np.linalg.norm(A * dr[:, None] / dr[None, :], 2)
+    M = A * dr[:, None] / dr[None, :]
+    k = M.shape[0]
+    top = eigh(M.conj().T @ M, subset_by_index=[k - 1, k - 1], eigvals_only=True)[0]
+    return float(np.sqrt(max(top, 0.0)))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brspec import assemble, cli
+from brspec import assemble, cli, experiments
 from brspec.cli import (COMMANDS, OPS, main, parse_config, read_report, run_command,
                         write_report, _COMMANDS, _DEFAULT_CONFIG, _RULES, _validate)
 from brspec.errors import ConfigurationError
@@ -231,6 +231,18 @@ class TestRunReports:
         with pytest.raises(ConfigurationError):
             run_command("transmogrify", parse_config())
 
+    def test_no_bound_level_fails(self):
+        # a positive charge always binds; this grid (inside the subordinacy
+        # window, Z_c = 0.91 at c = 1) holds no level below the continuum
+        # edge, which is a grid failure, not a pass
+        report = run_command("spectrum", parse_config(overrides=[
+            "params.Z=0.5", "params.c=1", "params.m=1e-3", "grid.s=1e6", "grid.n=32",
+            "solver.route=dense"]))
+        assert not any(report.results["dense"]["bound_flags"])
+        check = next(c for c in report.checks if c["name"] == "bound_states_in_gap")
+        assert check["ok"] is False and not report.ok
+        assert check["value"] == min(report.results["dense"]["eigenvalues"])
+
 
 class TestDiagnostics:
     def test_variational_levels_reported(self, report):
@@ -267,6 +279,23 @@ class TestDiagnostics:
         other = run_command("spectrum", report.config)
         assert other.diagnostics != report.diagnostics
         assert other.report_hash == report.report_hash
+
+    def test_inequalities_fallback_rows_reported(self, monkeypatch):
+        config = parse_config(overrides=["experiments.inequality_n=64"])
+        assert run_command("inequalities", config).diagnostics == {
+            "assembly": {"fallback_rows": 0}}
+        # at tolerance 0 the assemblies send rows to the adaptive routine
+        # (stubbed here: only the count matters), summed over all three: Kato,
+        # and Tix for kappa = -1, 1, each on a 60-node grid
+        real = experiments.assemble_potential
+        monkeypatch.setattr(experiments, "assemble_potential",
+                            lambda *a, **k: real(*a, **k, tol=0.0))
+        rows = []
+        monkeypatch.setattr(assemble, "subtraction_integral_adaptive",
+                            lambda terms, p, *a, **k: rows.append(p) or 0.0)
+        strict = run_command("inequalities", config)
+        assert len(rows) > 3 * 60 // 2
+        assert strict.diagnostics == {"assembly": {"fallback_rows": len(rows)}}
 
     def test_dtn_check_tails_reported(self, monkeypatch):
         config = parse_config(overrides=FAST + DTN_FEW)

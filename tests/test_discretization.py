@@ -128,6 +128,23 @@ class TestOperatorNormH12:
         m = assemble_h12_metric(g)
         assert operator_norm_h12(np.eye(48), m) == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("kind", ["nonsymmetric", "rank1", "stacked"])
+    def test_against_full_svd(self, kind):
+        # the top eigenvalue of the Gram matrix gives the largest singular value
+        rng = np.random.default_rng(7)
+        m = assemble_h12_metric(build_log_grid(60, 1e-4, 1e3))
+        reps = 2 if kind == "stacked" else 1
+        d = np.sqrt(np.tile(m.diagonal, reps))
+        size = d.size
+        A = (np.outer(rng.standard_normal(size), rng.standard_normal(size)) if kind == "rank1"
+             else rng.standard_normal((size, size)) * np.exp(rng.uniform(-5, 5, size))[None, :])
+        oracle = np.linalg.norm(A * d[:, None] / d[None, :], 2)
+        assert operator_norm_h12(A, m) == pytest.approx(oracle, rel=1e-13)
+
+    def test_zero_operator(self):
+        m = assemble_h12_metric(build_grid(32, 1.0))
+        assert operator_norm_h12(np.zeros((64, 64)), m) == 0.0
+
 
 class TestSubtractionIntegrals:
     @pytest.mark.parametrize("n", [8, 12])

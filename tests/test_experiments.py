@@ -3,14 +3,17 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import eigh
 
 from brspec import PhysParams, experiments
 from brspec.assemble import assemble_operator, assemble_potential
-from brspec.channels import ChannelSpec, coulomb_terms, spherical_bessel_transform
+from brspec.channels import (GAUSSIAN_PROFILE, ChannelSpec, br_terms, coulomb_terms,
+                             multiplier_channel_kernel, spherical_bessel_transform)
+from brspec.dirac import a_plus_minus, lambda_of
 from brspec.errors import DomainError
-from brspec.experiments import (commutator_decay, critical_coupling_scan,
+from brspec.experiments import (commutator_decay, commutator_matrix, critical_coupling_scan,
                                 hardy_check, kato_check, scaling_limit, tix_check)
-from brspec.grids import build_grid, build_log_grid
+from brspec.grids import assemble_h12_metric, build_grid, build_log_grid
 from brspec.params import HARDY_CONSTANT, KATO_CONSTANT, TIX_CONSTANT
 from brspec.spectra import dense_spectrum
 
@@ -34,6 +37,22 @@ class TestHardy:
     def test_bad_family(self):
         with pytest.raises(DomainError):
             hardy_check(eps_family=[0.1, -0.2])
+
+    @pytest.mark.parametrize("eps", [0.5, 0.25, 0.1, 0.05, 0.02, 0.01, 1e-3, 3.0])
+    def test_closed_form_against_quadrature(self, eps):
+        # u = r^(1/2+eps) e^-r: both integrands carry the endpoint weight
+        # r^(2 eps - 1), taken by the algebraic-weight rule on [0, 1] and
+        # plain quadrature beyond
+        alpha = 2 * eps - 1
+
+        def integral(f):
+            return (quad(f, 0, 1, weight="alg", wvar=(alpha, 0))[0]
+                    + quad(lambda r: r**alpha * f(r), 1, np.inf, limit=200)[0])
+
+        num = integral(lambda r: np.exp(-2 * r))
+        den = integral(lambda r: (0.5 + eps - r) ** 2 * np.exp(-2 * r))
+        assert hardy_check(eps_family=[eps]).max_ratio == pytest.approx(
+            np.sqrt(num / den), rel=1e-13)
 
     def test_momentum_kernel_crosscheck(self):
         # (psi, r^-1 psi) for psi = e^-r through the channel kernel matrix:
@@ -81,6 +100,33 @@ class TestKato:
             return (coords @ (W @ coords)) / (coords @ (grid.nodes * coords))
 
         assert abs(ratio(1.0) - ratio(4.0)) < 1e-6
+
+
+class TestSharpSupsAgainstGeneralizedEigh:
+    # the checks take one eigenvalue of B^-1/2 W B^-1/2; the oracle is the
+    # whole generalized spectrum of (W, B).  build_log_grid rounds n to whole
+    # panels (n = 64 gives 60 nodes)
+
+    @pytest.mark.parametrize("n", [64, 300])
+    def test_kato(self, n):
+        grid = build_log_grid(n, 1e-6, 1e6)
+        W = -assemble_potential(grid, coulomb_terms(0, PhysParams(Z=1.0)))
+        oracle = eigh(W, np.diag(grid.nodes), eigvals_only=True)[-1]
+        rep = kato_check(n=n)
+        assert rep.max_ratio == pytest.approx(oracle, rel=1e-13)
+        assert rep.fallback_rows == 0
+
+    @pytest.mark.parametrize("n", [64, 300])
+    def test_tix(self, n):
+        base = PhysParams(Z=1.0)
+        mc = base.m * base.c
+        grid = build_log_grid(n, 1e-5 * mc, 2e3 * mc)
+        B = np.diag(lambda_of(grid.nodes, base) / base.c)
+        oracle = [eigh(-assemble_potential(grid, br_terms(ChannelSpec.from_kappa(kappa), base)),
+                       B, eigvals_only=True)[-1] for kappa in (-1, 1)]
+        rep = tix_check(n=n)
+        assert rep.ratios == pytest.approx(oracle, rel=1e-13)
+        assert rep.fallback_rows == 0
 
 
 class TestTix:
@@ -188,6 +234,43 @@ class TestCriticalScanUnitCharge:
 @pytest.fixture(scope="module")
 def decay_report():
     return commutator_decay()
+
+
+def dense_commutator(R, grid, channel, params):
+    """X - G^T X G with the channel rotation G as a dense 2n x 2n matrix,
+    and the multiplier blocks X whose size sets its rounding."""
+    p, n = grid.nodes, grid.n
+    P, Q = np.meshgrid(p, p, indexing="ij")
+    X = np.zeros((2 * n, 2 * n))
+    for block, l in ((slice(0, n), channel.l_up), (slice(n, 2 * n), channel.l_down)):
+        X[block, block] = (multiplier_channel_kernel(GAUSSIAN_PROFILE, l, R, P, Q)
+                           * grid.l2_weights[None, :])
+    ap, am = a_plus_minus(p, params)
+    G = np.block([[np.diag(ap), np.diag(-am)], [np.diag(am), np.diag(ap)]])
+    return X - G.T @ X @ G, X
+
+
+class TestCommutatorMatrix:
+    @pytest.mark.parametrize("kappa", [-1, 1, -2, 2])
+    @pytest.mark.parametrize("R", [0.5, 4.0, 64.0])
+    def test_elementwise_matches_dense_rotation(self, kappa, R):
+        grid = build_log_grid(80, 1e-4, 1e3)
+        params = PhysParams()
+        ch = ChannelSpec.from_kappa(kappa)
+        oracle, X = dense_commutator(R, grid, ch, params)
+        C = commutator_matrix(R, grid, ch, params)
+        # the commutator is a cancellation between terms the size of X, and
+        # both forms round at that size: at R = 64 its entries are ~1e-8 of X
+        assert np.abs(C - oracle).max() <= 1e-15 * np.abs(X).max()
+
+    def test_norms_match_dense_svd(self, decay_report):
+        grid = build_log_grid(160, 1e-4, 1e3)
+        d = np.sqrt(np.tile(assemble_h12_metric(grid).diagonal, 2))
+        ch = ChannelSpec.from_kappa(-1)
+        for R, norm in zip(decay_report.R_values, decay_report.norms):
+            C = dense_commutator(R, grid, ch, PhysParams())[0]
+            oracle = np.linalg.norm(C * d[:, None] / d[None, :], 2)
+            assert norm == pytest.approx(oracle, rel=1e-13)
 
 
 class TestCommutatorDecay:
