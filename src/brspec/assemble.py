@@ -23,7 +23,7 @@ the assembled operator is symmetric.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -52,12 +52,12 @@ def subtraction_profile(p, q):
 # [-1, 0] and [0, 1] a product rule takes the singularity: with
 # Q_l = smooth + logcoef ln|x|, Gauss-Legendre nodes carry the smooth part
 # and Gauss-log nodes (weight -ln|x|) the logcoef part.  Unit-width Gauss
-# panels continue outward to a tail cut per l.  Everything but f_t(p e^x)
-# depends on x alone and the panels are the same in every row, so the
-# weights times Q_l rho are tabulated once per (l, order); a row pays for
-# its mixing factors, and for Q_l only on the at most two panels its domain
-# clips.  Two Gauss orders give the error estimate; rows that miss the
-# tolerance fall back to scipy's adaptive routine.
+# panels continue outward to a tail cut per l.  On the domain (0, inf) this
+# row-centred rule is the same in every row and never clipped, so the
+# weights times Q_l rho are tabulated once per (l, order) and a row pays
+# only for its mixing factors.  A log-panel grid integrates over its own
+# panels instead (below).  Two Gauss orders give the error estimate; rows
+# that miss the tolerance fall back to scipy's adaptive routine.
 
 # Gauss orders of the estimate; with the logarithm in the weight the higher
 # one is at rounding and the lower one within 3.2e-13 of it on the grids,
@@ -84,7 +84,6 @@ def _panel_edges():
 _PANEL_LO, _PANEL_HI = _panel_edges()
 _PRODUCT = np.abs(_PANEL_LO + _PANEL_HI) == 1.0
 _LOG_NODES = np.r_[False, (_PANEL_LO[1:] == _PANEL_LO[:-1]) & (_PANEL_HI[1:] == _PANEL_HI[:-1])]
-_GL_NODES = _PRODUCT & ~_LOG_NODES
 
 
 def _gauss_panels(a, b, rule):
@@ -151,80 +150,137 @@ def _kept_panels(l):
     return kept
 
 
-# rows per block of the panel rule: each row carries ~0.65k quadrature points
-# at order 12, so evaluating all rows at once would make the temporaries
-# dwarf the assembled matrix
+# rows per block of the row-centred rule: each row carries ~0.65k quadrature
+# points at order 12, so evaluating all rows at once would make the
+# temporaries dwarf the assembled matrix
 _ROW_BLOCK = 64
 
 
-def _clipped_sum(terms, f0, p, r, x, w, values):
-    """Per-row sums of f_t(p) f_t(p e^x) values_t rho(x) w over clipped nodes of rows r."""
-    fc = terms.factors(p[r, None] * np.exp(x))
-    v = sum(f[r, None] * fx * val for f, fx, val in zip(f0, fc, values))
-    return np.bincount(r, (v * _rho(x) * w).sum(axis=1), minlength=p.size)
+def _centred_rule_sums(terms, p, order):
+    """Sum over the row-centred rule of f_t(p) f_t(p e^x) Q_l(cosh x) rho(x) w, per row.
 
-
-def _panel_rule_sums(terms, p, xlo, xhi, order):
-    """Sum over the panel rule of f_t(p) f_t(p e^x) Q_l(cosh x) rho(x) w, per row."""
-    ex = np.exp(_rule_nodes(order)[0])
-    tables = [_rule_table(l, order) for l in terms.ls]
+    For the domain (0, inf), which clips no panel of any row.
+    """
     kept = np.logical_or.reduce([_kept_panels(l) for l in terms.ls])
-    rule = gauss_legendre(order)
-    t_prod, w_prod = _product_rule(order)
+    ex = np.exp(_rule_nodes(order)[0][kept]).ravel()
+    tables = [_rule_table(l, order)[kept].ravel() for l in terms.ls]
     fp = terms.factors(p)
     out = np.empty(p.size)
     for lo in range(0, p.size, _ROW_BLOCK):
         rows = slice(lo, lo + _ROW_BLOCK)
-        pr = p[rows]
-        fr = [f[rows] for f in fp]
-        a = np.clip(_PANEL_LO, xlo[rows, None], xhi[rows, None])
-        b = np.clip(_PANEL_HI, xlo[rows, None], xhi[rows, None])
-        whole = (a == _PANEL_LO) & (b == _PANEL_HI)
-        # panels inside the domain: the shared table, masked per row, over
-        # the kept panels that some row of the block has whole
-        live = whole.any(axis=0) & kept
-        inside = np.repeat(whole[:, live], order, axis=1)
-        fq = terms.factors(pr[:, None] * ex[live].ravel())
-        acc = sum(f0 * ((f * inside) @ tab[live].ravel()) for f0, f, tab in zip(fr, fq, tables))
-        clipped = ~whole & (b > a)
-        # unit panels the domain clips: at most one per side of a row, Gauss
-        # on the part inside
-        r, k = np.nonzero(clipped & kept & ~_PRODUCT)
-        if r.size:
-            xc, wc = _gauss_panels(a[r, k], b[r, k], rule)
-            acc += _clipped_sum(terms, fr, pr, r, xc, wc, legendre_q_cosh(terms.ls, xc))
-        # product panels the domain clips to [0, c]: x = c t gives
-        # |c| Int_0^1 (smooth + logcoef (ln|c| + ln t)) dt, the product rule again
-        r, k = np.nonzero(clipped & _GL_NODES)
-        if r.size:
-            c = (a + b)[r, k, None]           # one end is 0: the signed length
-            xc = c * t_prod
-            log_c = np.log(np.abs(c))
-            values = [np.concatenate([s[:, :order] + g[:, :order] * log_c, -g[:, order:]], axis=1)
-                      for s, g in zip(*legendre_q_cosh_split(terms.ls, xc))]
-            acc += _clipped_sum(terms, fr, pr, r, xc, np.abs(c) * w_prod, values)
-        out[rows] = acc
+        fq = terms.factors(p[rows, None] * ex)
+        out[rows] = sum(f0[rows] * (f @ tab) for f0, f, tab in zip(fp, fq, tables))
     return out
 
 
-def subtraction_integrals(terms: KernelTerms, p_nodes, domain, tol=1e-10, counts=None):
-    """I(p_i) = Int_domain k(p_i, q) phi_{p_i}(q) q^2 dq for all rows of the kernel ``terms``.
+# ---------------------------------------------------------------------------
+# The subtraction integrals on a log-panel grid.
+#
+# The window is the panels' span in u = ln q.  Each panel is split into
+# S = ceil(h / _SUB_WIDTH) sub-panels of width g = h/S, K = P S in all, and
+# a row at node r of panel i, u_i = u_0 + h (i + tau_r), lies in sub-panel
+# k_i = i S + floor(S tau_r) at the offset phi_r = S tau_r - floor(S tau_r),
+# both fixed by r.  Sub-panels d = k - k_i with |d| >= 2 carry plain Gauss
+# nodes at x = g (d + s_j - phi_r): weight times Q_l rho is one
+# block-Toeplitz table over (d, j, r), the mixing factors one table over the
+# K sub-panels' nodes, and every row's sum is their correlation along k, one
+# real FFT per (term, order).  What is left, from the start of sub-panel
+# k_i - 1 to u_i and from u_i to the end of k_i + 1, cut at the window, is at
+# most 2 g <= 1 long on either side and takes the product rule of the
+# row-centred rule scaled to its length; its Q_l values depend on the length
+# alone, of which there are at most 2 m per side.  No panel is ever clipped.
 
-    Rows whose two-order panel estimates disagree beyond ``tol`` are
+_SUB_WIDTH = 0.5
+
+
+def _far_table(l, g, s, w, phi, K):
+    """Weight times Q_l(cosh x) rho(x) at x = g (d + s_j - phi_r), shape (offsets, order, m).
+
+    The offsets d, |d| < K, run over the sub-panels that reach into the tail
+    cut of Q_l for some row; the neighbourhood's |d| < 2 are 0.  Returns the
+    table and its first offset.
+    """
+    kept = _kept_panels(l)
+    lo, hi = _PANEL_LO[kept].min(), _PANEL_HI[kept].max()
+    d = np.arange(max(1 - K, int(np.floor(lo / g))), min(K - 1, int(np.ceil(hi / g))) + 1)
+    x = g * (d[:, None, None] + (s[:, None] - phi))
+    far = np.abs(d) >= 2
+    table = np.zeros(x.shape)
+    table[far] = legendre_q_cosh((l,), x[far])[0] * _rho(x[far]) * w[:, None]
+    return table, d[0]
+
+
+def _correlate(f, table, d0):
+    """sum_{k, j} f[k, j] table[k - k_i - d0, j, r] for every sub-panel k_i, shape (K, m).
+
+    The reversed f convolved with the table, read at K - 1 - k_i - d0, by
+    real FFTs zero-padded to hold the whole linear convolution, so that
+    nothing wraps around.
+    """
+    K = f.shape[0]
+    size = 1 << (K + table.shape[0] - 2).bit_length()
+    spectrum = np.fft.rfft(f[::-1], size, axis=0)[:, :, None] * np.fft.rfft(table, size, axis=0)
+    conv = np.fft.irfft(spectrum.sum(axis=1), size, axis=0)
+    return conv[K - 1 - d0 - np.arange(K)]
+
+
+def _log_grid_sums(terms, grid, order):
+    """Sum over the log-grid rule of f_t(p) f_t(p e^x) Q_l(cosh x) rho(x) w, per row."""
+    pan = grid.panels
+    p = grid.nodes
+    S = int(np.ceil(pan.width / _SUB_WIDTH))
+    g = pan.width / S
+    K = pan.count * S
+    sub, phi = np.divmod(S * pan.places(), 1.0)
+    k_row = (S * np.arange(pan.count)[:, None] + sub.astype(int)).ravel()
+    r_row = np.tile(np.arange(pan.order), pan.count)
+    s, w = gauss_legendre(order)
+    s, w = 0.5 * (1.0 + s), 0.5 * g * w
+    f_far = terms.factors(np.exp(pan.log_lo + g * (np.arange(K)[:, None] + s)))
+    # the neighbourhood: one signed length per side and row, cut at the window
+    ends = np.concatenate([-g * (phi[r_row] + np.minimum(k_row, 1)),
+                           g * (1.0 - phi[r_row] + np.minimum(K - 1 - k_row, 1))])
+    lengths, which = np.unique(ends, return_inverse=True)
+    t_prod, w_prod = _product_rule(order)
+    x = lengths[:, None] * t_prod
+    # x = c t on [0, c] gives |c| Int_0^1 (smooth + logcoef (ln|c| + ln t)) dt
+    log_c = np.log(np.abs(lengths))[:, None]
+    weight = np.abs(lengths)[:, None] * w_prod * _rho(x)
+    near = [np.concatenate([sm[:, :order] + lc[:, :order] * log_c, -lc[:, order:]], axis=1) * weight
+            for sm, lc in zip(*legendre_q_cosh_split(terms.ls, x))]
+    which = which.reshape(2, p.size)
+    f_near = terms.factors(p[:, None] * np.exp(x[which]))
+    out = np.zeros(p.size)
+    for l, f0, ff, fn, tab in zip(terms.ls, terms.factors(p), f_far, f_near, near):
+        far = _correlate(ff, *_far_table(l, g, s, w, phi, K))
+        out += f0 * (far[k_row, r_row] + (fn * tab[which]).sum(axis=(0, 2)))
+    return out
+
+
+def subtraction_integrals(terms: KernelTerms, grid: RadialGrid, tol=1e-10, counts=None):
+    """I(p_i) = Int_domain k(p_i, q) phi_{p_i}(q) q^2 dq for every node of the grid.
+
+    A log-panel grid integrates over its panels, any other grid over
+    (0, inf) by the row-centred rule; a finite window without panels is
+    refused.  Rows whose two-order estimates disagree beyond ``tol`` are
     recomputed adaptively; their number is added to ``counts["fallback_rows"]``
     when a ``counts`` dict is given.
     """
-    p = np.asarray(p_nodes, dtype=float)
-    qlo, qhi = domain
-    xlo = np.log(qlo / p) if qlo > 0 else np.full(p.size, -np.inf)
-    xhi = np.log(qhi / p) if np.isfinite(qhi) else np.full(p.size, np.inf)
+    p = grid.nodes
+    if grid.panels is not None:
+        sums = lambda order: _log_grid_sums(terms, grid, order)
+    elif grid.domain == (0.0, np.inf):
+        sums = lambda order: _centred_rule_sums(terms, p, order)
+    else:
+        raise ConfigurationError(
+            f"subtraction integrals over the window {grid.domain} need its log panels")
     pref = -terms.Z / np.pi * p
-    low, out = (pref * _panel_rule_sums(terms, p, xlo, xhi, order) for order in _ORDERS)
+    low, out = (pref * sums(order) for order in _ORDERS)
     err = np.abs(out - low)
     scale = np.maximum(np.abs(out), np.abs(out).max() * 1e-3 + 1e-300)
     bad = np.nonzero(err > tol * scale)[0]
     for i in bad:
-        out[i] = subtraction_integral_adaptive(terms, p[i], domain, tol=tol)
+        out[i] = subtraction_integral_adaptive(terms, p[i], grid.domain, tol=tol)
     if counts is not None:
         counts["fallback_rows"] += bad.size
     return out
@@ -285,22 +341,6 @@ class DiscreteOperator:
             return pot
         raise DomainError("potential split is only direct for the nystrom scheme")
 
-    def with_charge(self, Z):
-        """The same operator at nuclear charge Z, by rescaling the potential.
-
-        The transformed Coulomb kernel is proportional to Z and the
-        subtraction integrals' fallback decision is relative, so
-        lambda(p) + (Z / params.Z) V equals a fresh assembly at charge Z up
-        to rounding; from a unit-charge operator the factor is exactly Z.
-        Nystrom only, like ``potential_part``.
-        """
-        pot = self.potential_part()
-        if self.params.Z == 0:
-            raise DomainError("a zero-charge operator carries no potential to rescale")
-        pot *= Z / self.params.Z
-        pot[np.diag_indices_from(pot)] += self.kinetic_diagonal
-        return replace(self, matrix=pot, params=self.params.replace(Z=float(Z)))
-
     def node_values(self, vec):
         if self.scheme == "nystrom":
             return vec / np.sqrt(self.metric)
@@ -360,7 +400,7 @@ def assemble_potential(grid: RadialGrid, terms: KernelTerms, tol=1e-10, counts=N
     p = grid.nodes
     n = grid.n
     sq = np.sqrt(grid.l2_weights)
-    ints = subtraction_integrals(terms, p, grid.domain, tol=tol, counts=counts)
+    ints = subtraction_integrals(terms, grid, tol=tol, counts=counts)
     diag = [f * np.sqrt(grid.weights) for f in terms.factors(p)]
     strips = (_pointwise_strips(p, terms.ls) if grid.panels is None
               else _toeplitz_strips(grid.panels, terms.ls))

@@ -426,7 +426,7 @@ def _run_critical_scan(config):
         else:
             checks.append(_check(f"Z={r.Z:g}_collapsed", r.exhaustion_drop, ">",
                                  rep.collapse_drop))
-    return payload, checks, {}
+    return payload, checks, {"assembly": {"fallback_rows": rep.fallback_rows}}
 
 
 def _run_nonrel(config):

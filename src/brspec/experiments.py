@@ -19,7 +19,7 @@ from .dirac import a_plus_minus, lambda_of
 from .errors import DomainError
 from .grids import assemble_h12_metric, build_grid, build_log_grid, operator_norm_h12
 from .params import HARDY_CONSTANT, KATO_CONSTANT, TIX_CONSTANT, PhysParams
-from .spectra import dense_spectrum, map_ordered, sweep_workers
+from .spectra import map_ordered, sweep_workers
 
 
 @dataclass
@@ -93,8 +93,8 @@ def kato_check(params: PhysParams = None, n=300, window=(1e-6, 1e6)) -> Inequali
     counts = {"fallback_rows": 0}
     W = -assemble_potential(grid, coulomb_terms(0, base), counts=counts)
     return InequalityReport(
-        "kato", f"grid sup, l=0, n={n}, window={window}",
-        _top_scaled_eigenvalue(W, grid.nodes), KATO_CONSTANT, n,
+        "kato", f"grid sup, l=0, n={grid.n}, window={window}",
+        _top_scaled_eigenvalue(W, grid.nodes), KATO_CONSTANT, grid.n,
         fallback_rows=counts["fallback_rows"])
 
 
@@ -112,8 +112,8 @@ def tix_check(channels=(-1, 1), params: PhysParams = None, n=300) -> InequalityR
                                 counts=counts)
         ratios.append(_top_scaled_eigenvalue(W, b))
     return InequalityReport(
-        "tix", f"grid sup over channels {tuple(channels)}, n={n}",
-        max(ratios), TIX_CONSTANT, len(ratios) * n, ratios,
+        "tix", f"grid sup over channels {tuple(channels)}, n={grid.n}",
+        max(ratios), TIX_CONSTANT, len(ratios) * grid.n, ratios,
         fallback_rows=counts["fallback_rows"])
 
 
@@ -138,6 +138,7 @@ class CriticalScanReport:
     rows: list
     stability_tol: float
     collapse_drop: float
+    fallback_rows: int = 0      # subtraction rows recomputed by adaptive quad
 
 
 def critical_coupling_scan(Z_values, grid_sizes=(100, 200, 400), kappa=-1,
@@ -166,21 +167,34 @@ def critical_coupling_scan(Z_values, grid_sizes=(100, 200, 400), kappa=-1,
              + [build_log_grid(n, 1e-3 * mc * sizes[0] / n, 5.0 * mc * n) for n in sizes])
     ref = base.replace(Z=min(1.0, 0.5 * base.critical_charge))
     ops = map_ordered(lambda grid: assemble_operator(grid, ch, ref), grids, workers)
+    for op in ops:      # each matrix becomes its reference potential V, in place
+        op.matrix[np.diag_indices(op.n)] -= op.kinetic_diagonal
+    flat = np.empty(max(op.n for op in ops) ** 2)
 
-    def run(Z):
-        lam1 = [float(dense_spectrum(op.with_charge(Z), 1).eigenvalues[0]) for op in ops]
+    def ground_level(op, Z):
+        # Z V + diag(lambda) in the one reused buffer; assembly makes it
+        # exactly symmetric, so the F-ordered view is the same matrix and
+        # LAPACK works on it in place.  The eigensolves run on this thread:
+        # LAPACK's eigen wrappers hold the GIL, so sweep threads gain nothing
+        buf = flat[:op.n * op.n].reshape(op.n, op.n)
+        np.multiply(op.matrix, Z / ref.Z, out=buf)
+        buf[np.diag_indices(op.n)] += op.kinetic_diagonal
+        return float(eigh(buf.T, subset_by_index=[0, 0], eigvals_only=True, overwrite_a=True)[0])
+
+    rows = []
+    for Z in Z_values:
+        lam1 = [ground_level(op, Z) for op in ops]
         fixed, grow = lam1[:len(sizes)], lam1[len(sizes):]
         variation = max(fixed) - min(fixed)
         drop = grow[0] - grow[-1]
-        return CriticalScanRow(
+        rows.append(CriticalScanRow(
             Z=float(Z), grid_sizes=sizes, lambda1_fixed=fixed,
             lambda1_exhaustion=grow, variation_fixed=variation,
             exhaustion_drop=drop,
             stable=bool(variation < stability_tol and min(fixed) > 0),
-            collapsed=bool(drop > collapse_drop))
-
-    rows = map_ordered(run, [float(Z) for Z in Z_values], workers)
-    return CriticalScanReport(rows, stability_tol, collapse_drop)
+            collapsed=bool(drop > collapse_drop)))
+    return CriticalScanReport(rows, stability_tol, collapse_drop,
+                              sum(op.fallback_rows for op in ops))
 
 
 # ---------------------------------------------------------------------------

@@ -71,13 +71,13 @@ class LogPanels:
     count: int
     order: int
 
-    def _places(self):
-        # node positions inside a panel, as fractions of its width
+    def places(self):
+        """Node positions inside a panel, as fractions of its width."""
         return 0.5 * (1.0 + gauss_legendre(self.order)[0])
 
     def node_logs(self):
         """ln p of every node, panel by panel."""
-        return self.log_lo + self.width * (np.arange(self.count)[:, None] + self._places())
+        return self.log_lo + self.width * (np.arange(self.count)[:, None] + self.places())
 
     def offsets(self):
         """x = ln(p_j/p_i) from node a of panel i to node b of panel i + d.
@@ -85,7 +85,7 @@ class LogPanels:
         Shape (2 count - 1, order, order) for d = -(count-1) .. count-1;
         exactly antisymmetric under (d, a, b) -> (-d, b, a).
         """
-        s = self._places()
+        s = self.places()
         d = np.arange(1 - self.count, self.count, dtype=float)
         return self.width * (d[:, None, None] + (s[None, None, :] - s[None, :, None]))
 

@@ -297,6 +297,31 @@ class TestDiagnostics:
         assert len(rows) > 3 * 60 // 2
         assert strict.diagnostics == {"assembly": {"fallback_rows": len(rows)}}
 
+    def test_critical_scan_fallback_rows_reported(self, monkeypatch):
+        config = parse_config()
+        base = run_command("critical-scan", config)
+        assert base.diagnostics == {"assembly": {"fallback_rows": 0}}
+        # the count stays out of report_hash
+        real_run = _COMMANDS["critical-scan"]
+        altered = real_run._replace(run=lambda config: (
+            *real_run.run(config)[:2], {"assembly": {"fallback_rows": 7}}))
+        monkeypatch.setitem(_COMMANDS, "critical-scan", altered)
+        other = run_command("critical-scan", config)
+        assert other.diagnostics != base.diagnostics
+        assert other.report_hash == base.report_hash
+        monkeypatch.undo()
+        # at tolerance 0 the six assemblies send rows to the adaptive routine
+        # (stubbed here: only the count matters), summed over all of them
+        real = experiments.assemble_operator
+        monkeypatch.setattr(experiments, "assemble_operator",
+                            lambda *a, **k: real(*a, **k, tol=0.0))
+        rows = []
+        monkeypatch.setattr(assemble, "subtraction_integral_adaptive",
+                            lambda terms, p, *a, **k: rows.append(p) or 0.0)
+        strict = run_command("critical-scan", config)
+        assert len(rows) > 2 * (100 + 200 + 400) // 2
+        assert strict.diagnostics == {"assembly": {"fallback_rows": len(rows)}}
+
     def test_dtn_check_tails_reported(self, monkeypatch):
         config = parse_config(overrides=FAST + DTN_FEW)
         base = run_command("dtn-check", config)

@@ -156,24 +156,45 @@ class TestSubtractionIntegrals:
         assert np.all(np.abs(w @ t[:, None] ** j - exact) <= 1e-15)
         assert np.all((t > 0) & (t < 1)) and np.all(w > 0)
 
-    @pytest.mark.parametrize("terms", [
-        *(br_terms(ChannelSpec.from_kappa(k), PhysParams(Z=30.0), fw)
-          for k in (-1, 1, -2, 2, -3, 3) for fw in (0.025, 1.0)),
-        *(coulomb_terms(l, PhysParams(Z=30.0)) for l in range(4)),
+    @pytest.mark.parametrize("terms, grid, rows", [
+        # h = 1.54: S = 4 sub-panels a panel, K = 24.  The window holds the
+        # mixing factors' transition at p = mc and, at fw_scale 0.025, at 40 mc
+        *((terms, build_log_grid(60, 10.0, 1e5), [0, 3, 5, 54, 56, 59]) for terms in (
+            *(br_terms(ChannelSpec.from_kappa(k), PhysParams(Z=30.0), fw)
+              for k in (-1, 1, -2, 2, -3, 3) for fw in (0.025, 1.0)),
+            *(coulomb_terms(l, PhysParams(Z=30.0)) for l in range(4)))),
+        # h = 0.46: one sub-panel a panel, K = 20
+        *((terms, build_log_grid(200, 10.0, 1e5), [0, 10, 20, 179, 189, 199]) for terms in (
+            br_terms(CH, PhysParams(Z=30.0)), br_terms(CH, PhysParams(Z=30.0), 0.025),
+            coulomb_terms(3, PhysParams(Z=30.0)))),
     ])
-    def test_clipped_product_panels_match_adaptive(self, terms):
-        # the first and last three rows sit 0.02, 0.43 and 0.88 from the
-        # window's edge in ln p, so the edge cuts their product panel; the
-        # window holds the mixing factors' transition at p = mc and, at
-        # fw_scale 0.025, at 40 mc
-        g = build_log_grid(60, 10.0, 1e5)
-        rows = [0, 3, 5, 54, 56, 59]
-        edge = np.minimum(np.log(g.nodes / g.domain[0]), np.log(g.domain[1] / g.nodes))
-        assert np.all(edge[rows] < 1.0)
-        vals = subtraction_integrals(terms, g.nodes, g.domain)
+    def test_clipped_product_panels_match_adaptive(self, terms, grid, rows):
+        # the rows lie in the first three and last three sub-panels, so the
+        # window's edge cuts or bounds their neighbourhood; rows 0 and n - 1
+        # sit 0.013 h from it
+        pan = grid.panels
+        S = int(np.ceil(pan.width / 0.5))
+        K = pan.count * S
+        sub = np.floor((np.log(grid.nodes[rows]) - pan.log_lo) / (pan.width / S))
+        assert list(sub) == [0, 1, 2, K - 3, K - 2, K - 1]
+        vals = subtraction_integrals(terms, grid)
         for i in rows:
-            ref = subtraction_integral_adaptive(terms, g.nodes[i], g.domain, tol=1e-13)
+            ref = subtraction_integral_adaptive(terms, grid.nodes[i], grid.domain, tol=1e-13)
             assert vals[i] == pytest.approx(ref, rel=1e-12)
+
+    def test_finite_window_needs_panels(self):
+        grid = build_log_grid(60, 10.0, 1e5)
+        with pytest.raises(ConfigurationError, match="log panels"):
+            subtraction_integrals(coulomb_terms(0, PhysParams(Z=1.0)), replace(grid, panels=None))
+
+    def test_log_grid_orders_agree(self):
+        # the two Gauss orders of the error estimate, far inside the fallback
+        # tolerance on grids with S = 1, 2 and 4 sub-panels a panel
+        for grid in (build_log_grid(200, 10.0, 1e5), build_log_grid(100, 10.0, 1e5),
+                     build_log_grid(60, 10.0, 1e5)):
+            for terms in (br_terms(CH, PhysParams(Z=30.0)), coulomb_terms(3, PhysParams(Z=30.0))):
+                low, high = (assemble._log_grid_sums(terms, grid, o) for o in assemble._ORDERS)
+                assert np.abs(high - low).max() <= 1e-13 * np.abs(high).max()
 
     @pytest.mark.parametrize("l", range(4))
     def test_tail_cut_drops_below_bound(self, l):
@@ -209,15 +230,31 @@ class TestSubtractionIntegrals:
                 seen.append(np.size(p))
             return base.mixing(p)
 
-        p = build_grid(100, 1.0).nodes
-        subtraction_integrals(replace(base, mixing=counting), p, (0.0, np.inf))
-        assert sum(seen) / p.size <= 1100
+        grid = build_grid(100, 1.0)
+        subtraction_integrals(replace(base, mixing=counting), grid)
+        assert sum(seen) / grid.n <= 1100
+
+    def test_mixing_points_per_log_grid_row(self):
+        # per Gauss order o, the K o nodes of the far sub-panels are shared
+        # by all rows, and each row evaluates its own p and 2 o product nodes
+        # on either side; over both orders (20 nodes) with S = 4 and m = 10,
+        # K = 24: (24 * 20 + 60 * (2 + 4 * 20)) / 60 = 90 a row
+        base = br_terms(CH, PhysParams(Z=1.0))
+        seen = []
+
+        def counting(p):
+            seen.append(np.size(p))
+            return base.mixing(p)
+
+        grid = build_log_grid(60, 10.0, 1e5)
+        subtraction_integrals(replace(base, mixing=counting), grid)
+        assert sum(seen) / grid.n <= 100
 
     def test_panel_rule_matches_adaptive(self):
         params = PhysParams(Z=1.0)
         g = build_grid(60, 1.0)
         kern = br_terms(CH, params)
-        vals = subtraction_integrals(kern, g.nodes, g.domain)
+        vals = subtraction_integrals(kern, g)
         for i in range(0, 60, 9):
             ref = subtraction_integral_adaptive(kern, g.nodes[i], g.domain, tol=1e-13)
             assert vals[i] == pytest.approx(ref, rel=1e-11)
@@ -226,7 +263,7 @@ class TestSubtractionIntegrals:
         params = PhysParams(Z=2.0)
         g = build_log_grid(60, 1e-2, 1e2)
         kern = br_terms(CH, params)
-        vals = subtraction_integrals(kern, g.nodes, g.domain)
+        vals = subtraction_integrals(kern, g)
         for i in (0, 17, 44, 59):
             ref = subtraction_integral_adaptive(kern, g.nodes[i], g.domain, tol=1e-13)
             assert vals[i] == pytest.approx(ref, rel=1e-10)
@@ -262,12 +299,17 @@ def _plain_q_l_series(l, u):
 
 class TestKernelEvaluation:
     @pytest.mark.parametrize("grid, evaluations", [
-        # l = 0 and 1 at the fill's P m^2 - m = 990 panel offsets and on the
-        # panels the window clips, over both Gauss orders (8 + 12 nodes a
-        # panel): 165 clipped unit panels inside the tail cut of 20 nodes
-        # and 12 clipped product panels of 40 (Gauss-Legendre and Gauss-log),
-        # 2 (990 + 165 * 20 + 12 * 40) = 9540 (the pairwise fill took 366,612)
-        (build_log_grid(100, 1e-4, 2e3), 9540),
+        # l = 0 and 1 at the fill's P m^2 - m = 990 panel offsets, and in the
+        # subtraction rule over both Gauss orders (8 + 12 nodes): h = 1.68
+        # gives S = 4 sub-panels of g = 0.42, K = 40, and the far table holds
+        # m * 20 values per offset 2 <= |d| < K inside the tail cut, 68 for
+        # l = 0 (d = -31..39) and 61 for l = 1 (d = -24..39); the
+        # neighbourhood has 13 segment lengths a side (10 whole, 3 cut by
+        # the window) of 2 * 20 product nodes:
+        # 2 * 990 + (68 + 61) * 10 * 20 + 2 * 26 * 40 = 29,860 (9,540 with
+        # the row-centred rule clipped at the window, which evaluated Q_l per
+        # row; the pairwise fill took 366,612)
+        (build_log_grid(100, 1e-4, 2e3), 29860),
         # l = 0 and 1 at the 4,950 node pairs; the domain (0, inf) clips no
         # panel (the pairwise fill took 602,900)
         (build_grid(100, 1.0), 9900),
@@ -313,17 +355,20 @@ class TestKernelEvaluation:
 
 
 class TestToeplitzFill:
-    """The log grid's block-Toeplitz fill against the pointwise fill on the same nodes."""
+    """The log grid's block-Toeplitz fill against the pointwise fill on the same nodes
+    (and the same subtraction integrals, which need the grid's panels)."""
 
     @pytest.mark.parametrize("terms, window", [
         (br_terms(CH, PhysParams(Z=40.0)), (4e-3, 8e4)),
         (br_terms(ChannelSpec.from_kappa(2), PhysParams(Z=80.0), fw_scale=0.3), (1e-2, 5e4)),
         (coulomb_terms(1, PhysParams(c=1.0, m=1.0, Z=3.0)), (1e-4, 1e3)),
     ])
-    def test_matches_pointwise_fill(self, terms, window):
+    def test_matches_pointwise_fill(self, terms, window, monkeypatch):
         grid = build_log_grid(400, *window)
         toeplitz = assemble_potential(grid, terms)
-        pointwise = assemble_potential(replace(grid, panels=None), terms)
+        monkeypatch.setattr(assemble, "_toeplitz_strips",
+                            lambda panels, ls: assemble._pointwise_strips(grid.nodes, ls))
+        pointwise = assemble_potential(grid, terms)
         off = ~np.eye(grid.n, dtype=bool)
         assert np.all(np.abs(toeplitz - pointwise)[off] <= 1e-12 * np.abs(pointwise[off]))
         assert np.array_equal(toeplitz, toeplitz.T)

@@ -128,6 +128,12 @@ class TestSharpSupsAgainstGeneralizedEigh:
         assert rep.ratios == pytest.approx(oracle, rel=1e-13)
         assert rep.fallback_rows == 0
 
+    def test_samples_are_the_grid_nodes(self):
+        # n = 64 builds 60 nodes: the reports count and describe those
+        kato, tix = kato_check(n=64), tix_check(n=64)
+        assert kato.sample_count == 60 and "n=60," in kato.trial_family_description
+        assert tix.sample_count == 2 * 60 and tix.trial_family_description.endswith("n=60")
+
 
 class TestTix:
     def test_constant_value(self):
@@ -223,12 +229,6 @@ class TestCriticalScanUnitCharge:
                 .eigenvalues[0] for n in sizes]
         assert [r.Z for r in rep.rows] == [0.5, 2.0]
         assert np.abs(np.array(rep.rows[0].lambda1_fixed) - direct).max() <= 1e-12 * params.mc2
-
-    def test_with_charge_is_nystrom_only(self):
-        op = assemble_operator(build_grid(32, 1.0), ChannelSpec.from_kappa(-1),
-                               PhysParams(Z=1.0), scheme="galerkin")
-        with pytest.raises(DomainError):
-            op.with_charge(2.0)
 
 
 @pytest.fixture(scope="module")
