@@ -439,10 +439,11 @@ def assemble_operator(grid: RadialGrid, channel: ChannelSpec, params: PhysParams
 
 
 def assemble_nonrel_operator(grid: RadialGrid, l, params: PhysParams,
-                             tol=1e-10) -> DiscreteOperator:
-    """Nonrelativistic comparison operator p^2/2m + Coulomb channel-l kernel."""
+                             tol=1e-10, counts=None) -> DiscreteOperator:
+    """Nonrelativistic comparison operator p^2/2m + Coulomb channel-l kernel;
+    ``counts`` goes to ``assemble_potential``."""
     kin = grid.nodes**2 / (2 * params.m)
-    M = assemble_potential(grid, coulomb_terms(l, params), tol=tol)
+    M = assemble_potential(grid, coulomb_terms(l, params), tol=tol, counts=counts)
     M[np.diag_indices(grid.n)] += kin
     channel = ChannelSpec.from_kappa(-(l + 1) if l < 3 else l)  # l_up = l
     return DiscreteOperator(M, grid, channel, params, grid.l2_weights,

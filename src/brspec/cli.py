@@ -399,14 +399,14 @@ def _run_scaling(config):
     rep = scaling_limit(config["experiments"]["eta_values"],
                         kappa=config["channel"]["kappa"], params=params)
     payload = asdict(rep)
-    del payload["flagged"]
+    del payload["flagged"], payload["fallback_rows"]
     rel = abs(rep.leading_coefficient - rep.oracle_coefficient) / rep.oracle_coefficient
     checks = [
         _check("leading_coefficient_match", rel, "<", 0.02),
         _check("remainder_exponent", rep.remainder_exponent, ">=", 1.7),
         _check("monotone_divergence", rep.monotone_divergence, "==", True),
     ]
-    return payload, checks, {}
+    return payload, checks, {"assembly": {"fallback_rows": rep.fallback_rows}}
 
 
 def _run_critical_scan(config):
@@ -426,7 +426,8 @@ def _run_critical_scan(config):
         else:
             checks.append(_check(f"Z={r.Z:g}_collapsed", r.exhaustion_drop, ">",
                                  rep.collapse_drop))
-    return payload, checks, {"assembly": {"fallback_rows": rep.fallback_rows}}
+    return payload, checks, {"assembly": {"fallback_rows": rep.fallback_rows},
+                             "eigen": rep.eigen}
 
 
 def _run_nonrel(config):
@@ -436,13 +437,14 @@ def _run_nonrel(config):
     l = ChannelSpec.from_kappa(config["channel"]["kappa"]).l_up
     grid = build_grid(n, max(Z, 1.0))
     k = config["solver"]["k"]
-    vals = nonrel_spectrum(grid, Z, l, k, params)
+    counts = {"fallback_rows": 0}
+    vals = nonrel_spectrum(grid, Z, l, k, params, counts=counts)
     exact = [-Z**2 / (2.0 * (l + 1 + j) ** 2) for j in range(k)]
     errors = [abs(v - e) for v, e in zip(vals, exact)]
     payload = {"Z": Z, "l": l, "levels": list(range(l + 1, l + 1 + k)),
                "computed": vals.tolist(), "exact": exact, "errors": errors}
     checks = [_check("hydrogen_levels", max(errors), "<", 1e-4)]
-    return payload, checks, {}
+    return payload, checks, {"assembly": counts}
 
 
 # ---------------------------------------------------------------------------

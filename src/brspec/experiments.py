@@ -7,16 +7,19 @@ returns a report dataclass with the computed quantities and pass flags;
 report invariants are enforced by the acceptance suite.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.linalg.blas import dtrsv
+from scipy.linalg.lapack import dpotrf
 
 from .assemble import assemble_operator, assemble_potential
 from .channels import (GAUSSIAN_PROFILE, ChannelSpec, br_terms, coulomb_terms,
                        multiplier_channel_kernel, spherical_bessel_transform)
 from .dirac import a_plus_minus, lambda_of
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .grids import assemble_h12_metric, build_grid, build_log_grid, operator_norm_h12
 from .params import HARDY_CONSTANT, KATO_CONSTANT, TIX_CONSTANT, PhysParams
 from .spectra import map_ordered, sweep_workers
@@ -139,6 +142,91 @@ class CriticalScanReport:
     stability_tol: float
     collapse_drop: float
     fallback_rows: int = 0      # subtraction rows recomputed by adaptive quad
+    eigen: dict = field(default_factory=dict)   # eigh calls, factorizations, solves
+
+
+# Shifted inverse iteration for the scan's warm charges.  The first shift
+# sits a twentieth of the spectral gap below the best guess of lambda_1, a
+# rejected shift moves four times as far, and a contraction slower than 0.3
+# per solve moves the shift up again.  The residual target is 1e-13 of the
+# largest diagonal entry lambda(p_max), the scale of the matrix: about a
+# hundred times the residual of a converged ``eigh`` vector, while the
+# Rayleigh quotient then errs by at most residual^2 / gap.  A level that
+# spends MAX_STEPS factorizations and solves raises NumericalError; the
+# benchmark scan's slowest level takes 20.
+SHIFT_FRACTION = 0.05
+SHIFT_GROWTH = 4.0
+SLOW_CONTRACTION = 0.3
+RESIDUAL_TOL = 1e-13
+MAX_STEPS = 100
+
+
+def _ground_level(V, scale, kinetic, x, gap, guess, buf, counts):
+    """lambda_1 of A = scale*V + diag(kinetic) by inverse iteration from x.
+
+    Each shift sigma is tried by factoring A - sigma in ``buf``, in place:
+    ``dpotrf`` succeeds only when sigma < lambda_1 (to rounding), and when
+    it fails lambda_1 <= sigma, so the shifts close in on lambda_1 from both
+    sides; the Rayleigh quotient of x bounds it above, and ``guess`` only
+    places the first shift.  From a certified shift the iteration converges
+    to the ground state, and it stops once ||A x - theta x|| meets the
+    target, theta the Rayleigh quotient.  Returns (theta, x, gap), the gap
+    lambda_2 - lambda_1 re-estimated from the contraction
+    (lambda_1 - sigma) / (lambda_2 - sigma) of the last solve.
+    """
+    n = kinetic.size
+    diag = np.diag_indices(n)
+    target = RESIDUAL_TOL * np.abs(kinetic).max()
+
+    def rayleigh(x):                        # theta and ||A x - theta x|| of a unit x
+        y = V @ x
+        y *= scale
+        y += kinetic * x
+        theta = x @ y
+        y -= theta * x
+        return theta, math.sqrt(y @ y)
+
+    lo, hi = -math.inf, rayleigh(x)[0]
+    step = max(SHIFT_FRACTION * gap, target)
+    sigma = min(hi, guess) - step
+    steps = solves = 0
+    while True:
+        np.multiply(V, scale, out=buf)
+        buf[diag] += kinetic - sigma
+        chol, info = dpotrf(buf.T, clean=0, overwrite_a=1)
+        counts["factorizations"] += 1
+        steps += 1
+        if info:                                    # A - sigma is not positive definite
+            counts["rejected_shifts"] += 1
+            hi, step = sigma, SHIFT_GROWTH * step
+        else:
+            lo, res = sigma, math.inf
+            while steps < MAX_STEPS:
+                # (U^T U)^-1 x by two triangular solves, level-2 BLAS
+                x = dtrsv(chol, dtrsv(chol, x, trans=1, overwrite_x=1), overwrite_x=1)
+                x *= 1.0 / math.sqrt(x @ x)
+                counts["solves"] += 1
+                steps += 1
+                solves += 1
+                prev = res
+                theta, res = rayleigh(x)
+                hi = min(hi, theta)
+                rate = res / prev
+                if 0 < rate < 1:
+                    gap = (theta - sigma) * (1 / rate - 1)
+                if res <= target:
+                    counts["max_solves_per_level"] = max(counts["max_solves_per_level"],
+                                                         solves)
+                    return theta, x, gap
+                if rate > SLOW_CONTRACTION:         # the shift lies too far below lambda_1
+                    step = max(SHIFT_FRACTION * gap, target)
+                    break
+        if steps >= MAX_STEPS:
+            raise NumericalError(
+                f"inverse iteration for the ground level (n={n}) did not reach the "
+                f"residual target {target:.3g} in {MAX_STEPS} steps",
+                payload={"lower_bound": lo, "upper_bound": hi})
+        sigma = max(hi - step, 0.5 * (lo + hi))     # never below a certified shift
 
 
 def critical_coupling_scan(Z_values, grid_sizes=(100, 200, 400), kappa=-1,
@@ -149,7 +237,11 @@ def critical_coupling_scan(Z_values, grid_sizes=(100, 200, 400), kappa=-1,
     window (a bounded-below truncation whose ground level is stable exactly
     when the coupling is subcritical), and window exhaustion coupled to n
     (supercritical couplings dive without stabilizing as the scales open
-    up; subcritical ones drift by their truncation bias only).
+    up; subcritical ones drift by their truncation bias only).  The first
+    charge's ground levels come from ``eigh``, every later one from inverse
+    iteration warm-started at the previous charge's ground state; a level
+    that does not converge within ``MAX_STEPS`` factorizations and solves
+    raises ``NumericalError``.
     """
     base = params or PhysParams()
     ch = ChannelSpec.from_kappa(kappa)
@@ -170,20 +262,39 @@ def critical_coupling_scan(Z_values, grid_sizes=(100, 200, 400), kappa=-1,
     for op in ops:      # each matrix becomes its reference potential V, in place
         op.matrix[np.diag_indices(op.n)] -= op.kinetic_diagonal
     flat = np.empty(max(op.n for op in ops) ** 2)
+    counts = dict.fromkeys(("eigh_calls", "factorizations", "rejected_shifts",
+                            "solves", "max_solves_per_level"), 0)
+    states = [None] * len(ops)      # per grid: (ground vector, gap) at the last charge
 
-    def ground_level(op, Z):
-        # Z V + diag(lambda) in the one reused buffer; assembly makes it
-        # exactly symmetric, so the F-ordered view is the same matrix and
-        # LAPACK works on it in place.  The eigensolves run on this thread:
-        # LAPACK's eigen wrappers hold the GIL, so sweep threads gain nothing
+    def ground_level(k, Z, guess):
+        # Z V + diag(lambda) lives in the one reused buffer; assembly makes
+        # it exactly symmetric, so the F-ordered view is the same matrix and
+        # LAPACK works on it in place.  The eigen phase runs on this thread:
+        # LAPACK's wrappers hold the GIL, so sweep threads gain nothing
+        op = ops[k]
         buf = flat[:op.n * op.n].reshape(op.n, op.n)
-        np.multiply(op.matrix, Z / ref.Z, out=buf)
-        buf[np.diag_indices(op.n)] += op.kinetic_diagonal
-        return float(eigh(buf.T, subset_by_index=[0, 0], eigvals_only=True, overwrite_a=True)[0])
+        if states[k] is None:
+            np.multiply(op.matrix, Z / ref.Z, out=buf)
+            buf[np.diag_indices(op.n)] += op.kinetic_diagonal
+            w, v = eigh(buf.T, subset_by_index=[0, 1], overwrite_a=True)
+            counts["eigh_calls"] += 1
+            states[k] = v[:, 0], w[1] - w[0]
+            return float(w[0])
+        lam1, x, gap = _ground_level(op.matrix, Z / ref.Z, op.kinetic_diagonal,
+                                     *states[k], guess, buf, counts)
+        states[k] = x, gap
+        return float(lam1)
 
-    rows = []
+    rows, last = [], None
     for Z in Z_values:
-        lam1 = [ground_level(op, Z) for op in ops]
+        lam1 = []
+        for k in range(len(ops)):
+            # a finer grid's level is guessed from the next coarser one of its
+            # family at this charge plus their offset at the previous charge
+            finer = last is not None and k % len(sizes) > 0
+            guess = lam1[k - 1] + last[k] - last[k - 1] if finer else math.inf
+            lam1.append(ground_level(k, Z, guess))
+        last = lam1
         fixed, grow = lam1[:len(sizes)], lam1[len(sizes):]
         variation = max(fixed) - min(fixed)
         drop = grow[0] - grow[-1]
@@ -194,7 +305,7 @@ def critical_coupling_scan(Z_values, grid_sizes=(100, 200, 400), kappa=-1,
             stable=bool(variation < stability_tol and min(fixed) > 0),
             collapsed=bool(drop > collapse_drop)))
     return CriticalScanReport(rows, stability_tol, collapse_drop,
-                              sum(op.fallback_rows for op in ops))
+                              sum(op.fallback_rows for op in ops), counts)
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +329,21 @@ def commutator_matrix(R, grid, channel: ChannelSpec, params: PhysParams,
     components, X = diag(Xu, Xd); the transformation acts momentum-diagonally
     through the channel rotation G = [[A, -B], [B, A]] with A = diag(a_+),
     B = diag(a_-), so the commutator reduces to X - G^T X G.  Diagonal
-    factors act elementwise, diag(a) Y diag(b) = (a b^T) o Y, which gives
-    each block from outer products of the mixing coefficients, e.g.
-    C_11 = Xu - (a_+ a_+^T) o Xu - (a_- a_-^T) o Xd.  The matrix acts on
-    node values (quadrature weights on the columns).
+    factors act elementwise, diag(a) Y diag(b) = (a b^T) o Y, so each block
+    comes from outer products of the mixing coefficients.  Written as X
+    minus its rotation, every block cancels terms the size of X: at R = 64
+    the commutator is 1e-8 of X.  With a_+^2 + a_-^2 = 1 and the differences
+    da_ij = a_i - a_j the blocks carry no such cancellation in a:
+
+        C_11 = s o Xu + (a_- a_-^T) o (Xu - Xd)
+        C_22 = s o Xd - (a_- a_-^T) o (Xu - Xd)
+        C_12 = (a_+ a_-^T) o (Xu - Xd) + t o Xd
+        C_21 = (a_- a_+^T) o (Xu - Xd) - t o Xd
+
+    with s = (da_+^2 + da_-^2)/2 and t_ij = a_+i a_-j - a_-i a_+j =
+    a_-i da_+ij - a_+i da_-ij; Xu - Xd still cancels where the two kernels
+    agree.  The matrix acts on node values (quadrature weights on the
+    columns).
     """
     p = grid.nodes
     n = grid.n
@@ -230,12 +352,16 @@ def commutator_matrix(R, grid, channel: ChannelSpec, params: PhysParams,
     Xu = multiplier_channel_kernel(chi_profile, channel.l_up, R, P, Q) * lw[None, :]
     Xd = multiplier_channel_kernel(chi_profile, channel.l_down, R, P, Q) * lw[None, :]
     ap, am = a_plus_minus(p, params)
-    pp, mm, pm = np.outer(ap, ap), np.outer(am, am), np.outer(ap, am)
+    dp, dm = ap[:, None] - ap[None, :], am[:, None] - am[None, :]
+    s = 0.5 * (dp * dp + dm * dm)
+    t = am[:, None] * dp - ap[:, None] * dm
+    mm, pm = np.outer(am, am), np.outer(ap, am)
+    diff = Xu - Xd
     C = np.empty((2 * n, 2 * n))
-    C[:n, :n] = Xu - pp * Xu - mm * Xd
-    C[:n, n:] = pm * Xu - pm.T * Xd
-    C[n:, :n] = pm.T * Xu - pm * Xd
-    C[n:, n:] = Xd - mm * Xu - pp * Xd
+    C[:n, :n] = s * Xu + mm * diff
+    C[:n, n:] = pm * diff + t * Xd
+    C[n:, :n] = pm.T * diff - t * Xd
+    C[n:, n:] = s * Xd - mm * diff
     return C
 
 
@@ -276,6 +402,7 @@ class ScalingLimitReport:
     remainder_exponent: float
     monotone_divergence: bool
     flagged: bool
+    fallback_rows: int = 0      # subtraction rows recomputed by adaptive quad
 
 
 def scaling_limit(eta_values=(0.4, 0.2, 0.1, 0.05, 0.025), grid=None,
@@ -304,8 +431,9 @@ def scaling_limit(eta_values=(0.4, 0.2, 0.1, 0.05, 0.025), grid=None,
     coords = coords / np.linalg.norm(coords)
 
     forms = []
+    counts = {"fallback_rows": 0}
     for eta in etas:
-        P = assemble_potential(grid, br_terms(ch, base, fw_scale=eta))
+        P = assemble_potential(grid, br_terms(ch, base, fw_scale=eta), counts=counts)
         forms.append(float(eta * (coords @ (P @ coords))))
 
     # F/eta = -A + B eta^(e-1): successive differences of d = F/eta cancel A,
@@ -337,4 +465,5 @@ def scaling_limit(eta_values=(0.4, 0.2, 0.1, 0.05, 0.025), grid=None,
     monotone = bool(np.all(np.diff(normalized) < 0) and normalized[-1] < 0)
     flagged = not (np.isfinite(A) and np.isfinite(slope))
     return ScalingLimitReport([float(e) for e in etas], forms, float(A),
-                              float(oracle), slope, monotone, flagged)
+                              float(oracle), slope, monotone, flagged,
+                              counts["fallback_rows"])

@@ -196,16 +196,17 @@ def variational_spectrum(op: DiscreteOperator, k, tol=1e-10, max_iter=2000) -> S
                           _grid_meta(op.grid), trace)
 
 
-def nonrel_spectrum(grid: RadialGrid, Z, l, k, params: PhysParams = None):
+def nonrel_spectrum(grid: RadialGrid, Z, l, k, params: PhysParams = None, counts=None):
     """Eigenvalues of p^2/2m + Coulomb channel-l kernel (mixing switched off).
 
     The nonrelativistic comparison operator; its bound states sit at
     -Z^2/(2 n^2) and act as the large-c oracle for the binding energies.
+    ``counts`` goes to the assembly, as in ``assemble_potential``.
     """
     if not Z > 0:
         raise DomainError("nonrel_spectrum requires Z > 0")
     base = params or PhysParams()
-    op = assemble_nonrel_operator(grid, l, base.replace(Z=float(Z)))
+    op = assemble_nonrel_operator(grid, l, base.replace(Z=float(Z)), counts=counts)
     return dense_spectrum(op, k).eigenvalues
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brspec import assemble, cli, experiments
+from brspec import assemble, cli, experiments, spectra
 from brspec.cli import (COMMANDS, OPS, main, parse_config, read_report, run_command,
                         write_report, _COMMANDS, _DEFAULT_CONFIG, _RULES, _validate)
 from brspec.errors import ConfigurationError
@@ -300,8 +300,13 @@ class TestDiagnostics:
     def test_critical_scan_fallback_rows_reported(self, monkeypatch):
         config = parse_config()
         base = run_command("critical-scan", config)
-        assert base.diagnostics == {"assembly": {"fallback_rows": 0}}
-        # the count stays out of report_hash
+        # six eigh calls at Z = 120; at Z = 130 each grid's level is one
+        # certified factorization after its rejected shifts, and a few solves
+        assert base.diagnostics == {
+            "assembly": {"fallback_rows": 0},
+            "eigen": {"eigh_calls": 6, "factorizations": 11, "rejected_shifts": 5,
+                      "solves": 54, "max_solves_per_level": 17}}
+        # the counts stay out of report_hash
         real_run = _COMMANDS["critical-scan"]
         altered = real_run._replace(run=lambda config: (
             *real_run.run(config)[:2], {"assembly": {"fallback_rows": 7}}))
@@ -320,6 +325,38 @@ class TestDiagnostics:
                             lambda terms, p, *a, **k: rows.append(p) or 0.0)
         strict = run_command("critical-scan", config)
         assert len(rows) > 2 * (100 + 200 + 400) // 2
+        assert strict.diagnostics["assembly"] == {"fallback_rows": len(rows)}
+
+    def test_scaling_limit_fallback_rows_reported(self, monkeypatch):
+        config = parse_config()
+        base = run_command("scaling-limit", config)
+        assert base.diagnostics == {"assembly": {"fallback_rows": 0}}
+        assert "fallback_rows" not in base.results
+        # at tolerance 0 the assemblies send rows to the adaptive routine
+        # (stubbed here: only the count matters), summed over the five eta
+        # values, each on the 200-node grid
+        real = experiments.assemble_potential
+        monkeypatch.setattr(experiments, "assemble_potential",
+                            lambda *a, **k: real(*a, **k, tol=0.0))
+        rows = []
+        monkeypatch.setattr(assemble, "subtraction_integral_adaptive",
+                            lambda terms, p, *a, **k: rows.append(p) or 0.0)
+        strict = run_command("scaling-limit", config)
+        assert len(rows) > 5 * 200 // 2
+        assert strict.diagnostics == {"assembly": {"fallback_rows": len(rows)}}
+
+    def test_nonrel_limit_fallback_rows_reported(self, monkeypatch):
+        config = parse_config()
+        assert run_command("nonrel-limit", config).diagnostics == {
+            "assembly": {"fallback_rows": 0}}
+        real = spectra.assemble_nonrel_operator
+        monkeypatch.setattr(spectra, "assemble_nonrel_operator",
+                            lambda *a, **k: real(*a, **k, tol=0.0))
+        rows = []
+        monkeypatch.setattr(assemble, "subtraction_integral_adaptive",
+                            lambda terms, p, *a, **k: rows.append(p) or 0.0)
+        strict = run_command("nonrel-limit", config)
+        assert len(rows) > 300 // 2
         assert strict.diagnostics == {"assembly": {"fallback_rows": len(rows)}}
 
     def test_dtn_check_tails_reported(self, monkeypatch):
@@ -392,6 +429,17 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 2
         assert "error:" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_unconverged_scan_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a ground level that misses its residual target within the step
+        # budget is a NumericalError, reported like bad input
+        monkeypatch.setattr(experiments, "MAX_STEPS", 2)
+        code = main(["critical-scan", "--set", "experiments.grid_sizes=[32,48]",
+                     "--set", "output.directory=" + str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "did not reach" in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
     def test_missing_config_file_exit_code(self, tmp_path, capsys):

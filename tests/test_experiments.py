@@ -1,5 +1,7 @@
+import random
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -10,7 +12,7 @@ from brspec.assemble import assemble_operator, assemble_potential
 from brspec.channels import (GAUSSIAN_PROFILE, ChannelSpec, br_terms, coulomb_terms,
                              multiplier_channel_kernel, spherical_bessel_transform)
 from brspec.dirac import a_plus_minus, lambda_of
-from brspec.errors import DomainError
+from brspec.errors import DomainError, NumericalError
 from brspec.experiments import (commutator_decay, commutator_matrix, critical_coupling_scan,
                                 hardy_check, kato_check, scaling_limit, tix_check)
 from brspec.grids import assemble_h12_metric, build_grid, build_log_grid
@@ -231,6 +233,92 @@ class TestCriticalScanUnitCharge:
         assert np.abs(np.array(rep.rows[0].lambda1_fixed) - direct).max() <= 1e-12 * params.mc2
 
 
+def direct_levels(Z, sizes, params=None):
+    """lambda_1 of a fresh assembly at charge Z on each scan grid, by dense eigh."""
+    base = (params or PhysParams()).replace(Z=Z)
+    mc = base.m * base.c
+    ch = ChannelSpec.from_kappa(-1)
+    grids = ([build_log_grid(n, 1e-4 * mc, 2e3 * mc) for n in sizes]
+             + [build_log_grid(n, 1e-3 * mc * sizes[0] / n, 5.0 * mc * n) for n in sizes])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)        # supercritical charges
+        return np.array([dense_spectrum(assemble_operator(g, ch, base), 1).eigenvalues[0]
+                         for g in grids])
+
+
+def scanned_levels(rep):
+    return {row.Z: np.array(row.lambda1_fixed + row.lambda1_exhaustion) for row in rep.rows}
+
+
+class TestCriticalScanWarmStart:
+    """Every charge after the first comes from inverse iteration warm-started
+    at the previous charge's ground state, whatever the order of the charges."""
+
+    SIZES = (100, 200, 400)
+    CHARGES = [100.0, 110.0, 115.0, 120.0, 122.0, 124.0, 130.0, 140.0]
+
+    @pytest.fixture(scope="class")
+    def ascending(self):
+        return critical_coupling_scan(self.CHARGES, grid_sizes=self.SIZES)
+
+    def test_counts(self, ascending):
+        eigen = ascending.eigen
+        levels = 2 * len(self.SIZES)
+        assert eigen["eigh_calls"] == levels
+        # one certified factorization per warm level, plus the rejected shifts
+        assert (eigen["factorizations"] - eigen["rejected_shifts"]
+                >= levels * (len(self.CHARGES) - 1))
+        assert 1 <= eigen["max_solves_per_level"] <= 30
+        assert eigen["solves"] <= 10 * levels * (len(self.CHARGES) - 1)
+
+    @pytest.mark.parametrize("order", ["descending", "shuffled"])
+    def test_order_of_charges(self, ascending, order):
+        charges = (sorted(self.CHARGES, reverse=True) if order == "descending"
+                   else random.Random(5).sample(self.CHARGES, len(self.CHARGES)))
+        assert charges != self.CHARGES
+        rep = critical_coupling_scan(charges, grid_sizes=self.SIZES)
+        mc2 = PhysParams().mc2
+        want, got = scanned_levels(ascending), scanned_levels(rep)
+        for Z in self.CHARGES:
+            assert np.abs(got[Z] - want[Z]).max() <= 1e-12 * mc2
+        flags = {r.Z: (r.stable, r.collapsed) for r in ascending.rows}
+        assert {r.Z: (r.stable, r.collapsed) for r in rep.rows} == flags
+
+    def test_jump_rejects_shifts(self):
+        # from Z = 100 the Rayleigh quotient at Z = 140 lies far above lambda_1
+        # (up to 14 mc^2 on the exhaustion grids), so the first shifts fail
+        rep = critical_coupling_scan([100.0, 140.0], grid_sizes=self.SIZES)
+        assert rep.eigen["rejected_shifts"] >= 1
+        mc2 = PhysParams().mc2
+        for Z, levels in scanned_levels(rep).items():
+            assert np.abs(levels - direct_levels(Z, self.SIZES)).max() <= 1e-12 * mc2
+        assert rep.rows[1].collapsed
+
+    def test_repeated_charge(self):
+        # the start vector is the ground state already: one solve confirms it
+        rep = critical_coupling_scan([120.0, 120.0], grid_sizes=(32, 48))
+        first, again = (np.array(r.lambda1_fixed + r.lambda1_exhaustion) for r in rep.rows)
+        assert np.abs(again - first).max() <= 1e-12 * PhysParams().mc2
+        assert rep.eigen["rejected_shifts"] == 0
+        assert rep.eigen["max_solves_per_level"] <= 2
+
+    def test_supercritical_at_unit_c(self):
+        # at c = 1 the critical charge is 0.91: Z = 2 is far above it, and
+        # its levels dive on the exhaustion grids
+        params = PhysParams(c=1.0, m=1.0, Z=0.5)
+        sizes = (32, 48)
+        rep = critical_coupling_scan([0.5, 2.0], grid_sizes=sizes, params=params)
+        assert not rep.rows[0].collapsed and rep.rows[1].collapsed
+        for Z, levels in scanned_levels(rep).items():
+            direct = direct_levels(Z, sizes, params)
+            assert np.abs(levels - direct).max() <= 1e-12 * max(1.0, np.abs(direct).max())
+
+    def test_capped_iteration_raises(self, monkeypatch):
+        monkeypatch.setattr(experiments, "MAX_STEPS", 2)
+        with pytest.raises(NumericalError, match="did not reach"):
+            critical_coupling_scan([120.0, 130.0], grid_sizes=(32, 48))
+
+
 @pytest.fixture(scope="module")
 def decay_report():
     return commutator_decay()
@@ -259,9 +347,38 @@ class TestCommutatorMatrix:
         ch = ChannelSpec.from_kappa(kappa)
         oracle, X = dense_commutator(R, grid, ch, params)
         C = commutator_matrix(R, grid, ch, params)
-        # the commutator is a cancellation between terms the size of X, and
-        # both forms round at that size: at R = 64 its entries are ~1e-8 of X
+        # the dense form cancels terms the size of X and rounds at that size:
+        # at R = 64 the commutator's entries are ~1e-8 of X
         assert np.abs(C - oracle).max() <= 1e-15 * np.abs(X).max()
+
+    @pytest.mark.parametrize("kappa", [-1, 1, -2, 2])
+    def test_matches_mpmath_rotation(self, kappa):
+        # X - G^T X G in 40 digits from the same X and exact mixing
+        # coefficients: at R = 64 the commutator is 1e-8 of X, and writing it
+        # as X minus its rotation in doubles errs by about that much of C
+        R, params = 64.0, PhysParams()
+        grid = build_log_grid(20, 1e-4, 1e3)
+        ch = ChannelSpec.from_kappa(kappa)
+        n, p = grid.n, grid.nodes
+        P, Q = p[:, None], p[None, :]
+        Xu, Xd = (multiplier_channel_kernel(GAUSSIAN_PROFILE, l, R, P, Q)
+                  * grid.l2_weights[None, :] for l in (ch.l_up, ch.l_down))
+        with mpmath.workdps(40):
+            mc2 = mpmath.mpf(params.m) * mpmath.mpf(params.c) ** 2
+            lam = [mpmath.sqrt((mpmath.mpf(params.c) * mpmath.mpf(q)) ** 2 + mc2 ** 2)
+                   for q in p]
+            ap = [mpmath.sqrt((1 + mc2 / v) / 2) for v in lam]
+            am = [mpmath.sqrt((1 - mc2 / v) / 2) for v in lam]
+            oracle = np.empty((2 * n, 2 * n))
+            for i in range(n):
+                for j in range(n):
+                    u, d = mpmath.mpf(Xu[i, j]), mpmath.mpf(Xd[i, j])
+                    oracle[i, j] = u - ap[i] * u * ap[j] - am[i] * d * am[j]
+                    oracle[i, n + j] = ap[i] * u * am[j] - am[i] * d * ap[j]
+                    oracle[n + i, j] = am[i] * u * ap[j] - ap[i] * d * am[j]
+                    oracle[n + i, n + j] = d - am[i] * u * am[j] - ap[i] * d * ap[j]
+        C = commutator_matrix(R, grid, ch, params)
+        assert np.abs(C - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     def test_norms_match_dense_svd(self, decay_report):
         grid = build_log_grid(160, 1e-4, 1e3)

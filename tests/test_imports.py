@@ -20,13 +20,13 @@ def test_no_private_cross_module_imports():
 
 
 def test_cli_import_leaves_quadrature_unloaded():
-    """``import brspec.cli`` loads no scipy quadrature, special-function or optimizer
-    module; the few functions that need them import them on first call."""
+    """``import brspec.cli`` loads no scipy quadrature, special-function, optimizer
+    or sparse module; the few functions that need them import them on first call."""
     src = str(Path(brspec.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = ("import sys, brspec.cli; print(' '.join(m for m in ('scipy.integrate', "
-             "'scipy.special', 'scipy.optimize') if m in sys.modules))")
+             "'scipy.special', 'scipy.optimize', 'scipy.sparse') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.split() == []
