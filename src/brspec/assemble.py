@@ -6,7 +6,9 @@ Two schemes:
   singularity subtraction.  The logarithmically singular diagonal of the
   Coulomb-type kernel is replaced through the smooth profile
   phi_p(q) = 2 p^2 / (p^2 + q^2), whose channel integrals are computed
-  per run by adaptive panel quadrature restricted to the grid's domain.
+  per run by a product Gauss rule restricted to the grid's domain:
+  Gauss-Legendre panels, with Gauss-log nodes on the panels that touch the
+  singularity, at two orders whose disagreement is an error.
   Restricting to the domain keeps the discrete quadratic form a
   restriction of the continuum form; extending the subtraction integral
   beyond the represented window would feed potential energy from outside
@@ -32,7 +34,7 @@ from scipy.linalg import cholesky, solve_triangular
 from .channels import (ChannelSpec, KernelTerms, br_terms, coulomb_terms, kernel_split,
                        kernel_value, legendre_q_cosh, legendre_q_cosh_split, log_ratio)
 from .dirac import lambda_of
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, NumericalError
 from .grids import LogPanels, RadialGrid, gauss_legendre, gauss_log
 from .params import PhysParams
 
@@ -56,13 +58,16 @@ def subtraction_profile(p, q):
 # row-centred rule is the same in every row and never clipped, so the
 # weights times Q_l rho are tabulated once per (l, order) and a row pays
 # only for its mixing factors.  A log-panel grid integrates over its own
-# panels instead (below).  Two Gauss orders give the error estimate; rows
-# that miss the tolerance fall back to scipy's adaptive routine.
+# panels instead (below).  Two Gauss orders give the error estimate; a row
+# whose estimates disagree beyond ORDER_TOL raises NumericalError.
 
 # Gauss orders of the estimate; with the logarithm in the weight the higher
 # one is at rounding and the lower one within 3.2e-13 of it on the grids,
-# channels and charges tried, far inside the fallback tolerance
+# channels and charges tried, far inside ORDER_TOL
 _ORDERS = (8, 12)
+# largest disagreement of the two orders, relative to the row's value (or a
+# thousandth of the largest row, whichever is larger)
+ORDER_TOL = 1e-10
 # tail cut: Q_l(cosh x) rho(x) > 0 and every mixing factor lies in [0, 1],
 # so a row drops at most the dropped part of the table, which is kept below
 # this fraction of the kept part
@@ -122,7 +127,7 @@ def _rule_table(l, order):
 
     The Gauss-Legendre nodes of the product panels carry the smooth part of
     Q_l, their Gauss-log nodes minus its logcoef.  Built on first use and
-    shared, read-only, by every row, call and sweep thread.
+    shared, read-only, by every row and call.
     """
     x, w = _rule_nodes(order)
     q = np.empty_like(x)
@@ -257,14 +262,13 @@ def _log_grid_sums(terms, grid, order):
     return out
 
 
-def subtraction_integrals(terms: KernelTerms, grid: RadialGrid, tol=1e-10, counts=None):
+def subtraction_integrals(terms: KernelTerms, grid: RadialGrid):
     """I(p_i) = Int_domain k(p_i, q) phi_{p_i}(q) q^2 dq for every node of the grid.
 
     A log-panel grid integrates over its panels, any other grid over
     (0, inf) by the row-centred rule; a finite window without panels is
-    refused.  Rows whose two-order estimates disagree beyond ``tol`` are
-    recomputed adaptively; their number is added to ``counts["fallback_rows"]``
-    when a ``counts`` dict is given.
+    refused.  A row whose two-order estimates disagree beyond ``ORDER_TOL``
+    raises NumericalError.
     """
     p = grid.nodes
     if grid.panels is not None:
@@ -278,16 +282,21 @@ def subtraction_integrals(terms: KernelTerms, grid: RadialGrid, tol=1e-10, count
     low, out = (pref * sums(order) for order in _ORDERS)
     err = np.abs(out - low)
     scale = np.maximum(np.abs(out), np.abs(out).max() * 1e-3 + 1e-300)
-    bad = np.nonzero(err > tol * scale)[0]
-    for i in bad:
-        out[i] = subtraction_integral_adaptive(terms, p[i], grid.domain, tol=tol)
-    if counts is not None:
-        counts["fallback_rows"] += bad.size
+    bad = np.nonzero(err > ORDER_TOL * scale)[0]
+    if bad.size:
+        i = bad[0]
+        raise NumericalError(
+            f"the Gauss orders {_ORDERS} of the subtraction integrals disagree on "
+            f"{bad.size} of {p.size} rows; row {i} (p = {p[i]:.6g}): {low[i]!r} and "
+            f"{out[i]!r}, apart by {err[i]:.3g}, more than {ORDER_TOL:g} of {scale[i]:.3g}")
     return out
 
 
 def subtraction_integral_adaptive(terms: KernelTerms, p, domain, tol=1e-12):
-    """Reference adaptive quadrature of one subtraction integral (scipy)."""
+    """Reference adaptive quadrature of one subtraction integral (scipy).
+
+    The oracle the panel rules are tested against; assembly never calls it.
+    """
     from scipy.integrate import quad
 
     qlo, qhi = domain
@@ -315,8 +324,7 @@ class DiscreteOperator:
     ``matrix`` includes kinetic and potential parts; eigenvector coordinates
     are Euclidean-orthonormal exactly when the underlying radial functions
     are L^2-orthonormal.  ``node_values`` maps eigenvector coordinates back
-    to function values on the grid nodes.  ``fallback_rows`` counts the
-    subtraction integrals recomputed adaptively during assembly.
+    to function values on the grid nodes.
     """
 
     matrix: np.ndarray
@@ -326,7 +334,6 @@ class DiscreteOperator:
     metric: np.ndarray            # discrete L^2 weights w_i p_i^2
     scheme: str
     kinetic_diagonal: np.ndarray | None = None
-    fallback_rows: int = 0
     _chol: np.ndarray | None = None
     _dscale: np.ndarray | None = None
 
@@ -387,20 +394,19 @@ def _pointwise_strips(p, ls):
         yield rows, [qk[rows] for qk in q], subtraction_profile(p[rows, None], p[None, :])
 
 
-def assemble_potential(grid: RadialGrid, terms: KernelTerms, tol=1e-10, counts=None):
+def assemble_potential(grid: RadialGrid, terms: KernelTerms):
     """Symmetric metric-normalized potential matrix by collocation + subtraction.
 
     M_ij = -(Z/pi) sum_t d_t(p_i) d_t(p_j) Q_l(cosh ln(p_j/p_i)) with the
     diagonal factors d_t(p) = f_t(p) sqrt(w p^2)/p, and the diagonal is the
     subtraction integral minus the row's collocation sum against the
     profile.  A grid that records its log-panel structure gets the
-    block-Toeplitz fill, any other grid the pointwise one.  ``counts`` goes
-    to ``subtraction_integrals``.
+    block-Toeplitz fill, any other grid the pointwise one.
     """
     p = grid.nodes
     n = grid.n
     sq = np.sqrt(grid.l2_weights)
-    ints = subtraction_integrals(terms, grid, tol=tol, counts=counts)
+    ints = subtraction_integrals(terms, grid)
     diag = [f * np.sqrt(grid.weights) for f in terms.factors(p)]
     strips = (_pointwise_strips(p, terms.ls) if grid.panels is None
               else _toeplitz_strips(grid.panels, terms.ls))
@@ -416,7 +422,7 @@ def assemble_potential(grid: RadialGrid, terms: KernelTerms, tol=1e-10, counts=N
 
 
 def assemble_operator(grid: RadialGrid, channel: ChannelSpec, params: PhysParams,
-                      scheme="nystrom", fw_scale=1.0, tol=1e-10) -> DiscreteOperator:
+                      scheme="nystrom", fw_scale=1.0) -> DiscreteOperator:
     """Discrete channel operator lambda(p) + transformed Coulomb potential."""
     if scheme not in ("nystrom", "galerkin"):
         raise ConfigurationError(f"unknown scheme {scheme!r}")
@@ -429,21 +435,17 @@ def assemble_operator(grid: RadialGrid, channel: ChannelSpec, params: PhysParams
     kinetic = lambda p: lambda_of(p, params)
     if scheme == "nystrom":
         kin = kinetic(grid.nodes)
-        counts = {"fallback_rows": 0}
-        M = assemble_potential(grid, terms, tol=tol, counts=counts)
+        M = assemble_potential(grid, terms)
         M[np.diag_indices(grid.n)] += kin
         return DiscreteOperator(M, grid, channel, params, grid.l2_weights,
-                                "nystrom", kinetic_diagonal=kin,
-                                fallback_rows=counts["fallback_rows"])
+                                "nystrom", kinetic_diagonal=kin)
     return _assemble_galerkin(grid, channel, params, terms, kinetic)
 
 
-def assemble_nonrel_operator(grid: RadialGrid, l, params: PhysParams,
-                             tol=1e-10, counts=None) -> DiscreteOperator:
-    """Nonrelativistic comparison operator p^2/2m + Coulomb channel-l kernel;
-    ``counts`` goes to ``assemble_potential``."""
+def assemble_nonrel_operator(grid: RadialGrid, l, params: PhysParams) -> DiscreteOperator:
+    """Nonrelativistic comparison operator p^2/2m + Coulomb channel-l kernel."""
     kin = grid.nodes**2 / (2 * params.m)
-    M = assemble_potential(grid, coulomb_terms(l, params), tol=tol, counts=counts)
+    M = assemble_potential(grid, coulomb_terms(l, params))
     M[np.diag_indices(grid.n)] += kin
     channel = ChannelSpec.from_kappa(-(l + 1) if l < 3 else l)  # l_up = l
     return DiscreteOperator(M, grid, channel, params, grid.l2_weights,
@@ -451,7 +453,7 @@ def assemble_nonrel_operator(grid: RadialGrid, l, params: PhysParams,
 
 
 # ---------------------------------------------------------------------------
-# Galerkin fallback: piecewise-linear elements, Duffy panels on the diagonal
+# Galerkin cross-check: piecewise-linear elements, Duffy panels on the diagonal
 
 
 def _element_quad(edges, order):

@@ -259,8 +259,7 @@ def _run_spectrum(config):
     op = assemble_operator(grid, channel, params, scheme=config["grid"]["scheme"])
     solver = config["solver"]
     k = min(solver["k"], op.n)
-    payload, checks, runs = {"mc2": params.mc2}, [], []
-    diagnostics = {"assembly": {"fallback_rows": op.fallback_rows}}
+    payload, checks, runs, diagnostics = {"mc2": params.mc2}, [], [], {}
     for route in _ROUTES:
         if solver["route"] not in (route, "both"):
             continue
@@ -373,8 +372,7 @@ def _run_inequalities(config):
         for r in reports]}
     checks = [_check(f"{r.inequality_name}_bounded", r.max_ratio, "<=", r.bound)
               for r in reports]
-    diagnostics = {"assembly": {"fallback_rows": sum(r.fallback_rows for r in reports)}}
-    return payload, checks, diagnostics
+    return payload, checks, {}
 
 
 def _run_commutator(config):
@@ -399,14 +397,14 @@ def _run_scaling(config):
     rep = scaling_limit(config["experiments"]["eta_values"],
                         kappa=config["channel"]["kappa"], params=params)
     payload = asdict(rep)
-    del payload["flagged"], payload["fallback_rows"]
+    del payload["flagged"]
     rel = abs(rep.leading_coefficient - rep.oracle_coefficient) / rep.oracle_coefficient
     checks = [
         _check("leading_coefficient_match", rel, "<", 0.02),
         _check("remainder_exponent", rep.remainder_exponent, ">=", 1.7),
         _check("monotone_divergence", rep.monotone_divergence, "==", True),
     ]
-    return payload, checks, {"assembly": {"fallback_rows": rep.fallback_rows}}
+    return payload, checks, {}
 
 
 def _run_critical_scan(config):
@@ -426,8 +424,7 @@ def _run_critical_scan(config):
         else:
             checks.append(_check(f"Z={r.Z:g}_collapsed", r.exhaustion_drop, ">",
                                  rep.collapse_drop))
-    return payload, checks, {"assembly": {"fallback_rows": rep.fallback_rows},
-                             "eigen": rep.eigen}
+    return payload, checks, {"eigen": rep.eigen}
 
 
 def _run_nonrel(config):
@@ -437,14 +434,13 @@ def _run_nonrel(config):
     l = ChannelSpec.from_kappa(config["channel"]["kappa"]).l_up
     grid = build_grid(n, max(Z, 1.0))
     k = config["solver"]["k"]
-    counts = {"fallback_rows": 0}
-    vals = nonrel_spectrum(grid, Z, l, k, params, counts=counts)
+    vals = nonrel_spectrum(grid, Z, l, k, params)
     exact = [-Z**2 / (2.0 * (l + 1 + j) ** 2) for j in range(k)]
     errors = [abs(v - e) for v, e in zip(vals, exact)]
     payload = {"Z": Z, "l": l, "levels": list(range(l + 1, l + 1 + k)),
                "computed": vals.tolist(), "exact": exact, "errors": errors}
     checks = [_check("hydrogen_levels", max(errors), "<", 1e-4)]
-    return payload, checks, {"assembly": counts}
+    return payload, checks, {}
 
 
 # ---------------------------------------------------------------------------

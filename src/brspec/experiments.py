@@ -22,7 +22,6 @@ from .dirac import a_plus_minus, lambda_of
 from .errors import DomainError, NumericalError
 from .grids import assemble_h12_metric, build_grid, build_log_grid, operator_norm_h12
 from .params import HARDY_CONSTANT, KATO_CONSTANT, TIX_CONSTANT, PhysParams
-from .spectra import map_ordered, sweep_workers
 
 
 @dataclass
@@ -33,7 +32,6 @@ class InequalityReport:
     theoretical_constant: float
     sample_count: int
     ratios: list = field(default_factory=list)
-    fallback_rows: int = 0      # subtraction rows recomputed by adaptive quad
 
     @property
     def margin(self):
@@ -93,12 +91,10 @@ def kato_check(params: PhysParams = None, n=300, window=(1e-6, 1e6)) -> Inequali
     """
     base = (params or PhysParams()).replace(Z=1.0)
     grid = build_log_grid(n, *window)
-    counts = {"fallback_rows": 0}
-    W = -assemble_potential(grid, coulomb_terms(0, base), counts=counts)
+    W = -assemble_potential(grid, coulomb_terms(0, base))
     return InequalityReport(
         "kato", f"grid sup, l=0, n={grid.n}, window={window}",
-        _top_scaled_eigenvalue(W, grid.nodes), KATO_CONSTANT, grid.n,
-        fallback_rows=counts["fallback_rows"])
+        _top_scaled_eigenvalue(W, grid.nodes), KATO_CONSTANT, grid.n)
 
 
 def tix_check(channels=(-1, 1), params: PhysParams = None, n=300) -> InequalityReport:
@@ -108,16 +104,13 @@ def tix_check(channels=(-1, 1), params: PhysParams = None, n=300) -> InequalityR
     mc = base.m * base.c
     grid = build_log_grid(n, 1e-5 * mc, 2e3 * mc)
     b = lambda_of(grid.nodes, base) / base.c
-    counts = {"fallback_rows": 0}
     ratios = []
     for kappa in channels:
-        W = -assemble_potential(grid, br_terms(ChannelSpec.from_kappa(kappa), base),
-                                counts=counts)
+        W = -assemble_potential(grid, br_terms(ChannelSpec.from_kappa(kappa), base))
         ratios.append(_top_scaled_eigenvalue(W, b))
     return InequalityReport(
         "tix", f"grid sup over channels {tuple(channels)}, n={grid.n}",
-        max(ratios), TIX_CONSTANT, len(ratios) * grid.n, ratios,
-        fallback_rows=counts["fallback_rows"])
+        max(ratios), TIX_CONSTANT, len(ratios) * grid.n, ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +134,6 @@ class CriticalScanReport:
     rows: list
     stability_tol: float
     collapse_drop: float
-    fallback_rows: int = 0      # subtraction rows recomputed by adaptive quad
     eigen: dict = field(default_factory=dict)   # eigh calls, factorizations, solves
 
 
@@ -230,7 +222,7 @@ def _ground_level(V, scale, kinetic, x, gap, guess, buf, counts):
 
 
 def critical_coupling_scan(Z_values, grid_sizes=(100, 200, 400), kappa=-1,
-                           params: PhysParams = None, workers=None) -> CriticalScanReport:
+                           params: PhysParams = None) -> CriticalScanReport:
     """Probe boundedness-from-below around the critical charge.
 
     Two refinement families per charge: mesh refinement on a fixed momentum
@@ -250,7 +242,6 @@ def critical_coupling_scan(Z_values, grid_sizes=(100, 200, 400), kappa=-1,
     sizes = sorted(int(n) for n in grid_sizes)
     stability_tol = 1e-4 * mc2
     collapse_drop = 0.05 * mc2
-    workers = sweep_workers() if workers is None else workers
 
     # the potential is linear in Z and none of the grids depends on it:
     # assemble each grid once at a reference charge inside the subordinacy
@@ -258,7 +249,7 @@ def critical_coupling_scan(Z_values, grid_sizes=(100, 200, 400), kappa=-1,
     grids = ([build_log_grid(n, 1e-4 * mc, 2e3 * mc) for n in sizes]
              + [build_log_grid(n, 1e-3 * mc * sizes[0] / n, 5.0 * mc * n) for n in sizes])
     ref = base.replace(Z=min(1.0, 0.5 * base.critical_charge))
-    ops = map_ordered(lambda grid: assemble_operator(grid, ch, ref), grids, workers)
+    ops = [assemble_operator(grid, ch, ref) for grid in grids]
     for op in ops:      # each matrix becomes its reference potential V, in place
         op.matrix[np.diag_indices(op.n)] -= op.kinetic_diagonal
     flat = np.empty(max(op.n for op in ops) ** 2)
@@ -269,8 +260,7 @@ def critical_coupling_scan(Z_values, grid_sizes=(100, 200, 400), kappa=-1,
     def ground_level(k, Z, guess):
         # Z V + diag(lambda) lives in the one reused buffer; assembly makes
         # it exactly symmetric, so the F-ordered view is the same matrix and
-        # LAPACK works on it in place.  The eigen phase runs on this thread:
-        # LAPACK's wrappers hold the GIL, so sweep threads gain nothing
+        # LAPACK works on it in place
         op = ops[k]
         buf = flat[:op.n * op.n].reshape(op.n, op.n)
         if states[k] is None:
@@ -304,8 +294,7 @@ def critical_coupling_scan(Z_values, grid_sizes=(100, 200, 400), kappa=-1,
             exhaustion_drop=drop,
             stable=bool(variation < stability_tol and min(fixed) > 0),
             collapsed=bool(drop > collapse_drop)))
-    return CriticalScanReport(rows, stability_tol, collapse_drop,
-                              sum(op.fallback_rows for op in ops), counts)
+    return CriticalScanReport(rows, stability_tol, collapse_drop, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +391,6 @@ class ScalingLimitReport:
     remainder_exponent: float
     monotone_divergence: bool
     flagged: bool
-    fallback_rows: int = 0      # subtraction rows recomputed by adaptive quad
 
 
 def scaling_limit(eta_values=(0.4, 0.2, 0.1, 0.05, 0.025), grid=None,
@@ -415,6 +403,8 @@ def scaling_limit(eta_values=(0.4, 0.2, 0.1, 0.05, 0.025), grid=None,
     F(eta) = eta * (f, P_eta f) with P_eta the potential matrix evaluated
     with rescaled mixing.  F(eta) = -A eta + B eta^e with A = Z (phi, |y|^-1 phi)
     and e >= 2; eta^-2 F(eta) then diverges monotonically to -infinity.
+    The default momentum profile is p^l e^{-p^2/2}, l the upper orbital
+    momentum of the channel, a smooth function of the momentum vector.
     """
     base = params or PhysParams()
     if base.Z <= 0:
@@ -426,14 +416,14 @@ def scaling_limit(eta_values=(0.4, 0.2, 0.1, 0.05, 0.025), grid=None,
         grid = build_grid(200, 1.0)
     ch = ChannelSpec.from_kappa(kappa)
 
-    f = np.exp(-grid.nodes**2 / 2) if profile is None else np.asarray(profile, float)
+    p = grid.nodes
+    f = p**ch.l_up * np.exp(-p**2 / 2) if profile is None else np.asarray(profile, float)
     coords = f * np.sqrt(grid.l2_weights)
     coords = coords / np.linalg.norm(coords)
 
     forms = []
-    counts = {"fallback_rows": 0}
     for eta in etas:
-        P = assemble_potential(grid, br_terms(ch, base, fw_scale=eta), counts=counts)
+        P = assemble_potential(grid, br_terms(ch, base, fw_scale=eta))
         forms.append(float(eta * (coords @ (P @ coords))))
 
     # F/eta = -A + B eta^(e-1): successive differences of d = F/eta cancel A,
@@ -450,11 +440,13 @@ def scaling_limit(eta_values=(0.4, 0.2, 0.1, 0.05, 0.025), grid=None,
 
     # position-space oracle for Z (phi, |y|^-1 phi) through the Bessel
     # transform; beyond the profile's support the oscillatory quadrature
-    # returns noise, so the radial integrals stop at the first node where
-    # the transform has decayed ten orders below its peak
+    # returns noise, so the radial integrals stop at the first node past the
+    # peak where the transform has decayed ten orders below it (an l >= 1
+    # transform starts near 0, below the peak)
     fr = np.abs(spherical_bessel_transform(ch.l_up, f, grid))
-    below = np.nonzero(fr < 1e-10 * fr.max())[0]
-    cut = below[0] if below.size else grid.n
+    peak = int(np.argmax(fr))
+    below = np.nonzero(fr[peak:] < 1e-10 * fr[peak])[0]
+    cut = peak + below[0] if below.size else grid.n
     w = grid.weights[:cut]
     r = grid.nodes[:cut]
     fr = fr[:cut]
@@ -465,5 +457,4 @@ def scaling_limit(eta_values=(0.4, 0.2, 0.1, 0.05, 0.025), grid=None,
     monotone = bool(np.all(np.diff(normalized) < 0) and normalized[-1] < 0)
     flagged = not (np.isfinite(A) and np.isfinite(slope))
     return ScalingLimitReport([float(e) for e in etas], forms, float(A),
-                              float(oracle), slope, monotone, flagged,
-                              counts["fallback_rows"])
+                              float(oracle), slope, monotone, flagged)

@@ -10,8 +10,6 @@ the boundary energy, and the constrained gradient is taken in the
 extension-energy metric.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,38 +194,17 @@ def variational_spectrum(op: DiscreteOperator, k, tol=1e-10, max_iter=2000) -> S
                           _grid_meta(op.grid), trace)
 
 
-def nonrel_spectrum(grid: RadialGrid, Z, l, k, params: PhysParams = None, counts=None):
+def nonrel_spectrum(grid: RadialGrid, Z, l, k, params: PhysParams = None):
     """Eigenvalues of p^2/2m + Coulomb channel-l kernel (mixing switched off).
 
     The nonrelativistic comparison operator; its bound states sit at
     -Z^2/(2 n^2) and act as the large-c oracle for the binding energies.
-    ``counts`` goes to the assembly, as in ``assemble_potential``.
     """
     if not Z > 0:
         raise DomainError("nonrel_spectrum requires Z > 0")
     base = params or PhysParams()
-    op = assemble_nonrel_operator(grid, l, base.replace(Z=float(Z)), counts=counts)
+    op = assemble_nonrel_operator(grid, l, base.replace(Z=float(Z)))
     return dense_spectrum(op, k).eigenvalues
-
-
-def sweep_workers():
-    """Worker cap from BRSPEC_THREADS (0 or unset means automatic)."""
-    raw = os.environ.get("BRSPEC_THREADS", "0")
-    try:
-        v = int(raw)
-    except ValueError:
-        return 1
-    if v == 0:
-        return min(4, os.cpu_count() or 1)
-    return max(1, v)
-
-
-def map_ordered(fn, items, workers):
-    """fn over items on up to ``workers`` threads, results in input order."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
 
 
 def binding_grid(Z, params: PhysParams, n=200):
@@ -247,19 +224,15 @@ class BindingCurveRow:
     residual_max: float
 
 
-def binding_curve(Z_values, channel: ChannelSpec, k, params: PhysParams,
-                  n=200, workers=None):
-    """Spectral results across a charge sweep; merged in input order."""
+def binding_curve(Z_values, channel: ChannelSpec, k, params: PhysParams, n=200):
+    """Spectral results across a charge sweep, in input order."""
     Z_values = [float(Z) for Z in Z_values]
     if any(Z <= 0 for Z in Z_values):
         raise DomainError("charge sweep values must be positive")
-    workers = sweep_workers() if workers is None else workers
-
-    def run(Z):
+    rows = []
+    for Z in Z_values:
         pz = params.replace(Z=Z)
-        op = assemble_operator(binding_grid(Z, pz, n=n), channel, pz)
-        res = dense_spectrum(op, k)
-        return BindingCurveRow(Z, res.eigenvalues, res.binding_energies(),
-                               res.bound_flags(), float(res.residuals.max()))
-
-    return map_ordered(run, Z_values, workers)
+        res = dense_spectrum(assemble_operator(binding_grid(Z, pz, n=n), channel, pz), k)
+        rows.append(BindingCurveRow(Z, res.eigenvalues, res.binding_energies(),
+                                    res.bound_flags(), float(res.residuals.max())))
+    return rows

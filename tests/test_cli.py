@@ -1,13 +1,16 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brspec import assemble, cli, experiments, spectra
+from brspec import assemble, cli, experiments
 from brspec.cli import (COMMANDS, OPS, main, parse_config, read_report, run_command,
                         write_report, _COMMANDS, _DEFAULT_CONFIG, _RULES, _validate)
+from brspec.channels import ChannelSpec
 from brspec.errors import ConfigurationError
 from brspec.experiments import CommutatorDecayReport
 from brspec.params import SPEED_OF_LIGHT
@@ -256,20 +259,7 @@ class TestDiagnostics:
 
     def test_dense_route_has_none(self):
         dense = run_command("spectrum", parse_config(overrides=FAST + ["solver.route=dense"]))
-        assert dense.diagnostics == {"assembly": {"fallback_rows": 0}}
-
-    def test_fallback_rows_reported(self, report, monkeypatch):
-        assert report.diagnostics["assembly"] == {"fallback_rows": 0}
-        # at tolerance 0 every row whose two panel estimates differ at all
-        # goes to the adaptive routine (stubbed here: only the count matters)
-        real = cli.assemble_operator
-        monkeypatch.setattr(cli, "assemble_operator", lambda *a, **k: real(*a, **k, tol=0.0))
-        rows = []
-        monkeypatch.setattr(assemble, "subtraction_integral_adaptive",
-                            lambda terms, p, *a, **k: rows.append(p) or 0.0)
-        strict = run_command("spectrum", report.config)
-        assert len(rows) > report.config["grid"]["n"] // 2
-        assert strict.diagnostics["assembly"] == {"fallback_rows": len(rows)}
+        assert dense.diagnostics == {}
 
     def test_report_hash_ignores_diagnostics(self, report, monkeypatch):
         real = _COMMANDS["spectrum"]
@@ -280,84 +270,32 @@ class TestDiagnostics:
         assert other.diagnostics != report.diagnostics
         assert other.report_hash == report.report_hash
 
-    def test_inequalities_fallback_rows_reported(self, monkeypatch):
-        config = parse_config(overrides=["experiments.inequality_n=64"])
-        assert run_command("inequalities", config).diagnostics == {
-            "assembly": {"fallback_rows": 0}}
-        # at tolerance 0 the assemblies send rows to the adaptive routine
-        # (stubbed here: only the count matters), summed over all three: Kato,
-        # and Tix for kappa = -1, 1, each on a 60-node grid
-        real = experiments.assemble_potential
-        monkeypatch.setattr(experiments, "assemble_potential",
-                            lambda *a, **k: real(*a, **k, tol=0.0))
-        rows = []
-        monkeypatch.setattr(assemble, "subtraction_integral_adaptive",
-                            lambda terms, p, *a, **k: rows.append(p) or 0.0)
-        strict = run_command("inequalities", config)
-        assert len(rows) > 3 * 60 // 2
-        assert strict.diagnostics == {"assembly": {"fallback_rows": len(rows)}}
+    @pytest.mark.parametrize("command, overrides", [
+        ("inequalities", ["experiments.inequality_n=64"]),
+        ("scaling-limit", []),
+        ("nonrel-limit", []),
+    ])
+    def test_assembling_commands_have_none(self, command, overrides):
+        report = run_command(command, parse_config(overrides=overrides))
+        assert report.diagnostics == {}
+        assert "fallback_rows" not in report.results
 
-    def test_critical_scan_fallback_rows_reported(self, monkeypatch):
+    def test_critical_scan_eigen_counts_reported(self, monkeypatch):
         config = parse_config()
         base = run_command("critical-scan", config)
         # six eigh calls at Z = 120; at Z = 130 each grid's level is one
         # certified factorization after its rejected shifts, and a few solves
         assert base.diagnostics == {
-            "assembly": {"fallback_rows": 0},
             "eigen": {"eigh_calls": 6, "factorizations": 11, "rejected_shifts": 5,
                       "solves": 54, "max_solves_per_level": 17}}
         # the counts stay out of report_hash
         real_run = _COMMANDS["critical-scan"]
         altered = real_run._replace(run=lambda config: (
-            *real_run.run(config)[:2], {"assembly": {"fallback_rows": 7}}))
+            *real_run.run(config)[:2], {"eigen": {"eigh_calls": 7}}))
         monkeypatch.setitem(_COMMANDS, "critical-scan", altered)
         other = run_command("critical-scan", config)
         assert other.diagnostics != base.diagnostics
         assert other.report_hash == base.report_hash
-        monkeypatch.undo()
-        # at tolerance 0 the six assemblies send rows to the adaptive routine
-        # (stubbed here: only the count matters), summed over all of them
-        real = experiments.assemble_operator
-        monkeypatch.setattr(experiments, "assemble_operator",
-                            lambda *a, **k: real(*a, **k, tol=0.0))
-        rows = []
-        monkeypatch.setattr(assemble, "subtraction_integral_adaptive",
-                            lambda terms, p, *a, **k: rows.append(p) or 0.0)
-        strict = run_command("critical-scan", config)
-        assert len(rows) > 2 * (100 + 200 + 400) // 2
-        assert strict.diagnostics["assembly"] == {"fallback_rows": len(rows)}
-
-    def test_scaling_limit_fallback_rows_reported(self, monkeypatch):
-        config = parse_config()
-        base = run_command("scaling-limit", config)
-        assert base.diagnostics == {"assembly": {"fallback_rows": 0}}
-        assert "fallback_rows" not in base.results
-        # at tolerance 0 the assemblies send rows to the adaptive routine
-        # (stubbed here: only the count matters), summed over the five eta
-        # values, each on the 200-node grid
-        real = experiments.assemble_potential
-        monkeypatch.setattr(experiments, "assemble_potential",
-                            lambda *a, **k: real(*a, **k, tol=0.0))
-        rows = []
-        monkeypatch.setattr(assemble, "subtraction_integral_adaptive",
-                            lambda terms, p, *a, **k: rows.append(p) or 0.0)
-        strict = run_command("scaling-limit", config)
-        assert len(rows) > 5 * 200 // 2
-        assert strict.diagnostics == {"assembly": {"fallback_rows": len(rows)}}
-
-    def test_nonrel_limit_fallback_rows_reported(self, monkeypatch):
-        config = parse_config()
-        assert run_command("nonrel-limit", config).diagnostics == {
-            "assembly": {"fallback_rows": 0}}
-        real = spectra.assemble_nonrel_operator
-        monkeypatch.setattr(spectra, "assemble_nonrel_operator",
-                            lambda *a, **k: real(*a, **k, tol=0.0))
-        rows = []
-        monkeypatch.setattr(assemble, "subtraction_integral_adaptive",
-                            lambda terms, p, *a, **k: rows.append(p) or 0.0)
-        strict = run_command("nonrel-limit", config)
-        assert len(rows) > 300 // 2
-        assert strict.diagnostics == {"assembly": {"fallback_rows": len(rows)}}
 
     def test_dtn_check_tails_reported(self, monkeypatch):
         config = parse_config(overrides=FAST + DTN_FEW)
@@ -373,6 +311,20 @@ class TestDiagnostics:
         other = run_command("dtn-check", config)
         assert other.diagnostics != base.diagnostics
         assert other.report_hash == base.report_hash
+
+
+class TestScalingLimitChannels:
+    @pytest.mark.parametrize("kappa", [-1, 1, -2, 2, -3, 3])
+    def test_every_channel_passes(self, kappa):
+        # the default profile p^l e^{-p^2/2} transforms to r^l e^{-r^2/2} in
+        # position space, whose oracle Z <phi, r^-1 phi> is
+        # Gamma(l + 1) / Gamma(l + 3/2); for l >= 1 the transform rises from
+        # 0 to its peak, and the oracle's cut comes after it
+        report = run_command("scaling-limit", parse_config(overrides=[f"channel.kappa={kappa}"]))
+        assert report.ok, [c for c in report.checks if not c["ok"]]
+        l = ChannelSpec.from_kappa(kappa).l_up
+        assert report.results["oracle_coefficient"] == pytest.approx(
+            math.gamma(l + 1) / math.gamma(l + 1.5), rel=1e-12)
 
 
 class TestMain:
@@ -441,6 +393,31 @@ class TestMain:
         assert code == 2
         assert "error:" in err and "did not reach" in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
+
+    def test_disagreeing_gauss_orders_exit_code(self, tmp_path, capsys, monkeypatch):
+        # two Gauss orders that disagree are a NumericalError, reported like
+        # bad input; no other quadrature takes over
+        real = assemble._centred_rule_sums
+        monkeypatch.setattr(assemble, "_centred_rule_sums", lambda terms, p, order: real(
+            terms, p, order) * (1.0 + 1e-6 * (order == assemble._ORDERS[0])))
+        code = main(sum((["--set", kv] for kv in FAST), ["spectrum"])
+                    + ["--set", "output.directory=" + str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "Gauss orders" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.filterwarnings("ignore:Z = .* lies outside the subordinacy window")
+    @pytest.mark.parametrize("kind", ["rational", "log"])
+    @pytest.mark.parametrize("kappa", [-3, 3])
+    def test_assembly_range_corners(self, kind, kappa):
+        # at the config range's corners the smallest grid assembles: the two
+        # Gauss orders agree at every row, so nothing raises
+        for s, c, m in itertools.product((1e-6, 1e6), (1, 1e6), (1e-3, 1e3)):
+            run_command("spectrum", parse_config(overrides=[
+                f"grid.kind={kind}", "grid.n=16", f"grid.s={s}", f"params.c={c}",
+                f"params.m={m}", "params.Z=1000", f"channel.kappa={kappa}",
+                "solver.route=dense", "solver.k=1"]))
 
     def test_missing_config_file_exit_code(self, tmp_path, capsys):
         code = main(["spectrum", "--config", str(tmp_path / "missing.json")])

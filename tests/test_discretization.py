@@ -10,7 +10,7 @@ from brspec.assemble import (assemble_nonrel_operator, assemble_operator, assemb
                              subtraction_profile)
 from brspec.channels import ChannelSpec, br_terms, coulomb_terms
 from brspec.dirac import lambda_of
-from brspec.errors import ConfigurationError
+from brspec.errors import ConfigurationError, NumericalError
 from brspec.grids import (MetricH12, RadialGrid, assemble_h12_metric, build_grid,
                           build_log_grid, gauss_log, operator_norm_h12)
 from brspec.params import TIX_CONSTANT
@@ -188,8 +188,8 @@ class TestSubtractionIntegrals:
             subtraction_integrals(coulomb_terms(0, PhysParams(Z=1.0)), replace(grid, panels=None))
 
     def test_log_grid_orders_agree(self):
-        # the two Gauss orders of the error estimate, far inside the fallback
-        # tolerance on grids with S = 1, 2 and 4 sub-panels a panel
+        # the two Gauss orders of the error estimate, far inside ORDER_TOL on
+        # grids with S = 1, 2 and 4 sub-panels a panel
         for grid in (build_log_grid(200, 10.0, 1e5), build_log_grid(100, 10.0, 1e5),
                      build_log_grid(60, 10.0, 1e5)):
             for terms in (br_terms(CH, PhysParams(Z=30.0)), coulomb_terms(3, PhysParams(Z=30.0))):
@@ -249,6 +249,30 @@ class TestSubtractionIntegrals:
         grid = build_log_grid(60, 10.0, 1e5)
         subtraction_integrals(replace(base, mixing=counting), grid)
         assert sum(seen) / grid.n <= 100
+
+    @pytest.mark.parametrize("rule, grid", [("_centred_rule_sums", build_grid(40, 1.0)),
+                                            ("_log_grid_sums", build_log_grid(40, 1e-2, 1e2))])
+    def test_disagreeing_orders_raise(self, rule, grid, monkeypatch):
+        # one row whose two Gauss orders disagree beyond ORDER_TOL ends the
+        # assembly, quoting both estimates; no other quadrature takes over
+        real = getattr(assemble, rule)
+
+        def skewed(terms, where, order):
+            out = real(terms, where, order)
+            if order == assemble._ORDERS[0]:
+                out[7] *= 1 + 10 * assemble.ORDER_TOL
+            return out
+
+        monkeypatch.setattr(assemble, rule, skewed)
+        terms = br_terms(CH, PhysParams(Z=1.0))
+        with pytest.raises(NumericalError) as err:
+            subtraction_integrals(terms, grid)
+        where = grid if rule == "_log_grid_sums" else grid.nodes
+        low, high = (-terms.Z / np.pi * grid.nodes[7] * f(terms, where, order)[7]
+                     for f, order in zip((skewed, real), assemble._ORDERS))
+        message = str(err.value)
+        assert f"on 1 of 40 rows; row 7 (p = {grid.nodes[7]:.6g}): " in message
+        assert f"{low!r} and {high!r}" in message and f"{assemble.ORDER_TOL:g}" in message
 
     def test_panel_rule_matches_adaptive(self):
         params = PhysParams(Z=1.0)

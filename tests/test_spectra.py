@@ -219,7 +219,7 @@ class TestNonrelSpectrum:
 
 class TestBindingCurve:
     def test_small_sweep(self):
-        rows = binding_curve([1.0, 2.0, 5.0], CH, 4, PhysParams(), n=120, workers=1)
+        rows = binding_curve([1.0, 2.0, 5.0], CH, 4, PhysParams(), n=120)
         lam1 = [r.eigenvalues[0] for r in rows]
         assert lam1[0] > lam1[1] > lam1[2]
         mc2 = PhysParams().mc2
@@ -229,18 +229,18 @@ class TestBindingCurve:
             assert r.bound_flags.all()
 
     def test_rydberg_accumulation(self):
-        rows = binding_curve([1.0], CH, 4, PhysParams(), n=200, workers=1)
+        rows = binding_curve([1.0], CH, 4, PhysParams(), n=200)
         b = rows[0].bindings
         hydrogen = 0.5 / np.arange(1, 5) ** 2
         np.testing.assert_allclose(b, hydrogen, rtol=0.05)
 
     def test_positive_charges_required(self):
         with pytest.raises(DomainError):
-            binding_curve([1.0, -2.0], CH, 2, PhysParams(), workers=1)
+            binding_curve([1.0, -2.0], CH, 2, PhysParams())
 
     def test_flattened_table_shape(self):
         # flat (Z, level) table carries |Z_values| * k rows
         Zs, k = [1.0, 2.0], 3
-        rows = binding_curve(Zs, CH, k, PhysParams(), n=64, workers=1)
+        rows = binding_curve(Zs, CH, k, PhysParams(), n=64)
         flat = [(r.Z, j, r.eigenvalues[j]) for r in rows for j in range(k)]
         assert len(flat) == len(Zs) * k
