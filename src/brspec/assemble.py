@@ -34,7 +34,7 @@ from scipy.linalg import cholesky, solve_triangular
 from .channels import (ChannelSpec, KernelTerms, br_terms, coulomb_terms, kernel_split,
                        kernel_value, legendre_q_cosh, legendre_q_cosh_split, log_ratio)
 from .dirac import lambda_of
-from .errors import ConfigurationError, DomainError, NumericalError
+from .errors import ConfigurationError, NumericalError
 from .grids import LogPanels, RadialGrid, gauss_legendre, gauss_log
 from .params import PhysParams
 
@@ -331,7 +331,6 @@ class DiscreteOperator:
     grid: RadialGrid
     channel: ChannelSpec
     params: PhysParams
-    metric: np.ndarray            # discrete L^2 weights w_i p_i^2
     scheme: str
     kinetic_diagonal: np.ndarray | None = None
     _chol: np.ndarray | None = None
@@ -341,16 +340,9 @@ class DiscreteOperator:
     def n(self):
         return self.matrix.shape[0]
 
-    def potential_part(self):
-        pot = self.matrix.copy()
-        if self.kinetic_diagonal is not None:
-            pot[np.diag_indices_from(pot)] -= self.kinetic_diagonal
-            return pot
-        raise DomainError("potential split is only direct for the nystrom scheme")
-
     def node_values(self, vec):
         if self.scheme == "nystrom":
-            return vec / np.sqrt(self.metric)
+            return vec / np.sqrt(self.grid.l2_weights)
         x = solve_triangular(self._chol, vec, lower=True, trans="T")
         return x / self._dscale
 
@@ -422,7 +414,7 @@ def assemble_potential(grid: RadialGrid, terms: KernelTerms):
 
 
 def assemble_operator(grid: RadialGrid, channel: ChannelSpec, params: PhysParams,
-                      scheme="nystrom", fw_scale=1.0) -> DiscreteOperator:
+                      scheme="nystrom") -> DiscreteOperator:
     """Discrete channel operator lambda(p) + transformed Coulomb potential."""
     if scheme not in ("nystrom", "galerkin"):
         raise ConfigurationError(f"unknown scheme {scheme!r}")
@@ -431,15 +423,13 @@ def assemble_operator(grid: RadialGrid, channel: ChannelSpec, params: PhysParams
             f"Z = {params.Z} lies outside the subordinacy window Z < "
             f"{params.critical_charge:.2f}; the operator is not bounded below",
             UserWarning, stacklevel=2)
-    terms = br_terms(channel, params, fw_scale)
-    kinetic = lambda p: lambda_of(p, params)
+    terms = br_terms(channel, params)
     if scheme == "nystrom":
-        kin = kinetic(grid.nodes)
+        kin = lambda_of(grid.nodes, params)
         M = assemble_potential(grid, terms)
         M[np.diag_indices(grid.n)] += kin
-        return DiscreteOperator(M, grid, channel, params, grid.l2_weights,
-                                "nystrom", kinetic_diagonal=kin)
-    return _assemble_galerkin(grid, channel, params, terms, kinetic)
+        return DiscreteOperator(M, grid, channel, params, "nystrom", kinetic_diagonal=kin)
+    return _assemble_galerkin(grid, channel, params, terms)
 
 
 def assemble_nonrel_operator(grid: RadialGrid, l, params: PhysParams) -> DiscreteOperator:
@@ -448,12 +438,19 @@ def assemble_nonrel_operator(grid: RadialGrid, l, params: PhysParams) -> Discret
     M = assemble_potential(grid, coulomb_terms(l, params))
     M[np.diag_indices(grid.n)] += kin
     channel = ChannelSpec.from_kappa(-(l + 1) if l < 3 else l)  # l_up = l
-    return DiscreteOperator(M, grid, channel, params, grid.l2_weights,
-                            "nystrom", kinetic_diagonal=kin)
+    return DiscreteOperator(M, grid, channel, params, "nystrom", kinetic_diagonal=kin)
 
 
 # ---------------------------------------------------------------------------
 # Galerkin cross-check: piecewise-linear elements, Duffy panels on the diagonal
+
+# Gauss orders of the mass and kinetic matrices and of every potential panel
+# (far field, diagonal and adjacent cells); the diagonal cells grade their
+# Duffy u-panels over 12 levels, the adjacent cells over 8 toward the corner
+_TRIDIAG_ORDER = 12
+_POTENTIAL_ORDER = 6
+_DUFFY_LEVELS = 12
+_CORNER_LEVELS = 8
 
 
 def _element_quad(edges, order):
@@ -461,11 +458,19 @@ def _element_quad(edges, order):
     return _gauss_panels(edges[:-1], edges[1:], gauss_legendre(order))
 
 
-def _graded_rule(levels, order):
+def _graded_rule(levels):
     """GL on the panels [0, 4^-levels], ..., [1/4, 1], graded toward 0; levels=0 is one panel."""
     edges = np.concatenate([[0.0], 4.0 ** np.arange(-levels, 1, dtype=float)])
-    x, w = _element_quad(edges, order)
+    x, w = _element_quad(edges, _POTENTIAL_ORDER)
     return x.ravel(), w.ravel()
+
+
+def _tensor_rule(u_levels, v_levels):
+    """Tensor product of two graded rules on [0,1]^2, as flat (U, V, W)."""
+    u, wu = _graded_rule(u_levels)
+    v, wv = _graded_rule(v_levels)
+    U, V = np.meshgrid(u, v, indexing="ij")
+    return U.ravel(), V.ravel(), np.outer(wu, wv).ravel()
 
 
 def _hat_pair(x, a, b):
@@ -474,10 +479,10 @@ def _hat_pair(x, a, b):
     return 1.0 - lam, lam
 
 
-def _assemble_tridiag(nodes, weight_fn, order=12):
+def _assemble_tridiag(nodes, weight_fn):
     """Tridiagonal Int weight(p) h_i h_j dp-type matrices on the hat basis."""
     n = nodes.size
-    x, w = _element_quad(nodes, order)
+    x, w = _element_quad(nodes, _TRIDIAG_ORDER)
     hl, hr = _hat_pair(x, nodes[:-1, None], nodes[1:, None])
     f = weight_fn(x) * w
     out = np.zeros((n, n))
@@ -492,16 +497,7 @@ def _assemble_tridiag(nodes, weight_fn, order=12):
     return out
 
 
-def _duffy_triangle_rule(nu_levels=12, order=6):
-    """Graded panels in the Duffy u-variable times GL in v, on [0,1]^2."""
-    u, wu = _graded_rule(nu_levels, order)
-    v, wv = _graded_rule(0, order)
-    U, V = np.meshgrid(u, v, indexing="ij")
-    W = np.outer(wu, wv)
-    return U.ravel(), V.ravel(), W.ravel()
-
-
-def _diagonal_blocks(nodes, terms, order=6):
+def _diagonal_blocks(nodes, terms):
     """2x2 hat-pair integrals over each diagonal cell [a,b]^2 (all elements at once).
 
     The cell is split along p = q into two congruent triangles; the lower
@@ -509,7 +505,7 @@ def _diagonal_blocks(nodes, terms, order=6):
     ln|p - q| = ln(D u (1 - v)) is integrable; the upper triangle is the
     mirror image obtained by swapping the hat indices.
     """
-    U, V, W = _duffy_triangle_rule(order=order)
+    U, V, W = _tensor_rule(_DUFFY_LEVELS, 0)     # graded in u, plain GL in v
     a = nodes[:-1, None]
     b = nodes[1:, None]
     D = b - a
@@ -528,21 +524,13 @@ def _diagonal_blocks(nodes, terms, order=6):
     return L + np.transpose(L, (0, 2, 1))
 
 
-def _corner_rule(levels=8, order=6):
-    """Tensor rule on [0,1]^2 geometrically refined toward the (0, 0) corner."""
-    x, w = _graded_rule(levels, order)
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    W = np.outer(w, w)
-    return X.ravel(), Y.ravel(), W.ravel()
-
-
-def _adjacent_blocks(nodes, terms, order=6):
+def _adjacent_blocks(nodes, terms):
     """Hat-pair integrals over adjacent cells [p_e, p_m] x [p_m, p_r].
 
     The kernel is singular only at the shared corner (p_m, p_m); geometric
     tensor refinement toward it integrates the logarithm accurately.
     """
-    X, Y, W = _corner_rule(order=order)
+    X, Y, W = _tensor_rule(_CORNER_LEVELS, _CORNER_LEVELS)
     a = nodes[:-2, None]
     m = nodes[1:-1, None]
     r = nodes[2:, None]
@@ -561,26 +549,25 @@ def _adjacent_blocks(nodes, terms, order=6):
     return L
 
 
-def _assemble_galerkin(grid, channel, params, terms, kinetic_fn,
-                       far_order=6):
+def _assemble_galerkin(grid, channel, params, terms):
     nodes = grid.nodes
     n = nodes.size
     mass = _assemble_tridiag(nodes, lambda p: p * p)
-    kin = _assemble_tridiag(nodes, lambda p: kinetic_fn(p) * p * p)
+    kin = _assemble_tridiag(nodes, lambda p: lambda_of(p, params) * p * p)
 
     # far-field potential: tensor GL on every element pair, then the
     # near-diagonal pairs are replaced with the singularity-aware values
-    x, w = _element_quad(nodes, far_order)
+    x, w = _element_quad(nodes, _POTENTIAL_ORDER)
     xg = x.ravel()
     hl, hr = _hat_pair(x, nodes[:-1, None], nodes[1:, None])
     Hg = np.zeros((xg.size, n))
-    rows = np.repeat(np.arange(n - 1), far_order)
+    rows = np.repeat(np.arange(n - 1), _POTENTIAL_ORDER)
     Hg[np.arange(xg.size), rows] = hl.ravel()
     Hg[np.arange(xg.size), rows + 1] = hr.ravel()
     wg = (w * x * x).ravel()
     S, G = kernel_split(terms, xg[:, None], xg[None, :])
     dist = np.abs(xg[:, None] - xg[None, :])
-    el = np.repeat(np.arange(n - 1), far_order)
+    el = np.repeat(np.arange(n - 1), _POTENTIAL_ORDER)
     near = np.abs(el[:, None] - el[None, :]) <= 1
     K = S + G * np.log(np.where(near, 1.0, dist))
     K[near] = 0.0
@@ -619,6 +606,4 @@ def _assemble_galerkin(grid, channel, params, terms, kinetic_fn,
     Y = solve_triangular(L, Ab, lower=True)
     M = solve_triangular(L, Y.T, lower=True).T
     M = 0.5 * (M + M.T)
-    return DiscreteOperator(M, grid, channel, params, grid.l2_weights,
-                            "galerkin", kinetic_diagonal=None,
-                            _chol=L, _dscale=d)
+    return DiscreteOperator(M, grid, channel, params, "galerkin", _chol=L, _dscale=d)

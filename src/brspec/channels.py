@@ -16,10 +16,8 @@ from functools import partial
 import numpy as np
 
 from .dirac import a_plus_minus
-from .errors import ConfigurationError, DomainError, NumericalError, SingularPointError
+from .errors import DomainError, NumericalError, SingularPointError
 from .params import PhysParams
-
-GAUSSIAN_PROFILE = "gaussian"
 
 MAX_CHANNEL = 3  # |kappa| <= 3, orbital momenta l <= 3
 
@@ -280,16 +278,6 @@ def kernel_split(terms: KernelTerms, p, q):
             sum(m * (pref * g) for m, g in zip(mix, logcoef)))
 
 
-def coulomb_radial_kernel(l, p, q, params: PhysParams):
-    """Channel-l momentum kernel of -Z/|x|: -Z Q_l((p^2+q^2)/(2pq)) / (pi p q)."""
-    return kernel_value(coulomb_terms(l, params), p, q)
-
-
-def br_channel_kernel(channel: ChannelSpec, p, q, params: PhysParams, fw_scale=1.0):
-    """Transformed-potential channel kernel value, see ``br_terms``."""
-    return kernel_value(br_terms(channel, params, fw_scale), p, q)
-
-
 def angular_reduce(pointwise_kernel, l, p, q, tol=1e-10):
     """Channel-l reduction 2 pi Int_{-1}^{1} kernel(|p - q|) P_l(t) dt.
 
@@ -351,15 +339,12 @@ def scaled_sph_bessel_i(l, a):
     return out
 
 
-def multiplier_channel_kernel(chi_profile, l, R, p, q):
-    """Channel-l momentum kernel of multiplication by chi(|y|/R).
+def multiplier_channel_kernel(l, R, p, q):
+    """Channel-l momentum kernel of multiplication by the Gaussian cutoff chi(|y|/R).
 
-    Only the Gaussian profile chi(y) = exp(-|y|^2/2) is supported; its
-    channel kernel is smooth:
+    The cutoff is chi(y) = exp(-|y|^2/2), and its channel kernel is smooth:
         2 R^3 / sqrt(2 pi) exp(-R^2 (p-q)^2 / 2) [e^-a i_l(a)],  a = R^2 p q.
     """
-    if chi_profile != GAUSSIAN_PROFILE:
-        raise ConfigurationError(f"unsupported cutoff profile {chi_profile!r}")
     if not R > 0:
         raise DomainError("cutoff scale R must be positive")
     p = np.asarray(p, dtype=float)
@@ -373,17 +358,15 @@ def multiplier_channel_kernel(chi_profile, l, R, p, q):
     )
 
 
-def spherical_bessel_transform(l, samples, grid, direction="forward"):
+def spherical_bessel_transform(l, samples, grid):
     """Order-l spherical Bessel transform between radial representations.
 
     g(k) = sqrt(2/pi) Int f(r) j_l(k r) r^2 dr, evaluated on the grid's own
-    nodes; the inverse has the identical form.  Quadrature-level accuracy
-    for functions resolved by the grid.
+    nodes.  The transform is its own inverse: applied twice it returns f,
+    to quadrature-level accuracy for functions resolved by the grid.
     """
     from scipy.special import spherical_jn
 
-    if direction not in ("forward", "inverse"):
-        raise DomainError(f"direction must be forward or inverse, got {direction}")
     samples = np.asarray(samples)
     r = grid.nodes
     w = grid.weights

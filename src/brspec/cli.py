@@ -37,7 +37,7 @@ from .extension import (default_x_grid, dirichlet_energy, dtn_apply,
 from .assemble import assemble_operator
 from .experiments import (commutator_decay, critical_coupling_scan, hardy_check,
                           kato_check, scaling_limit, tix_check)
-from .grids import build_grid, build_log_grid
+from .grids import build_grid
 from .params import (HARDY_CONSTANT, KATO_CONSTANT, SPEED_OF_LIGHT, TIX_CONSTANT,
                      PhysParams)
 from .spectra import (BOUND_STATE_EDGE, binding_grid, dense_spectrum, nonrel_spectrum,
@@ -76,7 +76,7 @@ MAX_SAMPLES = 1000
 
 
 class _Range(NamedTuple):
-    """Numbers in [lo, hi]; a list needs ``least`` distinct elements, each in range."""
+    """Numbers in [lo, hi]; a list needs ``least`` elements, each in range."""
     lo: float
     hi: float
     least: int = 1
@@ -94,7 +94,7 @@ class _Range(NamedTuple):
 
 
 class _Choice(tuple):
-    """One of the options; a list may hold any number of them."""
+    """One of the options; a list may hold each of them once."""
     least = 0
     accepts = tuple.__contains__
 
@@ -197,8 +197,10 @@ def _validate(config):
             continue
         many = isinstance(_get(_DEFAULT_CONFIG, key), list)
         items = value if many else [value]
-        if not (all(map(rule.accepts, items)) and len(set(items)) >= rule.least):
-            need = (f"needs at least {rule.least} distinct values, each" if many
+        # a repeated value breaks the fits: a zero difference of the scaling
+        # forms, a norm ratio of exactly 1
+        if not (all(map(rule.accepts, items)) and len(set(items)) == len(items) >= rule.least):
+            need = (f"needs at least {rule.least} values, all distinct, each" if many
                     else key)
             raise ConfigurationError(f"configuration key {key}: {need} {rule}")
 
@@ -362,7 +364,7 @@ def _run_dtn_check(config):
 def _run_inequalities(config):
     params = _params(config)
     n = config["experiments"]["inequality_n"]
-    reports = [hardy_check(params=params),
+    reports = [hardy_check(),
                kato_check(params=params, n=n),
                tix_check(params=params, n=n)]
     payload = {"reports": [
@@ -378,8 +380,7 @@ def _run_inequalities(config):
 def _run_commutator(config):
     params = _params(config)
     exp = config["experiments"]
-    grid = build_log_grid(exp["commutator_n"], 1e-4, 1e3)
-    rep = commutator_decay(exp["R_values"], grid=grid,
+    rep = commutator_decay(exp["R_values"], n=exp["commutator_n"],
                            kappa=config["channel"]["kappa"], params=params)
     payload = {"R_values": rep.R_values, "norms": rep.norms,
                "fitted_slope": rep.fitted_slope, "fit_residual": rep.fit_residual}
@@ -434,7 +435,7 @@ def _run_nonrel(config):
     l = ChannelSpec.from_kappa(config["channel"]["kappa"]).l_up
     grid = build_grid(n, max(Z, 1.0))
     k = config["solver"]["k"]
-    vals = nonrel_spectrum(grid, Z, l, k, params)
+    vals = nonrel_spectrum(grid, l, k, params.replace(Z=Z))
     exact = [-Z**2 / (2.0 * (l + 1 + j) ** 2) for j in range(k)]
     errors = [abs(v - e) for v, e in zip(vals, exact)]
     payload = {"Z": Z, "l": l, "levels": list(range(l + 1, l + 1 + k)),

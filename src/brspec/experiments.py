@@ -16,8 +16,8 @@ from scipy.linalg.blas import dtrsv
 from scipy.linalg.lapack import dpotrf
 
 from .assemble import assemble_operator, assemble_potential
-from .channels import (GAUSSIAN_PROFILE, ChannelSpec, br_terms, coulomb_terms,
-                       multiplier_channel_kernel, spherical_bessel_transform)
+from .channels import (ChannelSpec, br_terms, coulomb_terms, multiplier_channel_kernel,
+                       spherical_bessel_transform)
 from .dirac import a_plus_minus, lambda_of
 from .errors import DomainError, NumericalError
 from .grids import assemble_h12_metric, build_grid, build_log_grid, operator_norm_h12
@@ -50,7 +50,7 @@ class InequalityReport:
 # ---------------------------------------------------------------------------
 # Hardy: || |x|^-1 psi || <= 2 || grad psi ||, sharp constant not attained.
 
-def hardy_check(eps_family=None, params: PhysParams = None) -> InequalityReport:
+def hardy_check(eps_family=None) -> InequalityReport:
     """Hardy ratio ||psi/r|| / ||grad psi|| on a concentrating trial family.
 
     psi_eps(r) = r^(eps - 1/2) e^-r (l = 0) has the reduced radial part
@@ -83,33 +83,38 @@ def _top_scaled_eigenvalue(W, b):
                       eigvals_only=True)[0])
 
 
-def kato_check(params: PhysParams = None, n=300, window=(1e-6, 1e6)) -> InequalityReport:
+# the Kato check's momentum window, and the channels of the projected-Coulomb check
+KATO_WINDOW = (1e-6, 1e6)
+TIX_CHANNELS = (-1, 1)
+
+
+def kato_check(params: PhysParams = None, n=300) -> InequalityReport:
     """Largest generalized eigenvalue of the |x|^-1 form against |p| (l = 0).
 
-    The grid sup approaches pi/2 from below under refinement; mass and c
-    drop out of the massless comparison.
+    The grid sup on KATO_WINDOW approaches pi/2 from below under refinement;
+    mass and c drop out of the massless comparison.
     """
     base = (params or PhysParams()).replace(Z=1.0)
-    grid = build_log_grid(n, *window)
+    grid = build_log_grid(n, *KATO_WINDOW)
     W = -assemble_potential(grid, coulomb_terms(0, base))
     return InequalityReport(
-        "kato", f"grid sup, l=0, n={grid.n}, window={window}",
+        "kato", f"grid sup, l=0, n={grid.n}, window={KATO_WINDOW}",
         _top_scaled_eigenvalue(W, grid.nodes), KATO_CONSTANT, grid.n)
 
 
-def tix_check(channels=(-1, 1), params: PhysParams = None, n=300) -> InequalityReport:
-    """Projected-Coulomb sharp constant: sup over channels of the generalized
+def tix_check(params: PhysParams = None, n=300) -> InequalityReport:
+    """Projected-Coulomb sharp constant: sup over TIX_CHANNELS of the generalized
     eigenvalue of the transformed |x|^-1 kernel against lambda(p)/c."""
     base = (params or PhysParams()).replace(Z=1.0)
     mc = base.m * base.c
     grid = build_log_grid(n, 1e-5 * mc, 2e3 * mc)
     b = lambda_of(grid.nodes, base) / base.c
     ratios = []
-    for kappa in channels:
+    for kappa in TIX_CHANNELS:
         W = -assemble_potential(grid, br_terms(ChannelSpec.from_kappa(kappa), base))
         ratios.append(_top_scaled_eigenvalue(W, b))
     return InequalityReport(
-        "tix", f"grid sup over channels {tuple(channels)}, n={grid.n}",
+        "tix", f"grid sup over channels {TIX_CHANNELS}, n={grid.n}",
         max(ratios), TIX_CONSTANT, len(ratios) * grid.n, ratios)
 
 
@@ -310,8 +315,7 @@ class CommutatorDecayReport:
     flagged: bool
 
 
-def commutator_matrix(R, grid, channel: ChannelSpec, params: PhysParams,
-                      chi_profile=GAUSSIAN_PROFILE):
+def commutator_matrix(R, grid, channel: ChannelSpec, params: PhysParams):
     """Channel-reduced matrix of [chi_R, U^-1] U on the (upper, lower) pair.
 
     chi_R acts blockwise through the channel kernels of its two orbital
@@ -338,8 +342,8 @@ def commutator_matrix(R, grid, channel: ChannelSpec, params: PhysParams,
     n = grid.n
     lw = grid.l2_weights
     P, Q = p[:, None], p[None, :]
-    Xu = multiplier_channel_kernel(chi_profile, channel.l_up, R, P, Q) * lw[None, :]
-    Xd = multiplier_channel_kernel(chi_profile, channel.l_down, R, P, Q) * lw[None, :]
+    Xu = multiplier_channel_kernel(channel.l_up, R, P, Q) * lw[None, :]
+    Xd = multiplier_channel_kernel(channel.l_down, R, P, Q) * lw[None, :]
     ap, am = a_plus_minus(p, params)
     dp, dm = ap[:, None] - ap[None, :], am[:, None] - am[None, :]
     s = 0.5 * (dp * dp + dm * dm)
@@ -354,22 +358,21 @@ def commutator_matrix(R, grid, channel: ChannelSpec, params: PhysParams,
     return C
 
 
-def commutator_decay(R_values=(2., 4., 8., 16., 32., 64.), grid=None, kappa=-1,
-                     chi_profile=GAUSSIAN_PROFILE,
+def commutator_decay(R_values=(2., 4., 8., 16., 32., 64.), n=160, kappa=-1,
                      params: PhysParams = None) -> CommutatorDecayReport:
     """Operator norms of the cutoff commutator across dilation scales R.
 
-    Fits the log-log slope; the norm decays like 1/R.
+    The commutator acts on an n-node log grid over [1e-4, 1e3].  Fits the
+    log-log slope of the norms, which decay like 1/R.
     """
     base = params or PhysParams()
-    if grid is None:
-        grid = build_log_grid(160, 1e-4, 1e3)
+    grid = build_log_grid(n, 1e-4, 1e3)
     R_values = [float(R) for R in R_values]
     if any(R <= 0 for R in R_values) or sorted(R_values) != R_values:
         raise DomainError("R values must be positive and increasing")
     ch = ChannelSpec.from_kappa(kappa)
     metric = assemble_h12_metric(grid)
-    norms = [operator_norm_h12(commutator_matrix(R, grid, ch, base, chi_profile), metric)
+    norms = [operator_norm_h12(commutator_matrix(R, grid, ch, base), metric)
              for R in R_values]
     coef = np.polyfit(np.log(R_values), np.log(norms), 1)
     resid = np.log(norms) - np.polyval(coef, np.log(R_values))
@@ -393,9 +396,8 @@ class ScalingLimitReport:
     flagged: bool
 
 
-def scaling_limit(eta_values=(0.4, 0.2, 0.1, 0.05, 0.025), grid=None,
-                  kappa=-1, params: PhysParams = None,
-                  profile=None) -> ScalingLimitReport:
+def scaling_limit(eta_values=(0.4, 0.2, 0.1, 0.05, 0.025), kappa=-1,
+                  params: PhysParams = None) -> ScalingLimitReport:
     """Transformed-potential form on the concentrating family eta^{3/2} phi(eta y).
 
     In momentum space the family rescales the mixing coefficients to
@@ -403,8 +405,9 @@ def scaling_limit(eta_values=(0.4, 0.2, 0.1, 0.05, 0.025), grid=None,
     F(eta) = eta * (f, P_eta f) with P_eta the potential matrix evaluated
     with rescaled mixing.  F(eta) = -A eta + B eta^e with A = Z (phi, |y|^-1 phi)
     and e >= 2; eta^-2 F(eta) then diverges monotonically to -infinity.
-    The default momentum profile is p^l e^{-p^2/2}, l the upper orbital
-    momentum of the channel, a smooth function of the momentum vector.
+    The momentum profile is p^l e^{-p^2/2} on a 200-node rational grid, l
+    the upper orbital momentum of the channel, a smooth function of the
+    momentum vector.
     """
     base = params or PhysParams()
     if base.Z <= 0:
@@ -412,12 +415,11 @@ def scaling_limit(eta_values=(0.4, 0.2, 0.1, 0.05, 0.025), grid=None,
     etas = sorted(float(e) for e in eta_values)[::-1]
     if etas[0] > 0.5 or etas[-1] <= 0:
         raise DomainError("eta values must lie in (0, 0.5], decreasing")
-    if grid is None:
-        grid = build_grid(200, 1.0)
+    grid = build_grid(200, 1.0)
     ch = ChannelSpec.from_kappa(kappa)
 
     p = grid.nodes
-    f = p**ch.l_up * np.exp(-p**2 / 2) if profile is None else np.asarray(profile, float)
+    f = p**ch.l_up * np.exp(-p**2 / 2)
     coords = f * np.sqrt(grid.l2_weights)
     coords = coords / np.linalg.norm(coords)
 

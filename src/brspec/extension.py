@@ -48,18 +48,18 @@ class XGrid:
     x_max: float
 
 
-def build_x_grid(x_max, n_nodes=400, order=8, grade_span=1e-10):
-    """Composite Gauss-Legendre panels geometrically graded toward x = 0.
+def build_x_grid(x_max, n_nodes=400):
+    """Composite 8-point Gauss-Legendre panels geometrically graded toward x = 0.
 
     The grading resolves boundary layers exp(-2 lambda x) for lambda up to
-    about 1/(grade_span * x_max) while the outer panels capture the slow
-    modes out to x_max.
+    about 1/(1e-10 x_max) while the outer panels capture the slow modes out
+    to x_max.
     """
     if not x_max > 0:
         raise DomainError("x_max must be positive")
-    n_panels = max(2, int(n_nodes) // order)
-    edges = np.concatenate([[0.0], x_max * np.geomspace(grade_span, 1.0, n_panels)])
-    t, wt = gauss_legendre(order)
+    n_panels = max(2, int(n_nodes) // 8)
+    edges = np.concatenate([[0.0], x_max * np.geomspace(1e-10, 1.0, n_panels)])
+    t, wt = gauss_legendre(8)
     xs, ws = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         xs.append(0.5 * (b - a) * t + 0.5 * (a + b))
@@ -69,9 +69,9 @@ def build_x_grid(x_max, n_nodes=400, order=8, grade_span=1e-10):
     return XGrid(nodes, weights, float(x_max))
 
 
-def default_x_grid(params: PhysParams, n_nodes=400):
+def default_x_grid(params: PhysParams):
     """Default extension grid: x_max = 40 / (m c^2), 400 nodes."""
-    return build_x_grid(40.0 / params.mc2, n_nodes=n_nodes)
+    return build_x_grid(40.0 / params.mc2)
 
 
 @dataclass
@@ -88,13 +88,6 @@ class BoundaryFunction:
         if not np.all(np.isfinite(v)):
             raise DomainError("boundary values must be finite")
         self.values = v.astype(complex)
-
-    def l2_norm(self):
-        return self.grid.l2_norm(self.values)
-
-    def h12_norm(self):
-        w = (1.0 + self.grid.nodes) * self.grid.l2_weights
-        return np.sqrt(np.real(np.dot(np.conj(self.values) * w, self.values)))
 
 
 class DecayProfile:
@@ -256,15 +249,15 @@ def dtn_apply(u: BoundaryFunction, params: PhysParams) -> BoundaryFunction:
     return BoundaryFunction(u.grid, lambda_of(u.grid.nodes, params) * u.values)
 
 
-def dtn_finite_difference(u: BoundaryFunction, params: PhysParams, h_scale=1e-2):
+def dtn_finite_difference(u: BoundaryFunction, params: PhysParams):
     """Richardson-extrapolated centered difference of -d_x v(0, p) per node.
 
-    Steps scale as h = h_scale / lambda(p) so every mode is resolved alike;
+    Steps scale as h = 1e-2 / lambda(p) so every mode is resolved alike;
     one Richardson step removes the O(h^2) error of the centered stencil.
     Independent of the multiplier formula used by dtn_apply.
     """
     lam = lambda_of(u.grid.nodes, params)
-    h = h_scale / lam
+    h = 1e-2 / lam
 
     def deriv(step):
         # field value at x = +-step per mode, from the extension problem's
@@ -303,7 +296,7 @@ def _product_quadrature(field: ExtensionField, k2):
     return float(density @ field.boundary.grid.l2_weights)
 
 
-def dirichlet_energy(obj, route, params: PhysParams, tail_tol=1e-12):
+def dirichlet_energy(obj, route, params: PhysParams):
     """Weighted H^1 energy of an extension, by either of two routes.
 
     ``momentum`` integrates the closed form Int lambda(p) |u(p)|^2 p^2 dp of
@@ -325,10 +318,10 @@ def dirichlet_energy(obj, route, params: PhysParams, tail_tol=1e-12):
     lam2 = params.c**2 * grid.nodes**2 + params.mc2**2
     val = _product_quadrature(obj, lam2)
     # bound the discarded tail x > x_max as if every mode kept decaying at
-    # its slowest admissible rate lambda(p)
+    # its slowest admissible rate lambda(p); below 1e-12 of the energy it is ok
     lam = np.sqrt(lam2)
     tail = float(np.dot(grid.l2_weights * lam, np.abs(_slice(obj.terms, -1)) ** 2))
-    return EnergyResult(val, tail, tail <= tail_tol * max(val, 1e-300))
+    return EnergyResult(val, tail, tail <= 1e-12 * max(val, 1e-300))
 
 
 def minimality_check(u: BoundaryFunction, perturbation: ExtensionField,
@@ -364,10 +357,9 @@ def trace_inequality_margin(field: ExtensionField, params: PhysParams) -> TraceM
     return TraceMarginResult(positive - trace_term, positive)
 
 
-def random_boundary(grid: RadialGrid, rng, width=None) -> BoundaryFunction:
-    """Random smooth decaying boundary datum, resolved by the grid."""
-    s = grid.mapping_scale if width is None else width
-    x = grid.nodes / s
+def random_boundary(grid: RadialGrid, rng) -> BoundaryFunction:
+    """Random smooth decaying boundary datum on the grid's mapping scale."""
+    x = grid.nodes / grid.mapping_scale
     coef = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     g = rng.uniform(0.5, 2.0)
     vals = (coef[0] + coef[1] * x + coef[2] * x * x) * np.exp(-g * x * x)

@@ -12,6 +12,8 @@ from .errors import ConfigurationError, DomainError
 # how far (relative to max(1, |ln p|)) a node may sit from its recorded
 # log-panel position: a few ulp of rounding, nothing more
 _PANEL_RTOL = 1e-14
+# Gauss-Legendre nodes in each panel of a log-panel grid
+LOG_PANEL_ORDER = 10
 
 
 def _frozen(*arrays):
@@ -167,7 +169,7 @@ def build_grid(n, s):
                       domain=(0.0, np.inf))
 
 
-def build_log_grid(n, p_lo, p_hi, nodes_per_panel=10):
+def build_log_grid(n, p_lo, p_hi):
     """Composite Gauss-Legendre grid, panels uniform in log p on [p_lo, p_hi].
 
     Uniform resolution per decade; the quadrature represents exactly the
@@ -180,11 +182,11 @@ def build_log_grid(n, p_lo, p_hi, nodes_per_panel=10):
         raise ConfigurationError(f"grid size must satisfy n >= 16, got {n}")
     if not (0 < p_lo < p_hi):
         raise ConfigurationError(f"need 0 < p_lo < p_hi, got ({p_lo}, {p_hi})")
-    npan = max(2, n // nodes_per_panel)
+    npan = max(2, n // LOG_PANEL_ORDER)
     lo, hi = np.log(p_lo), np.log(p_hi)
-    panels = LogPanels(float(lo), float((hi - lo) / npan), npan, nodes_per_panel)
+    panels = LogPanels(float(lo), float((hi - lo) / npan), npan, LOG_PANEL_ORDER)
     nodes = np.exp(panels.node_logs()).ravel()
-    wt = gauss_legendre(nodes_per_panel)[1]
+    wt = gauss_legendre(LOG_PANEL_ORDER)[1]
     weights = (0.5 * panels.width * np.tile(wt, npan)) * nodes
     return RadialGrid(nodes, weights, mapping_scale=float(np.sqrt(p_lo * p_hi)), kind="log",
                       domain=(float(p_lo), float(p_hi)), panels=panels)

@@ -44,9 +44,6 @@ class SpectralResult:
     def binding_energies(self):
         return self.params.mc2 - self.eigenvalues
 
-    def node_values(self, op: DiscreteOperator, k):
-        return op.node_values(self.eigenvectors[:, k])
-
 
 @dataclass
 class LevelRecord:
@@ -92,13 +89,6 @@ def neumann_residual_vector(op: DiscreteOperator, value, vec):
     """|| A v - value v || / || v || in the discrete L^2 coordinates."""
     r = op.matrix @ vec - value * vec
     return float(np.linalg.norm(r) / np.linalg.norm(vec))
-
-
-def neumann_residual(result: SpectralResult, op: DiscreteOperator, index):
-    if not 0 <= index < result.eigenvalues.size:
-        raise DomainError(f"eigenpair index {index} out of range")
-    return neumann_residual_vector(op, result.eigenvalues[index],
-                                   result.eigenvectors[:, index])
 
 
 def dense_spectrum(op: DiscreteOperator, k) -> SpectralResult:
@@ -194,17 +184,15 @@ def variational_spectrum(op: DiscreteOperator, k, tol=1e-10, max_iter=2000) -> S
                           _grid_meta(op.grid), trace)
 
 
-def nonrel_spectrum(grid: RadialGrid, Z, l, k, params: PhysParams = None):
+def nonrel_spectrum(grid: RadialGrid, l, k, params: PhysParams):
     """Eigenvalues of p^2/2m + Coulomb channel-l kernel (mixing switched off).
 
     The nonrelativistic comparison operator; its bound states sit at
     -Z^2/(2 n^2) and act as the large-c oracle for the binding energies.
     """
-    if not Z > 0:
+    if not params.Z > 0:
         raise DomainError("nonrel_spectrum requires Z > 0")
-    base = params or PhysParams()
-    op = assemble_nonrel_operator(grid, l, base.replace(Z=float(Z)))
-    return dense_spectrum(op, k).eigenvalues
+    return dense_spectrum(assemble_nonrel_operator(grid, l, params), k).eigenvalues
 
 
 def binding_grid(Z, params: PhysParams, n=200):

@@ -374,6 +374,13 @@ class TestMain:
         ("dtn-check", "seed=-1"),
         ("scaling-limit", "experiments.eta_values=[0.4]"),
         ("commutator-decay", "experiments.R_values=[1e300,1e301]"),
+        # a list repeats no value: a repeated eta or R ran into false FAILs,
+        # a NaN leading coefficient or a norm ratio of exactly 1
+        ("scaling-limit", "experiments.eta_values=[0.4,0.2,0.1,0.1]"),
+        ("commutator-decay", "experiments.R_values=[2,4,4,8]"),
+        ("critical-scan", "experiments.Z_values=[0.5,0.5]"),
+        ("critical-scan", "experiments.grid_sizes=[32,48,48]"),
+        ("spectrum", 'output.formats=["json","json"]'),
     ])
     def test_invalid_input_exit_code(self, command, override, tmp_path, capsys):
         code = main(sum((["--set", kv] for kv in FAST), [command])

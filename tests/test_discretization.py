@@ -444,7 +444,7 @@ class TestAssembly:
     def test_potential_form_negative(self):
         params = PhysParams(Z=1.0)
         op = assemble_operator(build_grid(80, 1.0), CH, params)
-        pot = op.potential_part()
+        pot = op.matrix - np.diag(op.kinetic_diagonal)
         rng = np.random.default_rng(4)
         for _ in range(100):
             f = rng.standard_normal(op.n)
@@ -454,7 +454,7 @@ class TestAssembly:
         # |(f, V f)| <= a (f, T f) with a = Z (pi/2 + 2/pi)/(2c) + margin
         params = PhysParams(Z=10.0)
         op = assemble_operator(build_grid(100, 1.0), CH, params)
-        pot = op.potential_part()
+        pot = op.matrix - np.diag(op.kinetic_diagonal)
         kin = op.kinetic_diagonal
         a = params.Z * TIX_CONSTANT / params.c + 0.01
         rng = np.random.default_rng(5)

@@ -9,8 +9,8 @@ from scipy.linalg import eigh
 
 from brspec import PhysParams, experiments
 from brspec.assemble import assemble_operator, assemble_potential
-from brspec.channels import (GAUSSIAN_PROFILE, ChannelSpec, br_terms, coulomb_terms,
-                             multiplier_channel_kernel, spherical_bessel_transform)
+from brspec.channels import (ChannelSpec, br_terms, coulomb_terms, multiplier_channel_kernel,
+                             spherical_bessel_transform)
 from brspec.dirac import a_plus_minus, lambda_of
 from brspec.errors import DomainError, NumericalError
 from brspec.experiments import (commutator_decay, commutator_matrix, critical_coupling_scan,
@@ -329,8 +329,7 @@ def dense_commutator(R, grid, channel, params):
     P, Q = np.meshgrid(p, p, indexing="ij")
     X = np.zeros((2 * n, 2 * n))
     for block, l in ((slice(0, n), channel.l_up), (slice(n, 2 * n), channel.l_down)):
-        X[block, block] = (multiplier_channel_kernel(GAUSSIAN_PROFILE, l, R, P, Q)
-                           * grid.l2_weights[None, :])
+        X[block, block] = multiplier_channel_kernel(l, R, P, Q) * grid.l2_weights[None, :]
     ap, am = a_plus_minus(p, params)
     G = np.block([[np.diag(ap), np.diag(-am)], [np.diag(am), np.diag(ap)]])
     return X - G.T @ X @ G, X
@@ -359,7 +358,7 @@ class TestCommutatorMatrix:
         ch = ChannelSpec.from_kappa(kappa)
         n, p = grid.n, grid.nodes
         P, Q = p[:, None], p[None, :]
-        Xu, Xd = (multiplier_channel_kernel(GAUSSIAN_PROFILE, l, R, P, Q)
+        Xu, Xd = (multiplier_channel_kernel(l, R, P, Q)
                   * grid.l2_weights[None, :] for l in (ch.l_up, ch.l_down))
         with mpmath.workdps(40):
             mc2 = mpmath.mpf(params.m) * mpmath.mpf(params.c) ** 2

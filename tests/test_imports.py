@@ -19,6 +19,54 @@ def test_no_private_cross_module_imports():
     assert not offenders, offenders
 
 
+def _defaulted(fn, skip):
+    """(name, position) of each defaulted parameter of ``fn``; the position
+    counts from the first argument a call passes (None: keyword-only)."""
+    args = fn.args.posonlyargs + fn.args.args
+    first = len(args) - len(fn.args.defaults)
+    return ([(arg.arg, i - skip) for i, arg in enumerate(args) if i >= first]
+            + [(arg.arg, None) for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+               if default is not None])
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    """Every defaulted parameter of a public function or method is passed, by
+    keyword or by position, by some call in the package or its tests; a class
+    call counts for its ``__init__``.  Calls are matched by name, and one that
+    unpacks ``*args`` or ``**kwargs`` counts as passing everything."""
+    package = Path(brspec.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    knobs = []              # (where, callee name, parameter, position)
+    for path in sources:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                knobs += [(f"{path.name}: {node.name}", node.name, *param)
+                          for param in _defaulted(node, 0)]
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and (
+                            fn.name == "__init__" or not fn.name.startswith("_")):
+                        # the package has no static methods: self or cls comes first
+                        callee = node.name if fn.name == "__init__" else fn.name
+                        knobs += [(f"{path.name}: {node.name}.{fn.name}", callee, *param)
+                                  for param in _defaulted(fn, 1)]
+    calls = {}
+    for path in sources + sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+
+    def passes(call, name, position):
+        return (any(k.arg in (name, None) for k in call.keywords)
+                or any(isinstance(a, ast.Starred) for a in call.args)
+                or position is not None and len(call.args) > position)
+
+    unset = [f"{where}({name})" for where, callee, name, position in knobs
+             if not any(passes(c, name, position) for c in calls.get(callee, []))]
+    assert not unset, unset
+
+
 def test_cli_import_leaves_quadrature_unloaded():
     """``import brspec.cli`` loads no scipy quadrature, special-function, optimizer
     or sparse module; the few functions that need them import them on first call."""

@@ -7,8 +7,7 @@ from brspec.channels import ChannelSpec
 from brspec.cli import parse_config, run_command
 from brspec.errors import DomainError
 from brspec.grids import build_grid
-from brspec.spectra import (binding_curve, dense_spectrum, minimize_pk,
-                            neumann_residual, nonrel_spectrum,
+from brspec.spectra import (binding_curve, dense_spectrum, minimize_pk, nonrel_spectrum,
                             variational_spectrum)
 
 CH = ChannelSpec.from_kappa(-1)
@@ -171,11 +170,11 @@ class TestRouteEquivalence:
 class TestNeumannResidual:
     def test_dense_pair(self, op_relativistic):
         res = dense_spectrum(op_relativistic, 2)
-        assert neumann_residual(res, op_relativistic, 0) < 1e-9
+        assert res.residuals[0] < 1e-9
 
     def test_variational_pair(self, op_relativistic):
         res = variational_spectrum(op_relativistic, 2, tol=1e-8)
-        assert neumann_residual(res, op_relativistic, 1) < 1e-7
+        assert res.residuals[1] < 1e-7
 
     def test_perturbed_vector_scales_linearly(self, op_relativistic):
         # first-order oracle: residual of v + eps e equals eps ||(A - lam) e||
@@ -192,29 +191,24 @@ class TestNeumannResidual:
         expect = eps * np.linalg.norm(op_relativistic.matrix @ e - lam * e)
         assert np.linalg.norm(r) == pytest.approx(expect, rel=1e-4)
 
-    def test_index_bounds(self, op_relativistic):
-        res = dense_spectrum(op_relativistic, 2)
-        with pytest.raises(DomainError):
-            neumann_residual(res, op_relativistic, 5)
-
 
 class TestNonrelSpectrum:
     def test_hydrogen_s_levels(self):
-        vals = nonrel_spectrum(build_grid(300, 1.0), 1.0, 0, 3)
+        vals = nonrel_spectrum(build_grid(300, 1.0), 0, 3, PhysParams(Z=1.0))
         exact = [-0.5, -0.125, -1.0 / 18.0]
         np.testing.assert_allclose(vals, exact, atol=1e-5)
 
     def test_helium_like_ground(self):
-        vals = nonrel_spectrum(build_grid(300, 2.0), 2.0, 0, 1)
+        vals = nonrel_spectrum(build_grid(300, 2.0), 0, 1, PhysParams(Z=2.0))
         assert abs(vals[0] + 2.0) < 4e-5
 
     def test_p_wave_ground(self):
-        vals = nonrel_spectrum(build_grid(300, 1.0), 1.0, 1, 1)
+        vals = nonrel_spectrum(build_grid(300, 1.0), 1, 1, PhysParams(Z=1.0))
         assert abs(vals[0] + 0.125) < 1e-5
 
     def test_charge_validation(self):
         with pytest.raises(DomainError):
-            nonrel_spectrum(build_grid(64, 1.0), 0.0, 0, 1)
+            nonrel_spectrum(build_grid(64, 1.0), 0, 1, PhysParams(Z=0.0))
 
 
 class TestBindingCurve:
