@@ -451,6 +451,10 @@ _TRIDIAG_ORDER = 12
 _POTENTIAL_ORDER = 6
 _DUFFY_LEVELS = 12
 _CORNER_LEVELS = 8
+# quadrature points per block of the potential: the far field's element
+# rows against all points, or the diagonal and adjacent cells of a run of
+# elements, so that no temporary grows with the square of the grid
+_BLOCK_POINTS = 1 << 16
 
 
 def _element_quad(edges, order):
@@ -471,6 +475,10 @@ def _tensor_rule(u_levels, v_levels):
     v, wv = _graded_rule(v_levels)
     U, V = np.meshgrid(u, v, indexing="ij")
     return U.ravel(), V.ravel(), np.outer(wu, wv).ravel()
+
+
+_DIAGONAL_RULE = _tensor_rule(_DUFFY_LEVELS, 0)     # graded in u, plain GL in v
+_CORNER_RULE = _tensor_rule(_CORNER_LEVELS, _CORNER_LEVELS)
 
 
 def _hat_pair(x, a, b):
@@ -505,7 +513,7 @@ def _diagonal_blocks(nodes, terms):
     ln|p - q| = ln(D u (1 - v)) is integrable; the upper triangle is the
     mirror image obtained by swapping the hat indices.
     """
-    U, V, W = _tensor_rule(_DUFFY_LEVELS, 0)     # graded in u, plain GL in v
+    U, V, W = _DIAGONAL_RULE
     a = nodes[:-1, None]
     b = nodes[1:, None]
     D = b - a
@@ -530,7 +538,7 @@ def _adjacent_blocks(nodes, terms):
     The kernel is singular only at the shared corner (p_m, p_m); geometric
     tensor refinement toward it integrates the logarithm accurately.
     """
-    X, Y, W = _tensor_rule(_CORNER_LEVELS, _CORNER_LEVELS)
+    X, Y, W = _CORNER_RULE
     a = nodes[:-2, None]
     m = nodes[1:-1, None]
     r = nodes[2:, None]
@@ -549,32 +557,66 @@ def _adjacent_blocks(nodes, terms):
     return L
 
 
+def _element_blocks(fn, nodes, reach, points):
+    """fn(nodes[lo:hi + reach]) over consecutive blocks of cells, concatenated.
+
+    A cell is a run of ``reach`` + 1 nodes (one element, or two adjacent
+    ones) carrying ``points`` quadrature points, and ``fn`` returns one entry
+    per cell of the nodes it gets; a block holds about _BLOCK_POINTS points.
+    """
+    count = nodes.size - reach
+    step = max(1, _BLOCK_POINTS // points)
+    return np.concatenate([fn(nodes[lo:min(lo + step, count) + reach])
+                           for lo in range(0, count, step)])
+
+
+def _far_field(nodes, terms):
+    """Tensor-Gauss potential on every element pair at least two elements apart.
+
+    A block of element rows at a time: the kernel at the block's quadrature
+    points against all of them, with the diagonal and adjacent cells
+    zeroed, contracts with the two hats of either element (quadrature
+    weights folded in) into a 2x2 block per element pair, and those add
+    into the matrix by four shifted slices.
+    """
+    n = nodes.size
+    order = _POTENTIAL_ORDER
+    x, w = _element_quad(nodes, order)
+    hw = np.stack(_hat_pair(x, nodes[:-1, None], nodes[1:, None]), axis=-1)
+    hw *= (w * x * x)[..., None]                            # (n - 1, order, 2)
+    el = np.arange(n - 1)
+    A = np.zeros((n, n))
+    step = max(1, _BLOCK_POINTS // (order * x.size))
+    for lo in range(0, n - 1, step):
+        hi = min(lo + step, n - 1)
+        xr = x[lo:hi, :, None, None]
+        near = np.abs(el[lo:hi, None] - el) <= 1
+        dist = np.abs(xr - x)                               # (rows, order, n - 1, order)
+        dist.transpose(0, 2, 1, 3)[near] = 1.0
+        S, G = kernel_split(terms, xr, x)
+        K = S + G * np.log(dist)
+        K.transpose(0, 2, 1, 3)[near] = 0.0
+        blk = np.einsum("eia,eifb->efab", hw[lo:hi], np.einsum("eifj,fjb->eifb", K, hw))
+        A[lo:hi, :-1] += blk[..., 0, 0]
+        A[lo:hi, 1:] += blk[..., 0, 1]
+        A[lo + 1:hi + 1, :-1] += blk[..., 1, 0]
+        A[lo + 1:hi + 1, 1:] += blk[..., 1, 1]
+    return A
+
+
 def _assemble_galerkin(grid, channel, params, terms):
     nodes = grid.nodes
     n = nodes.size
     mass = _assemble_tridiag(nodes, lambda p: p * p)
     kin = _assemble_tridiag(nodes, lambda p: lambda_of(p, params) * p * p)
 
-    # far-field potential: tensor GL on every element pair, then the
-    # near-diagonal pairs are replaced with the singularity-aware values
-    x, w = _element_quad(nodes, _POTENTIAL_ORDER)
-    xg = x.ravel()
-    hl, hr = _hat_pair(x, nodes[:-1, None], nodes[1:, None])
-    Hg = np.zeros((xg.size, n))
-    rows = np.repeat(np.arange(n - 1), _POTENTIAL_ORDER)
-    Hg[np.arange(xg.size), rows] = hl.ravel()
-    Hg[np.arange(xg.size), rows + 1] = hr.ravel()
-    wg = (w * x * x).ravel()
-    S, G = kernel_split(terms, xg[:, None], xg[None, :])
-    dist = np.abs(xg[:, None] - xg[None, :])
-    el = np.repeat(np.arange(n - 1), _POTENTIAL_ORDER)
-    near = np.abs(el[:, None] - el[None, :]) <= 1
-    K = S + G * np.log(np.where(near, 1.0, dist))
-    K[near] = 0.0
-    A = Hg.T @ (K * wg[:, None] * wg[None, :]) @ Hg
-
-    Ldiag = _diagonal_blocks(nodes, terms)
-    Ladj = _adjacent_blocks(nodes, terms)
+    # far-field potential on the element pairs apart, then the diagonal and
+    # adjacent pairs from the singularity-aware rules
+    A = _far_field(nodes, terms)
+    Ldiag = _element_blocks(lambda p: _diagonal_blocks(p, terms), nodes, 1,
+                            _DIAGONAL_RULE[0].size)
+    Ladj = _element_blocks(lambda p: _adjacent_blocks(p, terms), nodes, 2,
+                           _CORNER_RULE[0].size)
     idx = np.arange(n - 1)
     for di, dj, vals in (
         (idx, idx, Ldiag[:, 0, 0]),

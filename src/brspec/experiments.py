@@ -15,7 +15,7 @@ from scipy.linalg import eigh
 from scipy.linalg.blas import dtrsv
 from scipy.linalg.lapack import dpotrf
 
-from .assemble import assemble_operator, assemble_potential
+from .assemble import assemble_potential
 from .channels import (ChannelSpec, br_terms, coulomb_terms, multiplier_channel_kernel,
                        spherical_bessel_transform)
 from .dirac import a_plus_minus, lambda_of
@@ -76,11 +76,18 @@ def hardy_check(eps_family=None) -> InequalityReport:
 
 def _top_scaled_eigenvalue(W, b):
     """Largest eigenvalue of W v = mu diag(b) v: the top eigenvalue of
-    B^{-1/2} W B^{-1/2}, from its lower triangle as ``eigh(W, B)`` reads it."""
+    B^{-1/2} W B^{-1/2}, from its lower triangle as ``eigh(W, B)`` reads it.
+
+    The scaled matrix is formed in Fortran order, so LAPACK reads and
+    overwrites it in place instead of copying it.
+    """
     s = 1.0 / np.sqrt(b)
     n = s.size
-    return float(eigh(W * s[:, None] * s[None, :], subset_by_index=[n - 1, n - 1],
-                      eigvals_only=True)[0])
+    M = np.empty_like(W, order="F")
+    np.multiply(W, s[:, None], out=M)
+    M *= s[None, :]
+    return float(eigh(M, subset_by_index=[n - 1, n - 1], eigvals_only=True,
+                      overwrite_a=True)[0])
 
 
 # the Kato check's momentum window, and the channels of the projected-Coulomb check
@@ -254,36 +261,35 @@ def critical_coupling_scan(Z_values, grid_sizes=(100, 200, 400), kappa=-1,
     grids = ([build_log_grid(n, 1e-4 * mc, 2e3 * mc) for n in sizes]
              + [build_log_grid(n, 1e-3 * mc * sizes[0] / n, 5.0 * mc * n) for n in sizes])
     ref = base.replace(Z=min(1.0, 0.5 * base.critical_charge))
-    ops = [assemble_operator(grid, ch, ref) for grid in grids]
-    for op in ops:      # each matrix becomes its reference potential V, in place
-        op.matrix[np.diag_indices(op.n)] -= op.kinetic_diagonal
-    flat = np.empty(max(op.n for op in ops) ** 2)
+    terms = br_terms(ch, ref)
+    pots = [assemble_potential(grid, terms) for grid in grids]
+    kins = [lambda_of(grid.nodes, ref) for grid in grids]
+    flat = np.empty(max(grid.n for grid in grids) ** 2)
     counts = dict.fromkeys(("eigh_calls", "factorizations", "rejected_shifts",
                             "solves", "max_solves_per_level"), 0)
-    states = [None] * len(ops)      # per grid: (ground vector, gap) at the last charge
+    states = [None] * len(grids)    # per grid: (ground vector, gap) at the last charge
 
     def ground_level(k, Z, guess):
         # Z V + diag(lambda) lives in the one reused buffer; assembly makes
         # it exactly symmetric, so the F-ordered view is the same matrix and
         # LAPACK works on it in place
-        op = ops[k]
-        buf = flat[:op.n * op.n].reshape(op.n, op.n)
+        V, kin = pots[k], kins[k]
+        buf = flat[:V.size].reshape(V.shape)
         if states[k] is None:
-            np.multiply(op.matrix, Z / ref.Z, out=buf)
-            buf[np.diag_indices(op.n)] += op.kinetic_diagonal
+            np.multiply(V, Z / ref.Z, out=buf)
+            buf[np.diag_indices(kin.size)] += kin
             w, v = eigh(buf.T, subset_by_index=[0, 1], overwrite_a=True)
             counts["eigh_calls"] += 1
             states[k] = v[:, 0], w[1] - w[0]
             return float(w[0])
-        lam1, x, gap = _ground_level(op.matrix, Z / ref.Z, op.kinetic_diagonal,
-                                     *states[k], guess, buf, counts)
+        lam1, x, gap = _ground_level(V, Z / ref.Z, kin, *states[k], guess, buf, counts)
         states[k] = x, gap
         return float(lam1)
 
     rows, last = [], None
     for Z in Z_values:
         lam1 = []
-        for k in range(len(ops)):
+        for k in range(len(grids)):
             # a finer grid's level is guessed from the next coarser one of its
             # family at this charge plus their offset at the previous charge
             finer = last is not None and k % len(sizes) > 0

@@ -138,17 +138,6 @@ class RadialGrid:
         """Discrete L^2 measure w_i p_i^2 (radial functions, q^2 dq pairing)."""
         return self.weights * self.nodes**2
 
-    def integrate(self, values):
-        """Quadrature of Int f(p) dp for f sampled on the nodes."""
-        return np.dot(self.weights, np.asarray(values))
-
-    def l2_inner(self, f, g):
-        """Discrete radial L^2 inner product Int conj(f) g p^2 dp."""
-        return np.dot(np.conj(f) * self.l2_weights, g)
-
-    def l2_norm(self, f):
-        return np.sqrt(np.real(self.l2_inner(f, f)))
-
 
 def build_grid(n, s):
     """Mapped Gauss-Legendre grid on (0, inf): p = s (1+t)/(1-t).
@@ -204,9 +193,6 @@ class MetricH12:
             raise ConfigurationError("H^{1/2} metric entries must be positive")
         object.__setattr__(self, "diagonal", d)
 
-    def norm(self, f):
-        return np.sqrt(np.real(np.dot(np.conj(f) * self.diagonal, f)))
-
 
 def assemble_h12_metric(grid: RadialGrid) -> MetricH12:
     """Discrete metric of Int (1 + |p|) |f(p)|^2 p^2 dp on the grid."""
@@ -229,5 +215,9 @@ def operator_norm_h12(A, metric: MetricH12):
     dr = np.sqrt(np.tile(d, reps))
     M = A * dr[:, None] / dr[None, :]
     k = M.shape[0]
-    top = eigh(M.conj().T @ M, subset_by_index=[k - 1, k - 1], eigvals_only=True)[0]
+    # numpy forms M^H M by a rank-k update, exactly Hermitian, so its
+    # F-ordered transpose is its conjugate (itself for a real M), with the
+    # same eigenvalues, and LAPACK works on it in place without a copy
+    top = eigh((M.conj().T @ M).T, subset_by_index=[k - 1, k - 1], eigvals_only=True,
+               overwrite_a=True)[0]
     return float(np.sqrt(max(top, 0.0)))

@@ -91,11 +91,42 @@ def neumann_residual_vector(op: DiscreteOperator, value, vec):
     return float(np.linalg.norm(r) / np.linalg.norm(vec))
 
 
+# rows per block when the eigensolver's triangle is mirrored back
+_MIRROR_ROWS = 64
+
+
+def _mirror_lower(A):
+    """Copy the strict lower triangle of the square C-ordered A onto its upper one."""
+    n = A.shape[0]
+    for lo in range(0, n, _MIRROR_ROWS):
+        hi = min(lo + _MIRROR_ROWS, n)
+        A[lo:hi, hi:] = A[hi:, lo:hi].T
+        block = A[lo:hi, lo:hi]
+        upper = np.triu_indices(hi - lo, 1)
+        block[upper] = block.T[upper]
+
+
 def dense_spectrum(op: DiscreteOperator, k) -> SpectralResult:
-    """k smallest eigenpairs of the symmetric operator matrix."""
+    """k smallest eigenpairs of the symmetric operator matrix.
+
+    ``op.matrix`` is LAPACK's workspace: every assembler builds it exactly
+    symmetric and C-ordered, so its transpose is the same matrix in Fortran
+    order, which the eigensolver reads and overwrites in place (its lower
+    triangle in Fortran terms, the upper triangle and diagonal of
+    ``op.matrix``) instead of copying.  The diagonal is saved beforehand,
+    and afterwards the untouched strict lower triangle is mirrored back, so
+    ``op.matrix`` comes back bitwise as it was and the eigenpairs are those
+    of ``eigh(op.matrix)``.  Only one n x n matrix is held.
+    """
     if not 1 <= k <= op.n:
         raise DomainError(f"need 1 <= k <= {op.n}, got {k}")
-    vals, vecs = eigh(op.matrix, subset_by_index=[0, k - 1])
+    A = op.matrix
+    diag = A.diagonal().copy()
+    try:
+        vals, vecs = eigh(A.T, subset_by_index=[0, k - 1], overwrite_a=True)
+    finally:
+        _mirror_lower(A)
+        A[np.diag_indices(op.n)] = diag
     res = np.array([neumann_residual_vector(op, vals[j], vecs[:, j]) for j in range(k)])
     return SpectralResult(vals, vecs, res, op.channel, op.params, "dense",
                           _grid_meta(op.grid))

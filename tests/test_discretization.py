@@ -1,14 +1,16 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import eigh
 
 from brspec import PhysParams, assemble, channels, grids
 from brspec.assemble import (assemble_nonrel_operator, assemble_operator, assemble_potential,
                              subtraction_integral_adaptive, subtraction_integrals,
                              subtraction_profile)
-from brspec.channels import ChannelSpec, br_terms, coulomb_terms
+from brspec.channels import ChannelSpec, br_terms, coulomb_terms, kernel_split
 from brspec.dirac import lambda_of
 from brspec.errors import ConfigurationError, NumericalError
 from brspec.grids import (MetricH12, RadialGrid, assemble_h12_metric, build_grid,
@@ -21,11 +23,11 @@ CH = ChannelSpec.from_kappa(-1)
 class TestRationalGrid:
     def test_exponential_integral(self):
         g = build_grid(100, 1.0)
-        assert g.integrate(np.exp(-g.nodes)) == pytest.approx(1.0, abs=1e-12)
+        assert g.weights @ np.exp(-g.nodes) == pytest.approx(1.0, abs=1e-12)
 
     def test_gaussian_moment(self):
         g = build_grid(100, 1.0)
-        val = g.integrate(g.nodes**2 * np.exp(-g.nodes**2))
+        val = g.weights @ (g.nodes**2 * np.exp(-g.nodes**2))
         assert val == pytest.approx(np.sqrt(np.pi) / 4, abs=1e-10)
 
     def test_node_monotonicity_and_positivity(self):
@@ -64,7 +66,7 @@ class TestLogGrid:
     def test_quadrature(self):
         g = build_log_grid(200, 1e-6, 50.0)
         exact = np.exp(-1e-6) - np.exp(-50.0)
-        assert g.integrate(np.exp(-g.nodes)) == pytest.approx(exact, abs=1e-12)
+        assert g.weights @ np.exp(-g.nodes) == pytest.approx(exact, abs=1e-12)
 
     def test_domain_recorded(self):
         g = build_log_grid(100, 1e-3, 10.0)
@@ -87,14 +89,14 @@ class TestH12Metric:
         rng = np.random.default_rng(0)
         for _ in range(20):
             f = rng.standard_normal(g.n)
-            assert m.norm(f) >= g.l2_norm(f)
+            assert m.diagonal @ f**2 >= g.l2_weights @ f**2
 
     def test_gaussian_norm_against_quadrature(self):
         g = build_grid(200, 1.0)
         m = assemble_h12_metric(g)
         f = np.exp(-g.nodes**2 / 2)
         oracle = quad(lambda p: (1 + p) * p * p * np.exp(-p * p), 0, np.inf)[0]
-        assert m.norm(f) ** 2 == pytest.approx(oracle, rel=1e-8)
+        assert m.diagonal @ f**2 == pytest.approx(oracle, rel=1e-8)
 
 
 class TestOperatorNormH12:
@@ -144,6 +146,17 @@ class TestOperatorNormH12:
     def test_zero_operator(self):
         m = assemble_h12_metric(build_grid(32, 1.0))
         assert operator_norm_h12(np.zeros((64, 64)), m) == 0.0
+
+    def test_gram_matrix_read_as_formed(self):
+        # LAPACK gets the Gram matrix's F-ordered transpose in place of a
+        # copy of it: the same matrix, so the same bits
+        rng = np.random.default_rng(11)
+        m = assemble_h12_metric(build_log_grid(60, 1e-4, 1e3))
+        A = rng.standard_normal((60, 60))
+        d = np.sqrt(m.diagonal)
+        M = A * d[:, None] / d[None, :]
+        top = eigh(M.T @ M, subset_by_index=[59, 59], eigvals_only=True)[0]
+        assert operator_norm_h12(A, m) == np.sqrt(top)
 
 
 class TestSubtractionIntegrals:
@@ -494,6 +507,46 @@ class TestGalerkin:
                                scheme="galerkin")
         assert np.abs(op.matrix - op.matrix.T).max() < 1e-12 * np.abs(op.matrix).max()
 
+    @staticmethod
+    def dense_far_field(nodes, terms):
+        """The far field as one dense product Hg^T K Hg over all quadrature points."""
+        order = assemble._POTENTIAL_ORDER
+        n = nodes.size
+        x, w = assemble._element_quad(nodes, order)
+        xg = x.ravel()
+        hl, hr = assemble._hat_pair(x, nodes[:-1, None], nodes[1:, None])
+        Hg = np.zeros((xg.size, n))
+        rows = np.repeat(np.arange(n - 1), order)
+        Hg[np.arange(xg.size), rows] = hl.ravel()
+        Hg[np.arange(xg.size), rows + 1] = hr.ravel()
+        wg = (w * x * x).ravel()
+        S, G = kernel_split(terms, xg[:, None], xg[None, :])
+        near = np.abs(rows[:, None] - rows[None, :]) <= 1
+        K = S + G * np.log(np.where(near, 1.0, np.abs(xg[:, None] - xg[None, :])))
+        K[near] = 0.0
+        return Hg.T @ (K * wg[:, None] * wg[None, :]) @ Hg
+
+    @pytest.mark.parametrize("grid", [build_grid(64, 1.0), build_log_grid(64, 1e-3, 1e5)],
+                             ids=["rational", "log"])
+    def test_streamed_far_field_matches_dense_product(self, grid):
+        terms = br_terms(CH, PhysParams(Z=40.0))
+        oracle = self.dense_far_field(grid.nodes, terms)
+        far = assemble._far_field(grid.nodes, terms)
+        assert np.abs(far - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+    def test_assembly_memory_stays_below_the_point_grid_square(self):
+        # one (6 (n-1))^2 array of the quadrature points alone is 11 MB at
+        # n = 200; the streamed far field and cell blocks keep the peak well
+        # below the dozen such arrays a dense far field holds
+        grid = build_grid(200, 1.0)
+        tracemalloc.start()
+        try:
+            assemble_operator(grid, CH, PhysParams(Z=40.0), scheme="galerkin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_node_values_recover_l2_norm(self):
         params = PhysParams(Z=1.0)
         op = assemble_operator(build_grid(64, 1.0), CH, params, scheme="galerkin")
@@ -512,6 +565,31 @@ class TestGalerkin:
             fq = x[i] * hl + x[i + 1] * hr
             mass_diag_form += np.dot(wq, (fq * xq) ** 2)
         assert mass_diag_form == pytest.approx(1.0, rel=1e-12)
+
+
+ASSEMBLERS = {
+    "potential-rational": lambda: assemble_potential(build_grid(80, 1.0),
+                                                     br_terms(CH, PhysParams(Z=40.0))),
+    "potential-log": lambda: assemble_potential(build_log_grid(80, 1e-6, 1e6),
+                                                coulomb_terms(2, PhysParams(Z=1.0))),
+    "nystrom-rational": lambda: assemble_operator(build_grid(80, 1.0), CH,
+                                                  PhysParams(Z=40.0)).matrix,
+    "nystrom-log": lambda: assemble_operator(build_log_grid(80, 4e-3, 3e5),
+                                             ChannelSpec.from_kappa(2), PhysParams(Z=80.0)).matrix,
+    "galerkin-rational": lambda: assemble_operator(build_grid(48, 1.0), CH, PhysParams(Z=1.0),
+                                                   scheme="galerkin").matrix,
+    "galerkin-log": lambda: assemble_operator(build_log_grid(48, 4e-3, 3e5), CH,
+                                              PhysParams(Z=40.0), scheme="galerkin").matrix,
+    "nonrel": lambda: assemble_nonrel_operator(build_grid(80, 1.0), 1, PhysParams(Z=2.0)).matrix,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASSEMBLERS))
+def test_assembled_matrix_exactly_symmetric(name):
+    # the dense solvers hand a matrix's F-ordered transpose to LAPACK as the
+    # matrix itself, which holds only when it is symmetric to the last bit
+    M = ASSEMBLERS[name]()
+    assert np.array_equal(M, M.T)
 
 
 class TestNonrelAssembly:

@@ -128,6 +128,21 @@ class TestSharpSupsAgainstGeneralizedEigh:
         rep = tix_check(n=n)
         assert rep.ratios == pytest.approx(oracle, rel=1e-13)
 
+    def test_scaled_product_read_as_formed(self):
+        # the scaled matrix goes to LAPACK in Fortran order, without a copy:
+        # same lower triangle, same bits, and W is left alone, also when W
+        # is not exactly symmetric
+        rng = np.random.default_rng(5)
+        W = rng.standard_normal((60, 60))
+        W += W.T
+        W[np.triu_indices(60, 1)] *= 1 + 1e-9 * rng.standard_normal(60 * 59 // 2)
+        b = rng.uniform(0.5, 2.0, 60)
+        s = 1.0 / np.sqrt(b)
+        want = eigh(W * s[:, None] * s[None, :], subset_by_index=[59, 59], eigvals_only=True)[0]
+        before = W.copy()
+        assert experiments._top_scaled_eigenvalue(W, b) == want
+        assert np.array_equal(W, before)
+
     def test_samples_are_the_grid_nodes(self):
         # n = 64 builds 60 nodes: the reports count and describe those
         kato, tix = kato_check(n=64), tix_check(n=64)
@@ -203,13 +218,13 @@ class TestCriticalScanUnitCharge:
 
     def test_assembles_each_grid_once(self, monkeypatch):
         charges = []
-        real = experiments.assemble_operator
+        real = experiments.assemble_potential
 
-        def counting(grid, channel, params, *args, **kwargs):
-            charges.append(params.Z)
-            return real(grid, channel, params, *args, **kwargs)
+        def counting(grid, terms):
+            charges.append(terms.Z)
+            return real(grid, terms)
 
-        monkeypatch.setattr(experiments, "assemble_operator", counting)
+        monkeypatch.setattr(experiments, "assemble_potential", counting)
         sizes = (32, 48, 64)
         rep = critical_coupling_scan([100, 110, 115, 120, 122, 124, 130, 140],
                                      grid_sizes=sizes)

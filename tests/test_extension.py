@@ -90,7 +90,7 @@ class TestDtN:
         # (u, T u) in L^2 equals the extension energy of the minimizer
         rng = np.random.default_rng(3)
         u = random_boundary(grid, rng)
-        pairing = np.real(grid.l2_inner(u.values, dtn_apply(u, P11).values))
+        pairing = np.real(np.conj(u.values) * grid.l2_weights @ dtn_apply(u, P11).values)
         energy = dirichlet_energy(extend(u, xg, P11), "x_quadrature", P11).value
         assert pairing == pytest.approx(energy, rel=1e-12)
 

@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, eigh
 
-from brspec import PhysParams
-from brspec.assemble import assemble_operator
+from brspec import PhysParams, spectra
+from brspec.assemble import assemble_nonrel_operator, assemble_operator
 from brspec.channels import ChannelSpec
 from brspec.cli import parse_config, run_command
 from brspec.errors import DomainError
-from brspec.grids import build_grid
+from brspec.grids import build_grid, build_log_grid
 from brspec.spectra import (binding_curve, dense_spectrum, minimize_pk, nonrel_spectrum,
                             variational_spectrum)
 
@@ -22,6 +25,54 @@ def op_relativistic():
 @pytest.fixture(scope="module")
 def op_atomic():
     return assemble_operator(build_grid(200, 1.0), CH, PhysParams(Z=1.0))
+
+
+IN_PLACE_OPERATORS = {
+    "nystrom-rational": lambda: assemble_operator(build_grid(120, 1.0), CH, PhysParams(Z=40.0)),
+    "nystrom-log": lambda: assemble_operator(build_log_grid(120, 4e-3, 3e5), CH,
+                                             PhysParams(Z=40.0)),
+    "galerkin": lambda: assemble_operator(build_grid(64, 1.0), CH, PhysParams(Z=1.0),
+                                          scheme="galerkin"),
+    "nonrel": lambda: assemble_nonrel_operator(build_grid(96, 1.0), 1, PhysParams(Z=2.0)),
+}
+
+
+class TestDenseInPlace:
+    """dense_spectrum lets LAPACK overwrite op.matrix and restores it."""
+
+    @pytest.mark.parametrize("name", sorted(IN_PLACE_OPERATORS))
+    def test_matrix_restored_and_pairs_unchanged(self, name):
+        op = IN_PLACE_OPERATORS[name]()
+        before = op.matrix.copy()
+        vals, vecs = eigh(before.copy(), subset_by_index=[0, 3])
+        res = dense_spectrum(op, 4)
+        assert np.array_equal(op.matrix, before)
+        assert np.array_equal(res.eigenvalues, vals)
+        assert np.array_equal(res.eigenvectors, vecs)
+
+    def test_matrix_restored_when_the_solver_fails(self, monkeypatch):
+        op = IN_PLACE_OPERATORS["nystrom-log"]()
+        before = op.matrix.copy()
+
+        def failing(a, **kwargs):          # scribbles on its triangle, as LAPACK may
+            a[np.tril_indices(a.shape[0])] = np.nan
+            raise LinAlgError("no convergence")
+
+        monkeypatch.setattr(spectra, "eigh", failing)
+        with pytest.raises(LinAlgError):
+            dense_spectrum(op, 2)
+        assert np.array_equal(op.matrix, before)
+
+    def test_peak_memory_below_half_a_matrix(self):
+        # the solver works on op.matrix itself, not on a copy of it
+        op = assemble_operator(build_log_grid(400, 4e-3, 3e5), CH, PhysParams(Z=40.0))
+        tracemalloc.start()
+        try:
+            dense_spectrum(op, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * op.matrix.nbytes
 
 
 class TestDenseSpectrum:
