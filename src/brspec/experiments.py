@@ -149,15 +149,17 @@ class CriticalScanReport:
     eigen: dict = field(default_factory=dict)   # eigh calls, factorizations, solves
 
 
-# Shifted inverse iteration for the scan's warm charges.  The first shift
+# Shifted inverse iteration for the scan's warm levels.  The first shift
 # sits a twentieth of the spectral gap below the best guess of lambda_1, a
 # rejected shift moves four times as far, and a contraction slower than 0.3
 # per solve moves the shift up again.  The residual target is 1e-13 of the
 # largest diagonal entry lambda(p_max), the scale of the matrix: about a
-# hundred times the residual of a converged ``eigh`` vector, while the
-# Rayleigh quotient then errs by at most residual^2 / gap.  A level that
-# spends MAX_STEPS factorizations and solves raises NumericalError; the
-# benchmark scan's slowest level takes 20.
+# hundred times the residual of a converged ``eigh`` vector.  The Rayleigh
+# quotient then errs by at most residual^2 / gap, which must also fall to
+# 1e-13 of the smallest diagonal entry lambda(p_min) >= m c^2; only a nearly
+# degenerate bottom of the spectrum (Z = 0) needs more than the target for
+# that.  A level that spends MAX_STEPS factorizations and solves raises
+# NumericalError; the benchmark scan's slowest level takes 20.
 SHIFT_FRACTION = 0.05
 SHIFT_GROWTH = 4.0
 SLOW_CONTRACTION = 0.3
@@ -174,13 +176,15 @@ def _ground_level(V, scale, kinetic, x, gap, guess, buf, counts):
     sides; the Rayleigh quotient of x bounds it above, and ``guess`` only
     places the first shift.  From a certified shift the iteration converges
     to the ground state, and it stops once ||A x - theta x|| meets the
-    target, theta the Rayleigh quotient.  Returns (theta, x, gap), the gap
+    target and the error bound ||A x - theta x||^2 / gap of the Rayleigh
+    quotient theta meets the accuracy.  Returns (theta, x, gap), the gap
     lambda_2 - lambda_1 re-estimated from the contraction
     (lambda_1 - sigma) / (lambda_2 - sigma) of the last solve.
     """
     n = kinetic.size
     diag = np.diag_indices(n)
     target = RESIDUAL_TOL * np.abs(kinetic).max()
+    accuracy = RESIDUAL_TOL * np.abs(kinetic).min()
 
     def rayleigh(x):                        # theta and ||A x - theta x|| of a unit x
         y = V @ x
@@ -218,7 +222,7 @@ def _ground_level(V, scale, kinetic, x, gap, guess, buf, counts):
                 rate = res / prev
                 if 0 < rate < 1:
                     gap = (theta - sigma) * (1 / rate - 1)
-                if res <= target:
+                if res <= target and res * res <= accuracy * gap:
                     counts["max_solves_per_level"] = max(counts["max_solves_per_level"],
                                                          solves)
                     return theta, x, gap
@@ -233,6 +237,18 @@ def _ground_level(V, scale, kinetic, x, gap, guess, buf, counts):
         sigma = max(hi - step, 0.5 * (lo + hi))     # never below a certified shift
 
 
+def _interpolated_start(coarse, x, fine):
+    """The unit L^2 coordinates on ``fine`` of the ground vector x of ``coarse``.
+
+    x holds node values times sqrt(w p^2); the node values are interpolated
+    linearly in ln p (held constant beyond the coarse window) and re-weighted.
+    """
+    values = np.interp(np.log(fine.nodes), np.log(coarse.nodes),
+                       x / np.sqrt(coarse.l2_weights))
+    y = values * np.sqrt(fine.l2_weights)
+    return y / np.linalg.norm(y)
+
+
 def critical_coupling_scan(Z_values, grid_sizes=(100, 200, 400), kappa=-1,
                            params: PhysParams = None) -> CriticalScanReport:
     """Probe boundedness-from-below around the critical charge.
@@ -241,66 +257,85 @@ def critical_coupling_scan(Z_values, grid_sizes=(100, 200, 400), kappa=-1,
     window (a bounded-below truncation whose ground level is stable exactly
     when the coupling is subcritical), and window exhaustion coupled to n
     (supercritical couplings dive without stabilizing as the scales open
-    up; subcritical ones drift by their truncation bias only).  The first
-    charge's ground levels come from ``eigh``, every later one from inverse
-    iteration warm-started at the previous charge's ground state; a level
-    that does not converge within ``MAX_STEPS`` factorizations and solves
-    raises ``NumericalError``.
+    up; subcritical ones drift by their truncation bias only).
+
+    The scan works grid by grid, coarsest first within each family: it
+    assembles one grid's potential, finds the ground level at every charge
+    on it, and frees it before the next grid.  Only each family's coarsest
+    grid calls ``eigh``, at the first charge; a finer grid's first charge
+    starts inverse iteration from the coarser grid's ground vector
+    interpolated in ln p, with its gap, and every later charge from the
+    previous charge's ground state on the same grid.  A level that does not
+    converge within ``MAX_STEPS`` factorizations and solves raises
+    ``NumericalError``.
     """
     base = params or PhysParams()
     ch = ChannelSpec.from_kappa(kappa)
     mc = base.m * base.c
     mc2 = base.mc2
     sizes = sorted(int(n) for n in grid_sizes)
+    Z_values = [float(Z) for Z in Z_values]
     stability_tol = 1e-4 * mc2
     collapse_drop = 0.05 * mc2
 
     # the potential is linear in Z and none of the grids depends on it:
     # assemble each grid once at a reference charge inside the subordinacy
     # window (unit charge unless Z_c < 2), then rescale for every charge
-    grids = ([build_log_grid(n, 1e-4 * mc, 2e3 * mc) for n in sizes]
-             + [build_log_grid(n, 1e-3 * mc * sizes[0] / n, 5.0 * mc * n) for n in sizes])
+    families = ([build_log_grid(n, 1e-4 * mc, 2e3 * mc) for n in sizes],
+                [build_log_grid(n, 1e-3 * mc * sizes[0] / n, 5.0 * mc * n) for n in sizes])
     ref = base.replace(Z=min(1.0, 0.5 * base.critical_charge))
     terms = br_terms(ch, ref)
-    pots = [assemble_potential(grid, terms) for grid in grids]
-    kins = [lambda_of(grid.nodes, ref) for grid in grids]
-    flat = np.empty(max(grid.n for grid in grids) ** 2)
+    # Z V + diag(lambda) lives in one buffer sized for the largest grid (log
+    # grids round n to whole panels); assembly makes it exactly symmetric,
+    # so the F-ordered view is the same matrix and LAPACK works on it in place
+    flat = np.empty(max(grid.n for family in families for grid in family) ** 2)
     counts = dict.fromkeys(("eigh_calls", "factorizations", "rejected_shifts",
                             "solves", "max_solves_per_level"), 0)
-    states = [None] * len(grids)    # per grid: (ground vector, gap) at the last charge
 
-    def ground_level(k, Z, guess):
-        # Z V + diag(lambda) lives in the one reused buffer; assembly makes
-        # it exactly symmetric, so the F-ordered view is the same matrix and
-        # LAPACK works on it in place
-        V, kin = pots[k], kins[k]
-        buf = flat[:V.size].reshape(V.shape)
-        if states[k] is None:
-            np.multiply(V, Z / ref.Z, out=buf)
-            buf[np.diag_indices(kin.size)] += kin
-            w, v = eigh(buf.T, subset_by_index=[0, 1], overwrite_a=True)
-            counts["eigh_calls"] += 1
-            states[k] = v[:, 0], w[1] - w[0]
-            return float(w[0])
-        lam1, x, gap = _ground_level(V, Z / ref.Z, kin, *states[k], guess, buf, counts)
-        states[k] = x, gap
-        return float(lam1)
+    levels = []                     # per grid, family by family: lambda_1 at each charge
+    for family in families:
+        # the next coarser grid, its levels, and its first charge's ground vector and gap
+        coarse = None
+        for grid in family:
+            V = assemble_potential(grid, terms)
+            kin = lambda_of(grid.nodes, ref)
+            buf = flat[:V.size].reshape(V.shape)
+            lam1 = []
+            for j, Z in enumerate(Z_values):
+                if j == 0 and coarse is None:
+                    np.multiply(V, Z / ref.Z, out=buf)
+                    buf[np.diag_indices(grid.n)] += kin
+                    w, v = eigh(buf.T, subset_by_index=[0, 1], overwrite_a=True)
+                    counts["eigh_calls"] += 1
+                    lam, x, gap = w[0], v[:, 0], w[1] - w[0]
+                else:
+                    if j == 0:
+                        coarse_grid, coarse_lam1, x, gap = coarse
+                        x = _interpolated_start(coarse_grid, x, grid)
+                        guess = coarse_lam1[0]
+                    elif coarse is None:
+                        guess = math.inf
+                    else:
+                        # the coarser level at this charge plus the offset
+                        # of the two grids at the previous charge
+                        guess = coarse_lam1[j] + lam1[j - 1] - coarse_lam1[j - 1]
+                    lam, x, gap = _ground_level(V, Z / ref.Z, kin, x, gap, guess, buf, counts)
+                if j == 0:          # later solves overwrite x in place
+                    first = x.copy(), gap
+                lam1.append(float(lam))
+            del V                   # before the next grid's assembly
+            levels.append(lam1)
+            if Z_values:
+                coarse = (grid, lam1, *first)
 
-    rows, last = [], None
-    for Z in Z_values:
-        lam1 = []
-        for k in range(len(grids)):
-            # a finer grid's level is guessed from the next coarser one of its
-            # family at this charge plus their offset at the previous charge
-            finer = last is not None and k % len(sizes) > 0
-            guess = lam1[k - 1] + last[k] - last[k - 1] if finer else math.inf
-            lam1.append(ground_level(k, Z, guess))
-        last = lam1
-        fixed, grow = lam1[:len(sizes)], lam1[len(sizes):]
+    rows = []
+    for j, Z in enumerate(Z_values):
+        fixed = [lam1[j] for lam1 in levels[:len(sizes)]]
+        grow = [lam1[j] for lam1 in levels[len(sizes):]]
         variation = max(fixed) - min(fixed)
         drop = grow[0] - grow[-1]
         rows.append(CriticalScanRow(
-            Z=float(Z), grid_sizes=sizes, lambda1_fixed=fixed,
+            Z=Z, grid_sizes=sizes, lambda1_fixed=fixed,
             lambda1_exhaustion=grow, variation_fixed=variation,
             exhaustion_drop=drop,
             stable=bool(variation < stability_tol and min(fixed) > 0),

@@ -85,10 +85,11 @@ def _grid_meta(grid: RadialGrid):
     }
 
 
-def neumann_residual_vector(op: DiscreteOperator, value, vec):
-    """|| A v - value v || / || v || in the discrete L^2 coordinates."""
-    r = op.matrix @ vec - value * vec
-    return float(np.linalg.norm(r) / np.linalg.norm(vec))
+def _residuals(op: DiscreteOperator, vals, vecs):
+    """|| A v_j - vals_j v_j || for the unit columns v_j, from one product with A."""
+    R = op.matrix @ vecs
+    R -= vecs * vals
+    return np.linalg.norm(R, axis=0)
 
 
 # rows per block when the eigensolver's triangle is mirrored back
@@ -127,7 +128,7 @@ def dense_spectrum(op: DiscreteOperator, k) -> SpectralResult:
     finally:
         _mirror_lower(A)
         A[np.diag_indices(op.n)] = diag
-    res = np.array([neumann_residual_vector(op, vals[j], vecs[:, j]) for j in range(k)])
+    res = _residuals(op, vals, vecs)
     return SpectralResult(vals, vecs, res, op.channel, op.params, "dense",
                           _grid_meta(op.grid))
 
@@ -210,7 +211,7 @@ def minimize_pk(op: DiscreteOperator, k, tol=1e-10, max_iter=2000):
 def variational_spectrum(op: DiscreteOperator, k, tol=1e-10, max_iter=2000) -> SpectralResult:
     """k lowest eigenpairs by one block minimization of the extension energy."""
     vals, vecs, trace = minimize_pk(op, k, tol=tol, max_iter=max_iter)
-    res = np.array([neumann_residual_vector(op, vals[j], vecs[:, j]) for j in range(k)])
+    res = _residuals(op, vals, vecs)
     return SpectralResult(vals, vecs, res, op.channel, op.params, "variational",
                           _grid_meta(op.grid), trace)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brspec import assemble, cli, experiments
+from brspec import assemble, cli, experiments, spectra
 from brspec.cli import (COMMANDS, OPS, main, parse_config, read_report, run_command,
                         write_report, _COMMANDS, _DEFAULT_CONFIG, _RULES, _validate)
 from brspec.channels import ChannelSpec
@@ -283,11 +283,13 @@ class TestDiagnostics:
     def test_critical_scan_eigen_counts_reported(self, monkeypatch):
         config = parse_config()
         base = run_command("critical-scan", config)
-        # six eigh calls at Z = 120; at Z = 130 each grid's level is one
-        # certified factorization after its rejected shifts, and a few solves
+        # two eigh calls at Z = 120, one per family's coarsest grid; the
+        # finer grids' Z = 120 levels start from the coarser ground vector,
+        # and at Z = 130 each grid's level is one certified factorization
+        # after its rejected shifts, and a few solves
         assert base.diagnostics == {
-            "eigen": {"eigh_calls": 6, "factorizations": 11, "rejected_shifts": 5,
-                      "solves": 54, "max_solves_per_level": 17}}
+            "eigen": {"eigh_calls": 2, "factorizations": 15, "rejected_shifts": 5,
+                      "solves": 78, "max_solves_per_level": 17}}
         # the counts stay out of report_hash
         real_run = _COMMANDS["critical-scan"]
         altered = real_run._replace(run=lambda config: (
@@ -311,6 +313,40 @@ class TestDiagnostics:
         other = run_command("dtn-check", config)
         assert other.diagnostics != base.diagnostics
         assert other.report_hash == base.report_hash
+
+
+class TestResidualGate:
+    # ||A|| / mc^2 is 3.3e11 at this corner: the eigh residual, 6.4e-8, is
+    # rounding (eps max|A_ii| = 7.3e-8), far above 1e-7 mc^2 = 1e-10
+    CORNER = ["params.Z=0.5", "params.c=1", "params.m=1e-3", "grid.s=1e6", "grid.n=32",
+              "solver.route=dense"]
+
+    @staticmethod
+    def _residual_check(report):
+        return next(c for c in report.checks if c["name"] == "dense_residuals_small")
+
+    def test_large_operator_scale_passes(self):
+        config = parse_config(overrides=self.CORNER)
+        check = self._residual_check(run_command("spectrum", config))
+        assert check["ok"], check
+        assert check["value"] > 1e-7 * config["params"]["m"] * config["params"]["c"] ** 2
+
+    @pytest.mark.parametrize("overrides, shift", [(CORNER, 1e-10),
+                                                  (["solver.route=dense"], 1e-6)])
+    def test_perturbed_pair_fails(self, overrides, shift, monkeypatch):
+        # every eigenvector moved by ``shift`` along the flat unit vector: a
+        # pair that wrong still fails the gate, at either operator scale
+        real = spectra.eigh
+
+        def perturbed(*args, **kwargs):
+            vals, vecs = real(*args, **kwargs)
+            return vals, vecs + shift / np.sqrt(vecs.shape[0])
+
+        config = parse_config(overrides=overrides)
+        assert self._residual_check(run_command("spectrum", config))["ok"]
+        monkeypatch.setattr(spectra, "eigh", perturbed)
+        check = self._residual_check(run_command("spectrum", config))
+        assert not check["ok"], check
 
 
 class TestScalingLimitChannels:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 import warnings
 
 import mpmath
@@ -246,11 +247,11 @@ class TestCriticalScanUnitCharge:
         assert np.abs(np.array(rep.rows[0].lambda1_fixed) - direct).max() <= 1e-12 * params.mc2
 
 
-def direct_levels(Z, sizes, params=None):
+def direct_levels(Z, sizes, params=None, kappa=-1):
     """lambda_1 of a fresh assembly at charge Z on each scan grid, by dense eigh."""
     base = (params or PhysParams()).replace(Z=Z)
     mc = base.m * base.c
-    ch = ChannelSpec.from_kappa(-1)
+    ch = ChannelSpec.from_kappa(kappa)
     grids = ([build_log_grid(n, 1e-4 * mc, 2e3 * mc) for n in sizes]
              + [build_log_grid(n, 1e-3 * mc * sizes[0] / n, 5.0 * mc * n) for n in sizes])
     with warnings.catch_warnings():
@@ -265,7 +266,8 @@ def scanned_levels(rep):
 
 class TestCriticalScanWarmStart:
     """Every charge after the first comes from inverse iteration warm-started
-    at the previous charge's ground state, whatever the order of the charges."""
+    at the previous charge's ground state, whatever the order of the charges;
+    only the coarsest grid of each family calls eigh."""
 
     SIZES = (100, 200, 400)
     CHARGES = [100.0, 110.0, 115.0, 120.0, 122.0, 124.0, 130.0, 140.0]
@@ -276,13 +278,14 @@ class TestCriticalScanWarmStart:
 
     def test_counts(self, ascending):
         eigen = ascending.eigen
-        levels = 2 * len(self.SIZES)
-        assert eigen["eigh_calls"] == levels
-        # one certified factorization per warm level, plus the rejected shifts
-        assert (eigen["factorizations"] - eigen["rejected_shifts"]
-                >= levels * (len(self.CHARGES) - 1))
+        grids = 2 * len(self.SIZES)
+        assert eigen["eigh_calls"] == 2
+        # one certified factorization per inverse-iteration level, plus the
+        # rejected shifts
+        warm = grids * len(self.CHARGES) - 2
+        assert eigen["factorizations"] - eigen["rejected_shifts"] >= warm
         assert 1 <= eigen["max_solves_per_level"] <= 30
-        assert eigen["solves"] <= 10 * levels * (len(self.CHARGES) - 1)
+        assert eigen["solves"] <= 10 * warm
 
     @pytest.mark.parametrize("order", ["descending", "shuffled"])
     def test_order_of_charges(self, ascending, order):
@@ -307,13 +310,30 @@ class TestCriticalScanWarmStart:
             assert np.abs(levels - direct_levels(Z, self.SIZES)).max() <= 1e-12 * mc2
         assert rep.rows[1].collapsed
 
-    def test_repeated_charge(self):
-        # the start vector is the ground state already: one solve confirms it
+    def test_repeated_charge(self, monkeypatch):
+        # the start vector is the ground state already: on each of the four
+        # grids one certified factorization and at most two solves confirm it
+        calls = []                  # (V, solves, rejected shifts) per level
+
+        def recording(V, scale, kinetic, x, gap, guess, buf, counts):
+            before = dict(counts)
+            out = ground_level(V, scale, kinetic, x, gap, guess, buf, counts)
+            calls.append((V, counts["solves"] - before["solves"],
+                          counts["rejected_shifts"] - before["rejected_shifts"]))
+            return out
+
+        ground_level = experiments._ground_level
+        once = critical_coupling_scan([120.0], grid_sizes=(32, 48)).eigen
+        monkeypatch.setattr(experiments, "_ground_level", recording)
         rep = critical_coupling_scan([120.0, 120.0], grid_sizes=(32, 48))
         first, again = (np.array(r.lambda1_fixed + r.lambda1_exhaustion) for r in rep.rows)
         assert np.abs(again - first).max() <= 1e-12 * PhysParams().mc2
-        assert rep.eigen["rejected_shifts"] == 0
-        assert rep.eigen["max_solves_per_level"] <= 2
+        assert rep.eigen["factorizations"] - once["factorizations"] == 4
+        # a grid's calls are consecutive, and its last one is the second charge
+        second = [c for c, nxt in zip(calls, calls[1:] + [(None,)]) if nxt[0] is not c[0]]
+        assert len(second) == 4
+        for _, solves, rejected in second:
+            assert solves <= 2 and rejected == 0
 
     def test_supercritical_at_unit_c(self):
         # at c = 1 the critical charge is 0.91: Z = 2 is far above it, and
@@ -330,6 +350,52 @@ class TestCriticalScanWarmStart:
         monkeypatch.setattr(experiments, "MAX_STEPS", 2)
         with pytest.raises(NumericalError, match="did not reach"):
             critical_coupling_scan([120.0, 130.0], grid_sizes=(32, 48))
+
+
+class TestCriticalScanGridMajor:
+    """The scan works grid by grid, coarse to fine: a finer grid's first charge
+    starts from the coarser grid's ground vector, and only each family's
+    coarsest grid calls eigh.  Every level matches a dense eigh of a fresh
+    assembly."""
+
+    @pytest.mark.parametrize("charges, sizes, kappa", [
+        ([130.0, 140.0], (100, 200, 400), -1),      # supercritical from the start
+        ([140.0], (100, 200, 400), -1),
+        ([200.0, 120.0], (100, 200, 400), -1),      # descending, far above Z_c first
+        ([60.0, 120.0], (100, 200), 1),
+        ([60.0, 120.0], (100, 200), -2),
+        ([60.0, 120.0], (100, 200), 3),
+        ([120.0, 130.0], (16, 400, 1600), -1),
+        ([120.0, 130.0], (16, 17), -1),             # both round up to n = 20
+        ([0.0, 50.0], (100, 200, 400), -1),
+    ])
+    def test_levels_match_dense(self, charges, sizes, kappa):
+        rep = critical_coupling_scan(charges, grid_sizes=sizes, kappa=kappa)
+        assert rep.eigen["eigh_calls"] == 2
+        assert [r.Z for r in rep.rows] == charges
+        mc2 = PhysParams().mc2
+        for Z, levels in scanned_levels(rep).items():
+            direct = direct_levels(Z, sizes, kappa=kappa)
+            assert np.abs(levels - direct).max() <= 1e-12 * mc2
+
+    def test_one_potential_in_memory(self):
+        # the benchmark scan holds one reused buffer and one potential at a
+        # time, n_max^2 doubles each; the tracemalloc peak stays below three
+        sizes = (100, 200, 400)
+        charges = TestCriticalScanWarmStart.CHARGES
+        critical_coupling_scan(charges, grid_sizes=sizes)   # the shared rule tables
+        tracemalloc.start()
+        try:
+            rep = critical_coupling_scan(charges, grid_sizes=sizes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.eigen["eigh_calls"] == 2
+        assert peak < 3 * max(sizes) ** 2 * 8
+
+    def test_no_charges(self):
+        rep = critical_coupling_scan([], grid_sizes=(32, 48))
+        assert rep.rows == [] and rep.eigen["eigh_calls"] == 0
 
 
 @pytest.fixture(scope="module")

@@ -227,6 +227,16 @@ class TestNeumannResidual:
         res = variational_spectrum(op_relativistic, 2, tol=1e-8)
         assert res.residuals[1] < 1e-7
 
+    def test_residuals_are_column_norms(self, op_relativistic):
+        # one product with A gives ||A v_j - lambda_j v_j|| for every column
+        rng = np.random.default_rng(1)
+        vecs = np.linalg.qr(rng.standard_normal((op_relativistic.n, 4)))[0]
+        vals = rng.uniform(0.5, 2.0, 4)
+        each = [np.linalg.norm(op_relativistic.matrix @ v - lam * v)
+                for lam, v in zip(vals, vecs.T)]
+        np.testing.assert_allclose(spectra._residuals(op_relativistic, vals, vecs), each,
+                                   rtol=1e-12)
+
     def test_perturbed_vector_scales_linearly(self, op_relativistic):
         # first-order oracle: residual of v + eps e equals eps ||(A - lam) e||
         res = dense_spectrum(op_relativistic, 1)
