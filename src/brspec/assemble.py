@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import cholesky_banded, solve_banded
 
 from .channels import (ChannelSpec, KernelTerms, br_terms, coulomb_terms, kernel_split,
                        kernel_value, legendre_q_cosh, legendre_q_cosh_split, log_ratio)
@@ -343,8 +343,9 @@ class DiscreteOperator:
     def node_values(self, vec):
         if self.scheme == "nystrom":
             return vec / np.sqrt(self.grid.l2_weights)
-        x = solve_triangular(self._chol, vec, lower=True, trans="T")
-        return x / self._dscale
+        # L^-T vec, with the banded lower factor L recast as the upper band of L^T
+        upper = np.stack([np.roll(self._chol[1], 1), self._chol[0]])
+        return solve_banded((0, 1), upper, vec) / self._dscale
 
 
 def _toeplitz_strips(panels: LogPanels, ls):
@@ -487,22 +488,22 @@ def _hat_pair(x, a, b):
     return 1.0 - lam, lam
 
 
-def _assemble_tridiag(nodes, weight_fn):
-    """Tridiagonal Int weight(p) h_i h_j dp-type matrices on the hat basis."""
-    n = nodes.size
+def _hat_blocks(F, p, p_element, q, q_element):
+    """Sum of F h_a(p) h_b(q) over each cell's points, as 2x2 blocks (cells, 2, 2).
+
+    h_a runs over the (left, right) hats of the element (a, b) holding the
+    points p, h_b over those of the element holding q; F carries the
+    integrand and the quadrature weights, one row per cell.
+    """
+    hp = np.stack(_hat_pair(p, *p_element), axis=1) * F[:, None]
+    return hp @ np.stack(_hat_pair(q, *q_element), axis=2)
+
+
+def _tridiag_blocks(nodes, weight_fn):
+    """Int weight(p) h_a h_b dp over each element, as 2x2 blocks of its hat pair."""
     x, w = _element_quad(nodes, _TRIDIAG_ORDER)
-    hl, hr = _hat_pair(x, nodes[:-1, None], nodes[1:, None])
-    f = weight_fn(x) * w
-    out = np.zeros((n, n))
-    d_ll = (f * hl * hl).sum(axis=1)
-    d_rr = (f * hr * hr).sum(axis=1)
-    d_lr = (f * hl * hr).sum(axis=1)
-    idx = np.arange(n - 1)
-    np.add.at(out, (idx, idx), d_ll)
-    np.add.at(out, (idx + 1, idx + 1), d_rr)
-    np.add.at(out, (idx, idx + 1), d_lr)
-    np.add.at(out, (idx + 1, idx), d_lr)
-    return out
+    element = (nodes[:-1, None], nodes[1:, None])
+    return _hat_blocks(weight_fn(x) * w, x, element, x, element)
 
 
 def _diagonal_blocks(nodes, terms):
@@ -522,13 +523,7 @@ def _diagonal_blocks(nodes, terms):
     S, G = kernel_split(terms, P, Q)
     K = S + G * np.log(D * (U * (1 - V))[None, :])
     F = K * P * P * Q * Q * (W * U)[None, :] * D**2
-    hlp, hrp = _hat_pair(P, a, b)
-    hlq, hrq = _hat_pair(Q, a, b)
-    L = np.empty((nodes.size - 1, 2, 2))
-    L[:, 0, 0] = (F * hlp * hlq).sum(axis=1)
-    L[:, 0, 1] = (F * hlp * hrq).sum(axis=1)
-    L[:, 1, 0] = (F * hrp * hlq).sum(axis=1)
-    L[:, 1, 1] = (F * hrp * hrq).sum(axis=1)
+    L = _hat_blocks(F, P, (a, b), Q, (a, b))
     return L + np.transpose(L, (0, 2, 1))
 
 
@@ -547,14 +542,30 @@ def _adjacent_blocks(nodes, terms):
     Q = m + D2 * Y[None, :]
     S, G = kernel_split(terms, P, Q)
     F = (S + G * np.log(Q - P)) * P * P * Q * Q * W[None, :] * D1 * D2
-    hlp, hrp = _hat_pair(P, a, m)
-    hlq, hrq = _hat_pair(Q, m, r)
-    L = np.empty((nodes.size - 2, 2, 2))
-    L[:, 0, 0] = (F * hlp * hlq).sum(axis=1)
-    L[:, 0, 1] = (F * hlp * hrq).sum(axis=1)
-    L[:, 1, 0] = (F * hrp * hlq).sum(axis=1)
-    L[:, 1, 1] = (F * hrp * hrq).sum(axis=1)
-    return L
+    return _hat_blocks(F, P, (a, m), Q, (m, r))
+
+
+def _band(A, k):
+    """Writable view of the k-th diagonal of the square C-ordered A (k < 0 below it)."""
+    n = A.shape[0]
+    return A.reshape(-1)[max(k, -k * n)::n + 1][:n - abs(k)]
+
+
+def _add_blocks(A, blocks, k):
+    """Add blocks[c] at rows (c, c+1) and columns (c+k, c+k+1) of A, for every cell c.
+
+    For k > 0 each block's transpose goes to the mirror cell as well.  Entry
+    (a, b) of every block lies on the diagonal k + b - a, and along it (and
+    along its mirror) at position c + min(a, k + b), so each entry adds as
+    one slice of a diagonal view.
+    """
+    cells = blocks.shape[0]
+    for a in (0, 1):
+        for b in (0, 1):
+            at = min(a, k + b)
+            _band(A, k + b - a)[at:at + cells] += blocks[:, a, b]
+            if k:
+                _band(A, a - b - k)[at:at + cells] += blocks[:, a, b]
 
 
 def _element_blocks(fn, nodes, reach, points):
@@ -606,46 +617,33 @@ def _far_field(nodes, terms):
 
 def _assemble_galerkin(grid, channel, params, terms):
     nodes = grid.nodes
-    n = nodes.size
-    mass = _assemble_tridiag(nodes, lambda p: p * p)
-    kin = _assemble_tridiag(nodes, lambda p: lambda_of(p, params) * p * p)
-
-    # far-field potential on the element pairs apart, then the diagonal and
-    # adjacent pairs from the singularity-aware rules
+    # far-field potential on the element pairs apart, the diagonal and
+    # adjacent pairs from the singularity-aware rules, then the kinetic energy
     A = _far_field(nodes, terms)
-    Ldiag = _element_blocks(lambda p: _diagonal_blocks(p, terms), nodes, 1,
-                            _DIAGONAL_RULE[0].size)
-    Ladj = _element_blocks(lambda p: _adjacent_blocks(p, terms), nodes, 2,
-                           _CORNER_RULE[0].size)
-    idx = np.arange(n - 1)
-    for di, dj, vals in (
-        (idx, idx, Ldiag[:, 0, 0]),
-        (idx, idx + 1, Ldiag[:, 0, 1]),
-        (idx + 1, idx, Ldiag[:, 1, 0]),
-        (idx + 1, idx + 1, Ldiag[:, 1, 1]),
-    ):
-        np.add.at(A, (di, dj), vals)
-    jdx = np.arange(n - 2)
-    for di, dj, vals in (
-        (jdx, jdx + 1, Ladj[:, 0, 0]),
-        (jdx, jdx + 2, Ladj[:, 0, 1]),
-        (jdx + 1, jdx + 1, Ladj[:, 1, 0]),
-        (jdx + 1, jdx + 2, Ladj[:, 1, 1]),
-    ):
-        np.add.at(A, (di, dj), vals)
-        np.add.at(A, (dj, di), vals)
+    _add_blocks(A, _element_blocks(lambda p: _diagonal_blocks(p, terms), nodes, 1,
+                                   _DIAGONAL_RULE[0].size), 0)
+    _add_blocks(A, _element_blocks(lambda p: _adjacent_blocks(p, terms), nodes, 2,
+                                   _CORNER_RULE[0].size), 1)
+    _add_blocks(A, _tridiag_blocks(nodes, lambda p: lambda_of(p, params) * p * p), 0)
 
-    A = A + kin
-    A = 0.5 * (A + A.T)
-
-    # reduce the pencil (A, mass) to a standard symmetric problem with a
-    # Jacobi-scaled Cholesky factor; eigenvector coordinates then carry the
-    # Euclidean inner product = discrete L^2
-    d = np.sqrt(np.diag(mass))
-    Ab = A / d[:, None] / d[None, :]
-    Bb = mass / d[:, None] / d[None, :]
-    L = cholesky(Bb, lower=True)
-    Y = solve_triangular(L, Ab, lower=True)
-    M = solve_triangular(L, Y.T, lower=True).T
-    M = 0.5 * (M + M.T)
-    return DiscreteOperator(M, grid, channel, params, "galerkin", _chol=L, _dscale=d)
+    # reduce the pencil (A, mass) to a standard symmetric problem with the
+    # banded Cholesky factor L of the Jacobi-scaled mass matrix; eigenvector
+    # coordinates then carry the Euclidean inner product = discrete L^2
+    mass = _tridiag_blocks(nodes, lambda p: p * p)
+    diag = np.zeros(nodes.size)
+    diag[:-1] += mass[:, 0, 0]
+    diag[1:] += mass[:, 1, 1]
+    d = np.sqrt(diag)
+    L = cholesky_banded(np.stack([diag / d / d, np.append(mass[:, 1, 0] / d[1:] / d[:-1], 0.0)]),
+                        lower=True)
+    A /= d[:, None]
+    A /= d
+    # the columns of A's Fortran-ordered transpose are A's rows, so solving
+    # on it in place leaves A L^-T in A; L^-1 (A L^-T) comes in Fortran order
+    # and, averaged in place with its transpose, is exactly symmetric, so its
+    # transpose is the same matrix in C order
+    M = solve_banded((1, 0), L, solve_banded((1, 0), L, A.T, overwrite_b=True).T)
+    del A
+    M += M.T
+    M *= 0.5
+    return DiscreteOperator(M.T, grid, channel, params, "galerkin", _chol=L, _dscale=d)

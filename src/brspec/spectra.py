@@ -133,14 +133,6 @@ def dense_spectrum(op: DiscreteOperator, k) -> SpectralResult:
                           _grid_meta(op.grid))
 
 
-def _extension_metric(op: DiscreteOperator):
-    """Diagonal of the extension-energy inner product in operator coordinates."""
-    if op.scheme == "nystrom":
-        return lambda_of(op.grid.nodes, op.params)
-    d = np.diag(op.matrix).copy()
-    return np.maximum(d, 1e-3 * op.params.mc2)
-
-
 def minimize_pk(op: DiscreteOperator, k, tol=1e-10, max_iter=2000):
     """The k lowest levels by one block minimization of the extension energy.
 
@@ -154,15 +146,17 @@ def minimize_pk(op: DiscreteOperator, k, tol=1e-10, max_iter=2000):
     |lambda(p) - min(E, m c^2)| + max(m c^2 - E, 1e-12 m c^2), which stays
     of the size of the binding energy at low momentum, where bound states
     live just below the continuum edge.  A level is done when its Euclidean
-    residual ||A f - E f|| falls to tol * m c^2, the quantity the spectrum
-    checks gate; ``max_iter`` bounds the block iterations.
+    residual ||A f - E f||, the quantity the spectrum checks gate, falls to
+    tol * m c^2, or to 10 eps max |A_ii| where rounding in the operator's
+    scale keeps it above that; ``max_iter`` bounds the block iterations.
 
     Returns (ascending eigenvalues, eigenvector columns, MinimizationTrace).
     """
     n = op.n
     if not 1 <= k <= n or max_iter < 1:
         raise DomainError(f"need 1 <= k <= {n} and max_iter >= 1, got {k} and {max_iter}")
-    M, lam, mc2 = op.matrix, _extension_metric(op), op.params.mc2
+    M, lam, mc2 = op.matrix, lambda_of(op.grid.nodes, op.params), op.params.mc2
+    target = max(tol * mc2, 10 * np.finfo(float).eps * float(np.abs(M.diagonal()).max()))
     m = min(n, k + max(2, -(-k // 4)))
     # smooth deterministic start: cosines of rising frequency in the node
     # index under a decaying envelope (low momentum first), with a floor so
@@ -183,7 +177,7 @@ def minimize_pk(op: DiscreteOperator, k, tol=1e-10, max_iter=2000):
         if not trace.iterates or E < trace.iterates[-1]:
             trace.iterates.append(E)
         trace.gradient_norms.append(float(rnorm[:k].max()))
-        active = rnorm[:k] > tol * mc2
+        active = rnorm[:k] > target
         for rec, busy, r in zip(trace.levels, active, rnorm):
             rec.iterations += int(busy)
             rec.residual = float(r)
@@ -203,7 +197,7 @@ def minimize_pk(op: DiscreteOperator, k, tol=1e-10, max_iter=2000):
     if not trace.converged:
         raise NumericalError(
             f"block minimization did not converge in {max_iter} iterations "
-            f"(residual {trace.gradient_norms[-1]:.3e}, target {tol * mc2:.3e})",
+            f"(residual {trace.gradient_norms[-1]:.3e}, target {target:.3e})",
             payload=trace)
     return theta[:k], X[:, :k], trace
 

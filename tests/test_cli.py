@@ -348,6 +348,24 @@ class TestResidualGate:
         check = self._residual_check(run_command("spectrum", config))
         assert not check["ok"], check
 
+    def test_variational_route_stops_at_rounding(self):
+        # tol mc^2 = 1e-13 lies far below the rounding here, so the block
+        # minimizer stops at 10 eps max|A_ii| = 7.3e-7 instead of running
+        # out of iterations
+        report = run_command("spectrum", parse_config(
+            overrides=self.CORNER[:-1] + ["solver.route=variational"]))
+        check = next(c for c in report.checks if c["name"] == "variational_residuals_small")
+        assert check["ok"], check
+
+
+class TestGalerkinScheme:
+    @pytest.mark.parametrize("kind", ["rational", "log"])
+    @pytest.mark.parametrize("Z", [1, 40, 120])
+    def test_spectrum_passes(self, Z, kind):
+        report = run_command("spectrum", parse_config(
+            overrides=[f"params.Z={Z}", "grid.scheme=galerkin", f"grid.kind={kind}"]))
+        assert report.ok, [c for c in report.checks if not c["ok"]]
+
 
 class TestScalingLimitChannels:
     @pytest.mark.parametrize("kappa", [-1, 1, -2, 2, -3, 3])

@@ -16,6 +16,7 @@ from brspec.errors import ConfigurationError, NumericalError
 from brspec.grids import (MetricH12, RadialGrid, assemble_h12_metric, build_grid,
                           build_log_grid, gauss_log, operator_norm_h12)
 from brspec.params import TIX_CONSTANT
+from brspec.spectra import binding_grid
 
 CH = ChannelSpec.from_kappa(-1)
 
@@ -494,9 +495,10 @@ class TestAssembly:
 
 
 class TestGalerkin:
-    def test_matches_collocation_ground_level(self):
+    @pytest.mark.parametrize("g", [build_grid(200, 1.0), binding_grid(1.0, PhysParams(Z=1.0), 200)],
+                             ids=["rational", "log"])
+    def test_matches_collocation_ground_level(self, g):
         params = PhysParams(Z=1.0)
-        g = build_grid(200, 1.0)
         lam_nys = np.linalg.eigvalsh(assemble_operator(g, CH, params).matrix)[0]
         lam_gal = np.linalg.eigvalsh(
             assemble_operator(g, CH, params, scheme="galerkin").matrix)[0]
@@ -546,6 +548,40 @@ class TestGalerkin:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_block_scatter_matches_indexed_adds(self, k):
+        # the reference adds entry (a, b) of block c at (c + a, c + k + b)
+        # and, for k > 0, at the mirror (c + k + b, c + a)
+        n = 9
+        blocks = np.random.default_rng(k).standard_normal((n - 1 - k, 2, 2))
+        oracle = np.zeros((n, n))
+        c = np.arange(n - 1 - k)
+        for a in (0, 1):
+            for b in (0, 1):
+                np.add.at(oracle, (c + a, c + k + b), blocks[:, a, b])
+                if k:
+                    np.add.at(oracle, (c + k + b, c + a), blocks[:, a, b])
+        A = np.zeros((n, n))
+        assemble._add_blocks(A, blocks, k)
+        np.testing.assert_allclose(A, oracle, rtol=1e-15, atol=0)
+
+    def test_assembly_holds_few_matrices(self, monkeypatch):
+        # banded mass and kinetic matrices, cell blocks added through diagonal
+        # views and the pencil reduced on the assembled matrix: beside it only
+        # the second banded solve's Fortran copy and the cell blocks'
+        # temporaries remain (dense tridiagonals and copies made nine)
+        n = 800
+        monkeypatch.setattr(assemble, "_far_field",
+                            lambda nodes, terms: np.zeros((nodes.size, nodes.size)))
+        grid = build_log_grid(n, 4e-3, 8e4)
+        tracemalloc.start()
+        try:
+            assemble_operator(grid, CH, PhysParams(Z=40.0), scheme="galerkin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * n * n * 8
 
     def test_node_values_recover_l2_norm(self):
         params = PhysParams(Z=1.0)
