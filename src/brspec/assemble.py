@@ -17,7 +17,9 @@ Two schemes:
 
 * ``galerkin``: piecewise-linear elements on the same nodes with
   panel-split Gauss quadrature across the kernel diagonal (Duffy maps on
-  the diagonal cells).  Independent cross-check of the collocation scheme.
+  the diagonal cells).  Every rule evaluates Q_l(cosh x) as collocation
+  does, with |x| = |ln(q/p)| taken from its own map without cancellation.
+  Independent cross-check of the collocation scheme.
 
 Matrices are expressed in the metric-normalized basis e_i = delta_i /
 sqrt(w_i p_i^2), in which the discrete L^2 inner product is Euclidean and
@@ -31,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import cholesky_banded, solve_banded
 
-from .channels import (ChannelSpec, KernelTerms, br_terms, coulomb_terms, kernel_split,
+from .channels import (ChannelSpec, KernelTerms, br_terms, coulomb_terms, kernel_at,
                        kernel_value, legendre_q_cosh, legendre_q_cosh_split, log_ratio)
 from .dirac import lambda_of
 from .errors import ConfigurationError, NumericalError
@@ -510,9 +512,10 @@ def _diagonal_blocks(nodes, terms):
     """2x2 hat-pair integrals over each diagonal cell [a,b]^2 (all elements at once).
 
     The cell is split along p = q into two congruent triangles; the lower
-    one is mapped by p = a + D u, q = a + D u v (Jacobian D^2 u), on which
-    ln|p - q| = ln(D u (1 - v)) is integrable; the upper triangle is the
-    mirror image obtained by swapping the hat indices.
+    one is mapped by p = a + D u, q = a + D u v (Jacobian D^2 u), which
+    gives x = ln(p/q) = log1p(D u (1 - v) / q), and the kernel's ln|x| is
+    integrable there; the upper triangle is the mirror image obtained by
+    swapping the hat indices.
     """
     U, V, W = _DIAGONAL_RULE
     a = nodes[:-1, None]
@@ -520,8 +523,7 @@ def _diagonal_blocks(nodes, terms):
     D = b - a
     P = a + D * U[None, :]
     Q = a + D * (U * V)[None, :]
-    S, G = kernel_split(terms, P, Q)
-    K = S + G * np.log(D * (U * (1 - V))[None, :])
+    K = kernel_at(terms, P, Q, np.log1p(D * (U * (1 - V))[None, :] / Q))
     F = K * P * P * Q * Q * (W * U)[None, :] * D**2
     L = _hat_blocks(F, P, (a, b), Q, (a, b))
     return L + np.transpose(L, (0, 2, 1))
@@ -531,7 +533,9 @@ def _adjacent_blocks(nodes, terms):
     """Hat-pair integrals over adjacent cells [p_e, p_m] x [p_m, p_r].
 
     The kernel is singular only at the shared corner (p_m, p_m); geometric
-    tensor refinement toward it integrates the logarithm accurately.
+    tensor refinement toward it integrates the logarithm accurately.  The
+    map p = p_m - D_1 X, q = p_m + D_2 Y gives x = ln(q/p) =
+    log1p((D_1 X + D_2 Y) / p).
     """
     X, Y, W = _CORNER_RULE
     a = nodes[:-2, None]
@@ -540,8 +544,8 @@ def _adjacent_blocks(nodes, terms):
     D1, D2 = m - a, r - m
     P = m - D1 * X[None, :]
     Q = m + D2 * Y[None, :]
-    S, G = kernel_split(terms, P, Q)
-    F = (S + G * np.log(Q - P)) * P * P * Q * Q * W[None, :] * D1 * D2
+    K = kernel_at(terms, P, Q, np.log1p((D1 * X[None, :] + D2 * Y[None, :]) / P))
+    F = K * P * P * Q * Q * W[None, :] * D1 * D2
     return _hat_blocks(F, P, (a, m), Q, (m, r))
 
 
@@ -585,10 +589,11 @@ def _far_field(nodes, terms):
     """Tensor-Gauss potential on every element pair at least two elements apart.
 
     A block of element rows at a time: the kernel at the block's quadrature
-    points against all of them, with the diagonal and adjacent cells
-    zeroed, contracts with the two hats of either element (quadrature
-    weights folded in) into a 2x2 block per element pair, and those add
-    into the matrix by four shifted slices.
+    points against all of them, x from ``log_ratio`` and set to 1 on the
+    diagonal and adjacent cells, which are then zeroed, contracts with the
+    two hats of either element (quadrature weights folded in) into a 2x2
+    block per element pair, and those add into the matrix by four shifted
+    slices.
     """
     n = nodes.size
     order = _POTENTIAL_ORDER
@@ -602,10 +607,9 @@ def _far_field(nodes, terms):
         hi = min(lo + step, n - 1)
         xr = x[lo:hi, :, None, None]
         near = np.abs(el[lo:hi, None] - el) <= 1
-        dist = np.abs(xr - x)                               # (rows, order, n - 1, order)
-        dist.transpose(0, 2, 1, 3)[near] = 1.0
-        S, G = kernel_split(terms, xr, x)
-        K = S + G * np.log(dist)
+        ax = log_ratio(xr, x)                               # (rows, order, n - 1, order)
+        ax.transpose(0, 2, 1, 3)[near] = 1.0
+        K = kernel_at(terms, xr, x, ax)
         K.transpose(0, 2, 1, 3)[near] = 0.0
         blk = np.einsum("eia,eifb->efab", hw[lo:hi], np.einsum("eifj,fjb->eifb", K, hw))
         A[lo:hi, :-1] += blk[..., 0, 0]

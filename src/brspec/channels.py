@@ -60,21 +60,6 @@ _LEGENDRE_W = (
 )
 
 
-def legendre_q(l, z):
-    """Legendre function of the second kind Q_l(z) for z > 1, l <= 3.
-
-    Q_0(z) = ln((z+1)/(z-1))/2, Q_1 = z Q_0 - 1, higher orders via
-    Q_l = P_l Q_0 - W_{l-1}; beyond z = 2 the closed form cancels and the
-    inverse-power series takes over.
-    """
-    _check_orders((l,))
-    z = np.asarray(z, dtype=float)
-    if np.any(z <= 1.0):
-        raise DomainError("legendre_q requires z > 1")
-    out = _q_l_split((l,), z, lambda near: 0.5 * np.log((z[near] + 1) / (z[near] - 1)))[0][0]
-    return out if out.shape else float(out)
-
-
 def legendre_q_cosh(ls, x):
     """Q_l(cosh x) for each l in ls at x != 0, one array per l.
 
@@ -166,16 +151,17 @@ def _q_l_series(l, u):
 
 
 def _q_l_split(ls, z, log_term):
-    """Q_l(z) = smooth + logcoef * L for each l in ls and z > 1, the one Q_l evaluator.
+    """Q_l(cosh x) = smooth + logcoef * L for each l in ls at z = cosh x > 1, the one Q_l evaluator.
 
     Up to z = 2 the closed form Q_l = P_l Q_0 - W_{l-1} holds with the
-    caller's Q_0 = log_term(near) - L, so smooth = P_l log_term - W_{l-1}
-    and logcoef = -P_l; ``log_term`` maps the boolean mask of those points
-    to its values there.  Beyond z = 2 the series, summed tier by tier of
-    _SERIES_TIERS, gives all of Q_l and logcoef = 0.  A caller whose
-    log_term is Q_0 itself reads Q_l = smooth.  Returns two lists with one
-    array per l; the masks, the tiers and the log term are evaluated once
-    for all orders.
+    caller's Q_0(cosh x) = log_term(near) - L, so smooth = P_l log_term -
+    W_{l-1} and logcoef = -P_l; ``log_term`` maps the boolean mask of those
+    points to its values there.  Beyond z = 2 the series, summed tier by
+    tier of _SERIES_TIERS, gives all of Q_l and logcoef = 0.  A caller whose
+    log_term is Q_0(cosh x) = -ln tanh(|x|/2) reads Q_l = smooth; one whose
+    L is ln|x| gets two parts smooth through x = 0.  Returns two lists with
+    one array per l; the masks, the tiers and the log term are evaluated
+    once for all orders.
     """
     far = z > _SERIES_SWITCH
     near = ~far
@@ -234,7 +220,7 @@ def _fw_mixing(p, params, scale):
 
 
 def coulomb_terms(l, params: PhysParams):
-    """Channel-l Coulomb kernel -Z Q_l((p^2+q^2)/(2pq)) / (pi p q), no mixing."""
+    """Channel-l Coulomb kernel -Z Q_l(cosh ln(q/p)) / (pi p q), no mixing."""
     return KernelTerms(params.Z, (l,))
 
 
@@ -252,30 +238,18 @@ def br_terms(channel: ChannelSpec, params: PhysParams, fw_scale=1.0):
 def kernel_value(terms: KernelTerms, p, q):
     """Pointwise kernel value off the diagonal, through Q_l(cosh |ln(q/p)|)."""
     p, q = _check_offdiag(p, q)
-    mix = [fp * fq for fp, fq in zip(terms.factors(p), terms.factors(q))]
-    qs = legendre_q_cosh(terms.ls, log_ratio(p, q))
-    return -terms.Z / (np.pi * (p * q)) * sum(m * v for m, v in zip(mix, qs))
+    return kernel_at(terms, p, q, log_ratio(p, q))
 
 
-def kernel_split(terms: KernelTerms, p, q):
-    """Split the kernel into smooth + logcoef * ln|p-q|.
+def kernel_at(terms: KernelTerms, p, q, x):
+    """Kernel value at momenta p, q whose |ln(q/p)| the caller gives as x != 0.
 
-    Returns (smooth, logcoef) with kernel = smooth + logcoef * ln|p-q|;
-    both factors are smooth across the diagonal, so the Galerkin blocks,
-    whose quadratures reach the diagonal, integrate the logarithm
-    explicitly.  Far from the diagonal (z > 2, where the kernel is regular
-    anyway) the whole kernel moves into the smooth part, evaluated by the
-    stable series.  z, the prefactor and the near-diagonal ln(p+q) are
-    computed once for all terms.
+    A caller that knows q - p without cancellation, such as a quadrature
+    map, passes x = log1p(|q - p| / min(p, q)) from it; p, q and x broadcast.
     """
-    p0, q0 = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
-    p, q = np.broadcast_arrays(p0, q0)
-    z = (p * p + q * q) / (2 * p * q)
-    pref = -terms.Z / (np.pi * (p * q))
-    smooth, logcoef = _q_l_split(terms.ls, z, lambda near: np.log(p[near] + q[near]))
-    mix = [fp * fq for fp, fq in zip(terms.factors(p0), terms.factors(q0))]
-    return (sum(m * (pref * s) for m, s in zip(mix, smooth)),
-            sum(m * (pref * g) for m, g in zip(mix, logcoef)))
+    mix = [fp * fq for fp, fq in zip(terms.factors(p), terms.factors(q))]
+    qs = legendre_q_cosh(terms.ls, x)
+    return -terms.Z / (np.pi * (p * q)) * sum(m * v for m, v in zip(mix, qs))
 
 
 def angular_reduce(pointwise_kernel, l, p, q, tol=1e-10):

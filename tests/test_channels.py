@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brspec import PhysParams
-from brspec.channels import (ChannelSpec, angular_reduce, br_terms, coulomb_terms,
-                             kernel_split, kernel_value, legendre_q,
+from brspec import PhysParams, channels
+from brspec.assemble import _CORNER_RULE, _DIAGONAL_RULE
+from brspec.channels import (ChannelSpec, KernelTerms, angular_reduce, br_terms, coulomb_terms,
+                             kernel_at, kernel_value, legendre_q_cosh, log_ratio,
                              multiplier_channel_kernel, scaled_sph_bessel_i, sph_bessel_j,
                              spherical_bessel_transform)
 from brspec.dirac import PAULI, a_plus_minus, spherical_spinor
@@ -14,6 +15,7 @@ from brspec.errors import DomainError, SingularPointError
 from brspec.grids import build_grid
 
 P11 = PhysParams(c=1.0, m=1.0, Z=1.0)
+EPS = np.finfo(float).eps
 
 
 class TestChannelSpec:
@@ -35,40 +37,49 @@ class TestChannelSpec:
             ChannelSpec.from_kappa(4)
 
 
+def _q_at(l, z):
+    """Q_l(z) through the x-form evaluator, at x = arccosh z."""
+    return legendre_q_cosh((l,), np.arccosh(z))[0]
+
+
 class TestLegendreQ:
     def test_q0_closed_form(self):
         z = 1.7
-        assert legendre_q(0, z) == pytest.approx(0.5 * np.log((z + 1) / (z - 1)), rel=1e-15)
+        assert _q_at(0, z) == pytest.approx(0.5 * np.log((z + 1) / (z - 1)), rel=1e-15)
 
     def test_q1_at_three(self):
-        assert legendre_q(1, 3.0) == pytest.approx(1.5 * np.log(2.0) - 1.0, rel=1e-14)
+        assert _q_at(1, 3.0) == pytest.approx(1.5 * np.log(2.0) - 1.0, rel=1e-14)
 
     def test_q0_large_argument_decay(self):
         z = np.array([1e3, 1e6])
-        np.testing.assert_allclose(legendre_q(0, z) * z, 1.0, rtol=1e-5)
+        np.testing.assert_allclose(_q_at(0, z) * z, 1.0, rtol=1e-5)
 
     def test_q0_log_singularity(self):
         z = 1 + 1e-8
-        assert legendre_q(0, z) == pytest.approx(0.5 * np.log(2 / 1e-8), rel=1e-7)
+        assert _q_at(0, z) == pytest.approx(0.5 * np.log(2 / 1e-8), rel=1e-7)
 
     def test_domain_error(self):
+        # the diagonal x = 0 (z = 1) is refused by kernel_value, see
+        # test_diagonal_rejected; nonpositive momenta and orders beyond 3
+        # are refused here
         with pytest.raises(DomainError):
-            legendre_q(0, 1.0)
+            kernel_value(coulomb_terms(0, P11), -1.0, 2.0)
         with pytest.raises(DomainError):
-            legendre_q(4, 2.0)
+            KernelTerms(1.0, (4,))
 
     @pytest.mark.parametrize("l", [0, 1, 2, 3])
     def test_against_mpmath(self, l):
         for z in (1.01, 1.5, 2.0, 7.0, 1e3):
-            ref = float(mpmath.re(mpmath.legenq(l, 0, mpmath.mpf(z), type=3)))
-            assert legendre_q(l, z) == pytest.approx(ref, rel=2e-12)
+            x = np.arccosh(z)
+            ref = float(mpmath.re(mpmath.legenq(l, 0, mpmath.cosh(mpmath.mpf(x)), type=3)))
+            assert _q_at(l, z) == pytest.approx(ref, rel=2e-12)
 
 
 class TestCoulombKernel:
     def test_closed_form_value(self):
-        # z((1,2)) = 5/4, kernel -Z Q_0(5/4)/(pi p q)
+        # z((1,2)) = 5/4, kernel -Z Q_0(5/4)/(pi p q) with Q_0(5/4) = ln 3
         val = kernel_value(coulomb_terms(0, P11), 1.0, 2.0)
-        assert val == pytest.approx(-legendre_q(0, 1.25) / (2 * np.pi), rel=1e-14)
+        assert val == pytest.approx(-np.log(3.0) / (2 * np.pi), rel=1e-14)
 
     def test_against_angular_quadrature(self):
         # oracle: adaptive reduction of the pointwise kernel -Z/(2 pi^2 d^2)
@@ -110,12 +121,12 @@ class TestCoulombKernel:
     @pytest.mark.parametrize("l", [-1, 4])
     def test_unsupported_l_rejected(self, l):
         with pytest.raises(DomainError):
-            kernel_split(coulomb_terms(l, P11), 1.0, 2.0)
+            kernel_at(coulomb_terms(l, P11), 1.0, 2.0, np.log(2.0))
         with pytest.raises(DomainError):
             kernel_value(coulomb_terms(l, P11), 1.0, 2.0)
         deep = ChannelSpec(kappa=l + 1, l_up=l, l_down=l, j=abs(l) + 0.5)
         with pytest.raises(DomainError):
-            kernel_split(br_terms(deep, P11), 1.0, 2.0)
+            kernel_at(br_terms(deep, P11), 1.0, 2.0, np.log(2.0))
 
     def test_negative_for_positive_charge(self):
         rng = np.random.default_rng(0)
@@ -123,17 +134,6 @@ class TestCoulombKernel:
         q = p * np.exp(rng.uniform(0.1, 2.0, 100))
         for l in (0, 1, 2, 3):
             assert np.all(kernel_value(coulomb_terms(l, P11), p, q) < 0)
-
-    def test_split_reconstructs_kernel(self):
-        rng = np.random.default_rng(1)
-        p = np.exp(rng.uniform(-4, 4, 200))
-        q = p * np.exp(rng.uniform(-3, 3, 200))
-        q[q == p] *= 1.0001
-        for l in (0, 1, 2, 3):
-            smooth, logc = kernel_split(coulomb_terms(l, P11), p, q)
-            recon = smooth + logc * np.log(np.abs(p - q))
-            np.testing.assert_allclose(recon, kernel_value(coulomb_terms(l, P11), p, q),
-                                       rtol=1e-11)
 
 
 # z on both sides of the tier edges 8 and 128 where the series changes its
@@ -150,30 +150,35 @@ class TestSeriesAccuracy:
 
     @pytest.mark.parametrize("l", [0, 1, 2, 3])
     def test_legendre_q(self, l):
-        for z in SERIES_Z:
-            ref = float(mpmath.re(mpmath.legenq(l, 0, mpmath.mpf(z), type=3)))
-            assert abs(legendre_q(l, z) - ref) <= 1e-15 * abs(ref), z
+        # every z lies beyond the switch, so the log term must go unused
+        z = np.array(SERIES_Z)
+        (got,), (logcoef,) = channels._q_l_split((l,), z, lambda near: np.full(near.sum(), np.nan))
+        assert not logcoef.any()
+        for zk, value in zip(SERIES_Z, got):
+            ref = float(mpmath.re(mpmath.legenq(l, 0, mpmath.mpf(zk), type=3)))
+            assert abs(value - ref) <= 1e-15 * abs(ref), zk
 
     @pytest.mark.parametrize("l", [0, 1, 2, 3])
-    def test_coulomb_kernel_split(self, l):
+    def test_coulomb_kernel_value(self, l):
+        # x = ln(q/p) carries a few ulp of its own, which move
+        # Q_l(cosh x) ~ e^-(l+1)x by about (l + 1) x ulp
         for z in SERIES_Z:
             for p in (1e-3, 1.0, 1e4):
                 q = p * (z + np.sqrt(z * z - 1))        # (p^2 + q^2) / (2pq) = z
-                smooth, logcoef = kernel_split(coulomb_terms(l, P11), p, q)
+                value = kernel_value(coulomb_terms(l, P11), p, q)
                 with mpmath.workdps(40):
                     mp, mq = mpmath.mpf(p), mpmath.mpf(q)
                     zz = (mp * mp + mq * mq) / (2 * mp * mq)
                     exact = float(-mpmath.re(mpmath.legenq(l, 0, zz, type=3)) / (mpmath.pi * mp * mq))
-                assert logcoef == 0
-                assert abs(smooth - exact) <= 1e-15 * abs(exact), (z, p)
+                x = float(log_ratio(p, q))
+                assert abs(value - exact) <= (1e-15 + 2 * (l + 1) * x * EPS) * abs(exact), (z, p)
 
 
 class TestScaleFreeValue:
     """The pointwise kernel value goes through Q_l(cosh x), x = ln(q/p), at every scale."""
 
     # near the closed form's switch at z = 2, P_l Q_0 - W_{l-1} cancels by
-    # ~140x (l = 2) and ~2500x (l = 3); at p = 1e6 the ln|p - q| split's
-    # terms are larger still
+    # ~140x (l = 2) and ~2500x (l = 3)
     BOUND = {0: 1e-13, 1: 1e-13, 2: 1e-13, 3: 1.5e-12}
     XS = np.concatenate([np.geomspace(1e-3, 0.1, 8), np.linspace(0.1, np.arccosh(2.0), 24)])
 
@@ -210,23 +215,60 @@ class TestScaleFreeValue:
                 value = kernel_value(br_terms(ch, params), p, q)
                 assert abs(value - exact) <= bound * abs(exact), (p, x)
 
-    def test_br_split_is_the_two_term_sum(self):
-        # the orders share z, the masks and ln(p + q); the sum is unchanged
-        rng = np.random.default_rng(11)
-        p = np.exp(rng.uniform(np.log(1e-4), np.log(1e6), 600))
-        q = p * np.exp(rng.uniform(-6.0, 6.0, 600))
-        params = PhysParams(Z=7.0)
-        for kappa in (-3, -2, -1, 1, 2, 3):
-            ch = ChannelSpec.from_kappa(kappa)
-            for fw in (1.0, 0.25):
-                ap_p, am_p = a_plus_minus(fw * p, params)
-                ap_q, am_q = a_plus_minus(fw * q, params)
-                s_up, g_up = kernel_split(coulomb_terms(ch.l_up, params), p, q)
-                s_dn, g_dn = kernel_split(coulomb_terms(ch.l_down, params), p, q)
-                up, dn = ap_p * ap_q, am_p * am_q
-                smooth, logcoef = kernel_split(br_terms(ch, params, fw), p, q)
-                assert np.array_equal(smooth, up * s_up + dn * s_dn)
-                assert np.array_equal(logcoef, up * g_up + dn * g_dn)
+    @staticmethod
+    def _closed_form_q(z):
+        """Q_0..Q_3 at the mpmath number z > 1 by P_l Q_0 - W_{l-1}.
+
+        Near z = 2 the terms cancel by at most ~1e5, far inside the 60
+        digits carried; legenq at every rule point would take minutes.
+        """
+        q0 = mpmath.log((z + 1) / (z - 1)) / 2
+        return (q0, z * q0 - 1, (3 * z * z - 1) / 2 * q0 - 3 * z / 2,
+                (5 * z**3 - 3 * z) / 2 * q0 - (5 * z * z / 2 - mpmath.mpf(2) / 3))
+
+    @staticmethod
+    def _galerkin_points(s, rng):
+        """(p, q, x, exact p, exact q) of the far-field pairs, Duffy and corner points at scale s.
+
+        The exact momenta are the maps' images of the rule's nodes, as
+        mpmath numbers; p and q are their rounded values.
+        """
+        mp = lambda v: mpmath.mpf(float(v))
+        x = rng.uniform(0.05, np.arccosh(2.0), 40) * rng.choice([-1.0, 1.0], 40)
+        p = np.full(40, s)
+        q = p * np.exp(x)
+        yield p, q, log_ratio(p, q), map(mp, p), map(mp, q)
+        U, V, _ = _DIAGONAL_RULE
+        a, D = s, 0.3 * s
+        Q = a + D * (U * V)
+        yield (a + D * U, Q, np.log1p(D * (U * (1 - V)) / Q),
+               (mp(a) + mp(D) * mp(u) for u in U),
+               (mp(a) + mp(D) * mp(u) * mp(v) for u, v in zip(U, V)))
+        X, Y, _ = _CORNER_RULE
+        m, r = 1.3 * s, 1.625 * s
+        D1, D2 = m - a, r - m
+        P = m - D1 * X
+        yield (P, m + D2 * Y, np.log1p((D1 * X + D2 * Y) / P),
+               (mp(m) - mp(D1) * mp(u) for u in X), (mp(m) + mp(D2) * mp(v) for v in Y))
+
+    @pytest.mark.parametrize("s", [1e-4, 1.0, 1e4, 1e6])
+    def test_galerkin_points_against_mpmath(self, s):
+        # the pairs and rule points the Galerkin blocks evaluate, one cell of
+        # each rule, with x formed as each rule forms it
+        rng = np.random.default_rng(3)
+        with mpmath.workdps(60):
+            z = mpmath.mpf(1.7)
+            for l, ql in enumerate(self._closed_form_q(z)):
+                assert abs(ql / mpmath.legenq(l, 0, z, type=3) - 1) < 1e-40
+            for p, q, x, p_exact, q_exact in self._galerkin_points(s, rng):
+                exact = np.array([
+                    [float(-ql / (mpmath.pi * mp * mq)) for ql in
+                     self._closed_form_q((mp * mp + mq * mq) / (2 * mp * mq))]
+                    for mp, mq in zip(p_exact, q_exact)])
+                for l in range(4):
+                    value = kernel_at(coulomb_terms(l, P11), p, q, x)
+                    err = np.abs(value - exact[:, l]) / np.abs(exact[:, l])
+                    assert err.max() <= self.BOUND[l], (l, p.size, err.max())
 
 
 class TestAngularReduce:
@@ -330,18 +372,6 @@ class TestTransformedKernel:
 MOMENTA = st.tuples(st.floats(np.log(1e-4), np.log(1e6)), st.floats(1e-3, 10.0),
                     st.sampled_from([-1.0, 1.0])).map(
     lambda a: (float(np.exp(a[0])), float(np.exp(a[0] + a[2] * a[1]))))
-EPS = np.finfo(float).eps
-
-
-def _term_scale(l, p, q):
-    """|smooth| + |logcoef ln|p - q||, the size of the two terms a kernel value sums.
-
-    The value's rounding error is a few ulp of this scale, which exceeds the
-    value itself by up to ~1e5 near z = 2 for l = 3 at the ends of the
-    momentum range, where ln|p - q| is large and Q_l small.
-    """
-    smooth, logc = kernel_split(coulomb_terms(l, P11), p, q)
-    return abs(smooth) + abs(logc * np.log(abs(p - q)))
 
 
 class TestKernelProperties:
@@ -353,45 +383,41 @@ class TestKernelProperties:
         assert kernel_value(coulomb, p, q) == kernel_value(coulomb, q, p)
         terms = br_terms(ChannelSpec.from_kappa(kappa), PhysParams(Z=1.0))
         assert kernel_value(terms, p, q) == kernel_value(terms, q, p)
-        for a, b in zip(kernel_split(terms, p, q), kernel_split(terms, q, p)):
-            assert a == b
+        x = log_ratio(p, q)
+        assert kernel_at(terms, p, q, x) == kernel_at(terms, q, p, x)
 
     @settings(max_examples=80, deadline=None)
     @given(pq=MOMENTA, l=st.integers(0, 3), kappa=st.sampled_from([-3, -2, -1, 1, 2, 3]),
            Z=st.floats(1e-3, 200.0))
-    def test_split_linear_in_charge(self, pq, l, kappa, Z):
+    def test_value_linear_in_charge(self, pq, l, kappa, Z):
         p, q = pq
+        x = log_ratio(p, q)
         ch = ChannelSpec.from_kappa(kappa)
-        for split in (lambda par: kernel_split(coulomb_terms(l, par), p, q),
-                      lambda par: kernel_split(br_terms(ch, par), p, q)):
-            for unit, scaled in zip(split(PhysParams(Z=1.0)), split(PhysParams(Z=Z))):
-                np.testing.assert_allclose(scaled, Z * unit, rtol=1e-14, atol=0)
+        for value in (lambda par: kernel_at(coulomb_terms(l, par), p, q, x),
+                      lambda par: kernel_at(br_terms(ch, par), p, q, x)):
+            np.testing.assert_allclose(value(PhysParams(Z=Z)), Z * value(PhysParams(Z=1.0)),
+                                       rtol=1e-14, atol=0)
 
     @settings(max_examples=80, deadline=None)
     @given(pq=MOMENTA, l=st.integers(0, 3), k=st.integers(-10, 10))
     def test_nonrel_kernel_homogeneous(self, pq, l, k):
-        # k_l(tp, tq) = k_l(p, q) / t^2; a dyadic t scales p, q, z and the
-        # prefactor exactly, so only the logarithms round differently
+        # k_l(tp, tq) = k_l(p, q) / t^2; a dyadic t scales p, q and |q - p|
+        # exactly, so x = ln(q/p) and Q_l(cosh x) do not change and the
+        # prefactor scales exactly
         p, q = pq
         t = 2.0 ** k
         base = kernel_value(coulomb_terms(l, P11), p, q)
-        scaled = kernel_value(coulomb_terms(l, P11), t * p, t * q) * t * t
-        scale = max(_term_scale(l, p, q), _term_scale(l, t * p, t * q) * t * t)
-        assert abs(scaled - base) <= 1e-12 * abs(base) + 8 * EPS * scale
+        assert kernel_value(coulomb_terms(l, P11), t * p, t * q) * t * t == base
 
     @settings(max_examples=60, deadline=None)
     @given(pq=MOMENTA, l=st.integers(0, 3))
-    def test_split_reconstructs_exact_kernel(self, pq, l):
-        # the split carries ln|p - q|, so its rounding scales with its terms;
-        # the pointwise value goes through x = ln(q/p) and is scale-free
+    def test_value_matches_exact_kernel(self, pq, l):
+        # the value goes through x = ln(q/p) and is scale-free
         p, q = pq
-        smooth, logc = kernel_split(coulomb_terms(l, P11), p, q)
-        value = smooth + logc * np.log(abs(p - q))
         with mpmath.workdps(40):
             mp, mq = mpmath.mpf(p), mpmath.mpf(q)
             z = (mp * mp + mq * mq) / (2 * mp * mq)
             exact = float(-mpmath.re(mpmath.legenq(l, 0, z, type=3)) / (mpmath.pi * mp * mq))
-        assert abs(value - exact) <= 1e-11 * abs(exact) + 8 * EPS * _term_scale(l, p, q)
         assert abs(kernel_value(coulomb_terms(l, P11), p, q) - exact) <= 1.5e-12 * abs(exact)
 
 

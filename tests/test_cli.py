@@ -359,11 +359,13 @@ class TestResidualGate:
 
 
 class TestGalerkinScheme:
+    @pytest.mark.parametrize("kappa", [-1, 2])
     @pytest.mark.parametrize("kind", ["rational", "log"])
     @pytest.mark.parametrize("Z", [1, 40, 120])
-    def test_spectrum_passes(self, Z, kind):
+    def test_spectrum_passes(self, Z, kind, kappa):
         report = run_command("spectrum", parse_config(
-            overrides=[f"params.Z={Z}", "grid.scheme=galerkin", f"grid.kind={kind}"]))
+            overrides=[f"params.Z={Z}", "grid.scheme=galerkin", f"grid.kind={kind}",
+                       f"channel.kappa={kappa}"]))
         assert report.ok, [c for c in report.checks if not c["ok"]]
 
 

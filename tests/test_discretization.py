@@ -10,7 +10,7 @@ from brspec import PhysParams, assemble, channels, grids
 from brspec.assemble import (assemble_nonrel_operator, assemble_operator, assemble_potential,
                              subtraction_integral_adaptive, subtraction_integrals,
                              subtraction_profile)
-from brspec.channels import ChannelSpec, br_terms, coulomb_terms, kernel_split
+from brspec.channels import ChannelSpec, br_terms, coulomb_terms, kernel_at, log_ratio
 from brspec.dirac import lambda_of
 from brspec.errors import ConfigurationError, NumericalError
 from brspec.grids import (MetricH12, RadialGrid, assemble_h12_metric, build_grid,
@@ -310,13 +310,12 @@ class TestSubtractionIntegrals:
         # with the mixing switched off the subtraction integral collapses to
         # a charge- and momentum-scaled universal integral of Q_0; both sides
         # come from independent adaptive quadratures
-        from brspec.channels import legendre_q
+        from brspec.channels import legendre_q_cosh
         params = PhysParams(c=1.0, m=1.0, Z=3.0)
         kern = coulomb_terms(0, params)
-        universal = quad(lambda u: legendre_q(0, 0.5 * (u + 1 / u)) * u / (1 + u * u),
-                         0, 1, points=[1.0], limit=200)[0] \
-            + quad(lambda u: legendre_q(0, 0.5 * (u + 1 / u)) * u / (1 + u * u),
-                   1, np.inf, limit=200)[0]
+        q0 = lambda u: float(legendre_q_cosh((0,), np.log(u))[0])     # Q_0((u + 1/u)/2)
+        universal = quad(lambda u: q0(u) * u / (1 + u * u), 0, 1, points=[1.0], limit=200)[0] \
+            + quad(lambda u: q0(u) * u / (1 + u * u), 1, np.inf, limit=200)[0]
         for p in (0.2, 1.0, 7.5):
             direct = subtraction_integral_adaptive(kern, p, (0.0, np.inf), tol=1e-12)
             assert direct == pytest.approx(-2 * params.Z * p / np.pi * universal, rel=1e-9)
@@ -522,9 +521,9 @@ class TestGalerkin:
         Hg[np.arange(xg.size), rows] = hl.ravel()
         Hg[np.arange(xg.size), rows + 1] = hr.ravel()
         wg = (w * x * x).ravel()
-        S, G = kernel_split(terms, xg[:, None], xg[None, :])
         near = np.abs(rows[:, None] - rows[None, :]) <= 1
-        K = S + G * np.log(np.where(near, 1.0, np.abs(xg[:, None] - xg[None, :])))
+        ax = np.where(near, 1.0, log_ratio(xg[:, None], xg[None, :]))
+        K = kernel_at(terms, xg[:, None], xg[None, :], ax)
         K[near] = 0.0
         return Hg.T @ (K * wg[:, None] * wg[None, :]) @ Hg
 
