@@ -55,17 +55,22 @@ def subtraction_profile(p, q):
 # rho(x) = 2/(1 + e^-2x) (the profile times q^2 dq/dx over p^3 e^x).  On
 # [-1, 0] and [0, 1] a product rule takes the singularity: with
 # Q_l = smooth + logcoef ln|x|, Gauss-Legendre nodes carry the smooth part
-# and Gauss-log nodes (weight -ln|x|) the logcoef part.  Unit-width Gauss
-# panels continue outward to a tail cut per l.  On the domain (0, inf) this
-# row-centred rule is the same in every row and never clipped, so the
-# weights times Q_l rho are tabulated once per (l, order) and a row pays
-# only for its mixing factors.  A log-panel grid integrates over its own
-# panels instead (below).  Two Gauss orders give the error estimate; a row
-# whose estimates disagree beyond ORDER_TOL raises NumericalError.
+# and Gauss-log nodes (weight -ln|x|) the logcoef part.  Gauss panels
+# continue outward, of unit width to |x| = 3 and then each _GROWTH times as
+# wide as the last, up to _WIDEST: out there Q_l(cosh x) rho(x) is smooth
+# and decays like e^-|x| or faster.  They end at the first panel past the
+# tail cut of Q_l, which is set on the unit lattice.  On the domain
+# (0, inf) this row-centred rule is the same in every row and never
+# clipped, so the weights times Q_l rho are tabulated once per (l, order)
+# and a row pays only for its mixing factors.  A log-panel grid integrates
+# over its own panels instead (below).  Two Gauss orders give the error
+# estimate; a row whose estimates disagree beyond ORDER_TOL raises
+# NumericalError.
 
 # Gauss orders of the estimate; with the logarithm in the weight the higher
-# one is at rounding and the lower one within 3.2e-13 of it on the grids,
-# channels and charges tried, far inside ORDER_TOL
+# one is at rounding and the lower one within 2.4e-12 of it (relative, on
+# ORDER_TOL's scale) over the corners of the configuration ranges, far
+# inside ORDER_TOL
 _ORDERS = (8, 12)
 # largest disagreement of the two orders, relative to the row's value (or a
 # thousandth of the largest row, whichever is larger)
@@ -76,16 +81,22 @@ ORDER_TOL = 1e-10
 _TAIL = 1e-17
 # the outermost unit panels the cut chooses from
 _REACH = (-40.0, 60.0)
+# beyond |x| = 3 each panel is _GROWTH times as wide as the one before it,
+# up to _WIDEST
+_GROWTH, _WIDEST = 1.3, 3.0
 
 
 def _panel_edges():
-    # unit panels out to the reach on either side; the product panels
-    # [-1, 0] and [0, 1] appear twice, once per node set (Gauss-Legendre,
-    # Gauss-log)
-    left = np.arange(_REACH[0], -1.0)
-    right = np.arange(1.0, _REACH[1])
-    return (np.concatenate([left, [-1.0, -1.0, 0.0, 0.0], right]),
-            np.concatenate([left + 1.0, [0.0, 0.0, 1.0, 1.0], right + 1.0]))
+    # unit panels out to |x| = 3, then widening ones out to the reach on
+    # either side; the product panels [-1, 0] and [0, 1] appear twice, once
+    # per node set (Gauss-Legendre, Gauss-log); the 26 widths end past
+    # |x| = 70
+    widths = np.clip(_GROWTH ** np.arange(-1.0, 25.0), 1.0, _WIDEST)
+    edges = np.concatenate([[1.0], 1.0 + np.cumsum(widths)])
+    right = edges[:np.searchsorted(edges, _REACH[1]) + 1]
+    left = -edges[:np.searchsorted(edges, -_REACH[0]) + 1][::-1]
+    return (np.concatenate([left[:-1], [-1.0, -1.0, 0.0, 0.0], right[:-1]]),
+            np.concatenate([left[1:], [0.0, 0.0, 1.0, 1.0], right[1:]]))
 
 
 _PANEL_LO, _PANEL_HI = _panel_edges()
@@ -142,22 +153,37 @@ def _rule_table(l, order):
 
 
 @lru_cache(maxsize=None)
-def _kept_panels(l):
-    """Mask of the panels inside the tail cut of Q_l.
+def _tail_cut(l):
+    """Ends (lo, hi) of the tail cut of Q_l on the unit lattice.
 
-    The unit panels are dropped lightest first, which is outermost first on
-    either side, while their table mass stays below _TAIL of the whole; the
-    product panels are always kept.
+    The unit panels between the reach and [-1, 1] are dropped lightest
+    first, which is outermost first on either side, while their order-12
+    mass stays below _TAIL of the whole.  The log-grid rule's far table
+    spans the cut, so its Q_l evaluations grow with it; a cut on the
+    widening panels would reach up to 3 further.  The row-centred rule keeps
+    every panel that reaches into the cut, so it drops less.
     """
-    mass = _rule_table(l, _ORDERS[-1]).sum(axis=1)
-    unit = np.flatnonzero(~_PRODUCT)
-    light = unit[np.argsort(mass[unit])]
-    kept = _PRODUCT.copy()
-    kept[light] = np.cumsum(mass[light]) >= _TAIL * mass.sum()
-    return kept
+    lo = np.concatenate([np.arange(_REACH[0], -1.0), np.arange(1.0, _REACH[1])])
+    x, w = _gauss_panels(lo, lo + 1.0, gauss_legendre(_ORDERS[-1]))
+    mass = (legendre_q_cosh((l,), x)[0] * _rho(x) * w).sum(axis=1)
+    light = np.argsort(mass)
+    whole = mass.sum() + _rule_table(l, _ORDERS[-1])[_PRODUCT].sum()
+    kept = lo[light][np.cumsum(mass[light]) >= _TAIL * whole]
+    return kept.min(), kept.max() + 1.0
 
 
-# rows per block of the row-centred rule: each row carries ~0.65k quadrature
+@lru_cache(maxsize=None)
+def _kept_panels(l):
+    """Mask of the panels that reach into the tail cut of Q_l, the product panels among them.
+
+    For l = 0 (the cut [-13, 40]) these are 7 panels left of [-1, 0], the
+    two product panels of two node sets each, and 16 right of [0, 1].
+    """
+    lo, hi = _tail_cut(l)
+    return (_PANEL_HI > lo) & (_PANEL_LO < hi)
+
+
+# rows per block of the row-centred rule: each row carries ~0.32k quadrature
 # points at order 12, so evaluating all rows at once would make the
 # temporaries dwarf the assembled matrix
 _ROW_BLOCK = 64
@@ -207,8 +233,7 @@ def _far_table(l, g, s, w, phi, K):
     cut of Q_l for some row; the neighbourhood's |d| < 2 are 0.  Returns the
     table and its first offset.
     """
-    kept = _kept_panels(l)
-    lo, hi = _PANEL_LO[kept].min(), _PANEL_HI[kept].max()
+    lo, hi = _tail_cut(l)
     d = np.arange(max(1 - K, int(np.floor(lo / g))), min(K - 1, int(np.ceil(hi / g))) + 1)
     x = g * (d[:, None, None] + (s[:, None] - phi))
     far = np.abs(d) >= 2

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -15,7 +16,7 @@ from brspec.dirac import lambda_of
 from brspec.errors import ConfigurationError, NumericalError
 from brspec.grids import (MetricH12, RadialGrid, assemble_h12_metric, build_grid,
                           build_log_grid, gauss_log, operator_norm_h12)
-from brspec.params import TIX_CONSTANT
+from brspec.params import SPEED_OF_LIGHT, TIX_CONSTANT
 from brspec.spectra import binding_grid
 
 CH = ChannelSpec.from_kappa(-1)
@@ -210,31 +211,37 @@ class TestSubtractionIntegrals:
                 low, high = (assemble._log_grid_sums(terms, grid, o) for o in assemble._ORDERS)
                 assert np.abs(high - low).max() <= 1e-13 * np.abs(high).max()
 
-    @pytest.mark.parametrize("l", range(4))
-    def test_tail_cut_drops_below_bound(self, l):
+    @pytest.mark.parametrize("l, cut", enumerate([(-13, 40), (-10, 20), (-8, 13), (-7, 10)]))
+    def test_tail_cut_drops_below_bound(self, l, cut):
         # Q_l(cosh x) rho(x) > 0 and every mixing factor is in [0, 1], so the
-        # mass beyond the kept panels bounds what any row drops
+        # mass beyond the cut bounds what any row drops
         def f(x):                   # Q_l(cosh x) rho(x), without overflow at large |x|
             e = np.exp(-2 * abs(x))
             rho = 2 / (1 + e) if x > 0 else 2 * e / (1 + e)
             return channels.legendre_q_cosh((l,), np.array([x]))[0][0] * rho
 
-        kept = assemble._kept_panels(l)
-        lo, hi = assemble._PANEL_LO[kept].min(), assemble._PANEL_HI[kept].max()
+        # the log-grid far table spans the cut, so the cut pins its extent
+        lo, hi = assemble._tail_cut(l)
+        assert (lo, hi) == cut
         mass = quad(f, lo, 0, limit=200)[0] + quad(f, 0, hi, limit=200)[0]
         # beyond |x| = 700 the integrand is below e^-700
         dropped = (quad(f, -700, lo, epsabs=0, limit=200)[0]
                    + quad(f, hi, 700, epsabs=0, limit=200)[0])
         assert 0 < dropped <= 1e-17 * mass
-        # the cut is contiguous: every unit panel between lo and hi is kept
-        inside = (assemble._PANEL_LO >= lo) & (assemble._PANEL_HI <= hi)
-        assert np.array_equal(kept, inside)
+        # the row-centred rule keeps exactly the panels that reach into the
+        # cut, a contiguous run covering it
+        kept = assemble._kept_panels(l)
+        assert np.array_equal(kept, (assemble._PANEL_HI > lo) & (assemble._PANEL_LO < hi))
+        assert assemble._PANEL_LO[kept].min() <= lo and assemble._PANEL_HI[kept].max() >= hi
+        assert np.all(np.isin(assemble._PANEL_LO[kept][1:], assemble._PANEL_HI[kept]))
 
     def test_mixing_points_per_row(self):
         # an unclipped kappa = -1 row evaluates the mixing factors at every
-        # node of the l = 0 cut, 51 unit panels and 2 product panels of two
-        # node sets, over both orders: 55 * (8 + 12) = 1,100 (2,964 with the
-        # geometric panels toward the singularity)
+        # node of the l = 0 cut [-13, 40]: 2 unit and 5 widening panels to
+        # the left (out to -14.04), 2 unit and 14 widening panels to the
+        # right (out to 41.04), and 2 product panels of two node sets, over
+        # both orders: 27 * (8 + 12) = 540 (1,100 with unit panels out to
+        # the cut, 2,964 with the geometric panels toward the singularity)
         params = PhysParams(Z=1.0)
         base = br_terms(CH, params)
         seen = []
@@ -246,7 +253,7 @@ class TestSubtractionIntegrals:
 
         grid = build_grid(100, 1.0)
         subtraction_integrals(replace(base, mixing=counting), grid)
-        assert sum(seen) / grid.n <= 1100
+        assert sum(seen) / grid.n == 540
 
     def test_mixing_points_per_log_grid_row(self):
         # per Gauss order o, the K o nodes of the far sub-panels are shared
@@ -288,14 +295,39 @@ class TestSubtractionIntegrals:
         assert f"on 1 of 40 rows; row 7 (p = {grid.nodes[7]:.6g}): " in message
         assert f"{low!r} and {high!r}" in message and f"{assemble.ORDER_TOL:g}" in message
 
-    def test_panel_rule_matches_adaptive(self):
+    @pytest.mark.parametrize("kappa", [-1, 1, -2, 3])
+    @pytest.mark.parametrize("fw_scale", [1.0, 0.025])
+    def test_panel_rule_matches_adaptive(self, kappa, fw_scale):
+        # the mixing factors turn over near q = mc / fw_scale, which the rows
+        # tested meet at x = ln(q/p) from 1.1 to 12.8 at fw_scale 1 and from
+        # 4.8 to 16.4 at fw_scale 0.025: on the widening panels
         params = PhysParams(Z=1.0)
         g = build_grid(60, 1.0)
-        kern = br_terms(CH, params)
+        kern = br_terms(ChannelSpec.from_kappa(kappa), params, fw_scale)
         vals = subtraction_integrals(kern, g)
         for i in range(0, 60, 9):
             ref = subtraction_integral_adaptive(kern, g.nodes[i], g.domain, tol=1e-13)
             assert vals[i] == pytest.approx(ref, rel=1e-11)
+
+    @pytest.mark.parametrize("n", [16, 200])
+    def test_centred_rule_orders_agree_at_config_corners(self, n):
+        # every corner of the configuration ranges on the rational grid: no
+        # row raises, and the two Gauss orders stay far inside ORDER_TOL
+        # (the widest gap here is 0.022 of it; unit panels out to the cut
+        # read 0.0019)
+        worst = 0.0
+        for s, c, m, Z in itertools.product((None, 1e-6, 1e6), (1.0, SPEED_OF_LIGHT, 1e6),
+                                            (1e-3, 1.0, 1e3), (1.0, 120.0, 1000.0)):
+            grid = build_grid(n, Z if s is None else s)
+            params = PhysParams(c=c, m=m, Z=Z)
+            for kappa in (-1, 1, -3, 3):
+                terms = br_terms(ChannelSpec.from_kappa(kappa), params)
+                subtraction_integrals(terms, grid)
+                low, high = (grid.nodes * assemble._centred_rule_sums(terms, grid.nodes, o)
+                             for o in assemble._ORDERS)
+                scale = np.maximum(np.abs(high), 1e-3 * np.abs(high).max())
+                worst = max(worst, (np.abs(high - low) / scale).max())
+        assert worst <= 0.05 * assemble.ORDER_TOL
 
     def test_finite_domain(self):
         params = PhysParams(Z=2.0)
