@@ -34,10 +34,10 @@ import numpy as np
 from scipy.linalg import cholesky_banded, solve_banded
 
 from .channels import (ChannelSpec, KernelTerms, br_terms, coulomb_terms, kernel_at,
-                       kernel_value, legendre_q_cosh, legendre_q_cosh_split, log_ratio)
+                       legendre_q_cosh, legendre_q_cosh_split, log_ratio)
 from .dirac import lambda_of
 from .errors import ConfigurationError, NumericalError
-from .grids import LogPanels, RadialGrid, gauss_legendre, gauss_log
+from .grids import LogPanels, RadialGrid, gauss_legendre, gauss_log, gauss_panels
 from .params import PhysParams
 
 
@@ -104,14 +104,6 @@ _PRODUCT = np.abs(_PANEL_LO + _PANEL_HI) == 1.0
 _LOG_NODES = np.r_[False, (_PANEL_LO[1:] == _PANEL_LO[:-1]) & (_PANEL_HI[1:] == _PANEL_HI[:-1])]
 
 
-def _gauss_panels(a, b, rule):
-    """Nodes and weights of the Gauss ``rule`` on panels [a, b] (any leading shape)."""
-    t, wt = rule
-    half = 0.5 * (b - a)
-    mid = 0.5 * (b + a)
-    return mid[..., None] + half[..., None] * t, half[..., None] * wt
-
-
 def _rho(x):
     return 2.0 / (1.0 + np.exp(-2.0 * x))
 
@@ -126,7 +118,7 @@ def _product_rule(order):
 @lru_cache(maxsize=None)
 def _rule_nodes(order):
     """Nodes x and weights of the whole rule, each (panels, order), read-only."""
-    x, w = _gauss_panels(_PANEL_LO, _PANEL_HI, gauss_legendre(order))
+    x, w = gauss_panels(_PANEL_LO, _PANEL_HI, order)
     tl, wl = gauss_log(order)
     x[_LOG_NODES] = np.sign(_PANEL_LO + _PANEL_HI)[_LOG_NODES, None] * tl
     w[_LOG_NODES] = wl
@@ -164,7 +156,7 @@ def _tail_cut(l):
     every panel that reaches into the cut, so it drops less.
     """
     lo = np.concatenate([np.arange(_REACH[0], -1.0), np.arange(1.0, _REACH[1])])
-    x, w = _gauss_panels(lo, lo + 1.0, gauss_legendre(_ORDERS[-1]))
+    x, w = gauss_panels(lo, lo + 1.0, _ORDERS[-1])
     mass = (legendre_q_cosh((l,), x)[0] * _rho(x) * w).sum(axis=1)
     light = np.argsort(mass)
     whole = mass.sum() + _rule_table(l, _ORDERS[-1])[_PRODUCT].sum()
@@ -323,11 +315,13 @@ def subtraction_integral_adaptive(terms: KernelTerms, p, domain, tol=1e-12):
     """Reference adaptive quadrature of one subtraction integral (scipy).
 
     The oracle the panel rules are tested against; assembly never calls it.
+    It stays in the package while the benchmark's tracer times it by name.
+    ``quad`` never samples its breakpoint q = p, the kernel's diagonal.
     """
     from scipy.integrate import quad
 
     qlo, qhi = domain
-    f = lambda q: kernel_value(terms, p, q) * subtraction_profile(p, q) * q * q
+    f = lambda q: kernel_at(terms, p, q, log_ratio(p, q)) * subtraction_profile(p, q) * q * q
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         if not np.isfinite(qhi):
@@ -485,15 +479,10 @@ _CORNER_LEVELS = 8
 _BLOCK_POINTS = 1 << 16
 
 
-def _element_quad(edges, order):
-    """GL nodes/weights on each element; arrays (n_el, order)."""
-    return _gauss_panels(edges[:-1], edges[1:], gauss_legendre(order))
-
-
 def _graded_rule(levels):
     """GL on the panels [0, 4^-levels], ..., [1/4, 1], graded toward 0; levels=0 is one panel."""
     edges = np.concatenate([[0.0], 4.0 ** np.arange(-levels, 1, dtype=float)])
-    x, w = _element_quad(edges, _POTENTIAL_ORDER)
+    x, w = gauss_panels(edges[:-1], edges[1:], _POTENTIAL_ORDER)
     return x.ravel(), w.ravel()
 
 
@@ -528,7 +517,7 @@ def _hat_blocks(F, p, p_element, q, q_element):
 
 def _tridiag_blocks(nodes, weight_fn):
     """Int weight(p) h_a h_b dp over each element, as 2x2 blocks of its hat pair."""
-    x, w = _element_quad(nodes, _TRIDIAG_ORDER)
+    x, w = gauss_panels(nodes[:-1], nodes[1:], _TRIDIAG_ORDER)
     element = (nodes[:-1, None], nodes[1:, None])
     return _hat_blocks(weight_fn(x) * w, x, element, x, element)
 
@@ -622,7 +611,7 @@ def _far_field(nodes, terms):
     """
     n = nodes.size
     order = _POTENTIAL_ORDER
-    x, w = _element_quad(nodes, order)
+    x, w = gauss_panels(nodes[:-1], nodes[1:], order)
     hw = np.stack(_hat_pair(x, nodes[:-1, None], nodes[1:, None]), axis=-1)
     hw *= (w * x * x)[..., None]                            # (n - 1, order, 2)
     el = np.arange(n - 1)

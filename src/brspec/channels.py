@@ -3,10 +3,14 @@
 For a rotationally invariant potential the transformed operator block-
 diagonalizes over channels kappa; each channel sees a scalar integral
 kernel k(p, q) on (0, inf)^2 acting through the measure q^2 dq.  This
-module provides the Coulomb channel kernels (Legendre Q closed forms),
-the smooth Gaussian-multiplier kernels, the adaptive angular-reduction
-oracle, and the radial spherical Bessel transform used to cross-check
-position- and momentum-space representations.
+module provides the one Q_l(cosh x) evaluator (closed form near the
+diagonal, inverse-power series beyond), the Coulomb channel kernels as
+Legendre-Q terms with their mixing factors and their value at a given
+log-ratio x (``kernel_at``), the smooth Gaussian-multiplier kernels, and
+the radial spherical Bessel transform used to cross-check position- and
+momentum-space representations.  The adaptive angular-reduction oracle
+and the checked pointwise value off the diagonal live in
+``tests/oracles.py``.
 """
 
 from collections.abc import Callable
@@ -16,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from .dirac import a_plus_minus
-from .errors import DomainError, NumericalError, SingularPointError
+from .errors import DomainError
 from .params import PhysParams
 
 MAX_CHANNEL = 3  # |kappa| <= 3, orbital momenta l <= 3
@@ -91,16 +95,6 @@ def _check_orders(ls):
     for l in ls:
         if l not in (0, 1, 2, 3):
             raise DomainError(f"Legendre orders l in 0..3 are supported, got {l}")
-
-
-def _check_offdiag(p, q):
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if np.any(p <= 0) or np.any(q <= 0):
-        raise DomainError("kernel momenta must be positive")
-    if np.any(p == q):
-        raise SingularPointError("channel kernel evaluated on its diagonal p == q")
-    return p, q
 
 
 # Large-argument series Q_l(z) = sum_k c_k u^(l+1+2k), u = 1/z: the closed
@@ -235,12 +229,6 @@ def br_terms(channel: ChannelSpec, params: PhysParams, fw_scale=1.0):
                        partial(_fw_mixing, params=params, scale=fw_scale))
 
 
-def kernel_value(terms: KernelTerms, p, q):
-    """Pointwise kernel value off the diagonal, through Q_l(cosh |ln(q/p)|)."""
-    p, q = _check_offdiag(p, q)
-    return kernel_at(terms, p, q, log_ratio(p, q))
-
-
 def kernel_at(terms: KernelTerms, p, q, x):
     """Kernel value at momenta p, q whose |ln(q/p)| the caller gives as x != 0.
 
@@ -250,32 +238,6 @@ def kernel_at(terms: KernelTerms, p, q, x):
     mix = [fp * fq for fp, fq in zip(terms.factors(p), terms.factors(q))]
     qs = legendre_q_cosh(terms.ls, x)
     return -terms.Z / (np.pi * (p * q)) * sum(m * v for m, v in zip(mix, qs))
-
-
-def angular_reduce(pointwise_kernel, l, p, q, tol=1e-10):
-    """Channel-l reduction 2 pi Int_{-1}^{1} kernel(|p - q|) P_l(t) dt.
-
-    ``pointwise_kernel`` maps the distance |p - q| between 3-momenta of
-    magnitudes p, q at angle arccos(t) to the kernel value.  Adaptive
-    quadrature oracle for the closed-form channel kernels.
-    """
-    from scipy.integrate import quad
-
-    if l not in (0, 1, 2, 3):
-        raise DomainError(f"angular_reduce supports l in 0..3, got {l}")
-    p, q = _check_offdiag(p, q)
-
-    def integrand(t):
-        dist = np.sqrt(max(p * p + q * q - 2 * p * q * t, 0.0))
-        return pointwise_kernel(dist) * float(_LEGENDRE_P[l](np.asarray(t, dtype=float)))
-
-    val, err = quad(integrand, -1.0, 1.0, epsabs=tol, epsrel=tol, limit=400)
-    if abs(err) > 10 * tol * max(1.0, abs(val)):
-        raise NumericalError(
-            f"angular reduction did not converge to {tol} (error estimate {err})",
-            payload=2 * np.pi * val,
-        )
-    return 2 * np.pi * val
 
 
 def scaled_sph_bessel_i(l, a):

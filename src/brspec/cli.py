@@ -406,7 +406,6 @@ def _run_scaling(config):
     rep = scaling_limit(config["experiments"]["eta_values"],
                         kappa=config["channel"]["kappa"], params=params)
     payload = asdict(rep)
-    del payload["flagged"]
     rel = abs(rep.leading_coefficient - rep.oracle_coefficient) / rep.oracle_coefficient
     checks = [
         _check("leading_coefficient_match", rel, "<", 0.02),
@@ -576,12 +575,6 @@ def write_report(report: RunReport, formats=None, destination="."):
             writer.writerows([_cell(v) for v in row] for row in table.rows(report))
         written.append(path)
     return written
-
-
-def read_report(path) -> RunReport:
-    """Inverse of write_report's JSON output."""
-    data = json.loads(Path(path).read_text())
-    return RunReport(**data)
 
 
 def main(argv=None):

@@ -9,10 +9,6 @@ class DomainError(BrspecError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class SingularPointError(DomainError):
-    """A kernel was evaluated on its diagonal p == q, where it is singular."""
-
-
 class ConfigurationError(BrspecError, ValueError):
     """Invalid configuration value or unknown configuration key."""
 

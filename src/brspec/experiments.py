@@ -353,7 +353,6 @@ class CommutatorDecayReport:
     norms: list
     fitted_slope: float
     fit_residual: float
-    flagged: bool
 
 
 def commutator_matrix(R, grid, channel: ChannelSpec, params: PhysParams):
@@ -419,7 +418,7 @@ def commutator_decay(R_values=(2., 4., 8., 16., 32., 64.), n=160, kappa=-1,
     resid = np.log(norms) - np.polyval(coef, np.log(R_values))
     rms = float(np.sqrt(np.mean(resid**2)))
     return CommutatorDecayReport(R_values, [float(v) for v in norms],
-                                 float(coef[0]), rms, flagged=rms > 0.1)
+                                 float(coef[0]), rms)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +433,6 @@ class ScalingLimitReport:
     oracle_coefficient: float
     remainder_exponent: float
     monotone_divergence: bool
-    flagged: bool
 
 
 def scaling_limit(eta_values=(0.4, 0.2, 0.1, 0.05, 0.025), kappa=-1,
@@ -498,6 +496,5 @@ def scaling_limit(eta_values=(0.4, 0.2, 0.1, 0.05, 0.025), kappa=-1,
 
     normalized = np.array(forms) / np.array(etas) ** 2
     monotone = bool(np.all(np.diff(normalized) < 0) and normalized[-1] < 0)
-    flagged = not (np.isfinite(A) and np.isfinite(slope))
     return ScalingLimitReport([float(e) for e in etas], forms, float(A),
-                              float(oracle), slope, monotone, flagged)
+                              float(oracle), slope, monotone)

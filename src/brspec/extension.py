@@ -35,7 +35,7 @@ import numpy as np
 
 from .dirac import lambda_of
 from .errors import DomainError
-from .grids import RadialGrid, gauss_legendre
+from .grids import RadialGrid, gauss_panels
 from .params import PhysParams
 
 
@@ -59,13 +59,9 @@ def build_x_grid(x_max, n_nodes=400):
         raise DomainError("x_max must be positive")
     n_panels = max(2, int(n_nodes) // 8)
     edges = np.concatenate([[0.0], x_max * np.geomspace(1e-10, 1.0, n_panels)])
-    t, wt = gauss_legendre(8)
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        xs.append(0.5 * (b - a) * t + 0.5 * (a + b))
-        ws.append(0.5 * (b - a) * wt)
-    nodes = np.concatenate([[0.0], *xs])
-    weights = np.concatenate([[0.0], *ws])
+    x, w = gauss_panels(edges[:-1], edges[1:], 8)
+    nodes = np.concatenate([[0.0], x.ravel()])
+    weights = np.concatenate([[0.0], w.ravel()])
     return XGrid(nodes, weights, float(x_max))
 
 

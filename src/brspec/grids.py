@@ -31,6 +31,18 @@ def gauss_legendre(n):
     return _frozen(*np.polynomial.legendre.leggauss(n))
 
 
+def gauss_panels(a, b, order):
+    """Nodes and weights of the ``order``-point Gauss-Legendre rule on panels [a, b].
+
+    ``a`` and ``b`` hold the panel ends, of any common shape; the results
+    add one trailing axis of length ``order``.
+    """
+    t, wt = gauss_legendre(order)
+    half = 0.5 * (b - a)
+    mid = 0.5 * (b + a)
+    return mid[..., None] + half[..., None] * t, half[..., None] * wt
+
+
 @lru_cache(maxsize=None)
 def gauss_log(n):
     """The n-point Gauss rule for the weight -ln t on (0, 1), computed once per n.

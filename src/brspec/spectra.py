@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh
 
-from .assemble import DiscreteOperator, assemble_nonrel_operator, assemble_operator
+from .assemble import DiscreteOperator, assemble_nonrel_operator
 from .channels import ChannelSpec
 from .dirac import lambda_of
 from .errors import DomainError, NumericalError
@@ -34,7 +34,6 @@ class SpectralResult:
     residuals: np.ndarray
     channel: ChannelSpec
     params: PhysParams
-    solver_route: str
     grid_meta: dict
     trace: "MinimizationTrace" = None  # the variational route's block minimization
 
@@ -129,8 +128,7 @@ def dense_spectrum(op: DiscreteOperator, k) -> SpectralResult:
         _mirror_lower(A)
         A[np.diag_indices(op.n)] = diag
     res = _residuals(op, vals, vecs)
-    return SpectralResult(vals, vecs, res, op.channel, op.params, "dense",
-                          _grid_meta(op.grid))
+    return SpectralResult(vals, vecs, res, op.channel, op.params, _grid_meta(op.grid))
 
 
 def minimize_pk(op: DiscreteOperator, k, tol=1e-10, max_iter=2000):
@@ -206,8 +204,7 @@ def variational_spectrum(op: DiscreteOperator, k, tol=1e-10, max_iter=2000) -> S
     """k lowest eigenpairs by one block minimization of the extension energy."""
     vals, vecs, trace = minimize_pk(op, k, tol=tol, max_iter=max_iter)
     res = _residuals(op, vals, vecs)
-    return SpectralResult(vals, vecs, res, op.channel, op.params, "variational",
-                          _grid_meta(op.grid), trace)
+    return SpectralResult(vals, vecs, res, op.channel, op.params, _grid_meta(op.grid), trace)
 
 
 def nonrel_spectrum(grid: RadialGrid, l, k, params: PhysParams):
@@ -227,26 +224,3 @@ def binding_grid(Z, params: PhysParams, n=200):
     p_lo = 1e-4 * scale
     p_hi = max(2e3 * scale, 15.0 * params.m * params.c)
     return build_log_grid(n, p_lo, p_hi)
-
-
-@dataclass
-class BindingCurveRow:
-    Z: float
-    eigenvalues: np.ndarray
-    bindings: np.ndarray
-    bound_flags: np.ndarray
-    residual_max: float
-
-
-def binding_curve(Z_values, channel: ChannelSpec, k, params: PhysParams, n=200):
-    """Spectral results across a charge sweep, in input order."""
-    Z_values = [float(Z) for Z in Z_values]
-    if any(Z <= 0 for Z in Z_values):
-        raise DomainError("charge sweep values must be positive")
-    rows = []
-    for Z in Z_values:
-        pz = params.replace(Z=Z)
-        res = dense_spectrum(assemble_operator(binding_grid(Z, pz, n=n), channel, pz), k)
-        rows.append(BindingCurveRow(Z, res.eigenvalues, res.binding_energies(),
-                                    res.bound_flags(), float(res.residuals.max())))
-    return rows

@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 
 from brspec import PhysParams, channels
 from brspec.assemble import _CORNER_RULE, _DIAGONAL_RULE
-from brspec.channels import (ChannelSpec, KernelTerms, angular_reduce, br_terms, coulomb_terms,
-                             kernel_at, kernel_value, legendre_q_cosh, log_ratio,
-                             multiplier_channel_kernel, scaled_sph_bessel_i, sph_bessel_j,
-                             spherical_bessel_transform)
-from brspec.dirac import PAULI, a_plus_minus, spherical_spinor
-from brspec.errors import DomainError, SingularPointError
+from brspec.channels import (ChannelSpec, KernelTerms, br_terms, coulomb_terms, kernel_at,
+                             legendre_q_cosh, log_ratio, multiplier_channel_kernel,
+                             scaled_sph_bessel_i, sph_bessel_j, spherical_bessel_transform)
+from brspec.dirac import a_plus_minus
+from brspec.errors import DomainError
 from brspec.grids import build_grid
+from oracles import PAULI, SingularPointError, angular_reduce, kernel_value, spherical_spinor
 
 P11 = PhysParams(c=1.0, m=1.0, Z=1.0)
 EPS = np.finfo(float).eps

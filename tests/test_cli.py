@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brspec import assemble, cli, experiments, spectra
-from brspec.cli import (COMMANDS, OPS, main, parse_config, read_report, run_command,
+from brspec.cli import (COMMANDS, OPS, RunReport, main, parse_config, run_command,
                         write_report, _COMMANDS, _DEFAULT_CONFIG, _RULES, _validate)
 from brspec.channels import ChannelSpec
 from brspec.errors import ConfigurationError
@@ -217,7 +217,7 @@ class TestRunReports:
 
     def test_round_trip(self, report, tmp_path):
         paths = write_report(report, formats=["json"], destination=tmp_path)
-        back = read_report(paths[0])
+        back = RunReport(**json.loads(paths[0].read_text()))
         assert back.to_dict() == report.to_dict()
 
     def test_csv_table(self, report, tmp_path):
@@ -579,7 +579,7 @@ class TestCommandTable:
 
     def test_norms_not_decreasing_fails(self, monkeypatch):
         fake = CommutatorDecayReport([2.0, 4.0, 8.0, 16.0], [1.0, 0.5, 0.6, 0.2],
-                                     fitted_slope=-1.0, fit_residual=0.05, flagged=False)
+                                     fitted_slope=-1.0, fit_residual=0.05)
         monkeypatch.setattr(cli, "commutator_decay", lambda *args, **kwargs: fake)
         report = run_command("commutator-decay", parse_config(overrides=FAST))
         check = next(c for c in report.checks if c["name"] == "norms_decreasing")

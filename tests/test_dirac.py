@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brspec import PhysParams
-from brspec.dirac import (ALPHA, BETA, I2, I4, SpinorMatrix4, a_plus_minus,
-                          channel_rotation, difference_kernel_bound, dirac_symbol,
-                          fw_block_upper, fw_difference_kernel, fw_unitary,
-                          lambda_of, projector_symbol, spherical_spinor)
+from brspec.dirac import a_plus_minus, lambda_of
 from brspec.errors import DomainError
+from oracles import (ALPHA, BETA, I2, I4, PAULI, SpinorMatrix4, channel_rotation,
+                     difference_kernel_bound, dirac_symbol, fw_block_upper,
+                     fw_difference_kernel, fw_unitary, projector_symbol, spherical_spinor)
 
 P11 = PhysParams(c=1.0, m=1.0, Z=0.0)
 
@@ -159,7 +159,6 @@ class TestUpperBlock:
         np.testing.assert_allclose(fw_block_upper(p, p, 1.0, P11), I2, atol=1e-15)
 
     def test_perpendicular_momenta(self):
-        from brspec.dirac import PAULI
         p = np.array([0.7, 0.0, 0.0])
         q = np.array([0.0, 1.3, 0.0])
         ap_p, am_p = a_plus_minus(np.linalg.norm(p), P11)

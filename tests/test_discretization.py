@@ -15,7 +15,7 @@ from brspec.channels import ChannelSpec, br_terms, coulomb_terms, kernel_at, log
 from brspec.dirac import lambda_of
 from brspec.errors import ConfigurationError, NumericalError
 from brspec.grids import (MetricH12, RadialGrid, assemble_h12_metric, build_grid,
-                          build_log_grid, gauss_log, operator_norm_h12)
+                          build_log_grid, gauss_log, gauss_panels, operator_norm_h12)
 from brspec.params import SPEED_OF_LIGHT, TIX_CONSTANT
 from brspec.spectra import binding_grid
 
@@ -545,7 +545,7 @@ class TestGalerkin:
         """The far field as one dense product Hg^T K Hg over all quadrature points."""
         order = assemble._POTENTIAL_ORDER
         n = nodes.size
-        x, w = assemble._element_quad(nodes, order)
+        x, w = gauss_panels(nodes[:-1], nodes[1:], order)
         xg = x.ravel()
         hl, hr = assemble._hat_pair(x, nodes[:-1, None], nodes[1:, None])
         Hg = np.zeros((xg.size, n))

@@ -45,6 +45,20 @@ class TestXGrid:
         with pytest.raises(DomainError):
             build_x_grid(-1.0)
 
+    @pytest.mark.parametrize("x_max, n_nodes", [(40.0, 400), (1e-3, 16), (2.1, 1000)])
+    def test_panels_carry_the_plain_gauss_rule(self, x_max, n_nodes):
+        # the 8-point Gauss-Legendre rule mapped onto each graded panel, one
+        # panel at a time, bit for bit
+        g = build_x_grid(x_max, n_nodes)
+        n_panels = max(2, n_nodes // 8)
+        edges = np.concatenate([[0.0], x_max * np.geomspace(1e-10, 1.0, n_panels)])
+        t, wt = np.polynomial.legendre.leggauss(8)
+        assert g.nodes.size == 1 + 8 * n_panels
+        for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            panel = slice(1 + 8 * k, 9 + 8 * k)
+            np.testing.assert_array_equal(g.nodes[panel], 0.5 * (b - a) * t + 0.5 * (a + b))
+            np.testing.assert_array_equal(g.weights[panel], 0.5 * (b - a) * wt)
+
 
 class TestExtend:
     def test_boundary_slice(self, grid, xg):

@@ -10,7 +10,7 @@ from brspec.channels import ChannelSpec
 from brspec.cli import parse_config, run_command
 from brspec.errors import DomainError
 from brspec.grids import build_grid, build_log_grid
-from brspec.spectra import (binding_curve, dense_spectrum, minimize_pk, nonrel_spectrum,
+from brspec.spectra import (binding_grid, dense_spectrum, minimize_pk, nonrel_spectrum,
                             variational_spectrum)
 
 CH = ChannelSpec.from_kappa(-1)
@@ -272,30 +272,24 @@ class TestNonrelSpectrum:
             nonrel_spectrum(build_grid(64, 1.0), 0, 1, PhysParams(Z=0.0))
 
 
+def _binding_levels(Z, k, n):
+    """The k lowest dense levels at charge Z on the n-node ``binding_grid``."""
+    params = PhysParams(Z=Z)
+    return dense_spectrum(assemble_operator(binding_grid(Z, params, n=n), CH, params), k)
+
+
 class TestBindingCurve:
     def test_small_sweep(self):
-        rows = binding_curve([1.0, 2.0, 5.0], CH, 4, PhysParams(), n=120)
+        rows = [_binding_levels(Z, 4, 120) for Z in (1.0, 2.0, 5.0)]
         lam1 = [r.eigenvalues[0] for r in rows]
         assert lam1[0] > lam1[1] > lam1[2]
         mc2 = PhysParams().mc2
         for r in rows:
             assert np.all(r.eigenvalues > 0) and np.all(r.eigenvalues < mc2)
-            assert np.all(np.diff(r.bindings) < 0)
-            assert r.bound_flags.all()
+            assert np.all(np.diff(r.binding_energies()) < 0)
+            assert r.bound_flags().all()
 
     def test_rydberg_accumulation(self):
-        rows = binding_curve([1.0], CH, 4, PhysParams(), n=200)
-        b = rows[0].bindings
+        b = _binding_levels(1.0, 4, 200).binding_energies()
         hydrogen = 0.5 / np.arange(1, 5) ** 2
         np.testing.assert_allclose(b, hydrogen, rtol=0.05)
-
-    def test_positive_charges_required(self):
-        with pytest.raises(DomainError):
-            binding_curve([1.0, -2.0], CH, 2, PhysParams())
-
-    def test_flattened_table_shape(self):
-        # flat (Z, level) table carries |Z_values| * k rows
-        Zs, k = [1.0, 2.0], 3
-        rows = binding_curve(Zs, CH, k, PhysParams(), n=64)
-        flat = [(r.Z, j, r.eigenvalues[j]) for r in rows for j in range(k)]
-        assert len(flat) == len(Zs) * k
