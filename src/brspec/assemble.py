@@ -1,6 +1,8 @@
 """Assembly of the discrete channel operator: kinetic diagonal + potential kernel.
 
-Two schemes:
+The kernel, the subtraction integrals and the potential matrix are per unit
+charge; each operator constructor multiplies its potential by the charge
+once, before it adds the kinetic energy.  Two schemes:
 
 * ``nystrom`` (default): collocation on the quadrature nodes with diagonal
   singularity subtraction.  The logarithmically singular diagonal of the
@@ -51,7 +53,7 @@ def subtraction_profile(p, q):
 # I(p) = Int_domain k(p, q) phi_p(q) q^2 dq, log-singular at q = p.
 #
 # In the log-ratio x = ln(q/p) the integrand is
-# -(Z p/pi) sum_t f_t(p) f_t(p e^x) Q_l(cosh x) rho(x) with
+# -(p/pi) sum_t f_t(p) f_t(p e^x) Q_l(cosh x) rho(x) per unit charge, with
 # rho(x) = 2/(1 + e^-2x) (the profile times q^2 dq/dx over p^3 e^x).  On
 # [-1, 0] and [0, 1] a product rule takes the singularity: with
 # Q_l = smooth + logcoef ln|x|, Gauss-Legendre nodes carry the smooth part
@@ -282,22 +284,18 @@ def _log_grid_sums(terms, grid, order):
 
 
 def subtraction_integrals(terms: KernelTerms, grid: RadialGrid):
-    """I(p_i) = Int_domain k(p_i, q) phi_{p_i}(q) q^2 dq for every node of the grid.
+    """I(p_i) = Int_domain k(p_i, q) phi_{p_i}(q) q^2 dq per unit charge, at every node.
 
     A log-panel grid integrates over its panels, any other grid over
-    (0, inf) by the row-centred rule; a finite window without panels is
-    refused.  A row whose two-order estimates disagree beyond ``ORDER_TOL``
-    raises NumericalError.
+    (0, inf) by the row-centred rule.  A row whose two-order estimates
+    disagree beyond ``ORDER_TOL`` raises NumericalError.
     """
     p = grid.nodes
     if grid.panels is not None:
         sums = lambda order: _log_grid_sums(terms, grid, order)
-    elif grid.domain == (0.0, np.inf):
-        sums = lambda order: _centred_rule_sums(terms, p, order)
     else:
-        raise ConfigurationError(
-            f"subtraction integrals over the window {grid.domain} need its log panels")
-    pref = -terms.Z / np.pi * p
+        sums = lambda order: _centred_rule_sums(terms, p, order)
+    pref = -1.0 / np.pi * p
     low, out = (pref * sums(order) for order in _ORDERS)
     err = np.abs(out - low)
     scale = np.maximum(np.abs(out), np.abs(out).max() * 1e-3 + 1e-300)
@@ -344,29 +342,16 @@ class DiscreteOperator:
 
     ``matrix`` includes kinetic and potential parts; eigenvector coordinates
     are Euclidean-orthonormal exactly when the underlying radial functions
-    are L^2-orthonormal.  ``node_values`` maps eigenvector coordinates back
-    to function values on the grid nodes.
+    are L^2-orthonormal.
     """
 
     matrix: np.ndarray
     grid: RadialGrid
-    channel: ChannelSpec
     params: PhysParams
-    scheme: str
-    kinetic_diagonal: np.ndarray | None = None
-    _chol: np.ndarray | None = None
-    _dscale: np.ndarray | None = None
 
     @property
     def n(self):
         return self.matrix.shape[0]
-
-    def node_values(self, vec):
-        if self.scheme == "nystrom":
-            return vec / np.sqrt(self.grid.l2_weights)
-        # L^-T vec, with the banded lower factor L recast as the upper band of L^T
-        upper = np.stack([np.roll(self._chol[1], 1), self._chol[0]])
-        return solve_banded((0, 1), upper, vec) / self._dscale
 
 
 def _toeplitz_strips(panels: LogPanels, ls):
@@ -409,9 +394,9 @@ def _pointwise_strips(p, ls):
 
 
 def assemble_potential(grid: RadialGrid, terms: KernelTerms):
-    """Symmetric metric-normalized potential matrix by collocation + subtraction.
+    """Symmetric metric-normalized unit-charge potential matrix by collocation + subtraction.
 
-    M_ij = -(Z/pi) sum_t d_t(p_i) d_t(p_j) Q_l(cosh ln(p_j/p_i)) with the
+    M_ij = -(1/pi) sum_t d_t(p_i) d_t(p_j) Q_l(cosh ln(p_j/p_i)) with the
     diagonal factors d_t(p) = f_t(p) sqrt(w p^2)/p, and the diagonal is the
     subtraction integral minus the row's collocation sum against the
     profile.  A grid that records its log-panel structure gets the
@@ -429,7 +414,7 @@ def assemble_potential(grid: RadialGrid, terms: KernelTerms):
     for rows, qs, phi in strips:
         # d_i d_j before Q_ij keeps every entry exactly symmetric
         M[rows] = sum(np.multiply.outer(d[rows], d) * qk for d, qk in zip(diag, qs))
-        M[rows] *= -terms.Z / np.pi
+        M[rows] *= -1.0 / np.pi
         row_sums[rows] = (M[rows] * phi) @ sq / sq[rows]
     M[np.diag_indices(n)] = ints - row_sums
     return M
@@ -446,21 +431,20 @@ def assemble_operator(grid: RadialGrid, channel: ChannelSpec, params: PhysParams
             f"{params.critical_charge:.2f}; the operator is not bounded below",
             UserWarning, stacklevel=2)
     terms = br_terms(channel, params)
-    if scheme == "nystrom":
-        kin = lambda_of(grid.nodes, params)
-        M = assemble_potential(grid, terms)
-        M[np.diag_indices(grid.n)] += kin
-        return DiscreteOperator(M, grid, channel, params, "nystrom", kinetic_diagonal=kin)
-    return _assemble_galerkin(grid, channel, params, terms)
+    if scheme == "galerkin":
+        return DiscreteOperator(_assemble_galerkin(grid, params, terms), grid, params)
+    M = assemble_potential(grid, terms)
+    M *= params.Z
+    M[np.diag_indices(grid.n)] += lambda_of(grid.nodes, params)
+    return DiscreteOperator(M, grid, params)
 
 
 def assemble_nonrel_operator(grid: RadialGrid, l, params: PhysParams) -> DiscreteOperator:
     """Nonrelativistic comparison operator p^2/2m + Coulomb channel-l kernel."""
-    kin = grid.nodes**2 / (2 * params.m)
-    M = assemble_potential(grid, coulomb_terms(l, params))
-    M[np.diag_indices(grid.n)] += kin
-    channel = ChannelSpec.from_kappa(-(l + 1) if l < 3 else l)  # l_up = l
-    return DiscreteOperator(M, grid, channel, params, "nystrom", kinetic_diagonal=kin)
+    M = assemble_potential(grid, coulomb_terms(l))
+    M *= params.Z
+    M[np.diag_indices(grid.n)] += grid.nodes**2 / (2 * params.m)
+    return DiscreteOperator(M, grid, params)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +452,8 @@ def assemble_nonrel_operator(grid: RadialGrid, l, params: PhysParams) -> Discret
 
 # Gauss orders of the mass and kinetic matrices and of every potential panel
 # (far field, diagonal and adjacent cells); the diagonal cells grade their
-# Duffy u-panels over 12 levels, the adjacent cells over 8 toward the corner
+# Duffy u-panels over 12 levels toward the cell's corner and their v-panels
+# over 8 toward the diagonal, the adjacent cells both over 8 toward the corner
 _TRIDIAG_ORDER = 12
 _POTENTIAL_ORDER = 6
 _DUFFY_LEVELS = 12
@@ -494,7 +479,7 @@ def _tensor_rule(u_levels, v_levels):
     return U.ravel(), V.ravel(), np.outer(wu, wv).ravel()
 
 
-_DIAGONAL_RULE = _tensor_rule(_DUFFY_LEVELS, 0)     # graded in u, plain GL in v
+_DIAGONAL_RULE = _tensor_rule(_DUFFY_LEVELS, _CORNER_LEVELS)
 _CORNER_RULE = _tensor_rule(_CORNER_LEVELS, _CORNER_LEVELS)
 
 
@@ -526,18 +511,19 @@ def _diagonal_blocks(nodes, terms):
     """2x2 hat-pair integrals over each diagonal cell [a,b]^2 (all elements at once).
 
     The cell is split along p = q into two congruent triangles; the lower
-    one is mapped by p = a + D u, q = a + D u v (Jacobian D^2 u), which
-    gives x = ln(p/q) = log1p(D u (1 - v) / q), and the kernel's ln|x| is
-    integrable there; the upper triangle is the mirror image obtained by
-    swapping the hat indices.
+    one is mapped by p = a + D u, q = a + D u (1 - v) (Jacobian D^2 u),
+    which gives x = ln(p/q) = log1p(D u v / q).  The kernel's ln|x| then
+    sits on v = 0, toward which the rule is graded as it is toward u = 0;
+    the upper triangle is the mirror image obtained by swapping the hat
+    indices.
     """
     U, V, W = _DIAGONAL_RULE
     a = nodes[:-1, None]
     b = nodes[1:, None]
     D = b - a
     P = a + D * U[None, :]
-    Q = a + D * (U * V)[None, :]
-    K = kernel_at(terms, P, Q, np.log1p(D * (U * (1 - V))[None, :] / Q))
+    Q = a + D * (U * (1 - V))[None, :]
+    K = kernel_at(terms, P, Q, np.log1p(D * (U * V)[None, :] / Q))
     F = K * P * P * Q * Q * (W * U)[None, :] * D**2
     L = _hat_blocks(F, P, (a, b), Q, (a, b))
     return L + np.transpose(L, (0, 2, 1))
@@ -633,15 +619,18 @@ def _far_field(nodes, terms):
     return A
 
 
-def _assemble_galerkin(grid, channel, params, terms):
+def _assemble_galerkin(grid, params, terms):
+    """The Galerkin pencil reduced to one symmetric C-ordered matrix."""
     nodes = grid.nodes
-    # far-field potential on the element pairs apart, the diagonal and
-    # adjacent pairs from the singularity-aware rules, then the kinetic energy
+    # the unit-charge potential (the far field on the element pairs apart,
+    # the diagonal and adjacent pairs from the singularity-aware rules) times
+    # the charge, then the kinetic energy
     A = _far_field(nodes, terms)
     _add_blocks(A, _element_blocks(lambda p: _diagonal_blocks(p, terms), nodes, 1,
                                    _DIAGONAL_RULE[0].size), 0)
     _add_blocks(A, _element_blocks(lambda p: _adjacent_blocks(p, terms), nodes, 2,
                                    _CORNER_RULE[0].size), 1)
+    A *= params.Z
     _add_blocks(A, _tridiag_blocks(nodes, lambda p: lambda_of(p, params) * p * p), 0)
 
     # reduce the pencil (A, mass) to a standard symmetric problem with the
@@ -664,4 +653,4 @@ def _assemble_galerkin(grid, channel, params, terms):
     del A
     M += M.T
     M *= 0.5
-    return DiscreteOperator(M.T, grid, channel, params, "galerkin", _chol=L, _dscale=d)
+    return M.T

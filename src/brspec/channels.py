@@ -33,7 +33,6 @@ class ChannelSpec:
     kappa: int
     l_up: int
     l_down: int
-    j: float
 
     @classmethod
     def from_kappa(cls, kappa):
@@ -45,7 +44,7 @@ class ChannelSpec:
         l_up = kappa if kappa > 0 else -kappa - 1
         mk = -kappa
         l_down = mk if mk > 0 else kappa - 1
-        return cls(kappa=kappa, l_up=l_up, l_down=l_down, j=abs(kappa) - 0.5)
+        return cls(kappa=kappa, l_up=l_up, l_down=l_down)
 
 
 _LEGENDRE_P = (
@@ -185,18 +184,19 @@ def _q_l_split(ls, z, log_term):
 
 @dataclass(frozen=True)
 class KernelTerms:
-    """A channel kernel as its Legendre-Q terms:
+    """A channel kernel per unit charge as its Legendre-Q terms:
 
-        k(p, q) = -Z / (pi p q) * sum_t f_t(p) f_t(q) Q_{l_t}(cosh x),  x = ln(q/p).
+        k(p, q) = -1 / (pi p q) * sum_t f_t(p) f_t(q) Q_{l_t}(cosh x),  x = ln(q/p).
 
-    ``ls`` lists the orders l_t; ``mixing(p)`` returns the factors
-    (f_1(p), ..., f_T(p)) in the same order, and None means every factor
-    is 1 (the bare Coulomb kernel); ``factors`` always gives arrays.
-    Everything but the factors depends on x alone, which is what lets the
-    assembly evaluate each Q_l value once.
+    The potential is linear in the charge, so the kernel carries none:
+    every evaluator returns the unit-charge value, and each operator
+    multiplies its potential by the charge once.  ``ls`` lists the orders l_t;
+    ``mixing(p)`` returns the factors (f_1(p), ..., f_T(p)) in the same
+    order, and None means every factor is 1 (the bare Coulomb kernel);
+    ``factors`` always gives arrays.  Everything but the factors depends on
+    x alone, which is what lets the assembly evaluate each Q_l value once.
     """
 
-    Z: float
     ls: tuple
     mixing: Callable | None = None
 
@@ -213,31 +213,32 @@ def _fw_mixing(p, params, scale):
     return a_plus_minus(scale * np.asarray(p, dtype=float), params)
 
 
-def coulomb_terms(l, params: PhysParams):
-    """Channel-l Coulomb kernel -Z Q_l(cosh ln(q/p)) / (pi p q), no mixing."""
-    return KernelTerms(params.Z, (l,))
+def coulomb_terms(l):
+    """Channel-l Coulomb kernel per unit charge, -Q_l(cosh ln(q/p)) / (pi p q), no mixing."""
+    return KernelTerms((l,))
 
 
 def br_terms(channel: ChannelSpec, params: PhysParams, fw_scale=1.0):
-    """Transformed-potential channel kernel for the Coulomb potential.
+    """Transformed-potential channel kernel per unit charge for the Coulomb potential.
 
     k_kappa(p,q) = a+(p) a+(q) k_{l_up}(p,q) + a-(p) a-(q) k_{l_down}(p,q).
-    ``fw_scale`` evaluates the mixing coefficients at (fw_scale * momentum),
-    which is what the small-scale rescaling experiment needs.
+    The mixing coefficients read only c and m of ``params``; ``fw_scale``
+    evaluates them at (fw_scale * momentum), which is what the small-scale
+    rescaling experiment needs.
     """
-    return KernelTerms(params.Z, (channel.l_up, channel.l_down),
+    return KernelTerms((channel.l_up, channel.l_down),
                        partial(_fw_mixing, params=params, scale=fw_scale))
 
 
 def kernel_at(terms: KernelTerms, p, q, x):
-    """Kernel value at momenta p, q whose |ln(q/p)| the caller gives as x != 0.
+    """Unit-charge kernel value at momenta p, q whose |ln(q/p)| the caller gives as x != 0.
 
     A caller that knows q - p without cancellation, such as a quadrature
     map, passes x = log1p(|q - p| / min(p, q)) from it; p, q and x broadcast.
     """
     mix = [fp * fq for fp, fq in zip(terms.factors(p), terms.factors(q))]
     qs = legendre_q_cosh(terms.ls, x)
-    return -terms.Z / (np.pi * (p * q)) * sum(m * v for m, v in zip(mix, qs))
+    return -1.0 / (np.pi * (p * q)) * sum(m * v for m, v in zip(mix, qs))
 
 
 def scaled_sph_bessel_i(l, a):

@@ -299,7 +299,9 @@ def _run_spectrum(config):
         else:
             checks.append(_check("bound_states_in_gap", float(runs[0].eigenvalues.min()),
                                  "<", params.mc2 * (1.0 - BOUND_STATE_EDGE)))
-    payload["grid"] = runs[0].grid_meta
+    domain = [float(end) if np.isfinite(end) else "inf" for end in grid.domain]
+    payload["grid"] = {"kind": grid.kind, "n": int(grid.n),
+                       "mapping_scale": float(grid.mapping_scale), "domain": domain}
     return payload, checks, diagnostics
 
 
@@ -373,7 +375,7 @@ def _run_inequalities(config):
     params = _params(config)
     n = config["experiments"]["inequality_n"]
     reports = [hardy_check(),
-               kato_check(params=params, n=n),
+               kato_check(n=n),
                tix_check(params=params, n=n)]
     payload = {"reports": [
         {"name": r.inequality_name, "trial_family": r.trial_family_description,

@@ -95,15 +95,14 @@ KATO_WINDOW = (1e-6, 1e6)
 TIX_CHANNELS = (-1, 1)
 
 
-def kato_check(params: PhysParams = None, n=300) -> InequalityReport:
+def kato_check(n=300) -> InequalityReport:
     """Largest generalized eigenvalue of the |x|^-1 form against |p| (l = 0).
 
     The grid sup on KATO_WINDOW approaches pi/2 from below under refinement;
     mass and c drop out of the massless comparison.
     """
-    base = (params or PhysParams()).replace(Z=1.0)
     grid = build_log_grid(n, *KATO_WINDOW)
-    W = -assemble_potential(grid, coulomb_terms(0, base))
+    W = -assemble_potential(grid, coulomb_terms(0))
     return InequalityReport(
         "kato", f"grid sup, l=0, n={grid.n}, window={KATO_WINDOW}",
         _top_scaled_eigenvalue(W, grid.nodes), KATO_CONSTANT, grid.n)
@@ -111,8 +110,9 @@ def kato_check(params: PhysParams = None, n=300) -> InequalityReport:
 
 def tix_check(params: PhysParams = None, n=300) -> InequalityReport:
     """Projected-Coulomb sharp constant: sup over TIX_CHANNELS of the generalized
-    eigenvalue of the transformed |x|^-1 kernel against lambda(p)/c."""
-    base = (params or PhysParams()).replace(Z=1.0)
+    eigenvalue of the transformed |x|^-1 kernel against lambda(p)/c; the
+    charge of ``params`` plays no part."""
+    base = params or PhysParams()
     mc = base.m * base.c
     grid = build_log_grid(n, 1e-5 * mc, 2e3 * mc)
     b = lambda_of(grid.nodes, base) / base.c
@@ -279,12 +279,11 @@ def critical_coupling_scan(Z_values, grid_sizes=(100, 200, 400), kappa=-1,
     collapse_drop = 0.05 * mc2
 
     # the potential is linear in Z and none of the grids depends on it:
-    # assemble each grid once at a reference charge inside the subordinacy
-    # window (unit charge unless Z_c < 2), then rescale for every charge
+    # assemble each grid's unit-charge potential V_1 once, then scale it by
+    # every charge
     families = ([build_log_grid(n, 1e-4 * mc, 2e3 * mc) for n in sizes],
                 [build_log_grid(n, 1e-3 * mc * sizes[0] / n, 5.0 * mc * n) for n in sizes])
-    ref = base.replace(Z=min(1.0, 0.5 * base.critical_charge))
-    terms = br_terms(ch, ref)
+    terms = br_terms(ch, base)
     # Z V + diag(lambda) lives in one buffer sized for the largest grid (log
     # grids round n to whole panels); assembly makes it exactly symmetric,
     # so the F-ordered view is the same matrix and LAPACK works on it in place
@@ -298,12 +297,12 @@ def critical_coupling_scan(Z_values, grid_sizes=(100, 200, 400), kappa=-1,
         coarse = None
         for grid in family:
             V = assemble_potential(grid, terms)
-            kin = lambda_of(grid.nodes, ref)
+            kin = lambda_of(grid.nodes, base)
             buf = flat[:V.size].reshape(V.shape)
             lam1 = []
             for j, Z in enumerate(Z_values):
                 if j == 0 and coarse is None:
-                    np.multiply(V, Z / ref.Z, out=buf)
+                    np.multiply(V, Z, out=buf)
                     buf[np.diag_indices(grid.n)] += kin
                     w, v = eigh(buf.T, subset_by_index=[0, 1], overwrite_a=True)
                     counts["eigh_calls"] += 1
@@ -319,7 +318,7 @@ def critical_coupling_scan(Z_values, grid_sizes=(100, 200, 400), kappa=-1,
                         # the coarser level at this charge plus the offset
                         # of the two grids at the previous charge
                         guess = coarse_lam1[j] + lam1[j - 1] - coarse_lam1[j - 1]
-                    lam, x, gap = _ground_level(V, Z / ref.Z, kin, x, gap, guess, buf, counts)
+                    lam, x, gap = _ground_level(V, Z, kin, x, gap, guess, buf, counts)
                 if j == 0:          # later solves overwrite x in place
                     first = x.copy(), gap
                 lam1.append(float(lam))
@@ -441,9 +440,10 @@ def scaling_limit(eta_values=(0.4, 0.2, 0.1, 0.05, 0.025), kappa=-1,
 
     In momentum space the family rescales the mixing coefficients to
     a_pm(eta p) while the Coulomb kernel contributes one power of eta, so
-    F(eta) = eta * (f, P_eta f) with P_eta the potential matrix evaluated
-    with rescaled mixing.  F(eta) = -A eta + B eta^e with A = Z (phi, |y|^-1 phi)
-    and e >= 2; eta^-2 F(eta) then diverges monotonically to -infinity.
+    F(eta) = Z eta (f, P_eta f) with P_eta the unit-charge potential matrix
+    evaluated with rescaled mixing.  F(eta) = -A eta + B eta^e with
+    A = Z (phi, |y|^-1 phi) and e >= 2; eta^-2 F(eta) then diverges
+    monotonically to -infinity.
     The momentum profile is p^l e^{-p^2/2} on a 200-node rational grid, l
     the upper orbital momentum of the channel, a smooth function of the
     momentum vector.
@@ -465,7 +465,7 @@ def scaling_limit(eta_values=(0.4, 0.2, 0.1, 0.05, 0.025), kappa=-1,
     forms = []
     for eta in etas:
         P = assemble_potential(grid, br_terms(ch, base, fw_scale=eta))
-        forms.append(float(eta * (coords @ (P @ coords))))
+        forms.append(float(eta * base.Z * (coords @ (P @ coords))))
 
     # F/eta = -A + B eta^(e-1): successive differences of d = F/eta cancel A,
     # their log-log slope gives the remainder exponent, and extrapolating the

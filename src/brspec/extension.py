@@ -45,7 +45,6 @@ class XGrid:
 
     nodes: np.ndarray
     weights: np.ndarray
-    x_max: float
 
 
 def build_x_grid(x_max, n_nodes=400):
@@ -62,7 +61,7 @@ def build_x_grid(x_max, n_nodes=400):
     x, w = gauss_panels(edges[:-1], edges[1:], 8)
     nodes = np.concatenate([[0.0], x.ravel()])
     weights = np.concatenate([[0.0], w.ravel()])
-    return XGrid(nodes, weights, float(x_max))
+    return XGrid(nodes, weights)
 
 
 def default_x_grid(params: PhysParams):

@@ -78,12 +78,14 @@ def gauss_log(n):
 @dataclass(frozen=True)
 class LogPanels:
     """Structure of a log-panel grid: ``count`` panels of width ``width`` in
-    ln p from ``log_lo``, each carrying the ``order``-point Gauss rule."""
+    ln p from ``log_lo``, each carrying the ``order``-point Gauss rule, over
+    the momentum window (p_lo, p_hi) they were built from."""
 
     log_lo: float
     width: float
     count: int
     order: int
+    window: tuple
 
     def places(self):
         """Node positions inside a panel, as fractions of its width."""
@@ -108,20 +110,14 @@ class LogPanels:
 class RadialGrid:
     """Quadrature nodes/weights for radial momentum integrals Int_0^inf . dp.
 
-    ``domain`` is the momentum interval the quadrature rule represents:
-    (0, inf) for the rational map, a finite (p_lo, p_hi) window for the
-    log-panel grid.  Kernel assembly restricts its singularity-subtraction
-    integrals to this domain so that the discrete quadratic form is a
-    restriction of the continuum one.  ``panels`` records the structure of a
-    log-panel grid; its nodes must follow it, and the assembly then fills the
-    potential from one table per panel offset.
+    ``panels`` records the structure of a log-panel grid; its nodes must
+    follow it, and the assembly then fills the potential from one table per
+    panel offset.  Without panels the grid is a rational map of (0, inf).
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     mapping_scale: float
-    kind: str = "rational"
-    domain: tuple = (0.0, np.inf)
     panels: LogPanels | None = None
 
     def __post_init__(self):
@@ -146,6 +142,19 @@ class RadialGrid:
         return self.nodes.size
 
     @property
+    def kind(self):
+        return "rational" if self.panels is None else "log"
+
+    @property
+    def domain(self):
+        """The momentum interval the quadrature rule represents: (0, inf) for
+        the rational map, the panels' window for a log-panel grid.  Kernel
+        assembly restricts its singularity-subtraction integrals to it, so
+        that the discrete quadratic form is a restriction of the continuum one.
+        """
+        return (0.0, np.inf) if self.panels is None else self.panels.window
+
+    @property
     def l2_weights(self):
         """Discrete L^2 measure w_i p_i^2 (radial functions, q^2 dq pairing)."""
         return self.weights * self.nodes**2
@@ -166,15 +175,14 @@ def build_grid(n, s):
     t, wt = gauss_legendre(n)
     nodes = s * (1 + t) / (1 - t)
     weights = wt * 2 * s / (1 - t) ** 2
-    return RadialGrid(nodes, weights, mapping_scale=float(s), kind="rational",
-                      domain=(0.0, np.inf))
+    return RadialGrid(nodes, weights, mapping_scale=float(s))
 
 
 def build_log_grid(n, p_lo, p_hi):
     """Composite Gauss-Legendre grid, panels uniform in log p on [p_lo, p_hi].
 
     Uniform resolution per decade; the quadrature represents exactly the
-    window [p_lo, p_hi], which is recorded as the grid domain.  Used by the
+    window [p_lo, p_hi], which its panels record as the grid domain.  Used by the
     scale-invariant experiments (sharp-constant checks, critical-coupling
     scan) where the rational map's stretched tail would under-resolve.
     """
@@ -185,12 +193,13 @@ def build_log_grid(n, p_lo, p_hi):
         raise ConfigurationError(f"need 0 < p_lo < p_hi, got ({p_lo}, {p_hi})")
     npan = max(2, n // LOG_PANEL_ORDER)
     lo, hi = np.log(p_lo), np.log(p_hi)
-    panels = LogPanels(float(lo), float((hi - lo) / npan), npan, LOG_PANEL_ORDER)
+    panels = LogPanels(float(lo), float((hi - lo) / npan), npan, LOG_PANEL_ORDER,
+                       (float(p_lo), float(p_hi)))
     nodes = np.exp(panels.node_logs()).ravel()
     wt = gauss_legendre(LOG_PANEL_ORDER)[1]
     weights = (0.5 * panels.width * np.tile(wt, npan)) * nodes
-    return RadialGrid(nodes, weights, mapping_scale=float(np.sqrt(p_lo * p_hi)), kind="log",
-                      domain=(float(p_lo), float(p_hi)), panels=panels)
+    return RadialGrid(nodes, weights, mapping_scale=float(np.sqrt(p_lo * p_hi)),
+                      panels=panels)
 
 
 @dataclass(frozen=True)

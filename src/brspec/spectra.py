@@ -16,7 +16,6 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .assemble import DiscreteOperator, assemble_nonrel_operator
-from .channels import ChannelSpec
 from .dirac import lambda_of
 from .errors import DomainError, NumericalError
 from .grids import RadialGrid, build_log_grid
@@ -32,9 +31,7 @@ class SpectralResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray          # columns, L^2-orthonormal coordinates
     residuals: np.ndarray
-    channel: ChannelSpec
     params: PhysParams
-    grid_meta: dict
     trace: "MinimizationTrace" = None  # the variational route's block minimization
 
     def bound_flags(self):
@@ -59,29 +56,16 @@ class LevelRecord:
 class MinimizationTrace:
     """History of one block minimization.
 
-    ``iterates`` holds the Ky Fan energy (the sum of the k level energies)
-    after each strict decrease (so it is monotone), ``gradient_norms`` the
-    largest level residual at every block iteration, and ``levels`` one
-    ``LevelRecord`` per level.
+    ``gradient_norms`` holds the largest level residual at every block
+    iteration, and ``levels`` one ``LevelRecord`` per level.
     """
 
-    iterates: list = field(default_factory=list)
     gradient_norms: list = field(default_factory=list)
     levels: list = field(default_factory=list)
 
     @property
     def converged(self):
         return bool(self.levels) and all(r.exit_reason == "residual" for r in self.levels)
-
-
-def _grid_meta(grid: RadialGrid):
-    return {
-        "kind": grid.kind,
-        "n": int(grid.n),
-        "mapping_scale": float(grid.mapping_scale),
-        "domain": [float(grid.domain[0]),
-                   float(grid.domain[1]) if np.isfinite(grid.domain[1]) else "inf"],
-    }
 
 
 def _residuals(op: DiscreteOperator, vals, vecs):
@@ -128,7 +112,7 @@ def dense_spectrum(op: DiscreteOperator, k) -> SpectralResult:
         _mirror_lower(A)
         A[np.diag_indices(op.n)] = diag
     res = _residuals(op, vals, vecs)
-    return SpectralResult(vals, vecs, res, op.channel, op.params, _grid_meta(op.grid))
+    return SpectralResult(vals, vecs, res, op.params)
 
 
 def minimize_pk(op: DiscreteOperator, k, tol=1e-10, max_iter=2000):
@@ -171,9 +155,6 @@ def minimize_pk(op: DiscreteOperator, k, tol=1e-10, max_iter=2000):
         R = MQ @ V - X * theta
         P = Q[:, m:] @ V[m:]              # the move out of the previous block
         rnorm = np.linalg.norm(R, axis=0)
-        E = float(theta[:k].sum())
-        if not trace.iterates or E < trace.iterates[-1]:
-            trace.iterates.append(E)
         trace.gradient_norms.append(float(rnorm[:k].max()))
         active = rnorm[:k] > target
         for rec, busy, r in zip(trace.levels, active, rnorm):
@@ -204,7 +185,7 @@ def variational_spectrum(op: DiscreteOperator, k, tol=1e-10, max_iter=2000) -> S
     """k lowest eigenpairs by one block minimization of the extension energy."""
     vals, vecs, trace = minimize_pk(op, k, tol=tol, max_iter=max_iter)
     res = _residuals(op, vals, vecs)
-    return SpectralResult(vals, vecs, res, op.channel, op.params, _grid_meta(op.grid), trace)
+    return SpectralResult(vals, vecs, res, op.params, trace)
 
 
 def nonrel_spectrum(grid: RadialGrid, l, k, params: PhysParams):

@@ -19,14 +19,14 @@ EPS = np.finfo(float).eps
 
 
 class TestChannelSpec:
-    @pytest.mark.parametrize("kappa,l_up,l_down,j", [
-        (-1, 0, 1, 0.5), (1, 1, 0, 0.5),
-        (-2, 1, 2, 1.5), (2, 2, 1, 1.5),
-        (-3, 2, 3, 2.5), (3, 3, 2, 2.5),
+    @pytest.mark.parametrize("kappa,l_up,l_down", [
+        (-1, 0, 1), (1, 1, 0),
+        (-2, 1, 2), (2, 2, 1),
+        (-3, 2, 3), (3, 3, 2),
     ])
-    def test_quantum_numbers(self, kappa, l_up, l_down, j):
+    def test_quantum_numbers(self, kappa, l_up, l_down):
         ch = ChannelSpec.from_kappa(kappa)
-        assert (ch.l_up, ch.l_down, ch.j) == (l_up, l_down, j)
+        assert (ch.l_up, ch.l_down) == (l_up, l_down)
 
     def test_zero_kappa_rejected(self):
         with pytest.raises(DomainError):
@@ -63,9 +63,9 @@ class TestLegendreQ:
         # test_diagonal_rejected; nonpositive momenta and orders beyond 3
         # are refused here
         with pytest.raises(DomainError):
-            kernel_value(coulomb_terms(0, P11), -1.0, 2.0)
+            kernel_value(coulomb_terms(0), -1.0, 2.0)
         with pytest.raises(DomainError):
-            KernelTerms(1.0, (4,))
+            KernelTerms((4,))
 
     @pytest.mark.parametrize("l", [0, 1, 2, 3])
     def test_against_mpmath(self, l):
@@ -77,8 +77,8 @@ class TestLegendreQ:
 
 class TestCoulombKernel:
     def test_closed_form_value(self):
-        # z((1,2)) = 5/4, kernel -Z Q_0(5/4)/(pi p q) with Q_0(5/4) = ln 3
-        val = kernel_value(coulomb_terms(0, P11), 1.0, 2.0)
+        # z((1,2)) = 5/4, unit-charge kernel -Q_0(5/4)/(pi p q) with Q_0(5/4) = ln 3
+        val = kernel_value(coulomb_terms(0), 1.0, 2.0)
         assert val == pytest.approx(-np.log(3.0) / (2 * np.pi), rel=1e-14)
 
     def test_against_angular_quadrature(self):
@@ -87,7 +87,7 @@ class TestCoulombKernel:
         for l in (0, 1, 2):
             for p, q in ((1.0, 2.0), (0.3, 0.45), (5.0, 1.2)):
                 oracle = angular_reduce(pointwise, l, p, q)
-                value = kernel_value(coulomb_terms(l, P11), p, q)
+                value = kernel_value(coulomb_terms(l), p, q)
                 assert value == pytest.approx(oracle, rel=1e-9)
 
     def test_closed_form_matches_quadrature_on_grid(self):
@@ -99,32 +99,32 @@ class TestCoulombKernel:
             for p in ps:
                 for q in qs:
                     oracle = angular_reduce(pointwise, l, p, q, tol=1e-11)
-                    value = kernel_value(coulomb_terms(l, P11), p, q)
+                    value = kernel_value(coulomb_terms(l), p, q)
                     assert value == pytest.approx(oracle, rel=1e-9)
 
     def test_higher_channel_decays_faster(self):
         qs = np.array([0.1, 0.01, 0.001])
-        k0 = kernel_value(coulomb_terms(0, P11), 1.0, qs)
-        k1 = kernel_value(coulomb_terms(1, P11), 1.0, qs)
+        k0 = kernel_value(coulomb_terms(0), 1.0, qs)
+        k1 = kernel_value(coulomb_terms(1), 1.0, qs)
         ratio = k1 / k0
         assert np.all(np.abs(np.diff(np.abs(ratio))) < np.abs(ratio[:-1]))
         assert np.all(np.abs(ratio) < 0.1)
 
     def test_symmetry_exact(self):
-        terms = coulomb_terms(1, P11)
+        terms = coulomb_terms(1)
         assert kernel_value(terms, 0.7, 2.2) == kernel_value(terms, 2.2, 0.7)
 
     def test_diagonal_rejected(self):
         with pytest.raises(SingularPointError):
-            kernel_value(coulomb_terms(0, P11), 1.0, 1.0)
+            kernel_value(coulomb_terms(0), 1.0, 1.0)
 
     @pytest.mark.parametrize("l", [-1, 4])
     def test_unsupported_l_rejected(self, l):
         with pytest.raises(DomainError):
-            kernel_at(coulomb_terms(l, P11), 1.0, 2.0, np.log(2.0))
+            kernel_at(coulomb_terms(l), 1.0, 2.0, np.log(2.0))
         with pytest.raises(DomainError):
-            kernel_value(coulomb_terms(l, P11), 1.0, 2.0)
-        deep = ChannelSpec(kappa=l + 1, l_up=l, l_down=l, j=abs(l) + 0.5)
+            kernel_value(coulomb_terms(l), 1.0, 2.0)
+        deep = ChannelSpec(kappa=l + 1, l_up=l, l_down=l)
         with pytest.raises(DomainError):
             kernel_at(br_terms(deep, P11), 1.0, 2.0, np.log(2.0))
 
@@ -133,7 +133,7 @@ class TestCoulombKernel:
         p = np.exp(rng.uniform(-5, 5, 100))
         q = p * np.exp(rng.uniform(0.1, 2.0, 100))
         for l in (0, 1, 2, 3):
-            assert np.all(kernel_value(coulomb_terms(l, P11), p, q) < 0)
+            assert np.all(kernel_value(coulomb_terms(l), p, q) < 0)
 
 
 # z on both sides of the tier edges 8 and 128 where the series changes its
@@ -165,7 +165,7 @@ class TestSeriesAccuracy:
         for z in SERIES_Z:
             for p in (1e-3, 1.0, 1e4):
                 q = p * (z + np.sqrt(z * z - 1))        # (p^2 + q^2) / (2pq) = z
-                value = kernel_value(coulomb_terms(l, P11), p, q)
+                value = kernel_value(coulomb_terms(l), p, q)
                 with mpmath.workdps(40):
                     mp, mq = mpmath.mpf(p), mpmath.mpf(q)
                     zz = (mp * mp + mq * mq) / (2 * mp * mq)
@@ -197,7 +197,7 @@ class TestScaleFreeValue:
                 ql, pq = self._exact_q(l, p, q)
                 exact = float(-ql / (mpmath.pi * pq))
                 for a, b in ((p, q), (q, p)):
-                    value = kernel_value(coulomb_terms(l, P11), a, b)
+                    value = kernel_value(coulomb_terms(l), a, b)
                     assert abs(value - exact) <= self.BOUND[l] * abs(exact), (p, x)
 
     @pytest.mark.parametrize("kappa", [-3, -2, -1, 1, 2, 3])
@@ -240,10 +240,10 @@ class TestScaleFreeValue:
         yield p, q, log_ratio(p, q), map(mp, p), map(mp, q)
         U, V, _ = _DIAGONAL_RULE
         a, D = s, 0.3 * s
-        Q = a + D * (U * V)
-        yield (a + D * U, Q, np.log1p(D * (U * (1 - V)) / Q),
+        Q = a + D * (U * (1 - V))
+        yield (a + D * U, Q, np.log1p(D * (U * V) / Q),
                (mp(a) + mp(D) * mp(u) for u in U),
-               (mp(a) + mp(D) * mp(u) * mp(v) for u, v in zip(U, V)))
+               (mp(a) + mp(D) * mp(u) * (1 - mp(v)) for u, v in zip(U, V)))
         X, Y, _ = _CORNER_RULE
         m, r = 1.3 * s, 1.625 * s
         D1, D2 = m - a, r - m
@@ -266,7 +266,7 @@ class TestScaleFreeValue:
                      self._closed_form_q((mp * mp + mq * mq) / (2 * mp * mq))]
                     for mp, mq in zip(p_exact, q_exact)])
                 for l in range(4):
-                    value = kernel_at(coulomb_terms(l, P11), p, q, x)
+                    value = kernel_at(coulomb_terms(l), p, q, x)
                     err = np.abs(value - exact[:, l]) / np.abs(exact[:, l])
                     assert err.max() <= self.BOUND[l], (l, p.size, err.max())
 
@@ -329,7 +329,7 @@ class TestTransformedKernel:
         big_c = PhysParams(c=1e8, m=1.0, Z=1.0)
         ch = ChannelSpec.from_kappa(-1)
         val = kernel_value(br_terms(ch, big_c), 1.0, 2.0)
-        assert val == pytest.approx(kernel_value(coulomb_terms(0, big_c), 1.0, 2.0), rel=1e-12)
+        assert val == pytest.approx(kernel_value(coulomb_terms(0), 1.0, 2.0), rel=1e-12)
 
     def test_symmetry(self):
         ch = ChannelSpec.from_kappa(-1)
@@ -379,7 +379,7 @@ class TestKernelProperties:
     @given(pq=MOMENTA, l=st.integers(0, 3), kappa=st.sampled_from([-3, -2, -1, 1, 2, 3]))
     def test_symmetry_exact(self, pq, l, kappa):
         p, q = pq
-        coulomb = coulomb_terms(l, P11)
+        coulomb = coulomb_terms(l)
         assert kernel_value(coulomb, p, q) == kernel_value(coulomb, q, p)
         terms = br_terms(ChannelSpec.from_kappa(kappa), PhysParams(Z=1.0))
         assert kernel_value(terms, p, q) == kernel_value(terms, q, p)
@@ -387,16 +387,15 @@ class TestKernelProperties:
         assert kernel_at(terms, p, q, x) == kernel_at(terms, q, p, x)
 
     @settings(max_examples=80, deadline=None)
-    @given(pq=MOMENTA, l=st.integers(0, 3), kappa=st.sampled_from([-3, -2, -1, 1, 2, 3]),
-           Z=st.floats(1e-3, 200.0))
-    def test_value_linear_in_charge(self, pq, l, kappa, Z):
+    @given(pq=MOMENTA, kappa=st.sampled_from([-3, -2, -1, 1, 2, 3]), Z=st.floats(1e-3, 200.0))
+    def test_kernel_carries_no_charge(self, pq, kappa, Z):
+        # the kernel is per unit charge: the charge of the parameters the
+        # mixing factors read changes no value, bit for bit
         p, q = pq
         x = log_ratio(p, q)
         ch = ChannelSpec.from_kappa(kappa)
-        for value in (lambda par: kernel_at(coulomb_terms(l, par), p, q, x),
-                      lambda par: kernel_at(br_terms(ch, par), p, q, x)):
-            np.testing.assert_allclose(value(PhysParams(Z=Z)), Z * value(PhysParams(Z=1.0)),
-                                       rtol=1e-14, atol=0)
+        assert (kernel_at(br_terms(ch, PhysParams(Z=Z)), p, q, x)
+                == kernel_at(br_terms(ch, PhysParams(Z=1.0)), p, q, x))
 
     @settings(max_examples=80, deadline=None)
     @given(pq=MOMENTA, l=st.integers(0, 3), k=st.integers(-10, 10))
@@ -406,8 +405,8 @@ class TestKernelProperties:
         # prefactor scales exactly
         p, q = pq
         t = 2.0 ** k
-        base = kernel_value(coulomb_terms(l, P11), p, q)
-        assert kernel_value(coulomb_terms(l, P11), t * p, t * q) * t * t == base
+        base = kernel_value(coulomb_terms(l), p, q)
+        assert kernel_value(coulomb_terms(l), t * p, t * q) * t * t == base
 
     @settings(max_examples=60, deadline=None)
     @given(pq=MOMENTA, l=st.integers(0, 3))
@@ -418,7 +417,7 @@ class TestKernelProperties:
             mp, mq = mpmath.mpf(p), mpmath.mpf(q)
             z = (mp * mp + mq * mq) / (2 * mp * mq)
             exact = float(-mpmath.re(mpmath.legenq(l, 0, z, type=3)) / (mpmath.pi * mp * mq))
-        assert abs(kernel_value(coulomb_terms(l, P11), p, q) - exact) <= 1.5e-12 * abs(exact)
+        assert abs(kernel_value(coulomb_terms(l), p, q) - exact) <= 1.5e-12 * abs(exact)
 
 
 class TestScaledBessel:
@@ -503,8 +502,7 @@ def _uniform_grid(lo, hi, n_panels, order):
     for a, b in zip(edges[:-1], edges[1:]):
         nodes.append(0.5 * (b - a) * t + 0.5 * (a + b))
         weights.append(0.5 * (b - a) * wt)
-    return RadialGrid(np.concatenate(nodes), np.concatenate(weights),
-                      mapping_scale=1.0, kind="uniform", domain=(lo, hi))
+    return RadialGrid(np.concatenate(nodes), np.concatenate(weights), mapping_scale=1.0)
 
 
 class TestBesselTransform:

@@ -175,13 +175,12 @@ class TestSubtractionIntegrals:
         # h = 1.54: S = 4 sub-panels a panel, K = 24.  The window holds the
         # mixing factors' transition at p = mc and, at fw_scale 0.025, at 40 mc
         *((terms, build_log_grid(60, 10.0, 1e5), [0, 3, 5, 54, 56, 59]) for terms in (
-            *(br_terms(ChannelSpec.from_kappa(k), PhysParams(Z=30.0), fw)
+            *(br_terms(ChannelSpec.from_kappa(k), PhysParams(), fw)
               for k in (-1, 1, -2, 2, -3, 3) for fw in (0.025, 1.0)),
-            *(coulomb_terms(l, PhysParams(Z=30.0)) for l in range(4)))),
+            *(coulomb_terms(l) for l in range(4)))),
         # h = 0.46: one sub-panel a panel, K = 20
         *((terms, build_log_grid(200, 10.0, 1e5), [0, 10, 20, 179, 189, 199]) for terms in (
-            br_terms(CH, PhysParams(Z=30.0)), br_terms(CH, PhysParams(Z=30.0), 0.025),
-            coulomb_terms(3, PhysParams(Z=30.0)))),
+            br_terms(CH, PhysParams()), br_terms(CH, PhysParams(), 0.025), coulomb_terms(3))),
     ])
     def test_clipped_product_panels_match_adaptive(self, terms, grid, rows):
         # the rows lie in the first three and last three sub-panels, so the
@@ -197,17 +196,12 @@ class TestSubtractionIntegrals:
             ref = subtraction_integral_adaptive(terms, grid.nodes[i], grid.domain, tol=1e-13)
             assert vals[i] == pytest.approx(ref, rel=1e-12)
 
-    def test_finite_window_needs_panels(self):
-        grid = build_log_grid(60, 10.0, 1e5)
-        with pytest.raises(ConfigurationError, match="log panels"):
-            subtraction_integrals(coulomb_terms(0, PhysParams(Z=1.0)), replace(grid, panels=None))
-
     def test_log_grid_orders_agree(self):
         # the two Gauss orders of the error estimate, far inside ORDER_TOL on
         # grids with S = 1, 2 and 4 sub-panels a panel
         for grid in (build_log_grid(200, 10.0, 1e5), build_log_grid(100, 10.0, 1e5),
                      build_log_grid(60, 10.0, 1e5)):
-            for terms in (br_terms(CH, PhysParams(Z=30.0)), coulomb_terms(3, PhysParams(Z=30.0))):
+            for terms in (br_terms(CH, PhysParams()), coulomb_terms(3)):
                 low, high = (assemble._log_grid_sums(terms, grid, o) for o in assemble._ORDERS)
                 assert np.abs(high - low).max() <= 1e-13 * np.abs(high).max()
 
@@ -289,7 +283,7 @@ class TestSubtractionIntegrals:
         with pytest.raises(NumericalError) as err:
             subtraction_integrals(terms, grid)
         where = grid if rule == "_log_grid_sums" else grid.nodes
-        low, high = (-terms.Z / np.pi * grid.nodes[7] * f(terms, where, order)[7]
+        low, high = (-1.0 / np.pi * grid.nodes[7] * f(terms, where, order)[7]
                      for f, order in zip((skewed, real), assemble._ORDERS))
         message = str(err.value)
         assert f"on 1 of 40 rows; row 7 (p = {grid.nodes[7]:.6g}): " in message
@@ -339,18 +333,17 @@ class TestSubtractionIntegrals:
             assert vals[i] == pytest.approx(ref, rel=1e-10)
 
     def test_mixing_free_case_against_scaled_form(self):
-        # with the mixing switched off the subtraction integral collapses to
-        # a charge- and momentum-scaled universal integral of Q_0; both sides
+        # with the mixing switched off the unit-charge subtraction integral
+        # collapses to a momentum-scaled universal integral of Q_0; both sides
         # come from independent adaptive quadratures
         from brspec.channels import legendre_q_cosh
-        params = PhysParams(c=1.0, m=1.0, Z=3.0)
-        kern = coulomb_terms(0, params)
+        kern = coulomb_terms(0)
         q0 = lambda u: float(legendre_q_cosh((0,), np.log(u))[0])     # Q_0((u + 1/u)/2)
         universal = quad(lambda u: q0(u) * u / (1 + u * u), 0, 1, points=[1.0], limit=200)[0] \
             + quad(lambda u: q0(u) * u / (1 + u * u), 1, np.inf, limit=200)[0]
         for p in (0.2, 1.0, 7.5):
             direct = subtraction_integral_adaptive(kern, p, (0.0, np.inf), tol=1e-12)
-            assert direct == pytest.approx(-2 * params.Z * p / np.pi * universal, rel=1e-9)
+            assert direct == pytest.approx(-2 * p / np.pi * universal, rel=1e-9)
 
 
 def _plain_q_l_series(l, u):
@@ -427,12 +420,12 @@ class TestToeplitzFill:
     """The log grid's block-Toeplitz fill against the pointwise fill on the same nodes
     (and the same subtraction integrals, which need the grid's panels)."""
 
-    @pytest.mark.parametrize("terms, window", [
-        (br_terms(CH, PhysParams(Z=40.0)), (4e-3, 8e4)),
-        (br_terms(ChannelSpec.from_kappa(2), PhysParams(Z=80.0), fw_scale=0.3), (1e-2, 5e4)),
-        (coulomb_terms(1, PhysParams(c=1.0, m=1.0, Z=3.0)), (1e-4, 1e3)),
+    @pytest.mark.parametrize("terms, Z, window", [
+        (br_terms(CH, PhysParams()), 40.0, (4e-3, 8e4)),
+        (br_terms(ChannelSpec.from_kappa(2), PhysParams(), fw_scale=0.3), 80.0, (1e-2, 5e4)),
+        (coulomb_terms(1), 3.0, (1e-4, 1e3)),
     ])
-    def test_matches_pointwise_fill(self, terms, window, monkeypatch):
+    def test_matches_pointwise_fill(self, terms, Z, window, monkeypatch):
         grid = build_log_grid(400, *window)
         toeplitz = assemble_potential(grid, terms)
         monkeypatch.setattr(assemble, "_toeplitz_strips",
@@ -443,8 +436,8 @@ class TestToeplitzFill:
         assert np.array_equal(toeplitz, toeplitz.T)
         kin = lambda_of(grid.nodes, PhysParams())
         mc2 = PhysParams().mc2
-        ev_t = np.linalg.eigvalsh(toeplitz + np.diag(kin))[:4]
-        ev_p = np.linalg.eigvalsh(pointwise + np.diag(kin))[:4]
+        ev_t = np.linalg.eigvalsh(Z * toeplitz + np.diag(kin))[:4]
+        ev_p = np.linalg.eigvalsh(Z * pointwise + np.diag(kin))[:4]
         assert np.abs(ev_t - ev_p).max() <= 1e-11 * mc2
 
     def test_nodes_must_follow_the_recorded_panels(self):
@@ -452,7 +445,7 @@ class TestToeplitzFill:
         nodes = grid.nodes.copy()
         nodes[37] *= 1 + 1e-12
         with pytest.raises(ConfigurationError, match="log-panel"):
-            RadialGrid(nodes, grid.weights, grid.mapping_scale, "log", grid.domain, grid.panels)
+            RadialGrid(nodes, grid.weights, grid.mapping_scale, grid.panels)
         with pytest.raises(ConfigurationError, match="log-panel"):
             replace(grid, panels=replace(grid.panels, count=grid.panels.count - 1))
         with pytest.raises(ConfigurationError, match="log-panel"):
@@ -473,10 +466,15 @@ class TestAssembly:
         m = op.matrix
         assert np.abs(m - m.T).max() < 1e-12 * np.abs(m).max()
 
-    def test_kinetic_diagonal(self):
-        params = PhysParams(Z=1.0)
-        op = assemble_operator(build_grid(48, 1.0), CH, params)
-        np.testing.assert_array_equal(op.kinetic_diagonal, lambda_of(op.grid.nodes, params))
+    @pytest.mark.parametrize("Z", [1.0, 40.0])
+    def test_charge_times_unit_potential_plus_kinetic(self, Z):
+        # the charge enters once: the operator is Z V_1 + diag(lambda), bit for bit
+        params = PhysParams(Z=Z)
+        grid = build_grid(48, 1.0)
+        expected = assemble_potential(grid, br_terms(CH, params))
+        expected *= Z
+        expected[np.diag_indices(grid.n)] += lambda_of(grid.nodes, params)
+        np.testing.assert_array_equal(assemble_operator(grid, CH, params).matrix, expected)
 
     def test_free_spectrum_inside_essential_range(self):
         params = PhysParams(Z=0.0)
@@ -489,7 +487,7 @@ class TestAssembly:
     def test_potential_form_negative(self):
         params = PhysParams(Z=1.0)
         op = assemble_operator(build_grid(80, 1.0), CH, params)
-        pot = op.matrix - np.diag(op.kinetic_diagonal)
+        pot = op.matrix - np.diag(lambda_of(op.grid.nodes, params))
         rng = np.random.default_rng(4)
         for _ in range(100):
             f = rng.standard_normal(op.n)
@@ -499,8 +497,8 @@ class TestAssembly:
         # |(f, V f)| <= a (f, T f) with a = Z (pi/2 + 2/pi)/(2c) + margin
         params = PhysParams(Z=10.0)
         op = assemble_operator(build_grid(100, 1.0), CH, params)
-        pot = op.matrix - np.diag(op.kinetic_diagonal)
-        kin = op.kinetic_diagonal
+        kin = lambda_of(op.grid.nodes, params)
+        pot = op.matrix - np.diag(kin)
         a = params.Z * TIX_CONSTANT / params.c + 0.01
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -534,6 +532,23 @@ class TestGalerkin:
         lam_gal = np.linalg.eigvalsh(
             assemble_operator(g, CH, params, scheme="galerkin").matrix)[0]
         assert abs(lam_gal - lam_nys) < 1e-5 * params.mc2
+
+    def test_gap_to_collocation_at_z40(self):
+        # Galerkin is Rayleigh-Ritz on the form domain, so its lambda_1 lies
+        # above collocation's.  With the diagonal cells graded toward p = q
+        # the gap reads 1.53e-6 and 1.35e-7 mc^2 at n = 200 and 400, a rate
+        # of n^-3.5; a plain Gauss rule across p = q (1.5% error on the
+        # logarithm per cell) left 3.6e-5 and 1.8e-5, first order
+        params = PhysParams(Z=40.0)
+        gaps = []
+        for n in (200, 400):
+            grid = binding_grid(params.Z, params, n)
+            nys, gal = (eigh(assemble_operator(grid, CH, params, scheme=scheme).matrix,
+                             subset_by_index=[0, 0], eigvals_only=True)[0]
+                        for scheme in ("nystrom", "galerkin"))
+            gaps.append((gal - nys) / params.mc2)
+        assert 0 < gaps[0] < 3e-6 and 0 < gaps[1] < 3e-7
+        assert np.log2(gaps[0] / gaps[1]) > 3.0
 
     def test_symmetry(self):
         op = assemble_operator(build_grid(64, 1.0), CH, PhysParams(Z=1.0),
@@ -614,31 +629,13 @@ class TestGalerkin:
             tracemalloc.stop()
         assert peak <= 3.5 * n * n * 8
 
-    def test_node_values_recover_l2_norm(self):
-        params = PhysParams(Z=1.0)
-        op = assemble_operator(build_grid(64, 1.0), CH, params, scheme="galerkin")
-        vals, vecs = np.linalg.eigh(op.matrix)
-        x = op.node_values(vecs[:, 0])
-        # hat-basis mass inner product equals the Euclidean coordinate norm
-        nodes = op.grid.nodes
-        mass_diag_form = 0.0
-        for i in range(op.n - 1):
-            a, b = nodes[i], nodes[i + 1]
-            t, wt = np.polynomial.legendre.leggauss(12)
-            xq = 0.5 * (b - a) * t + 0.5 * (a + b)
-            wq = 0.5 * (b - a) * wt
-            hl = (b - xq) / (b - a)
-            hr = (xq - a) / (b - a)
-            fq = x[i] * hl + x[i + 1] * hr
-            mass_diag_form += np.dot(wq, (fq * xq) ** 2)
-        assert mass_diag_form == pytest.approx(1.0, rel=1e-12)
 
 
 ASSEMBLERS = {
     "potential-rational": lambda: assemble_potential(build_grid(80, 1.0),
-                                                     br_terms(CH, PhysParams(Z=40.0))),
+                                                     br_terms(CH, PhysParams())),
     "potential-log": lambda: assemble_potential(build_log_grid(80, 1e-6, 1e6),
-                                                coulomb_terms(2, PhysParams(Z=1.0))),
+                                                coulomb_terms(2)),
     "nystrom-rational": lambda: assemble_operator(build_grid(80, 1.0), CH,
                                                   PhysParams(Z=40.0)).matrix,
     "nystrom-log": lambda: assemble_operator(build_log_grid(80, 4e-3, 3e5),
@@ -660,11 +657,15 @@ def test_assembled_matrix_exactly_symmetric(name):
 
 
 class TestNonrelAssembly:
-    def test_kinetic_is_schroedinger(self):
-        params = PhysParams(Z=1.0)
+    @pytest.mark.parametrize("Z", [1.0, 2.0])
+    def test_kinetic_is_schroedinger(self, Z):
+        # Z times the unit-charge Coulomb potential plus p^2/2m, bit for bit
         g = build_grid(48, 1.0)
-        op = assemble_nonrel_operator(g, 0, params)
-        np.testing.assert_allclose(op.kinetic_diagonal, g.nodes**2 / 2, atol=0)
+        expected = assemble_potential(g, coulomb_terms(0))
+        expected *= Z
+        expected[np.diag_indices(g.n)] += g.nodes**2 / 2
+        op = assemble_nonrel_operator(g, 0, PhysParams(Z=Z))
+        np.testing.assert_array_equal(op.matrix, expected)
 
     def test_hydrogen_ground_state(self):
         params = PhysParams(Z=1.0)

@@ -62,8 +62,7 @@ class TestHardy:
         # transform of e^-r is sqrt(2/pi) * 2/(1+p^2)^2, and the position
         # value is Int r e^-2r / Int r^2 e^-2r = 1
         grid = build_grid(300, 1.0)
-        params = PhysParams(c=1.0, m=1.0, Z=1.0)
-        W = -assemble_potential(grid, coulomb_terms(0, params))
+        W = -assemble_potential(grid, coulomb_terms(0))
         f = np.sqrt(2 / np.pi) * 2.0 / (1 + grid.nodes**2) ** 2
         coords = f * np.sqrt(grid.l2_weights)
         val = (coords @ (W @ coords)) / (coords @ coords)
@@ -84,8 +83,7 @@ class TestKato:
 
     def test_gaussian_ratio_strictly_below(self):
         grid = build_log_grid(240, 1e-5, 1e4)
-        params = PhysParams(c=1.0, m=1.0, Z=1.0)
-        W = -assemble_potential(grid, coulomb_terms(0, params))
+        W = -assemble_potential(grid, coulomb_terms(0))
         for s in (1.0, 2.0):
             f = np.exp(-(grid.nodes / s) ** 2 / 2)
             coords = f * np.sqrt(grid.l2_weights)
@@ -94,8 +92,7 @@ class TestKato:
 
     def test_scaling_invariance_of_single_ratio(self):
         grid = build_log_grid(400, 1e-4, 1e4)
-        params = PhysParams(c=1.0, m=1.0, Z=1.0)
-        W = -assemble_potential(grid, coulomb_terms(0, params))
+        W = -assemble_potential(grid, coulomb_terms(0))
 
         def ratio(scale):
             f = np.exp(-(grid.nodes / scale) ** 2 / 2)
@@ -113,7 +110,7 @@ class TestSharpSupsAgainstGeneralizedEigh:
     @pytest.mark.parametrize("n", [64, 300])
     def test_kato(self, n):
         grid = build_log_grid(n, 1e-6, 1e6)
-        W = -assemble_potential(grid, coulomb_terms(0, PhysParams(Z=1.0)))
+        W = -assemble_potential(grid, coulomb_terms(0))
         oracle = eigh(W, np.diag(grid.nodes), eigvals_only=True)[-1]
         rep = kato_check(n=n)
         assert rep.max_ratio == pytest.approx(oracle, rel=1e-13)
@@ -218,11 +215,11 @@ class TestCriticalScanUnitCharge:
                 assert np.abs(np.array(scanned) - direct).max() <= 1e-12 * mc2
 
     def test_assembles_each_grid_once(self, monkeypatch):
-        charges = []
+        assembled = []
         real = experiments.assemble_potential
 
         def counting(grid, terms):
-            charges.append(terms.Z)
+            assembled.append(grid.n)
             return real(grid, terms)
 
         monkeypatch.setattr(experiments, "assemble_potential", counting)
@@ -230,11 +227,11 @@ class TestCriticalScanUnitCharge:
         rep = critical_coupling_scan([100, 110, 115, 120, 122, 124, 130, 140],
                                      grid_sizes=sizes)
         assert len(rep.rows) == 8
-        assert charges == [1.0] * (2 * len(sizes))
+        assert len(assembled) == 2 * len(sizes)
 
     def test_no_warning_below_unit_critical_charge(self):
-        # at c = 1 the critical charge is 0.91: the grids are assembled at a
-        # reference charge inside the window, so no warning nobody asked for
+        # at c = 1 the critical charge is 0.91: the scan assembles unit-charge
+        # potentials and scales them, so no warning nobody asked for
         params = PhysParams(c=1.0, m=1.0, Z=0.5)
         sizes = (32, 48)
         with warnings.catch_warnings():

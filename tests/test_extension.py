@@ -27,8 +27,10 @@ def xg():
 
 class TestXGrid:
     def test_default_extent(self):
-        assert default_x_grid(P11).x_max == pytest.approx(40.0)
-        assert default_x_grid(PhysParams()).x_max == pytest.approx(40.0 / PhysParams().mc2)
+        # the weights integrate 1 over [0, x_max], x_max = 40 / (m c^2)
+        assert default_x_grid(P11).weights.sum() == pytest.approx(40.0, rel=1e-12)
+        assert default_x_grid(PhysParams()).weights.sum() == pytest.approx(
+            40.0 / PhysParams().mc2, rel=1e-12)
 
     def test_starts_at_zero_with_zero_weight(self):
         g = default_x_grid(P11)

@@ -59,6 +59,43 @@ def test_every_top_level_name_is_reached_from_the_cli():
     assert unreached == UNREACHED_BY_DESIGN, unreached
 
 
+# dataclasses whose instances the CLI serializes whole with ``asdict``, so that
+# every field reaches a report without being read by name
+SERIALIZED_WHOLE = {"RunReport", "LevelRecord", "CriticalScanRow", "ScalingLimitReport"}
+# fields kept with no reader in the package, and why
+UNREAD_BY_DESIGN = {
+    # the eigenvector columns are the route's output beside the eigenvalues;
+    # the ground state's fitted tail exponent, the first eigenfunction
+    # observable planned for the report, will read them
+    "SpectralResult.eigenvectors",
+    # the channel's label, from which from_kappa derives the orbital momenta
+    "ChannelSpec.kappa",
+}
+
+
+def _is_dataclass(node):
+    return any(getattr(d, "id", None) == "dataclass"
+               or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    """Every field of a dataclass in the package is read by attribute somewhere
+    in the package, or its class is serialized whole by ``asdict``: a field
+    that nothing reads is state carried for nobody."""
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(brspec.__file__).parent.glob("*.py"))]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = {cls.name: [f.target.id for f in cls.body if isinstance(f, ast.AnnAssign)]
+              for tree in trees for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)}
+    assert SERIALIZED_WHOLE <= fields.keys()
+    unread = sorted(f"{name}.{field}" for name, names in fields.items()
+                    if name not in SERIALIZED_WHOLE for field in names if field not in read)
+    assert unread == sorted(UNREAD_BY_DESIGN), unread
+
+
 def _defaulted(fn, skip):
     """(name, position) of each defaulted parameter of ``fn``; the position
     counts from the first argument a call passes (None: keyword-only)."""
