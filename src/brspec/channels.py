@@ -6,10 +6,9 @@ kernel k(p, q) on (0, inf)^2 acting through the measure q^2 dq.  This
 module provides the one Q_l(cosh x) evaluator (closed form near the
 diagonal, inverse-power series beyond), the Coulomb channel kernels as
 Legendre-Q terms with their mixing factors and their value at a given
-log-ratio x (``kernel_at``), the smooth Gaussian-multiplier kernels, and
-the radial spherical Bessel transform used to cross-check position- and
-momentum-space representations.  The adaptive angular-reduction oracle
-and the checked pointwise value off the diagonal live in
+log-ratio x (``kernel_at``), and the smooth Gaussian-multiplier kernels.
+The adaptive angular-reduction oracle, the checked pointwise value off the
+diagonal and the radial spherical Bessel transform live in
 ``tests/oracles.py``.
 """
 
@@ -276,40 +275,6 @@ def scaled_sph_bessel_i(l, a):
     return out
 
 
-def sph_bessel_j(l, x):
-    """Spherical Bessel function j_l(x) for l <= 3 and x >= 0.
-
-    Evaluated in closed form, sin and cos over powers of x, for x >= 2 and
-    by its power series below, where the closed forms cancel.
-    """
-    if l not in (0, 1, 2, 3):
-        raise DomainError(f"sph_bessel_j supports l in 0..3, got {l}")
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = x < 2.0
-    s = x[small]
-    b = x[~small]
-    sn, cs = np.sin(b) / b, np.cos(b) / b
-    if l == 0:
-        big = sn
-    elif l == 1:
-        big = sn / b - cs
-    elif l == 2:
-        big = ((3 - b * b) * sn - 3 * b * cs) / (b * b)
-    else:
-        big = ((15 - 6 * b * b) * sn - (15 - b * b) * b * cs) / b**3
-    dfact = (1.0, 3.0, 15.0, 105.0)[l]
-    term = np.ones_like(s)
-    acc = np.ones_like(s)
-    s2 = s * s
-    for k in range(14):
-        term = term * -s2 / ((2 * k + 2) * (2 * l + 2 * k + 3))
-        acc += term
-    out[~small] = big
-    out[small] = s**l / dfact * acc
-    return out
-
-
 def multiplier_channel_kernel(l, R, p, q):
     """Channel-l momentum kernel of multiplication by the Gaussian cutoff chi(|y|/R).
 
@@ -327,20 +292,3 @@ def multiplier_channel_kernel(l, R, p, q):
         2.0 * R**3 / np.sqrt(2 * np.pi) * np.exp(-0.5 * R * R * (p - q) ** 2)
         * scaled_sph_bessel_i(l, a)
     )
-
-
-def spherical_bessel_transform(l, samples, grid):
-    """Order-l spherical Bessel transform between radial representations.
-
-    g(k) = sqrt(2/pi) Int f(r) j_l(k r) r^2 dr, evaluated on the grid's own
-    nodes.  The transform is its own inverse: applied twice it returns f,
-    to quadrature-level accuracy for functions resolved by the grid.
-    """
-    samples = np.asarray(samples)
-    r = grid.nodes
-    w = grid.weights
-    if samples.shape != r.shape:
-        raise DomainError("sample count must match the grid")
-    kr = np.outer(r, r)
-    jl = sph_bessel_j(l, kr)
-    return np.sqrt(2 / np.pi) * (jl * (w * r * r * samples)[None, :]).sum(axis=1)

@@ -442,10 +442,10 @@ def _run_nonrel(config):
     n = max(config["grid"]["n"], 300)
     Z = params.Z if params.Z > 0 else 1.0
     l = ChannelSpec.from_kappa(config["channel"]["kappa"]).l_up
-    grid = build_grid(n, max(Z, 1.0))
+    grid = build_grid(n, max(Z, 1.0) * params.m)
     k = config["solver"]["k"]
     vals = nonrel_spectrum(grid, l, k, params.replace(Z=Z))
-    exact = [-Z**2 / (2.0 * (l + 1 + j) ** 2) for j in range(k)]
+    exact = [-params.m * Z**2 / (2.0 * (l + 1 + j) ** 2) for j in range(k)]
     errors = [abs(v - e) for v, e in zip(vals, exact)]
     payload = {"Z": Z, "l": l, "levels": list(range(l + 1, l + 1 + k)),
                "computed": vals.tolist(), "exact": exact, "errors": errors}

@@ -1,4 +1,5 @@
-"""Radial momentum grids, quadrature weights, and discrete Sobolev metrics."""
+"""Radial momentum grids, their quadrature weights, and the operator norm on the
+discrete H^{1/2} space of a grid."""
 
 from dataclasses import dataclass
 from functools import lru_cache
@@ -202,36 +203,19 @@ def build_log_grid(n, p_lo, p_hi):
                       panels=panels)
 
 
-@dataclass(frozen=True)
-class MetricH12:
-    """Diagonal discrete H^{1/2} metric (1 + p_i) w_i p_i^2."""
+def operator_norm_h12(A, grid: RadialGrid):
+    """Operator norm of A as a map of the grid's discrete H^{1/2} space onto itself.
 
-    diagonal: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.diagonal, dtype=float)
-        if np.any(d <= 0):
-            raise ConfigurationError("H^{1/2} metric entries must be positive")
-        object.__setattr__(self, "diagonal", d)
-
-
-def assemble_h12_metric(grid: RadialGrid) -> MetricH12:
-    """Discrete metric of Int (1 + |p|) |f(p)|^2 p^2 dp on the grid."""
-    return MetricH12((1.0 + grid.nodes) * grid.l2_weights)
-
-
-def operator_norm_h12(A, metric: MetricH12):
-    """Operator norm of A as a map of the weighted space onto itself.
-
-    Largest singular value of M = D^{1/2} A D^{-1/2} with D the metric
-    diagonal, as the square root of the top eigenvalue of M^T M (one
-    eigenvalue, not a full SVD; clamped at 0 so that A = 0 gives 0).
-    A may act on k stacked channel copies of the grid (size k * n).
+    The space carries the diagonal metric d_i = (1 + p_i) w_i p_i^2 of
+    Int (1 + |p|) |f(p)|^2 p^2 dp.  The norm is the largest singular value
+    of M = D^{1/2} A D^{-1/2}, as the square root of the top eigenvalue of
+    M^T M (one eigenvalue, not a full SVD; clamped at 0 so that A = 0
+    gives 0).  A may act on k stacked channel copies of the grid (size k * n).
     """
     A = np.asarray(A)
-    d = metric.diagonal
+    d = (1.0 + grid.nodes) * grid.l2_weights
     if A.shape[0] != A.shape[1] or A.shape[0] % d.size != 0:
-        raise DomainError(f"operator shape {A.shape} incompatible with metric size {d.size}")
+        raise DomainError(f"operator shape {A.shape} incompatible with grid size {d.size}")
     reps = A.shape[0] // d.size
     dr = np.sqrt(np.tile(d, reps))
     M = A * dr[:, None] / dr[None, :]

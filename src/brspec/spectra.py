@@ -192,7 +192,7 @@ def nonrel_spectrum(grid: RadialGrid, l, k, params: PhysParams):
     """Eigenvalues of p^2/2m + Coulomb channel-l kernel (mixing switched off).
 
     The nonrelativistic comparison operator; its bound states sit at
-    -Z^2/(2 n^2) and act as the large-c oracle for the binding energies.
+    -m Z^2/(2 n^2) and act as the large-c oracle for the binding energies.
     """
     if not params.Z > 0:
         raise DomainError("nonrel_spectrum requires Z > 0")

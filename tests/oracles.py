@@ -13,13 +13,16 @@ compared with them:
 * the pointwise channel kernel off its diagonal, and the adaptive angular
   reduction 2 pi Int P_l(t) k(|p - q|) dt of a pointwise kernel, with P_l
   taken from ``numpy.polynomial.legendre`` so that it shares no code with
-  the Legendre-Q closed form it checks.
+  the Legendre-Q closed form it checks;
+* the radial spherical Bessel transform between position and momentum
+  space, on scipy's j_l.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre
+from scipy.special import spherical_jn
 
 from brspec.channels import KernelTerms, kernel_at, log_ratio
 from brspec.dirac import a_plus_minus
@@ -240,3 +243,18 @@ def angular_reduce(pointwise_kernel, l, p, q, tol=1e-10):
             payload=2 * np.pi * val,
         )
     return 2 * np.pi * val
+
+
+def spherical_bessel_transform(l, samples, grid):
+    """Order-l spherical Bessel transform between radial representations.
+
+    g(k) = sqrt(2/pi) Int f(r) j_l(k r) r^2 dr, evaluated on the grid's own
+    nodes.  The transform is its own inverse: applied twice it returns f,
+    to quadrature-level accuracy for functions resolved by the grid.
+    """
+    samples = np.asarray(samples)
+    r = grid.nodes
+    if samples.shape != r.shape:
+        raise DomainError("sample count must match the grid")
+    jl = spherical_jn(l, np.outer(r, r))
+    return np.sqrt(2 / np.pi) * (jl * (grid.weights * r * r * samples)[None, :]).sum(axis=1)

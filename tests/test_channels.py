@@ -8,11 +8,12 @@ from brspec import PhysParams, channels
 from brspec.assemble import _CORNER_RULE, _DIAGONAL_RULE
 from brspec.channels import (ChannelSpec, KernelTerms, br_terms, coulomb_terms, kernel_at,
                              legendre_q_cosh, log_ratio, multiplier_channel_kernel,
-                             scaled_sph_bessel_i, sph_bessel_j, spherical_bessel_transform)
+                             scaled_sph_bessel_i)
 from brspec.dirac import a_plus_minus
 from brspec.errors import DomainError
 from brspec.grids import build_grid
-from oracles import PAULI, SingularPointError, angular_reduce, kernel_value, spherical_spinor
+from oracles import (PAULI, SingularPointError, angular_reduce, kernel_value,
+                     spherical_bessel_transform, spherical_spinor)
 
 P11 = PhysParams(c=1.0, m=1.0, Z=1.0)
 EPS = np.finfo(float).eps
@@ -432,29 +433,6 @@ class TestScaledBessel:
         a = np.array([1e10, 1e14])
         for l in range(4):
             np.testing.assert_allclose(scaled_sph_bessel_i(l, a), 1 / (2 * a), rtol=1e-9)
-
-
-class TestSphericalBessel:
-    def test_against_scipy(self):
-        # 20,000 points over [1e-8, 1e6] and the closed-form/series switch at
-        # x = 2; near the zeros of j_l only the absolute error is small
-        from scipy.special import spherical_jn
-        x = np.concatenate([np.geomspace(1e-8, 1e6, 20000), np.linspace(0.0, 4.0, 401),
-                            np.nextafter(2.0, [0.0, 4.0])])
-        for l in range(4):
-            got, ref = sph_bessel_j(l, x), spherical_jn(l, x)
-            assert np.abs(got - ref).max() <= 5e-16
-            away = np.abs(ref) > 1e-2 * np.minimum(1.0, 1.0 / np.maximum(x, 1e-300))
-            assert (np.abs(got - ref)[away] / np.abs(ref[away])).max() <= 1e-14
-
-    def test_small_argument_leading_power(self):
-        x = np.array([0.0, 1e-12])
-        for l, dfact in enumerate((1.0, 3.0, 15.0, 105.0)):
-            np.testing.assert_array_equal(sph_bessel_j(l, x), x**l / dfact)
-
-    def test_order_checked(self):
-        with pytest.raises(DomainError):
-            sph_bessel_j(4, 1.0)
 
 
 class TestMultiplierKernel:

@@ -374,13 +374,23 @@ class TestScalingLimitChannels:
     def test_every_channel_passes(self, kappa):
         # the default profile p^l e^{-p^2/2} transforms to r^l e^{-r^2/2} in
         # position space, whose oracle Z <phi, r^-1 phi> is
-        # Gamma(l + 1) / Gamma(l + 3/2); for l >= 1 the transform rises from
-        # 0 to its peak, and the oracle's cut comes after it
+        # Gamma(l + 1) / Gamma(l + 3/2)
         report = run_command("scaling-limit", parse_config(overrides=[f"channel.kappa={kappa}"]))
         assert report.ok, [c for c in report.checks if not c["ok"]]
         l = ChannelSpec.from_kappa(kappa).l_up
         assert report.results["oracle_coefficient"] == pytest.approx(
             math.gamma(l + 1) / math.gamma(l + 1.5), rel=1e-12)
+
+
+class TestNonrelLimitMass:
+    @pytest.mark.parametrize("m", [0.5, 2.0])
+    def test_levels_scale_with_the_mass(self, m):
+        # the hydrogen levels of p^2/2m - Z/|y| are -m Z^2 / (2 n^2)
+        report = run_command("nonrel-limit", parse_config(overrides=[f"params.m={m}"]))
+        assert report.ok, [c for c in report.checks if not c["ok"]]
+        Z = report.results["Z"]
+        assert report.results["exact"] == [-m * Z**2 / (2.0 * n**2)
+                                           for n in report.results["levels"]]
 
 
 class TestMain:

@@ -14,8 +14,8 @@ from brspec.assemble import (assemble_nonrel_operator, assemble_operator, assemb
 from brspec.channels import ChannelSpec, br_terms, coulomb_terms, kernel_at, log_ratio
 from brspec.dirac import lambda_of
 from brspec.errors import ConfigurationError, NumericalError
-from brspec.grids import (MetricH12, RadialGrid, assemble_h12_metric, build_grid,
-                          build_log_grid, gauss_log, gauss_panels, operator_norm_h12)
+from brspec.grids import (RadialGrid, build_grid, build_log_grid, gauss_log, gauss_panels,
+                          operator_norm_h12)
 from brspec.params import SPEED_OF_LIGHT, TIX_CONSTANT
 from brspec.spectra import binding_grid
 
@@ -80,45 +80,24 @@ class TestLogGrid:
             build_log_grid(100, 1.0, 0.5)
 
 
-class TestH12Metric:
-    def test_positive_entries(self):
-        m = assemble_h12_metric(build_grid(64, 1.0))
-        assert np.all(m.diagonal > 0)
-
-    def test_dominates_l2(self):
-        g = build_grid(64, 1.0)
-        m = assemble_h12_metric(g)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            f = rng.standard_normal(g.n)
-            assert m.diagonal @ f**2 >= g.l2_weights @ f**2
-
-    def test_gaussian_norm_against_quadrature(self):
-        g = build_grid(200, 1.0)
-        m = assemble_h12_metric(g)
-        f = np.exp(-g.nodes**2 / 2)
-        oracle = quad(lambda p: (1 + p) * p * p * np.exp(-p * p), 0, np.inf)[0]
-        assert m.diagonal @ f**2 == pytest.approx(oracle, rel=1e-8)
+def _h12_diagonal(grid):
+    return (1.0 + grid.nodes) * grid.l2_weights
 
 
 class TestOperatorNormH12:
     def test_identity(self):
-        m = assemble_h12_metric(build_grid(32, 1.0))
-        assert operator_norm_h12(np.eye(32), m) == pytest.approx(1.0, abs=1e-14)
+        assert operator_norm_h12(np.eye(32), build_grid(32, 1.0)) == pytest.approx(1.0, abs=1e-14)
 
     def test_diagonal(self):
-        g = build_grid(32, 1.0)
-        m = assemble_h12_metric(g)
         d = np.linspace(-3, 5, 32)
-        assert operator_norm_h12(np.diag(d), m) == pytest.approx(5.0, rel=1e-14)
+        assert operator_norm_h12(np.diag(d), build_grid(32, 1.0)) == pytest.approx(5.0, rel=1e-14)
 
     def test_against_power_iteration(self):
         rng = np.random.default_rng(3)
         g = build_grid(48, 1.0)
-        m = assemble_h12_metric(g)
         A = rng.standard_normal((48, 48))
-        val = operator_norm_h12(A, m)
-        d = np.sqrt(m.diagonal)
+        val = operator_norm_h12(A, g)
+        d = np.sqrt(_h12_diagonal(g))
         B = A * d[:, None] / d[None, :]
         v = rng.standard_normal(48)
         for _ in range(4000):
@@ -128,37 +107,34 @@ class TestOperatorNormH12:
         assert val == pytest.approx(oracle, rel=1e-8)
 
     def test_stacked_channels(self):
-        g = build_grid(24, 1.0)
-        m = assemble_h12_metric(g)
-        assert operator_norm_h12(np.eye(48), m) == pytest.approx(1.0, abs=1e-14)
+        assert operator_norm_h12(np.eye(48), build_grid(24, 1.0)) == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("kind", ["nonsymmetric", "rank1", "stacked"])
     def test_against_full_svd(self, kind):
         # the top eigenvalue of the Gram matrix gives the largest singular value
         rng = np.random.default_rng(7)
-        m = assemble_h12_metric(build_log_grid(60, 1e-4, 1e3))
+        g = build_log_grid(60, 1e-4, 1e3)
         reps = 2 if kind == "stacked" else 1
-        d = np.sqrt(np.tile(m.diagonal, reps))
+        d = np.sqrt(np.tile(_h12_diagonal(g), reps))
         size = d.size
         A = (np.outer(rng.standard_normal(size), rng.standard_normal(size)) if kind == "rank1"
              else rng.standard_normal((size, size)) * np.exp(rng.uniform(-5, 5, size))[None, :])
         oracle = np.linalg.norm(A * d[:, None] / d[None, :], 2)
-        assert operator_norm_h12(A, m) == pytest.approx(oracle, rel=1e-13)
+        assert operator_norm_h12(A, g) == pytest.approx(oracle, rel=1e-13)
 
     def test_zero_operator(self):
-        m = assemble_h12_metric(build_grid(32, 1.0))
-        assert operator_norm_h12(np.zeros((64, 64)), m) == 0.0
+        assert operator_norm_h12(np.zeros((64, 64)), build_grid(32, 1.0)) == 0.0
 
     def test_gram_matrix_read_as_formed(self):
         # LAPACK gets the Gram matrix's F-ordered transpose in place of a
         # copy of it: the same matrix, so the same bits
         rng = np.random.default_rng(11)
-        m = assemble_h12_metric(build_log_grid(60, 1e-4, 1e3))
+        g = build_log_grid(60, 1e-4, 1e3)
         A = rng.standard_normal((60, 60))
-        d = np.sqrt(m.diagonal)
+        d = np.sqrt(_h12_diagonal(g))
         M = A * d[:, None] / d[None, :]
         top = eigh(M.T @ M, subset_by_index=[59, 59], eigvals_only=True)[0]
-        assert operator_norm_h12(A, m) == np.sqrt(top)
+        assert operator_norm_h12(A, g) == np.sqrt(top)
 
 
 class TestSubtractionIntegrals:

@@ -10,15 +10,15 @@ from scipy.linalg import eigh
 
 from brspec import PhysParams, experiments
 from brspec.assemble import assemble_operator, assemble_potential
-from brspec.channels import (ChannelSpec, br_terms, coulomb_terms, multiplier_channel_kernel,
-                             spherical_bessel_transform)
+from brspec.channels import ChannelSpec, br_terms, coulomb_terms, multiplier_channel_kernel
 from brspec.dirac import a_plus_minus, lambda_of
 from brspec.errors import DomainError, NumericalError
 from brspec.experiments import (commutator_decay, commutator_matrix, critical_coupling_scan,
                                 hardy_check, kato_check, scaling_limit, tix_check)
-from brspec.grids import assemble_h12_metric, build_grid, build_log_grid
+from brspec.grids import build_grid, build_log_grid
 from brspec.params import HARDY_CONSTANT, KATO_CONSTANT, TIX_CONSTANT
 from brspec.spectra import dense_spectrum
+from oracles import spherical_bessel_transform
 
 
 class TestHardy:
@@ -457,7 +457,7 @@ class TestCommutatorMatrix:
 
     def test_norms_match_dense_svd(self, decay_report):
         grid = build_log_grid(160, 1e-4, 1e3)
-        d = np.sqrt(np.tile(assemble_h12_metric(grid).diagonal, 2))
+        d = np.sqrt(np.tile((1.0 + grid.nodes) * grid.l2_weights, 2))
         ch = ChannelSpec.from_kappa(-1)
         for R, norm in zip(decay_report.R_values, decay_report.norms):
             C = dense_commutator(R, grid, ch, PhysParams())[0]
@@ -502,6 +502,22 @@ class TestScalingLimit:
         report = scaling_report
         # Z <phi, r^-1 phi> for the normalized Gaussian is 2 Z / sqrt(pi)
         assert report.oracle_coefficient == pytest.approx(2 / np.sqrt(np.pi), rel=1e-4)
+
+    @pytest.mark.parametrize("l", range(4), ids=lambda l: f"l={l}")
+    def test_closed_form_oracle_against_bessel_transform(self, l):
+        # Z (phi, |y|^-1 phi) / (phi, phi) by quadrature of the position-space
+        # profile, the order-l transform of p^l e^{-p^2/2}; past r = 12 the
+        # profile lies below 1e-30 and the oscillatory quadrature returns noise
+        kappa = (-1, 1, 2, 3)[l]
+        assert ChannelSpec.from_kappa(kappa).l_up == l
+        params = PhysParams(Z=20.0)
+        grid = build_grid(200, 1.0)
+        r, w = grid.nodes, grid.weights
+        fr = spherical_bessel_transform(l, r**l * np.exp(-r * r / 2), grid)[r < 12.0]
+        r, w = r[r < 12.0], w[r < 12.0]
+        oracle = params.Z * np.dot(w * r, fr**2) / np.dot(w * r * r, fr**2)
+        rep = scaling_limit(kappa=kappa, params=params)
+        assert rep.oracle_coefficient == pytest.approx(oracle, rel=1e-14)
 
     def test_remainder_exponent(self, scaling_report):
         report = scaling_report

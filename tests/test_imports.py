@@ -158,10 +158,12 @@ def test_cli_import_leaves_quadrature_unloaded():
 
 
 def test_runs_start_no_quadrature_and_no_threads():
-    """No production path reaches scipy's quadrature or starts a thread: the
-    default ``spectrum`` (at n = 64), ``scaling-limit`` and a small
-    ``critical-scan`` run without either.  ``concurrent.futures`` itself is loaded by numpy.testing under scipy, so
-    the probe counts thread starts instead of looking for that module."""
+    """No production path reaches scipy's quadrature or special functions, or
+    starts a thread: the default ``spectrum`` (at n = 64), ``scaling-limit``,
+    ``commutator-decay`` and a small ``critical-scan`` run without any of them,
+    each probed right after it ran.  ``concurrent.futures`` itself is loaded by
+    numpy.testing under scipy, so the probe counts thread starts instead of
+    looking for that module."""
     src = str(Path(brspec.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -171,10 +173,12 @@ started = []
 start = threading.Thread.start
 threading.Thread.start = lambda self: started.append(self.name) or start(self)
 from brspec.cli import parse_config, run_command
-run_command("spectrum", parse_config(overrides=["grid.n=64"]))
-run_command("scaling-limit", parse_config())
-run_command("critical-scan", parse_config(overrides=["experiments.grid_sizes=[32,48]"]))
-print(" ".join(["scipy.integrate"] * ("scipy.integrate" in sys.modules) + started))
+for command, overrides in (("spectrum", ["grid.n=64"]), ("scaling-limit", []),
+                           ("commutator-decay", []),
+                           ("critical-scan", ["experiments.grid_sizes=[32,48]"])):
+    run_command(command, parse_config(overrides=overrides))
+    print(" ".join([f"{command}:{m}" for m in ("scipy.integrate", "scipy.special")
+                    if m in sys.modules] + started))
 """
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
