@@ -21,7 +21,7 @@ import math
 import operator
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
@@ -30,13 +30,13 @@ import numpy as np
 from . import __version__
 from .channels import MAX_CHANNEL, ChannelSpec
 from .errors import BrspecError, ConfigurationError
-from .extension import (default_x_grid, dirichlet_energy, dtn_apply,
-                        dtn_finite_difference, extend, exponential_field,
-                        minimality_check, multiplier_profile, random_boundary,
-                        trace_inequality_margin, zero_trace_bump)
+from .extension import (default_x_grid, dtn_apply, dtn_finite_difference, extend,
+                        exponential_field, minimality_check, momentum_energy,
+                        multiplier_profile, random_boundary, trace_inequality_margin,
+                        x_quadrature_energy)
 from .assemble import assemble_operator
-from .experiments import (commutator_decay, critical_coupling_scan, hardy_check,
-                          kato_check, scaling_limit, tix_check)
+from .experiments import (commutator_decay, critical_charge, critical_coupling_scan,
+                          hardy_check, kato_check, scaling_limit, tix_check)
 from .grids import build_grid
 from .params import (HARDY_CONSTANT, KATO_CONSTANT, SPEED_OF_LIGHT, TIX_CONSTANT,
                      PhysParams)
@@ -320,8 +320,8 @@ def _run_dtn_check(config):
     quadratures = []        # every x-quadrature EnergyResult of the run
     for _ in range(nb):
         u = random_boundary(grid, rng)
-        e_mom = dirichlet_energy(u, "momentum", params).value
-        e_x = dirichlet_energy(extend(u, xg, params, mult), "x_quadrature", params)
+        e_mom = momentum_energy(u, params)
+        e_x = x_quadrature_energy(extend(u, xg, params, mult), params)
         quadratures.append(e_x)
         energy_err.append(abs(e_mom - e_x.value) / e_mom)
         exact = dtn_apply(u, params)
@@ -333,9 +333,10 @@ def _run_dtn_check(config):
     min_viol = []
     for _ in range(npert):
         u = random_boundary(grid, rng)
-        bump = zero_trace_bump(grid, xg, params, random_boundary(grid, rng).values,
-                               rate=params.mc2 * rng.uniform(0.5, 2.0))
-        e0, e1 = minimality_check(u, bump, rng.uniform(0.02, 0.5), params, mult)
+        # draw order: the trace, the competitor's profile, its rate, its amplitude
+        b = random_boundary(grid, rng).values
+        rate = params.mc2 * rng.uniform(0.5, 2.0)
+        e0, e1 = minimality_check(u, b, rate, rng.uniform(0.02, 0.5), params, mult)
         quadratures += [e0, e1]
         min_viol.append((e0.value - e1.value) / e0.value)
 
@@ -420,17 +421,20 @@ def _run_scaling(config):
 def _run_critical_scan(config):
     params = _params(config)
     exp = config["experiments"]
+    kappa = config["channel"]["kappa"]
     rep = critical_coupling_scan(exp["Z_values"], grid_sizes=exp["grid_sizes"],
-                                 kappa=config["channel"]["kappa"], params=params)
+                                 kappa=kappa, params=params)
+    z_c = critical_charge(params, kappa)
     payload = {"stability_tol": rep.stability_tol, "collapse_drop": rep.collapse_drop,
-               "critical_charge": params.critical_charge,
-               "rows": [asdict(r) for r in rep.rows]}
+               "critical_charge": z_c, "rows": [asdict(r) for r in rep.rows]}
     checks = []
     for r in rep.rows:
-        if r.Z < params.critical_charge:
+        if r.Z < z_c:
+            # kept boolean: as a number, the drop would read as a headroom of this check
             checks += [_check(f"Z={r.Z:g}_stable", r.variation_fixed, "<", rep.stability_tol),
                        _check(f"Z={r.Z:g}_positive", min(r.lambda1_fixed), ">", 0.0),
-                       _check(f"Z={r.Z:g}_no_collapse", r.collapsed, "==", False)]
+                       _check(f"Z={r.Z:g}_no_collapse",
+                              r.exhaustion_drop > rep.collapse_drop, "==", False)]
         else:
             checks.append(_check(f"Z={r.Z:g}_collapsed", r.exhaustion_drop, ">",
                                  rep.collapse_drop))
@@ -444,7 +448,7 @@ def _run_nonrel(config):
     l = ChannelSpec.from_kappa(config["channel"]["kappa"]).l_up
     grid = build_grid(n, max(Z, 1.0) * params.m)
     k = config["solver"]["k"]
-    vals = nonrel_spectrum(grid, l, k, params.replace(Z=Z))
+    vals = nonrel_spectrum(grid, l, k, replace(params, Z=Z))
     exact = [-params.m * Z**2 / (2.0 * (l + 1 + j) ** 2) for j in range(k)]
     errors = [abs(v - e) for v, e in zip(vals, exact)]
     payload = {"Z": Z, "l": l, "levels": list(range(l + 1, l + 1 + k)),

@@ -128,6 +128,24 @@ def tix_check(params: PhysParams = None, n=300) -> InequalityReport:
 # ---------------------------------------------------------------------------
 # Critical coupling scan
 
+#: S_l(0) = (1/pi) Int Q_l(cosh x) dx over the real line, l = 0..3: the
+#: channel-l Coulomb form's Mellin symbol at its sup, tau = 0.  For p >> mc
+#: the form over the kinetic form c Int |h|^2 is diagonal in the log-ratio
+#: variable, with symbol S_l(tau) <= S_l(0).
+COULOMB_SYMBOL_AT_ZERO = (np.pi / 2, 2 / np.pi, np.pi / 8, 8 / (9 * np.pi))
+
+
+def critical_charge(params: PhysParams, kappa):
+    """The channel's critical charge c / S_kappa(0), S_kappa = (S_l_up + S_l_down) / 2.
+
+    Above it the projected Coulomb form is not subordinate to the kinetic
+    form in that channel; at kappa = -1 (and +1) it is
+    ``params.critical_charge``, c / TIX_CONSTANT.
+    """
+    ch = ChannelSpec.from_kappa(kappa)
+    symbol = (COULOMB_SYMBOL_AT_ZERO[ch.l_up] + COULOMB_SYMBOL_AT_ZERO[ch.l_down]) / 2
+    return params.c / symbol
+
 
 @dataclass
 class CriticalScanRow:
@@ -137,8 +155,6 @@ class CriticalScanRow:
     lambda1_exhaustion: list     # window grows with n
     variation_fixed: float
     exhaustion_drop: float
-    stable: bool
-    collapsed: bool
 
 
 @dataclass
@@ -331,14 +347,9 @@ def critical_coupling_scan(Z_values, grid_sizes=(100, 200, 400), kappa=-1,
     for j, Z in enumerate(Z_values):
         fixed = [lam1[j] for lam1 in levels[:len(sizes)]]
         grow = [lam1[j] for lam1 in levels[len(sizes):]]
-        variation = max(fixed) - min(fixed)
-        drop = grow[0] - grow[-1]
         rows.append(CriticalScanRow(
-            Z=Z, grid_sizes=sizes, lambda1_fixed=fixed,
-            lambda1_exhaustion=grow, variation_fixed=variation,
-            exhaustion_drop=drop,
-            stable=bool(variation < stability_tol and min(fixed) > 0),
-            collapsed=bool(drop > collapse_drop)))
+            Z=Z, grid_sizes=sizes, lambda1_fixed=fixed, lambda1_exhaustion=grow,
+            variation_fixed=max(fixed) - min(fixed), exhaustion_drop=grow[0] - grow[-1]))
     return CriticalScanReport(rows, stability_tol, collapse_drop, counts)
 
 

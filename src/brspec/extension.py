@@ -11,22 +11,25 @@ Everything is channel-reduced: one radial momentum variable plus the
 extension variable x.  The x-quadrature only serves to cross-validate the
 closed-form energies.
 
-A field is a short sum of separable terms c_t(p) g_t(x, p) whose profiles
-g_t are real and carry their analytic x-derivative: the decay
-exp(-tau(p) x) (``DecayProfile``; tau = lambda for the multiplier
-extension) or the momentum-independent envelope x exp(-sigma x)
-(``EnvelopeProfile``).  The product-grid quadrature of an energy density
-|d_x phi|^2 + k^2 |phi|^2 is therefore evaluated per mode,
+A field is its trace's decay plus at most one zero-trace part,
+u(p) g(x, p) + b(p) e(x): the profile g = exp(-tau(p) x)
+(``DecayProfile``; tau = lambda for the multiplier extension) carries the
+trace, and the momentum-independent envelope e = e sigma x exp(-sigma x)
+(``EnvelopeProfile``) vanishes at x = 0.  This is the split of the
+minimality argument: any finite-energy extension of u is the multiplier
+field plus a part with zero trace.  The product-grid
+quadrature of an energy density |d_x phi|^2 + k^2 |phi|^2 is therefore
+evaluated per mode as three x-integrals,
 
-    Sum_p W_p Sum_{s,t} Re(conj(c_s) c_t) Sum_x w_x (g_s' g_t' + k^2 g_s g_t),
+    |u|^2 Sum w (g'^2 + k^2 g^2) + 2 Re(conj(u) b) Sum w (g' e' + k^2 g e)
+        + |b|^2 Sum w (e'^2 + k^2 e^2),
 
 the same quadrature on the same x-grid summed in another order, from the
-profiles' x-integrals instead of complex (n_x, n_p) field arrays.  A decay
+profiles' tables instead of complex (n_x, n_p) field arrays.  A decay
 profile holds its exp table and its per-mode square integral, built once;
 the multiplier profile depends on the grid, the x-grid and the parameters
 alone, so a run builds it once (``multiplier_profile``) and every sample
-reuses it.  ``ExtensionField.values`` and ``x_derivative`` materialize the
-field for tests and inspection.
+reuses it.
 """
 
 from dataclasses import dataclass
@@ -89,8 +92,7 @@ class DecayProfile:
     """Profile exp(-rate(p) x) on an x-grid: its table and per-mode square integral.
 
     ``values`` is the (n_x, n_p) table and ``square`` the x-quadrature
-    Sum_x w_x exp(-2 rate(p) x) per mode, both computed once, on construction;
-    the x-derivative is -rate(p) times the table.
+    Sum_x w_x exp(-2 rate(p) x) per mode, both computed once, on construction.
     """
 
     def __init__(self, rates, x_grid: XGrid):
@@ -99,19 +101,15 @@ class DecayProfile:
         self.values = np.exp(np.outer(x_grid.nodes, -rates))
         self.square = x_grid.weights @ np.square(self.values)
 
-    @property
-    def derivative(self):
-        return -self.rates * self.values
-
 
 class EnvelopeProfile:
     """Momentum-independent profile e sigma x exp(-sigma x): unit peak, 0 at x = 0.
 
-    ``values`` and ``derivative`` are (n_x, 1) columns.
+    ``values`` and ``derivative`` are its value and x-derivative at the nodes.
     """
 
     def __init__(self, sigma, x_grid: XGrid):
-        x = x_grid.nodes[:, None]
+        x = x_grid.nodes
         peak = np.e * sigma
         decay = np.exp(-sigma * x)
         self.x_grid = x_grid
@@ -119,83 +117,29 @@ class EnvelopeProfile:
         self.derivative = peak * (1.0 - sigma * x) * decay
 
 
-def _profile_products(f, g):
-    """Per-mode x-quadratures (Sum_x w f' g', Sum_x w f g) of two profiles.
-
-    Arrays over the momentum nodes (length 1 for two envelopes).  A decay
-    profile paired with itself reads its stored integral; an envelope
-    against a decay table costs two matrix-vector products.
-    """
-    w = f.x_grid.weights
-    if isinstance(f, EnvelopeProfile) and isinstance(g, DecayProfile):
-        f, g = g, f
-    if isinstance(f, DecayProfile):
-        if g is f:
-            return f.rates**2 * f.square, f.square
-        if isinstance(g, DecayProfile):
-            fg = w @ (f.values * g.values)
-            return f.rates * g.rates * fg, fg
-        return (-f.rates * ((w * g.derivative[:, 0]) @ f.values),
-                (w * g.values[:, 0]) @ f.values)
-    return w @ (f.derivative * g.derivative), w @ (f.values * g.values)
-
-
 @dataclass(frozen=True)
 class ExtensionField:
-    """Field Sum_t coef_t(p) g_t(x, p) on the (x, p) product grid.
+    """Field u(p) exp(-tau(p) x) + b(p) e(x) on the (x, p) product grid.
 
-    ``terms`` holds (coef, profile) pairs: a complex coefficient per momentum
-    node and a real profile on the field's x-grid.  ``values[0] ==
-    boundary.values`` always; for fields produced by ``extend`` the modulus
-    is nonincreasing in x per momentum node.
+    The trace u = ``boundary.values`` decays with the profile ``decay``;
+    ``coefficient`` b and ``envelope`` e, both None or both given, add a
+    zero-trace part.  The field equals its trace at x = 0 by construction.
     """
 
     boundary: BoundaryFunction
-    x_grid: XGrid
-    terms: tuple
+    decay: DecayProfile
+    coefficient: np.ndarray
+    envelope: EnvelopeProfile
 
     def __post_init__(self):
         n = self.boundary.grid.n
-        if not self.terms or any(
-                np.shape(coef) != (n,) or profile.x_grid is not self.x_grid
-                or profile.values.shape[1] not in (1, n)
-                for coef, profile in self.terms):
-            raise DomainError("field terms must be (n_p,) coefficients on the field's x-grid")
-        if not np.array_equal(_slice(self.terms, 0), self.boundary.values):
-            raise DomainError("field does not match its boundary datum at x = 0")
-
-    @property
-    def values(self):
-        """The field on the product grid, (n_x, n_p), materialized from its terms."""
-        return sum(profile.values * coef for coef, profile in self.terms)
-
-    @property
-    def x_derivative(self):
-        """Its analytic x-derivative, (n_x, n_p), materialized from its terms."""
-        return sum(profile.derivative * coef for coef, profile in self.terms)
-
-    @property
-    def trace(self):
-        return self.boundary.values
-
-    def scaled(self, amplitude):
-        return _field_of(self.boundary.grid, self.x_grid,
-                         tuple((amplitude * coef, profile) for coef, profile in self.terms))
-
-    def __add__(self, other):
-        if other.x_grid is not self.x_grid or other.boundary.grid is not self.boundary.grid:
-            raise DomainError("fields must share their grids to be combined")
-        return _field_of(self.boundary.grid, self.x_grid, self.terms + other.terms)
-
-
-def _slice(terms, i):
-    """The field of the given terms at x-node i, (n_p,)."""
-    return sum(coef * profile.values[i] for coef, profile in terms)
-
-
-def _field_of(grid, x_grid, terms):
-    """The field of the given terms, whose x = 0 slice is its boundary datum."""
-    return ExtensionField(BoundaryFunction(grid, _slice(terms, 0)), x_grid, terms)
+        if self.envelope is None:
+            ok = self.coefficient is None
+        else:
+            ok = (np.shape(self.coefficient) == (n,)
+                  and self.envelope.x_grid is self.decay.x_grid)
+        if not ok or np.shape(self.decay.rates) != (n,):
+            raise DomainError("field parts must be (n_p,) per mode on one x-grid")
 
 
 def multiplier_profile(grid: RadialGrid, x_grid: XGrid, params: PhysParams) -> DecayProfile:
@@ -204,18 +148,15 @@ def multiplier_profile(grid: RadialGrid, x_grid: XGrid, params: PhysParams) -> D
 
 
 def extend(u: BoundaryFunction, x_grid: XGrid, params: PhysParams,
-           multiplier: DecayProfile = None) -> ExtensionField:
-    """Multiplier extension u(p) exp(-lambda(p) x) with analytic derivative.
+           multiplier: DecayProfile) -> ExtensionField:
+    """Multiplier extension u(p) exp(-lambda(p) x).
 
-    ``multiplier`` is ``multiplier_profile(u.grid, x_grid, params)``, built
-    here when not given.
+    ``multiplier`` is ``multiplier_profile(u.grid, x_grid, params)``.
     """
-    if multiplier is None:
-        multiplier = multiplier_profile(u.grid, x_grid, params)
-    elif (multiplier.x_grid is not x_grid
-          or not np.array_equal(multiplier.rates, lambda_of(u.grid.nodes, params))):
+    if (multiplier.x_grid is not x_grid
+            or not np.array_equal(multiplier.rates, lambda_of(u.grid.nodes, params))):
         raise DomainError("not the multiplier profile of this grid, x-grid and parameters")
-    return ExtensionField(u, x_grid, ((u.values, multiplier),))
+    return ExtensionField(u, multiplier, None, None)
 
 
 def exponential_field(u: BoundaryFunction, rates, x_grid: XGrid) -> ExtensionField:
@@ -223,20 +164,7 @@ def exponential_field(u: BoundaryFunction, rates, x_grid: XGrid) -> ExtensionFie
     rates = np.broadcast_to(np.asarray(rates, dtype=float), u.grid.nodes.shape)
     if np.any(rates <= 0):
         raise DomainError("decay rates must be positive")
-    return ExtensionField(u, x_grid, ((u.values, DecayProfile(rates, x_grid)),))
-
-
-def zero_trace_bump(grid: RadialGrid, x_grid: XGrid, params: PhysParams,
-                    profile, rate=None) -> ExtensionField:
-    """Zero-trace field x exp(-sigma x) b(p); competitor for the minimality test.
-
-    The envelope is normalized to unit peak so the competitor carries an
-    O(1) energy perturbation at unit amplitude.
-    """
-    sigma = params.mc2 if rate is None else rate
-    zero = BoundaryFunction(grid, np.zeros(grid.n, dtype=complex))
-    return ExtensionField(zero, x_grid, ((np.asarray(profile, dtype=complex),
-                                          EnvelopeProfile(sigma, x_grid)),))
+    return ExtensionField(u, DecayProfile(rates, x_grid), None, None)
 
 
 def dtn_apply(u: BoundaryFunction, params: PhysParams) -> BoundaryFunction:
@@ -276,64 +204,61 @@ class EnergyResult:
 def _product_quadrature(field: ExtensionField, k2):
     """Sum_x w_x Sum_p W_p (|d_x phi|^2 + k2(p) |phi|^2) of a field, per mode.
 
-    For phi = Sum_t c_t g_t with real profiles the x-sum at each mode is
-    Sum_{s,t} Re(conj(c_s) c_t) Sum_x w_x (g_s' g_t' + k2 g_s g_t), taken over
-    pairs s <= t with the off-diagonal ones doubled.
+    For phi = u g + b e, with g = exp(-tau x) and e the envelope, the x-sum
+    at each mode is three integrals: |u|^2 (tau^2 + k2) Sum w g^2, read from
+    the profile's stored square; 2 Re(conj(u) b) Sum w (g' e' + k2 g e), two
+    matrix-vector products of the envelope with the table; and
+    |b|^2 Sum w (e'^2 + k2 e^2).
     """
-    terms = field.terms
-    density = 0.0
-    for s, (cs, gs) in enumerate(terms):
-        for t in range(s, len(terms)):
-            ct, gt = terms[t]
-            dd, gg = _profile_products(gs, gt)
-            pair = np.real(np.conj(cs) * ct) * (1.0 if s == t else 2.0)
-            density = density + pair * (dd + k2 * gg)
+    g, u = field.decay, field.boundary.values
+    density = np.real(np.conj(u) * u) * (g.rates**2 * g.square + k2 * g.square)
+    if field.envelope is not None:
+        w, e, b = g.x_grid.weights, field.envelope, field.coefficient
+        cross = (-g.rates * ((w * e.derivative) @ g.values)
+                 + k2 * ((w * e.values) @ g.values))
+        density = (density + np.real(np.conj(u) * b) * 2.0 * cross
+                   + np.real(np.conj(b) * b) * (w @ (e.derivative * e.derivative)
+                                                + k2 * (w @ (e.values * e.values))))
     return float(density @ field.boundary.grid.l2_weights)
 
 
-def dirichlet_energy(obj, route, params: PhysParams):
-    """Weighted H^1 energy of an extension, by either of two routes.
+def momentum_energy(u: BoundaryFunction, params: PhysParams):
+    """Closed-form energy Int lambda(p) |u(p)|^2 p^2 dp of u's multiplier extension."""
+    lam = lambda_of(u.grid.nodes, params)
+    return float(np.real(np.dot(u.grid.l2_weights * lam, np.abs(u.values) ** 2)))
 
-    ``momentum`` integrates the closed form Int lambda(p) |u(p)|^2 p^2 dp of
-    the multiplier extension of a BoundaryFunction; ``x_quadrature``
-    integrates |d_x phi|^2 + (c^2 p^2 + m^2 c^4) |phi|^2 of an
-    ExtensionField over the product grid, evaluated per mode from its terms.
-    """
-    if route == "momentum":
-        u = obj.boundary if isinstance(obj, ExtensionField) else obj
-        lam = lambda_of(u.grid.nodes, params)
-        val = float(np.real(np.dot(u.grid.l2_weights * lam,
-                                   np.abs(u.values) ** 2)))
-        return EnergyResult(val, 0.0, True)
-    if route != "x_quadrature":
-        raise DomainError(f"unknown energy route {route!r}")
-    if not isinstance(obj, ExtensionField):
-        raise DomainError("the x_quadrature route requires an ExtensionField")
-    grid = obj.boundary.grid
+
+def x_quadrature_energy(field: ExtensionField, params: PhysParams) -> EnergyResult:
+    """Weighted H^1 energy Int |d_x phi|^2 + (c^2 p^2 + m^2 c^4) |phi|^2 of a
+    field over the product grid, evaluated per mode from its parts."""
+    grid = field.boundary.grid
     lam2 = params.c**2 * grid.nodes**2 + params.mc2**2
-    val = _product_quadrature(obj, lam2)
+    val = _product_quadrature(field, lam2)
     # bound the discarded tail x > x_max as if every mode kept decaying at
     # its slowest admissible rate lambda(p); below 1e-12 of the energy it is ok
-    lam = np.sqrt(lam2)
-    tail = float(np.dot(grid.l2_weights * lam, np.abs(_slice(obj.terms, -1)) ** 2))
+    far = field.boundary.values * field.decay.values[-1]
+    if field.envelope is not None:
+        far = far + field.coefficient * field.envelope.values[-1]
+    tail = float(np.dot(grid.l2_weights * np.sqrt(lam2), np.abs(far) ** 2))
     return EnergyResult(val, tail, tail <= 1e-12 * max(val, 1e-300))
 
 
-def minimality_check(u: BoundaryFunction, perturbation: ExtensionField,
-                     amplitude, params: PhysParams, multiplier: DecayProfile = None):
+def minimality_check(u: BoundaryFunction, profile, rate, amplitude, params: PhysParams,
+                     multiplier: DecayProfile):
     """Energies of the multiplier extension and a zero-trace competitor.
 
+    The competitor adds amplitude * b(p) e sigma x exp(-sigma x), with b the
+    given ``profile`` and sigma = ``rate``; the envelope has unit peak, so
+    the competitor carries an O(1) energy perturbation at unit amplitude.
     Returns the EnergyResults (E_multiplier, E_perturbed) by x-quadrature;
     the multiplier field minimizes the energy among extensions sharing its
     trace, so E_perturbed >= E_multiplier up to quadrature error.
     ``multiplier`` is passed to ``extend``.
     """
-    if np.max(np.abs(perturbation.trace)) != 0.0:
-        raise DomainError("perturbation must have exactly zero trace")
-    base = extend(u, perturbation.x_grid, params, multiplier)
-    e0 = dirichlet_energy(base, "x_quadrature", params)
-    e1 = dirichlet_energy(base + perturbation.scaled(amplitude), "x_quadrature", params)
-    return e0, e1
+    base = extend(u, multiplier.x_grid, params, multiplier)
+    competitor = ExtensionField(u, multiplier, amplitude * np.asarray(profile, dtype=complex),
+                                EnvelopeProfile(rate, multiplier.x_grid))
+    return x_quadrature_energy(base, params), x_quadrature_energy(competitor, params)
 
 
 @dataclass
@@ -348,7 +273,7 @@ def trace_inequality_margin(field: ExtensionField, params: PhysParams) -> TraceM
     """Margin of Int(|d_x phi|^2 + m^2 c^4 |phi|^2) - m c^2 |phi_tr|^2 >= 0."""
     grid = field.boundary.grid
     positive = _product_quadrature(field, params.mc2**2)
-    trace_term = params.mc2 * float(np.dot(grid.l2_weights, np.abs(field.trace) ** 2))
+    trace_term = params.mc2 * float(np.dot(grid.l2_weights, np.abs(field.boundary.values) ** 2))
     return TraceMarginResult(positive - trace_term, positive)
 
 

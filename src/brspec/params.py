@@ -63,8 +63,3 @@ class PhysParams:
     def in_subordinacy_window(self):
         """True when Z/c < 2/(pi/2 + 2/pi), i.e. Z below the critical charge."""
         return self.coupling * TIX_CONSTANT < 1.0
-
-    def replace(self, **kw):
-        d = {"c": self.c, "m": self.m, "Z": self.Z}
-        d.update(kw)
-        return PhysParams(**d)

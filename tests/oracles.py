@@ -15,7 +15,10 @@ compared with them:
   taken from ``numpy.polynomial.legendre`` so that it shares no code with
   the Legendre-Q closed form it checks;
 * the radial spherical Bessel transform between position and momentum
-  space, on scipy's j_l.
+  space, on scipy's j_l;
+* an extension field and its x-derivative materialized on the (x, p)
+  product grid from its profiles' tables, and the product-grid quadrature
+  of its energy density summed over those arrays.
 """
 
 from dataclasses import dataclass
@@ -258,3 +261,24 @@ def spherical_bessel_transform(l, samples, grid):
         raise DomainError("sample count must match the grid")
     jl = spherical_jn(l, np.outer(r, r))
     return np.sqrt(2 / np.pi) * (jl * (grid.weights * r * r * samples)[None, :]).sum(axis=1)
+
+
+def field_arrays(field):
+    """(phi, d_x phi) of an extension field, (n_x, n_p) each, materialized as
+    u(p) exp(-tau(p) x) + b(p) e(x) from the decay table and the envelope."""
+    g, u = field.decay, field.boundary.values
+    values = g.values * u
+    derivative = -g.rates * g.values * u
+    if field.envelope is not None:
+        e, b = field.envelope, field.coefficient
+        values = values + e.values[:, None] * b
+        derivative = derivative + e.derivative[:, None] * b
+    return values, derivative
+
+
+def materialized_energy(field, k2):
+    """Sum_x w_x Sum_p W_p (|d_x phi|^2 + k2 |phi|^2) of a field, summed over
+    its materialized (n_x, n_p) arrays."""
+    values, derivative = field_arrays(field)
+    density = np.abs(derivative) ** 2 + k2 * np.abs(values) ** 2
+    return float(field.decay.x_grid.weights @ density @ field.boundary.grid.l2_weights)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brspec import assemble, cli, experiments, spectra
+from brspec import PhysParams, assemble, cli, experiments, spectra
 from brspec.cli import (COMMANDS, OPS, RunReport, main, parse_config, run_command,
                         write_report, _COMMANDS, _DEFAULT_CONFIG, _RULES, _validate)
 from brspec.channels import ChannelSpec
@@ -586,6 +586,18 @@ class TestCommandTable:
         report, _ = small_reports["critical-scan", ()]
         assert [c["name"] for c in report.checks] == [
             "Z=0.5_stable", "Z=0.5_positive", "Z=0.5_no_collapse", "Z=2_collapsed"]
+
+    @pytest.mark.parametrize("kappa", [-3, -2, 2, 3])
+    def test_scan_splits_at_the_channel_critical_charge(self, kappa):
+        # Z = 120 and 130 lie below Z_c = 266 (|kappa| = 2) and 406 (|kappa| = 3):
+        # every row is held to the subcritical gates, and passes them
+        config = parse_config(overrides=[f"channel.kappa={kappa}"])
+        report = run_command("critical-scan", config)
+        assert report.results["critical_charge"] == experiments.critical_charge(PhysParams(),
+                                                                                kappa)
+        assert [c["name"] for c in report.checks] == [
+            f"Z={Z}_{gate}" for Z in (120, 130) for gate in ("stable", "positive", "no_collapse")]
+        assert report.ok, [c for c in report.checks if not c["ok"]]
 
     def test_norms_not_decreasing_fails(self, monkeypatch):
         fake = CommutatorDecayReport([2.0, 4.0, 8.0, 16.0], [1.0, 0.5, 0.6, 0.2],

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 import warnings
@@ -10,7 +11,8 @@ from scipy.linalg import eigh
 
 from brspec import PhysParams, experiments
 from brspec.assemble import assemble_operator, assemble_potential
-from brspec.channels import ChannelSpec, br_terms, coulomb_terms, multiplier_channel_kernel
+from brspec.channels import (ChannelSpec, br_terms, coulomb_terms, legendre_q_cosh,
+                             multiplier_channel_kernel)
 from brspec.dirac import a_plus_minus, lambda_of
 from brspec.errors import DomainError, NumericalError
 from brspec.experiments import (commutator_decay, commutator_matrix, critical_coupling_scan,
@@ -165,6 +167,30 @@ class TestTix:
         assert params.critical_charge == pytest.approx(2 * params.c / (np.pi / 2 + 2 / np.pi))
 
 
+class TestCriticalCharge:
+    @pytest.mark.parametrize("l", range(4))
+    def test_symbol_at_zero_against_quadrature(self, l):
+        # S_l(0) = (1/pi) Int Q_l(cosh x) dx over the real line, an even
+        # integrand with a log singularity at 0 and decay e^{-(l+1)|x|}
+        def q(x):
+            return float(legendre_q_cosh([l], np.array([x]))[0][0])
+        integral = quad(q, 0.0, 1.0, limit=200)[0] + quad(q, 1.0, 40.0, limit=200)[0]
+        assert 2 * integral / np.pi == pytest.approx(experiments.COULOMB_SYMBOL_AT_ZERO[l],
+                                                     rel=1e-14)
+
+    @pytest.mark.parametrize("params", [PhysParams(), PhysParams(c=1.0, m=1.0, Z=0.5)])
+    def test_unit_channels_keep_the_tix_charge(self, params):
+        for kappa in (-1, 1):
+            assert experiments.critical_charge(params, kappa) == params.critical_charge
+
+    def test_channel_values(self):
+        # Z_c(kappa) at c = 137.036: 124.160, 266.265 and 405.647 for |kappa| = 1, 2, 3
+        for kappa, z_c in ((1, 124.160), (2, 266.265), (3, 405.647)):
+            for k in (kappa, -kappa):
+                assert experiments.critical_charge(PhysParams(), k) == pytest.approx(
+                    z_c, abs=5e-4)
+
+
 @pytest.fixture(scope="module")
 def scan_report():
     return critical_coupling_scan([60.0, 120.0, 130.0], grid_sizes=(100, 200, 400))
@@ -176,14 +202,13 @@ class TestCriticalScan:
         by_z = {r.Z: r for r in report.rows}
         for Z in (60.0, 120.0):
             row = by_z[Z]
-            assert row.stable and not row.collapsed
             assert min(row.lambda1_fixed) > 0
             assert row.variation_fixed < report.stability_tol
+            assert row.exhaustion_drop <= report.collapse_drop
 
     def test_supercritical_row_collapses(self, scan_report):
         row = {r.Z: r for r in scan_report.rows}[130.0]
         report = scan_report
-        assert row.collapsed
         assert row.exhaustion_drop > report.collapse_drop
         assert np.all(np.diff(row.lambda1_exhaustion) < 0)
 
@@ -206,7 +231,7 @@ class TestCriticalScanUnitCharge:
         ch = ChannelSpec.from_kappa(-1)
         rep = critical_coupling_scan([60.0, 120.0, 130.0], grid_sizes=sizes)
         for row in rep.rows:
-            pz = base.replace(Z=row.Z)
+            pz = dataclasses.replace(base, Z=row.Z)
             fixed = [build_log_grid(n, 1e-4 * mc, 2e3 * mc) for n in sizes]
             grow = [build_log_grid(n, 1e-3 * mc * sizes[0] / n, 5.0 * mc * n) for n in sizes]
             for grids, scanned in ((fixed, row.lambda1_fixed), (grow, row.lambda1_exhaustion)):
@@ -244,9 +269,15 @@ class TestCriticalScanUnitCharge:
         assert np.abs(np.array(rep.rows[0].lambda1_fixed) - direct).max() <= 1e-12 * params.mc2
 
 
+def verdicts(rep):
+    """Per charge: (stable and positive on the fixed window, collapsed under exhaustion)."""
+    return {r.Z: (r.variation_fixed < rep.stability_tol and min(r.lambda1_fixed) > 0,
+                  r.exhaustion_drop > rep.collapse_drop) for r in rep.rows}
+
+
 def direct_levels(Z, sizes, params=None, kappa=-1):
     """lambda_1 of a fresh assembly at charge Z on each scan grid, by dense eigh."""
-    base = (params or PhysParams()).replace(Z=Z)
+    base = dataclasses.replace(params or PhysParams(), Z=Z)
     mc = base.m * base.c
     ch = ChannelSpec.from_kappa(kappa)
     grids = ([build_log_grid(n, 1e-4 * mc, 2e3 * mc) for n in sizes]
@@ -294,8 +325,7 @@ class TestCriticalScanWarmStart:
         want, got = scanned_levels(ascending), scanned_levels(rep)
         for Z in self.CHARGES:
             assert np.abs(got[Z] - want[Z]).max() <= 1e-12 * mc2
-        flags = {r.Z: (r.stable, r.collapsed) for r in ascending.rows}
-        assert {r.Z: (r.stable, r.collapsed) for r in rep.rows} == flags
+        assert verdicts(rep) == verdicts(ascending)
 
     def test_jump_rejects_shifts(self):
         # from Z = 100 the Rayleigh quotient at Z = 140 lies far above lambda_1
@@ -305,7 +335,7 @@ class TestCriticalScanWarmStart:
         mc2 = PhysParams().mc2
         for Z, levels in scanned_levels(rep).items():
             assert np.abs(levels - direct_levels(Z, self.SIZES)).max() <= 1e-12 * mc2
-        assert rep.rows[1].collapsed
+        assert rep.rows[1].exhaustion_drop > rep.collapse_drop
 
     def test_repeated_charge(self, monkeypatch):
         # the start vector is the ground state already: on each of the four
@@ -338,7 +368,7 @@ class TestCriticalScanWarmStart:
         params = PhysParams(c=1.0, m=1.0, Z=0.5)
         sizes = (32, 48)
         rep = critical_coupling_scan([0.5, 2.0], grid_sizes=sizes, params=params)
-        assert not rep.rows[0].collapsed and rep.rows[1].collapsed
+        assert rep.rows[0].exhaustion_drop <= rep.collapse_drop < rep.rows[1].exhaustion_drop
         for Z, levels in scanned_levels(rep).items():
             direct = direct_levels(Z, sizes, params)
             assert np.abs(levels - direct).max() <= 1e-12 * max(1.0, np.abs(direct).max())

@@ -5,12 +5,14 @@ from brspec import PhysParams, extension
 from brspec.cli import parse_config, run_command
 from brspec.dirac import lambda_of
 from brspec.errors import DomainError
-from brspec.extension import (BoundaryFunction, ExtensionField, build_x_grid,
-                              default_x_grid, dirichlet_energy, dtn_apply,
+from brspec.extension import (BoundaryFunction, EnvelopeProfile, ExtensionField,
+                              build_x_grid, default_x_grid, dtn_apply,
                               dtn_finite_difference, extend, exponential_field,
-                              minimality_check, multiplier_profile, random_boundary,
-                              trace_inequality_margin, zero_trace_bump)
+                              minimality_check, momentum_energy, multiplier_profile,
+                              random_boundary, trace_inequality_margin,
+                              x_quadrature_energy)
 from brspec.grids import build_grid, build_log_grid
+from oracles import field_arrays, materialized_energy
 
 P11 = PhysParams(c=1.0, m=1.0, Z=0.0)
 
@@ -23,6 +25,11 @@ def grid():
 @pytest.fixture(scope="module")
 def xg():
     return default_x_grid(P11)
+
+
+@pytest.fixture(scope="module")
+def mult(grid, xg):
+    return multiplier_profile(grid, xg, P11)
 
 
 class TestXGrid:
@@ -63,25 +70,24 @@ class TestXGrid:
 
 
 class TestExtend:
-    def test_boundary_slice(self, grid, xg):
+    def test_boundary_slice(self, grid, xg, mult):
         rng = np.random.default_rng(0)
         u = random_boundary(grid, rng)
-        fld = extend(u, xg, P11)
-        np.testing.assert_array_equal(fld.values[0], u.values)
-        np.testing.assert_array_equal(fld.trace, u.values)
+        values, _ = field_arrays(extend(u, xg, P11, mult))
+        np.testing.assert_array_equal(values[0], u.values)
 
-    def test_single_mode_decay(self, grid, xg):
+    def test_single_mode_decay(self, grid, xg, mult):
         vals = np.zeros(grid.n, dtype=complex)
         vals[37] = 2.0 - 1.0j
-        fld = extend(BoundaryFunction(grid, vals), xg, P11)
+        values, _ = field_arrays(extend(BoundaryFunction(grid, vals), xg, P11, mult))
         lam = lambda_of(grid.nodes[37], P11)
-        np.testing.assert_allclose(fld.values[:, 37],
+        np.testing.assert_allclose(values[:, 37],
                                    vals[37] * np.exp(-lam * xg.nodes), rtol=1e-14)
 
-    def test_modulus_nonincreasing_per_mode(self, grid, xg):
+    def test_modulus_nonincreasing_per_mode(self, grid, xg, mult):
         rng = np.random.default_rng(1)
-        fld = extend(random_boundary(grid, rng), xg, P11)
-        mods = np.abs(fld.values)
+        values, _ = field_arrays(extend(random_boundary(grid, rng), xg, P11, mult))
+        mods = np.abs(values)
         assert np.all(np.diff(mods, axis=0) <= 1e-300 + mods[:-1] * 1e-15)
 
 
@@ -102,12 +108,12 @@ class TestDtN:
         np.testing.assert_allclose(lhs.values, rhs, rtol=2e-15,
                                    atol=1e-14 * np.abs(rhs).max())
 
-    def test_energy_pairing(self, grid, xg):
+    def test_energy_pairing(self, grid, xg, mult):
         # (u, T u) in L^2 equals the extension energy of the minimizer
         rng = np.random.default_rng(3)
         u = random_boundary(grid, rng)
         pairing = np.real(np.conj(u.values) * grid.l2_weights @ dtn_apply(u, P11).values)
-        energy = dirichlet_energy(extend(u, xg, P11), "x_quadrature", P11).value
+        energy = x_quadrature_energy(extend(u, xg, P11, mult), P11).value
         assert pairing == pytest.approx(energy, rel=1e-12)
 
     def test_richardson_matches_multiplier(self, grid):
@@ -122,79 +128,75 @@ class TestDtN:
 
 
 class TestDirichletEnergy:
-    def test_two_routes_gaussian(self, grid, xg):
+    def test_two_routes_gaussian(self, grid, xg, mult):
         u = BoundaryFunction(grid, np.exp(-grid.nodes**2 / 2).astype(complex))
-        e_mom = dirichlet_energy(u, "momentum", P11).value
-        e_x = dirichlet_energy(extend(u, xg, P11), "x_quadrature", P11).value
+        e_mom = momentum_energy(u, P11)
+        e_x = x_quadrature_energy(extend(u, xg, P11, mult), P11).value
         assert abs(e_mom - e_x) / e_mom < 1e-8
 
-    def test_two_routes_random(self, grid, xg):
+    def test_two_routes_random(self, grid, xg, mult):
         rng = np.random.default_rng(5)
         for _ in range(20):
             u = random_boundary(grid, rng)
-            e_mom = dirichlet_energy(u, "momentum", P11).value
-            e_x = dirichlet_energy(extend(u, xg, P11), "x_quadrature", P11).value
+            e_mom = momentum_energy(u, P11)
+            e_x = x_quadrature_energy(extend(u, xg, P11, mult), P11).value
             assert abs(e_mom - e_x) / e_mom < 1e-7
 
-    def test_zero_boundary(self, grid, xg):
+    def test_zero_boundary(self, grid, xg, mult):
         u = BoundaryFunction(grid, np.zeros(grid.n, dtype=complex))
-        assert dirichlet_energy(u, "momentum", P11).value == 0.0
-        assert dirichlet_energy(extend(u, xg, P11), "x_quadrature", P11).value == 0.0
+        assert momentum_energy(u, P11) == 0.0
+        assert x_quadrature_energy(extend(u, xg, P11, mult), P11).value == 0.0
 
     def test_quadratic_scaling(self, grid):
         rng = np.random.default_rng(6)
         u = random_boundary(grid, rng)
         double = BoundaryFunction(grid, 2 * u.values)
-        assert dirichlet_energy(double, "momentum", P11).value == pytest.approx(
-            4 * dirichlet_energy(u, "momentum", P11).value, rel=1e-15)
-
-    def test_route_validation(self, grid, xg):
-        u = random_boundary(grid, np.random.default_rng(7))
-        with pytest.raises(DomainError):
-            dirichlet_energy(u, "position", P11)
-        with pytest.raises(DomainError):
-            dirichlet_energy(u, "x_quadrature", P11)
+        assert momentum_energy(double, P11) == pytest.approx(
+            4 * momentum_energy(u, P11), rel=1e-15)
 
     def test_tail_flag(self, grid):
         # truncating far too early must trip the tail warning flag
         u = BoundaryFunction(grid, np.exp(-grid.nodes**2 / 2).astype(complex))
         short = build_x_grid(0.05, n_nodes=64)
-        res = dirichlet_energy(extend(u, short, P11), "x_quadrature", P11)
+        res = x_quadrature_energy(extend(u, short, P11, multiplier_profile(grid, short, P11)),
+                                  P11)
         assert not res.tail_ok and res.tail_bound > 0
 
 
 class TestMinimality:
-    def test_zero_amplitude_equality(self, grid, xg):
+    def test_zero_amplitude_equality(self, grid, mult):
         rng = np.random.default_rng(8)
         u = random_boundary(grid, rng)
-        bump = zero_trace_bump(grid, xg, P11, random_boundary(grid, rng).values)
-        e0, e1 = minimality_check(u, bump, 0.0, P11)
+        b = random_boundary(grid, rng).values
+        e0, e1 = minimality_check(u, b, P11.mc2, 0.0, P11, mult)
         assert e0.value == e1.value
 
-    def test_competitors_cost_more(self, grid, xg):
+    def test_competitors_cost_more(self, grid, mult):
         rng = np.random.default_rng(9)
         for _ in range(50):
             u = random_boundary(grid, rng)
-            bump = zero_trace_bump(grid, xg, P11, random_boundary(grid, rng).values,
-                                   rate=P11.mc2 * rng.uniform(0.5, 2.0))
-            e0, e1 = minimality_check(u, bump, rng.uniform(0.02, 0.5), P11)
+            b = random_boundary(grid, rng).values
+            rate = P11.mc2 * rng.uniform(0.5, 2.0)
+            e0, e1 = minimality_check(u, b, rate, rng.uniform(0.02, 0.5), P11, mult)
             assert e1.value >= e0.value * (1 - 1e-10)
 
-    def test_energy_quadratic_in_amplitude(self, grid, xg):
+    def test_energy_quadratic_in_amplitude(self, grid, mult):
         rng = np.random.default_rng(10)
         u = random_boundary(grid, rng)
-        bump = zero_trace_bump(grid, xg, P11, random_boundary(grid, rng).values)
-        e0, e1 = minimality_check(u, bump, 0.25, P11)
-        _, e2 = minimality_check(u, bump, 0.5, P11)
+        b = random_boundary(grid, rng).values
+        e0, e1 = minimality_check(u, b, P11.mc2, 0.25, P11, mult)
+        _, e2 = minimality_check(u, b, P11.mc2, 0.5, P11, mult)
         ratio = (e2.value - e0.value) / (e1.value - e0.value)
         assert ratio == pytest.approx(4.0, rel=1e-8)
 
-    def test_nonzero_trace_rejected(self, grid, xg):
+    def test_competitor_keeps_the_trace(self, grid, xg, mult):
+        # the envelope vanishes at x = 0, so the competitor's x = 0 slice is u
         rng = np.random.default_rng(11)
         u = random_boundary(grid, rng)
-        bad = extend(u, xg, P11)
-        with pytest.raises(DomainError):
-            minimality_check(u, bad, 0.1, P11)
+        competitor = ExtensionField(u, mult, random_boundary(grid, rng).values,
+                                    EnvelopeProfile(P11.mc2, xg))
+        values, _ = field_arrays(competitor)
+        np.testing.assert_array_equal(values[0], u.values)
 
 
 class TestTraceInequality:
@@ -235,65 +237,41 @@ class TestTraceInequality:
             exponential_field(u, np.zeros(grid.n), xg)
 
 
-class TestFieldAlgebra:
-    def test_scaling_and_addition(self, grid, xg):
-        rng = np.random.default_rng(16)
-        u = random_boundary(grid, rng)
-        fld = extend(u, xg, P11)
-        double = fld.scaled(2.0)
-        (coef, profile), = double.terms
-        np.testing.assert_array_equal(coef, 2 * u.values)
-        assert profile is fld.terms[0][1]
-        # (2c) g and 2 (c g) round alike except where c g is subnormal
-        tiny = np.finfo(float).tiny
-        for part in (np.real, np.imag):
-            single, doubled = part(fld.values), part(double.values)
-            normal = np.abs(single) >= tiny
-            np.testing.assert_array_equal(doubled[normal], 2 * single[normal])
-            assert np.all(np.abs(doubled[~normal]) <= 2 * tiny)
-        s = fld + fld.scaled(-1.0)
-        assert np.abs(s.values).max() == 0.0
-
-    def test_boundary_mismatch_detected(self, grid, xg):
-        ones = np.ones(grid.n, dtype=complex)
-        u = BoundaryFunction(grid, np.zeros(grid.n, dtype=complex))
-        with pytest.raises(DomainError):
-            ExtensionField(u, xg, ((ones, multiplier_profile(grid, xg, P11)),))
-
-    def test_terms_checked(self, grid, xg):
+class TestFieldParts:
+    def test_parts_checked(self, grid, xg, mult):
         u = random_boundary(grid, np.random.default_rng(17))
-        mult = multiplier_profile(grid, xg, P11)
+        bump = EnvelopeProfile(P11.mc2, xg)
         with pytest.raises(DomainError):
-            ExtensionField(u, xg, ((u.values[:-1], mult),))
+            ExtensionField(u, mult, u.values[:-1], bump)
         with pytest.raises(DomainError):
-            ExtensionField(u, xg, ())
+            ExtensionField(u, mult, u.values, None)
+        with pytest.raises(DomainError):
+            ExtensionField(u, mult, None, bump)
         other = build_x_grid(40.0, n_nodes=64)
         with pytest.raises(DomainError):
-            ExtensionField(u, xg, ((u.values, multiplier_profile(grid, other, P11)),))
+            ExtensionField(u, mult, u.values, EnvelopeProfile(P11.mc2, other))
+        with pytest.raises(DomainError):
+            ExtensionField(u, multiplier_profile(build_grid(100, 1.0), xg, P11), None, None)
         with pytest.raises(DomainError):
             extend(u, other, P11, mult)
         with pytest.raises(DomainError):
             extend(u, xg, PhysParams(c=2.0, m=1.0, Z=0.0), mult)
-        assert extend(u, xg, P11, mult).terms[0][1] is mult
-
-
-def _materialized(field, k2):
-    """The product-grid quadrature Sum_x w_x Sum_p W_p (|d_x phi|^2 + k2 |phi|^2)
-    from the materialized (n_x, n_p) field arrays."""
-    density = np.abs(field.x_derivative) ** 2 + k2 * np.abs(field.values) ** 2
-    return float(field.x_grid.weights @ density @ field.boundary.grid.l2_weights)
+        assert extend(u, xg, P11, mult).decay is mult
 
 
 def _fields(grid, xg, rng):
-    u, v, b, d = (random_boundary(grid, rng) for _ in range(4))
+    """The four shapes of field: the multiplier extension, an exponential
+    field with random rates, a zero-trace part alone, and a decay plus a
+    scaled zero-trace part."""
+    u, v, b = (random_boundary(grid, rng) for _ in range(3))
     rates = P11.mc2 * rng.uniform(0.5, 4.0, size=grid.n)
-    base = extend(u, xg, P11)
-    bump, other = (zero_trace_bump(grid, xg, P11, f.values, rate=P11.mc2 * rng.uniform(0.5, 2.0))
-                   for f in (b, d))
-    return {"extend": base, "exponential": exponential_field(v, rates, xg), "bump": bump,
-            "base + scaled bump": base + bump.scaled(0.3),
-            "three terms": base + exponential_field(v, rates, xg) + bump.scaled(-0.7j),
-            "two envelopes": base + bump + other.scaled(0.5)}
+    mult = multiplier_profile(grid, xg, P11)
+    bump = EnvelopeProfile(P11.mc2 * rng.uniform(0.5, 2.0), xg)
+    zero = BoundaryFunction(grid, np.zeros(grid.n, dtype=complex))
+    return {"extend": extend(u, xg, P11, mult),
+            "exponential": exponential_field(v, rates, xg),
+            "zero-trace part": ExtensionField(zero, mult, b.values, bump),
+            "decay + scaled zero-trace part": ExtensionField(u, mult, -0.7j * b.values, bump)}
 
 
 class TestPerModeQuadrature:
@@ -304,11 +282,11 @@ class TestPerModeQuadrature:
     def test_matches_materialized_field(self, grid, xg):
         lam2 = P11.c**2 * grid.nodes**2 + P11.mc2**2
         for name, fld in _fields(grid, xg, np.random.default_rng(18)).items():
-            energy = dirichlet_energy(fld, "x_quadrature", P11).value
-            assert energy == pytest.approx(_materialized(fld, lam2), rel=1e-13), name
+            energy = x_quadrature_energy(fld, P11).value
+            assert energy == pytest.approx(materialized_energy(fld, lam2), rel=1e-13), name
             res = trace_inequality_margin(fld, P11)
-            positive = _materialized(fld, P11.mc2**2)
-            trace = P11.mc2 * np.dot(grid.l2_weights, np.abs(fld.values[0]) ** 2)
+            positive = materialized_energy(fld, P11.mc2**2)
+            trace = P11.mc2 * np.dot(grid.l2_weights, np.abs(field_arrays(fld)[0][0]) ** 2)
             assert res.scale == pytest.approx(positive, rel=1e-13), name
             assert abs(res.margin - (positive - trace)) <= 1e-13 * positive, name
 
@@ -316,7 +294,7 @@ class TestPerModeQuadrature:
     def test_dtn_check_payload(self, seed, monkeypatch):
         config = parse_config(overrides=[f"seed={seed}"])
         fast = run_command("dtn-check", config).results
-        monkeypatch.setattr(extension, "_product_quadrature", _materialized)
+        monkeypatch.setattr(extension, "_product_quadrature", materialized_energy)
         reference = run_command("dtn-check", config).results
         assert fast.keys() == reference.keys()
         for key, value in reference.items():

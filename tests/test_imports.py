@@ -79,21 +79,45 @@ def _is_dataclass(node):
                for d in node.decorator_list)
 
 
-def test_every_dataclass_field_is_read():
-    """Every field of a dataclass in the package is read by attribute somewhere
-    in the package, or its class is serialized whole by ``asdict``: a field
-    that nothing reads is state carried for nobody."""
+def _package_classes():
+    """(classes, attribute names read) over the package's modules."""
     trees = [ast.parse(path.read_text())
              for path in sorted(Path(brspec.__file__).parent.glob("*.py"))]
     read = {node.attr for tree in trees for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [cls for tree in trees for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)], read
+
+
+def test_every_dataclass_field_is_read():
+    """Every field of a dataclass in the package is read by attribute somewhere
+    in the package, or its class is serialized whole by ``asdict``: a field
+    that nothing reads is state carried for nobody."""
+    classes, read = _package_classes()
     fields = {cls.name: [f.target.id for f in cls.body if isinstance(f, ast.AnnAssign)]
-              for tree in trees for cls in ast.walk(tree)
-              if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)}
+              for cls in classes if _is_dataclass(cls)}
     assert SERIALIZED_WHOLE <= fields.keys()
     unread = sorted(f"{name}.{field}" for name, names in fields.items()
                     if name not in SERIALIZED_WHOLE for field in names if field not in read)
     assert unread == sorted(UNREAD_BY_DESIGN), unread
+
+
+# public methods and properties kept with no reader in the package, and why
+UNCALLED_BY_DESIGN = {
+    # the benchmark's ratio tolerance is stated as the slack of this verdict
+    # (a comment in perfbench/workloads.py names it), and ``bound`` is its gate
+    "InequalityReport.satisfied",
+}
+
+
+def test_every_public_method_is_read():
+    """Every public method and property of a class in the package is read by
+    attribute somewhere in the package: one that only the tests read is test
+    code, and belongs in the tests."""
+    classes, read = _package_classes()
+    unread = sorted(f"{cls.name}.{fn.name}" for cls in classes for fn in cls.body
+                    if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                    and fn.name not in read)
+    assert unread == sorted(UNCALLED_BY_DESIGN), unread
 
 
 def _defaulted(fn, skip):
