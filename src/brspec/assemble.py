@@ -35,8 +35,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import cholesky_banded, solve_banded
 
-from .channels import (ChannelSpec, KernelTerms, br_terms, coulomb_terms, kernel_at,
-                       legendre_q_cosh, legendre_q_cosh_split, log_ratio)
+from .channels import (ChannelSpec, KernelTerms, br_terms, coulomb_terms, critical_charge,
+                       kernel_at, legendre_q_cosh, legendre_q_cosh_split, log_ratio)
 from .dirac import lambda_of
 from .errors import ConfigurationError, NumericalError
 from .grids import LogPanels, RadialGrid, gauss_legendre, gauss_log, gauss_panels
@@ -425,10 +425,11 @@ def assemble_operator(grid: RadialGrid, channel: ChannelSpec, params: PhysParams
     """Discrete channel operator lambda(p) + transformed Coulomb potential."""
     if scheme not in ("nystrom", "galerkin"):
         raise ConfigurationError(f"unknown scheme {scheme!r}")
-    if params.Z > 0 and not params.in_subordinacy_window():
+    z_c = critical_charge(params, channel.kappa)
+    if params.Z >= z_c:
         warnings.warn(
-            f"Z = {params.Z} lies outside the subordinacy window Z < "
-            f"{params.critical_charge:.2f}; the operator is not bounded below",
+            f"Z = {params.Z} lies outside the subordinacy window Z < {z_c:.2f} of "
+            f"kappa = {channel.kappa}; the operator is not bounded below",
             UserWarning, stacklevel=2)
     terms = br_terms(channel, params)
     if scheme == "galerkin":

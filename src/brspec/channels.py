@@ -46,6 +46,32 @@ class ChannelSpec:
         return cls(kappa=kappa, l_up=l_up, l_down=l_down)
 
 
+#: S_l(0) = (1/pi) Int Q_l(cosh x) dx over the real line, l = 0..3: the
+#: channel-l Coulomb form's Mellin symbol at its sup, tau = 0.  For p >> mc
+#: the form over the kinetic form c Int |h|^2 is diagonal in the log-ratio
+#: variable, with symbol S_l(tau) <= S_l(0).  The table fixes every sharp
+#: constant below and each channel's critical charge.
+COULOMB_SYMBOL_AT_ZERO = (np.pi / 2, 2 / np.pi, np.pi / 8, 8 / (9 * np.pi))
+
+#: Kato/Herbst constant for (psi, |x|^-1 psi) <= (pi/2)(psi, sqrt(-Lap) psi): S_0(0).
+KATO_CONSTANT = COULOMB_SYMBOL_AT_ZERO[0]
+
+#: Sharp constant of the projected (positive-subspace) Coulomb inequality in
+#: the channels kappa = +-1, (S_0(0) + S_1(0)) / 2 = (pi/2 + 2/pi) / 2.
+TIX_CONSTANT = (COULOMB_SYMBOL_AT_ZERO[0] + COULOMB_SYMBOL_AT_ZERO[1]) / 2
+
+
+def critical_charge(params: PhysParams, kappa):
+    """The channel's critical charge c / S_kappa(0), S_kappa = (S_l_up + S_l_down) / 2.
+
+    Below it the projected Coulomb form is strictly subordinate to the
+    kinetic form in that channel; at kappa = +-1 it is c / TIX_CONSTANT.
+    """
+    ch = ChannelSpec.from_kappa(kappa)
+    symbol = (COULOMB_SYMBOL_AT_ZERO[ch.l_up] + COULOMB_SYMBOL_AT_ZERO[ch.l_down]) / 2
+    return params.c / symbol
+
+
 _LEGENDRE_P = (
     lambda z: np.ones_like(z),
     lambda z: z,

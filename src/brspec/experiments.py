@@ -17,11 +17,12 @@ from scipy.linalg.blas import dtrsv
 from scipy.linalg.lapack import dpotrf
 
 from .assemble import assemble_potential
-from .channels import ChannelSpec, br_terms, coulomb_terms, multiplier_channel_kernel
+from .channels import (KATO_CONSTANT, TIX_CONSTANT, ChannelSpec, br_terms, coulomb_terms,
+                       multiplier_channel_kernel)
 from .dirac import a_plus_minus, lambda_of
 from .errors import DomainError, NumericalError
 from .grids import build_grid, build_log_grid, operator_norm_h12
-from .params import HARDY_CONSTANT, KATO_CONSTANT, TIX_CONSTANT, PhysParams
+from .params import HARDY_CONSTANT, PhysParams
 
 
 @dataclass
@@ -127,25 +128,6 @@ def tix_check(params: PhysParams = None, n=300) -> InequalityReport:
 
 # ---------------------------------------------------------------------------
 # Critical coupling scan
-
-#: S_l(0) = (1/pi) Int Q_l(cosh x) dx over the real line, l = 0..3: the
-#: channel-l Coulomb form's Mellin symbol at its sup, tau = 0.  For p >> mc
-#: the form over the kinetic form c Int |h|^2 is diagonal in the log-ratio
-#: variable, with symbol S_l(tau) <= S_l(0).
-COULOMB_SYMBOL_AT_ZERO = (np.pi / 2, 2 / np.pi, np.pi / 8, 8 / (9 * np.pi))
-
-
-def critical_charge(params: PhysParams, kappa):
-    """The channel's critical charge c / S_kappa(0), S_kappa = (S_l_up + S_l_down) / 2.
-
-    Above it the projected Coulomb form is not subordinate to the kinetic
-    form in that channel; at kappa = -1 (and +1) it is
-    ``params.critical_charge``, c / TIX_CONSTANT.
-    """
-    ch = ChannelSpec.from_kappa(kappa)
-    symbol = (COULOMB_SYMBOL_AT_ZERO[ch.l_up] + COULOMB_SYMBOL_AT_ZERO[ch.l_down]) / 2
-    return params.c / symbol
-
 
 @dataclass
 class CriticalScanRow:

@@ -14,14 +14,6 @@ from .errors import DomainError
 
 SPEED_OF_LIGHT = 137.035999084
 
-#: Sharp constant in the projected (positive-subspace) Coulomb inequality:
-#: (pi/2 + 2/pi) / 2.  The coupling window Z/c < 1/TIX_CONSTANT keeps the
-#: projected Coulomb form strictly subordinate to the kinetic form.
-TIX_CONSTANT = (np.pi / 2 + 2 / np.pi) / 2
-
-#: Kato/Herbst constant for (psi, |x|^-1 psi) <= (pi/2)(psi, sqrt(-Lap) psi).
-KATO_CONSTANT = np.pi / 2
-
 #: Hardy constant for || |x|^-1 psi || <= 2 || grad psi ||.
 HARDY_CONSTANT = 2.0
 
@@ -49,17 +41,3 @@ class PhysParams:
     def mc2(self):
         """Rest energy m c^2, the essential-spectrum edge."""
         return self.m * self.c**2
-
-    @property
-    def coupling(self):
-        """Dimensionless Coulomb coupling Z/c."""
-        return self.Z / self.c
-
-    @property
-    def critical_charge(self):
-        """Largest charge with a strictly subordinate projected Coulomb form."""
-        return self.c / TIX_CONSTANT
-
-    def in_subordinacy_window(self):
-        """True when Z/c < 2/(pi/2 + 2/pi), i.e. Z below the critical charge."""
-        return self.coupling * TIX_CONSTANT < 1.0

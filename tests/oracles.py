@@ -16,9 +16,10 @@ compared with them:
   the Legendre-Q closed form it checks;
 * the radial spherical Bessel transform between position and momentum
   space, on scipy's j_l;
-* an extension field and its x-derivative materialized on the (x, p)
-  product grid from its profiles' tables, and the product-grid quadrature
-  of its energy density summed over those arrays.
+* random smooth boundary data on a grid, and an extension field
+  u(p) exp(-tau(p) x) + b(p) e sigma x exp(-sigma x) with its x-derivative
+  materialized on the (x, p) product grid from plain arrays, with the
+  x-quadrature of its energy density per mode summed over those arrays.
 """
 
 from dataclasses import dataclass
@@ -263,22 +264,27 @@ def spherical_bessel_transform(l, samples, grid):
     return np.sqrt(2 / np.pi) * (jl * (grid.weights * r * r * samples)[None, :]).sum(axis=1)
 
 
-def field_arrays(field):
-    """(phi, d_x phi) of an extension field, (n_x, n_p) each, materialized as
-    u(p) exp(-tau(p) x) + b(p) e(x) from the decay table and the envelope."""
-    g, u = field.decay, field.boundary.values
-    values = g.values * u
-    derivative = -g.rates * g.values * u
-    if field.envelope is not None:
-        e, b = field.envelope, field.coefficient
-        values = values + e.values[:, None] * b
-        derivative = derivative + e.derivative[:, None] * b
+def random_boundary(grid, rng):
+    """Random smooth decaying boundary datum on the grid's mapping scale."""
+    x = grid.nodes / grid.mapping_scale
+    coef = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    g = rng.uniform(0.5, 2.0)
+    return (coef[0] + coef[1] * x + coef[2] * x * x) * np.exp(-g * x * x)
+
+
+def field_arrays(u, rates, b, sigma, x):
+    """(phi, d_x phi), (n_x, n_p) each, of u(p) exp(-rate(p) x) + b(p) e(x)
+    with the envelope e = e sigma x exp(-sigma x), at the nodes x."""
+    g = np.exp(-np.outer(x, rates))
+    e = np.e * sigma * x * np.exp(-sigma * x)
+    de = np.e * sigma * (1.0 - sigma * x) * np.exp(-sigma * x)
+    values = g * u + np.outer(e, b)
+    derivative = -rates * g * u + np.outer(de, b)
     return values, derivative
 
 
-def materialized_energy(field, k2):
-    """Sum_x w_x Sum_p W_p (|d_x phi|^2 + k2 |phi|^2) of a field, summed over
-    its materialized (n_x, n_p) arrays."""
-    values, derivative = field_arrays(field)
-    density = np.abs(derivative) ** 2 + k2 * np.abs(values) ** 2
-    return float(field.decay.x_grid.weights @ density @ field.boundary.grid.l2_weights)
+def materialized_energy(u, rates, b, sigma, k2, x_grid):
+    """Sum_x w_x (|d_x phi|^2 + k2 |phi|^2) per mode of that field, summed
+    over its materialized (n_x, n_p) arrays."""
+    values, derivative = field_arrays(u, rates, b, sigma, x_grid.nodes)
+    return x_grid.weights @ (np.abs(derivative) ** 2 + k2 * np.abs(values) ** 2)

@@ -9,18 +9,15 @@ import pytest
 
 from brspec import PhysParams
 from brspec.assemble import assemble_operator
-from brspec.channels import ChannelSpec
+from brspec.channels import KATO_CONSTANT, TIX_CONSTANT, ChannelSpec
 from brspec.cli import RunReport, parse_config, run_command, write_report
 from brspec.dirac import a_plus_minus, lambda_of
 from brspec.experiments import (commutator_decay, critical_coupling_scan,
                                 hardy_check, kato_check, scaling_limit, tix_check)
-from brspec.extension import (default_x_grid, dtn_apply, dtn_finite_difference,
-                              exponential_field, extend, minimality_check,
-                              momentum_energy, multiplier_profile, random_boundary,
-                              trace_inequality_margin, x_quadrature_energy)
+from brspec.extension import default_x_grid, dtn_certificate
 from brspec.grids import build_grid
 from brspec.spectra import binding_grid, dense_spectrum, variational_spectrum
-from brspec.params import HARDY_CONSTANT, KATO_CONSTANT, TIX_CONSTANT
+from brspec.params import HARDY_CONSTANT
 from oracles import ALPHA, BETA, I4, dirac_symbol, fw_unitary, projector_symbol
 
 CH = ChannelSpec.from_kappa(-1)
@@ -109,58 +106,28 @@ def test_c03_commutator_decay():
     _report("03 commutator decay", slope=rep.fitted_slope, residual=rep.fit_residual)
 
 
-def test_c04_extension_identities():
+def _certificate():
+    # every mode of the grid at once: a trace only weights these extremes
     params = PhysParams(c=1.0, m=1.0, Z=0.0)
-    grid = build_grid(200, 1.0)
-    xg = default_x_grid(params)
-    mult = multiplier_profile(grid, xg, params)
-    rng = np.random.default_rng(104)
+    return dtn_certificate(build_grid(200, 1.0).nodes, default_x_grid(params), params)[0]
 
-    energy_err = 0.0
-    dtn_err = 0.0
-    for _ in range(20):
-        u = random_boundary(grid, rng)
-        e_mom = momentum_energy(u, params)
-        e_x = x_quadrature_energy(extend(u, xg, params, mult), params).value
-        energy_err = max(energy_err, abs(e_mom - e_x) / e_mom)
-        fd = dtn_finite_difference(u, params)
-        exact = dtn_apply(u, params)
-        floor = 1e-30 * np.abs(exact.values).max()
-        dtn_err = max(dtn_err, float(np.max(
-            np.abs(fd.values - exact.values) / np.maximum(np.abs(exact.values), floor))))
-    assert energy_err < 1e-7
 
-    min_viol = -np.inf
-    for _ in range(50):
-        u = random_boundary(grid, rng)
-        b = random_boundary(grid, rng).values
-        rate = params.mc2 * rng.uniform(0.5, 2.0)
-        e0, e1 = minimality_check(u, b, rate, rng.uniform(0.02, 0.5), params, mult)
-        min_viol = max(min_viol, (e0.value - e1.value) / e0.value)
-    assert min_viol < 1e-10
-    assert dtn_err < 1e-8
-    _report("04 extension identities", energy_rel_err=energy_err,
-            minimality_violation=min_viol, dtn_richardson_err=dtn_err)
+def test_c04_extension_identities():
+    cert = _certificate()
+    assert cert["energy_relative_error_max"] < 1e-7
+    assert cert["minimality_violation_max"] < 1e-10
+    assert cert["dtn_richardson_error_max"] < 1e-8
+    _report("04 extension identities", energy_rel_err=cert["energy_relative_error_max"],
+            minimality_violation=cert["minimality_violation_max"],
+            dtn_richardson_err=cert["dtn_richardson_error_max"])
 
 
 def test_c05_trace_inequality():
-    params = PhysParams(c=1.0, m=1.0, Z=0.0)
-    grid = build_grid(200, 1.0)
-    xg = default_x_grid(params)
-    rng = np.random.default_rng(105)
-    worst = np.inf
-    for _ in range(50):
-        u = random_boundary(grid, rng)
-        rates = params.mc2 * rng.uniform(0.5, 4.0, size=grid.n)
-        res = trace_inequality_margin(exponential_field(u, rates, xg), params)
-        worst = min(worst, res.margin / res.scale)
-    assert worst >= -1e-10
-    u = random_boundary(grid, rng)
-    eq = trace_inequality_margin(
-        exponential_field(u, np.full(grid.n, params.mc2), xg), params)
-    assert abs(eq.margin) < 1e-10 * eq.scale
-    _report("05 trace inequality", min_margin=worst,
-            equality_margin=eq.margin / eq.scale)
+    cert = _certificate()
+    assert cert["trace_margin_min"] >= -1e-10
+    assert abs(cert["trace_equality_margin"]) < 1e-10
+    _report("05 trace inequality", min_margin=cert["trace_margin_min"],
+            equality_margin=cert["trace_equality_margin"])
 
 
 def test_c06_nonrelativistic_limit_of_spectrum():

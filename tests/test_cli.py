@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,15 +11,13 @@ from hypothesis import strategies as st
 from brspec import PhysParams, assemble, cli, experiments, spectra
 from brspec.cli import (COMMANDS, OPS, RunReport, main, parse_config, run_command,
                         write_report, _COMMANDS, _DEFAULT_CONFIG, _RULES, _validate)
-from brspec.channels import ChannelSpec
+from brspec.channels import ChannelSpec, critical_charge
 from brspec.errors import ConfigurationError
 from brspec.experiments import CommutatorDecayReport
 from brspec.params import SPEED_OF_LIGHT
 
 FAST = ["params.c=1", "params.m=1", "params.Z=0.5", "grid.n=64", "grid.s=0.5",
         "solver.k=2"]
-DTN_FEW = ["checks.boundary_samples=3", "checks.perturbation_samples=3",
-           "checks.trace_samples=3"]
 
 
 def _leaves(table, prefix=""):
@@ -88,8 +87,7 @@ class TestParseConfig:
         "experiments.commutator_n=2049", "experiments.inequality_n=1e300",
         "seed=-1", "seed=1.5", "seed=Infinity", "solver.tol=0", "solver.tol=1e-15",
         "solver.tol=0.2", "solver.max_iter=10001", "solver.max_iter=1e300",
-        "checks.boundary_samples=1e12", "checks.perturbation_samples=1001",
-        "checks.trace_samples=1" + "0" * 400, "experiments.R_values=[2]",
+        "experiments.R_values=[2]",
         "experiments.R_values=[2,2]", "experiments.R_values=[1e300,1e301]",
         "experiments.eta_values=[0.4]", "experiments.eta_values=[1e-300,1e-301]",
         "experiments.eta_values=[0.4,0.2]", "experiments.eta_values=[0.6,0.4,0.2]",
@@ -108,15 +106,12 @@ class TestParseConfig:
                                       "grid.s=1e6", "grid.n=16", "solver.k=1"])
         assert cfg["params"]["c"] == 1e6 and cfg["grid"]["s"] == 1e6
         cfg = parse_config(overrides=[
-            "seed=0", "solver.tol=1e-14", "solver.max_iter=1", "checks.boundary_samples=1",
-            "checks.perturbation_samples=1", "checks.trace_samples=1",
+            "seed=0", "solver.tol=1e-14", "solver.max_iter=1",
             "experiments.R_values=[1e-6,1e6]", "experiments.eta_values=[0.5,0.1,1e-6]"])
         assert cfg["seed"] == 0 and cfg["solver"]["tol"] == 1e-14
         cfg = parse_config(overrides=[
-            "seed=1" + "0" * 400, "solver.tol=0.1", "solver.max_iter=10000",
-            "checks.boundary_samples=1000", "checks.perturbation_samples=1000",
-            "checks.trace_samples=1000"])
-        assert cfg["seed"] == 10**400 and cfg["checks"]["trace_samples"] == 1000
+            "seed=1" + "0" * 400, "solver.tol=0.1", "solver.max_iter=10000"])
+        assert cfg["seed"] == 10**400 and cfg["solver"]["max_iter"] == 10000
 
     def test_every_key_has_one_rule(self):
         # the output directory is any path; main makes it before the run
@@ -246,6 +241,22 @@ class TestRunReports:
         assert check["ok"] is False and not report.ok
         assert check["value"] == min(report.results["dense"]["eigenvalues"])
 
+    def test_subordinacy_window_is_the_channels(self):
+        # Z = 200 lies below Z_c(-2) = 266.3: the kappa = -2 operator is
+        # bounded below and binds, so no warning, and its gap check is kept
+        log = ["grid.kind=log", "solver.route=dense"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_command("spectrum", parse_config(
+                overrides=log + ["params.Z=200", "channel.kappa=-2"]))
+        check = next(c for c in report.checks if c["name"] == "bound_states_in_gap")
+        assert check["ok"] and report.ok
+        assert report.constants["critical_charge"] == critical_charge(PhysParams(), -2)
+        # Z = 125 lies above Z_c(-1) = 124.16
+        with pytest.warns(UserWarning, match="window Z < 124.16 of kappa = -1"):
+            report = run_command("spectrum", parse_config(overrides=log + ["params.Z=125"]))
+        assert "bound_states_in_gap" not in {c["name"] for c in report.checks}
+
 
 class TestDiagnostics:
     def test_variational_levels_reported(self, report):
@@ -300,7 +311,7 @@ class TestDiagnostics:
         assert other.report_hash == base.report_hash
 
     def test_dtn_check_tails_reported(self, monkeypatch):
-        config = parse_config(overrides=FAST + DTN_FEW)
+        config = parse_config(overrides=FAST)
         base = run_command("dtn-check", config)
         diag = base.diagnostics["x_quadrature"]
         assert diag["nodes"] == 401
@@ -432,9 +443,7 @@ class TestMain:
         ("commutator-decay", "experiments.commutator_n=8"),
         ("inequalities", "experiments.inequality_n=8"),
         ("commutator-decay", "experiments.commutator_n=null"),
-        ("dtn-check", "checks.boundary_samples=0"),
-        ("dtn-check", "checks.perturbation_samples=0"),
-        ("dtn-check", "checks.trace_samples=-1"),
+        ("dtn-check", "checks.boundary_samples=3"),      # not a key: no sampling
         ("nonrel-limit", "channel.kappa=4"),
         ("nonrel-limit", "channel.kappa=-5"),
         ("dtn-check", "seed=-1"),
@@ -528,25 +537,21 @@ class TestMain:
     def test_dtn_check_command(self, tmp_path, capsys):
         code = main(["dtn-check", "--set", "params.c=1", "--set", "params.m=1",
                      "--set", "grid.n=100", "--set", "grid.s=1",
-                     "--set", "checks.boundary_samples=5",
-                     "--set", "checks.perturbation_samples=5",
-                     "--set", "checks.trace_samples=5",
                      "--set", "output.directory=" + str(tmp_path)])
         assert code == 0
+        assert "PASS minimality" in capsys.readouterr().out
 
     @pytest.mark.parametrize("override", [
         "grid.kind=log", "params.c=1", "params.c=1e6", "params.m=1e-3", "params.m=1e3",
         "grid.s=1e-6", "grid.s=1e6", "grid.n=16", "params.Z=120"])
     def test_dtn_check_range_corners(self, override):
-        report = run_command("dtn-check", parse_config(overrides=DTN_FEW + [override]))
+        report = run_command("dtn-check", parse_config(overrides=[override]))
         assert report.ok, [c for c in report.checks if not c["ok"]]
 
 
 # every command at a small configuration; spectrum also on the dense route alone
 SMALL = FAST + ["experiments.commutator_n=32", "experiments.inequality_n=64",
-                "experiments.Z_values=[0.5,2]", "experiments.grid_sizes=[32,48]",
-                "checks.boundary_samples=2", "checks.perturbation_samples=2",
-                "checks.trace_samples=2"]
+                "experiments.Z_values=[0.5,2]", "experiments.grid_sizes=[32,48]"]
 RUNS = [(command, ()) for command in COMMANDS] + [("spectrum", ("solver.route=dense",))]
 
 
@@ -593,8 +598,7 @@ class TestCommandTable:
         # every row is held to the subcritical gates, and passes them
         config = parse_config(overrides=[f"channel.kappa={kappa}"])
         report = run_command("critical-scan", config)
-        assert report.results["critical_charge"] == experiments.critical_charge(PhysParams(),
-                                                                                kappa)
+        assert report.results["critical_charge"] == critical_charge(PhysParams(), kappa)
         assert [c["name"] for c in report.checks] == [
             f"Z={Z}_{gate}" for Z in (120, 130) for gate in ("stable", "positive", "no_collapse")]
         assert report.ok, [c for c in report.checks if not c["ok"]]

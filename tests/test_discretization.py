@@ -11,12 +11,13 @@ from brspec import PhysParams, assemble, channels, grids
 from brspec.assemble import (assemble_nonrel_operator, assemble_operator, assemble_potential,
                              subtraction_integral_adaptive, subtraction_integrals,
                              subtraction_profile)
-from brspec.channels import ChannelSpec, br_terms, coulomb_terms, kernel_at, log_ratio
+from brspec.channels import (TIX_CONSTANT, ChannelSpec, br_terms, coulomb_terms, kernel_at,
+                             log_ratio)
 from brspec.dirac import lambda_of
 from brspec.errors import ConfigurationError, NumericalError
 from brspec.grids import (RadialGrid, build_grid, build_log_grid, gauss_log, gauss_panels,
                           operator_norm_h12)
-from brspec.params import SPEED_OF_LIGHT, TIX_CONSTANT
+from brspec.params import SPEED_OF_LIGHT
 from brspec.spectra import binding_grid
 
 CH = ChannelSpec.from_kappa(-1)

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import eigh
 
-from brspec import PhysParams, experiments
+from brspec import PhysParams, channels, experiments
 from brspec.assemble import assemble_operator, assemble_potential
 from brspec.channels import (ChannelSpec, br_terms, coulomb_terms, legendre_q_cosh,
                              multiplier_channel_kernel)
@@ -18,7 +18,8 @@ from brspec.errors import DomainError, NumericalError
 from brspec.experiments import (commutator_decay, commutator_matrix, critical_coupling_scan,
                                 hardy_check, kato_check, scaling_limit, tix_check)
 from brspec.grids import build_grid, build_log_grid
-from brspec.params import HARDY_CONSTANT, KATO_CONSTANT, TIX_CONSTANT
+from brspec.channels import KATO_CONSTANT, TIX_CONSTANT, critical_charge
+from brspec.params import HARDY_CONSTANT
 from brspec.spectra import dense_spectrum
 from oracles import spherical_bessel_transform
 
@@ -163,8 +164,8 @@ class TestTix:
 
     def test_implied_critical_charge(self):
         params = PhysParams()
-        assert 123.5 < params.critical_charge < 124.5
-        assert params.critical_charge == pytest.approx(2 * params.c / (np.pi / 2 + 2 / np.pi))
+        assert 123.5 < critical_charge(params, -1) < 124.5
+        assert critical_charge(params, -1) == pytest.approx(2 * params.c / (np.pi / 2 + 2 / np.pi))
 
 
 class TestCriticalCharge:
@@ -175,19 +176,24 @@ class TestCriticalCharge:
         def q(x):
             return float(legendre_q_cosh([l], np.array([x]))[0][0])
         integral = quad(q, 0.0, 1.0, limit=200)[0] + quad(q, 1.0, 40.0, limit=200)[0]
-        assert 2 * integral / np.pi == pytest.approx(experiments.COULOMB_SYMBOL_AT_ZERO[l],
+        assert 2 * integral / np.pi == pytest.approx(channels.COULOMB_SYMBOL_AT_ZERO[l],
                                                      rel=1e-14)
+
+    def test_sharp_constants_come_from_the_table(self):
+        # bit for bit the closed forms pi/2 and (pi/2 + 2/pi)/2
+        assert KATO_CONSTANT == np.pi / 2
+        assert TIX_CONSTANT == (np.pi / 2 + 2 / np.pi) / 2
 
     @pytest.mark.parametrize("params", [PhysParams(), PhysParams(c=1.0, m=1.0, Z=0.5)])
     def test_unit_channels_keep_the_tix_charge(self, params):
         for kappa in (-1, 1):
-            assert experiments.critical_charge(params, kappa) == params.critical_charge
+            assert critical_charge(params, kappa) == params.c / TIX_CONSTANT
 
     def test_channel_values(self):
         # Z_c(kappa) at c = 137.036: 124.160, 266.265 and 405.647 for |kappa| = 1, 2, 3
         for kappa, z_c in ((1, 124.160), (2, 266.265), (3, 405.647)):
             for k in (kappa, -kappa):
-                assert experiments.critical_charge(PhysParams(), k) == pytest.approx(
+                assert critical_charge(PhysParams(), k) == pytest.approx(
                     z_c, abs=5e-4)
 
 

@@ -5,31 +5,15 @@ from brspec import PhysParams, extension
 from brspec.cli import parse_config, run_command
 from brspec.dirac import lambda_of
 from brspec.errors import DomainError
-from brspec.extension import (BoundaryFunction, EnvelopeProfile, ExtensionField,
-                              build_x_grid, default_x_grid, dtn_apply,
-                              dtn_finite_difference, extend, exponential_field,
-                              minimality_check, momentum_energy, multiplier_profile,
-                              random_boundary, trace_inequality_margin,
-                              x_quadrature_energy)
+from brspec.extension import (build_x_grid, default_x_grid, dtn_certificate,
+                              dtn_finite_difference, mode_energies)
 from brspec.grids import build_grid, build_log_grid
-from oracles import field_arrays, materialized_energy
+from oracles import materialized_energy, random_boundary
 
 P11 = PhysParams(c=1.0, m=1.0, Z=0.0)
-
-
-@pytest.fixture(scope="module")
-def grid():
-    return build_grid(200, 1.0)
-
-
-@pytest.fixture(scope="module")
-def xg():
-    return default_x_grid(P11)
-
-
-@pytest.fixture(scope="module")
-def mult(grid, xg):
-    return multiplier_profile(grid, xg, P11)
+GRIDS = {"rational": build_grid(200, 1.0), "log": build_log_grid(200, 1e-4, 2e3)}
+# rounding of the materialized sums, next to the certificate's extremes
+ROUNDING = 1e-15
 
 
 class TestXGrid:
@@ -69,236 +53,104 @@ class TestXGrid:
             np.testing.assert_array_equal(g.weights[panel], 0.5 * (b - a) * wt)
 
 
-class TestExtend:
-    def test_boundary_slice(self, grid, xg, mult):
-        rng = np.random.default_rng(0)
-        u = random_boundary(grid, rng)
-        values, _ = field_arrays(extend(u, xg, P11, mult))
-        np.testing.assert_array_equal(values[0], u.values)
-
-    def test_single_mode_decay(self, grid, xg, mult):
-        vals = np.zeros(grid.n, dtype=complex)
-        vals[37] = 2.0 - 1.0j
-        values, _ = field_arrays(extend(BoundaryFunction(grid, vals), xg, P11, mult))
-        lam = lambda_of(grid.nodes[37], P11)
-        np.testing.assert_allclose(values[:, 37],
-                                   vals[37] * np.exp(-lam * xg.nodes), rtol=1e-14)
-
-    def test_modulus_nonincreasing_per_mode(self, grid, xg, mult):
-        rng = np.random.default_rng(1)
-        values, _ = field_arrays(extend(random_boundary(grid, rng), xg, P11, mult))
-        mods = np.abs(values)
-        assert np.all(np.diff(mods, axis=0) <= 1e-300 + mods[:-1] * 1e-15)
+class TestModeEnergies:
+    @pytest.mark.parametrize("k2", [0.0, 1.0, 1e8, "rate^2"])
+    def test_closed_forms(self, k2):
+        # on [0, inf): A = (tau^2 + k2) / (2 tau), and with e = e sigma x exp(-sigma x),
+        # C = e sigma (k2 - tau^2) / (sigma + tau)^2, D = e^2 (sigma^2 + k2) / (4 sigma)
+        taus = np.geomspace(0.5, 1e6, 40)
+        k2 = taus**2 if k2 == "rate^2" else k2
+        s = np.array([0.5, 1.0, 2.0])[:, None]
+        a, c, d = mode_energies(taus, k2, default_x_grid(P11), s[:, 0])
+        np.testing.assert_allclose(a, (taus**2 + k2) / (2 * taus), rtol=1e-12)
+        np.testing.assert_allclose(d, np.e**2 * (s**2 + k2) / (4 * s), rtol=1e-12)
+        exact = np.e * s * (k2 - taus**2) / (s + taus) ** 2
+        assert np.all(np.abs(c - exact) <= 1e-12 * np.sqrt(a * d))
 
 
 class TestDtN:
-    def test_low_momentum_identity(self, grid):
-        vals = np.where(grid.nodes < 1e-3, 1.0, 0.0).astype(complex)
-        u = BoundaryFunction(grid, vals)
-        out = dtn_apply(u, P11)
-        sel = vals != 0
-        np.testing.assert_allclose(out.values[sel], u.values[sel], rtol=1e-6)
-
-    def test_linearity_exact(self, grid):
-        rng = np.random.default_rng(2)
-        u, w = random_boundary(grid, rng), random_boundary(grid, rng)
-        a, b = 1.7, -0.3 + 2j
-        lhs = dtn_apply(BoundaryFunction(grid, a * u.values + b * w.values), P11)
-        rhs = a * dtn_apply(u, P11).values + b * dtn_apply(w, P11).values
-        np.testing.assert_allclose(lhs.values, rhs, rtol=2e-15,
-                                   atol=1e-14 * np.abs(rhs).max())
-
-    def test_energy_pairing(self, grid, xg, mult):
-        # (u, T u) in L^2 equals the extension energy of the minimizer
-        rng = np.random.default_rng(3)
-        u = random_boundary(grid, rng)
-        pairing = np.real(np.conj(u.values) * grid.l2_weights @ dtn_apply(u, P11).values)
-        energy = x_quadrature_energy(extend(u, xg, P11, mult), P11).value
-        assert pairing == pytest.approx(energy, rel=1e-12)
-
-    def test_richardson_matches_multiplier(self, grid):
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            u = random_boundary(grid, rng)
-            fd = dtn_finite_difference(u, P11)
-            exact = dtn_apply(u, P11)
-            floor = 1e-30 * np.abs(exact.values).max()
-            err = np.abs(fd.values - exact.values) / np.maximum(np.abs(exact.values), floor)
+    @pytest.mark.parametrize("kind", GRIDS)
+    def test_richardson_matches_multiplier(self, kind):
+        lam = lambda_of(GRIDS[kind].nodes, P11)
+        for scale in (1.0, 1e-6, 1e8):
+            err = np.abs(dtn_finite_difference(scale * lam) / (scale * lam) - 1.0)
             assert err.max() < 1e-8
 
 
-class TestDirichletEnergy:
-    def test_two_routes_gaussian(self, grid, xg, mult):
-        u = BoundaryFunction(grid, np.exp(-grid.nodes**2 / 2).astype(complex))
-        e_mom = momentum_energy(u, P11)
-        e_x = x_quadrature_energy(extend(u, xg, P11, mult), P11).value
-        assert abs(e_mom - e_x) / e_mom < 1e-8
-
-    def test_two_routes_random(self, grid, xg, mult):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            u = random_boundary(grid, rng)
-            e_mom = momentum_energy(u, P11)
-            e_x = x_quadrature_energy(extend(u, xg, P11, mult), P11).value
-            assert abs(e_mom - e_x) / e_mom < 1e-7
-
-    def test_zero_boundary(self, grid, xg, mult):
-        u = BoundaryFunction(grid, np.zeros(grid.n, dtype=complex))
-        assert momentum_energy(u, P11) == 0.0
-        assert x_quadrature_energy(extend(u, xg, P11, mult), P11).value == 0.0
-
-    def test_quadratic_scaling(self, grid):
-        rng = np.random.default_rng(6)
-        u = random_boundary(grid, rng)
-        double = BoundaryFunction(grid, 2 * u.values)
-        assert momentum_energy(double, P11) == pytest.approx(
-            4 * momentum_energy(u, P11), rel=1e-15)
-
-    def test_tail_flag(self, grid):
-        # truncating far too early must trip the tail warning flag
-        u = BoundaryFunction(grid, np.exp(-grid.nodes**2 / 2).astype(complex))
-        short = build_x_grid(0.05, n_nodes=64)
-        res = x_quadrature_energy(extend(u, short, P11, multiplier_profile(grid, short, P11)),
-                                  P11)
-        assert not res.tail_ok and res.tail_bound > 0
-
-
-class TestMinimality:
-    def test_zero_amplitude_equality(self, grid, mult):
-        rng = np.random.default_rng(8)
-        u = random_boundary(grid, rng)
-        b = random_boundary(grid, rng).values
-        e0, e1 = minimality_check(u, b, P11.mc2, 0.0, P11, mult)
-        assert e0.value == e1.value
-
-    def test_competitors_cost_more(self, grid, mult):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            u = random_boundary(grid, rng)
-            b = random_boundary(grid, rng).values
-            rate = P11.mc2 * rng.uniform(0.5, 2.0)
-            e0, e1 = minimality_check(u, b, rate, rng.uniform(0.02, 0.5), P11, mult)
-            assert e1.value >= e0.value * (1 - 1e-10)
-
-    def test_energy_quadratic_in_amplitude(self, grid, mult):
-        rng = np.random.default_rng(10)
-        u = random_boundary(grid, rng)
-        b = random_boundary(grid, rng).values
-        e0, e1 = minimality_check(u, b, P11.mc2, 0.25, P11, mult)
-        _, e2 = minimality_check(u, b, P11.mc2, 0.5, P11, mult)
-        ratio = (e2.value - e0.value) / (e1.value - e0.value)
-        assert ratio == pytest.approx(4.0, rel=1e-8)
-
-    def test_competitor_keeps_the_trace(self, grid, xg, mult):
-        # the envelope vanishes at x = 0, so the competitor's x = 0 slice is u
-        rng = np.random.default_rng(11)
-        u = random_boundary(grid, rng)
-        competitor = ExtensionField(u, mult, random_boundary(grid, rng).values,
-                                    EnvelopeProfile(P11.mc2, xg))
-        values, _ = field_arrays(competitor)
-        np.testing.assert_array_equal(values[0], u.values)
-
-
-class TestTraceInequality:
-    def test_equality_case(self, grid, xg):
-        rng = np.random.default_rng(12)
-        u = random_boundary(grid, rng)
-        fld = exponential_field(u, np.full(grid.n, P11.mc2), xg)
-        res = trace_inequality_margin(fld, P11)
-        assert abs(res.margin) < 1e-10 * res.scale
-
-    def test_double_rate_margin(self, grid, xg):
-        # decay rate 2 m c^2 per mode: positive part (4+1)/(2*2) m c^2 per
-        # unit of trace mass, so the margin is exactly a fifth of the scale
-        rng = np.random.default_rng(13)
-        u = random_boundary(grid, rng)
-        fld = exponential_field(u, np.full(grid.n, 2 * P11.mc2), xg)
-        res = trace_inequality_margin(fld, P11)
-        assert res.margin / res.scale == pytest.approx(0.2, rel=1e-10)
-
-    def test_zero_field(self, grid, xg):
-        u = BoundaryFunction(grid, np.zeros(grid.n, dtype=complex))
-        res = trace_inequality_margin(exponential_field(
-            BoundaryFunction(grid, np.zeros(grid.n) + 0j),
-            np.full(grid.n, P11.mc2), xg), P11)
-        assert res.margin == 0.0 and res.scale == 0.0
-
-    def test_randomized_extensions_nonnegative(self, grid, xg):
-        rng = np.random.default_rng(14)
-        for _ in range(50):
-            u = random_boundary(grid, rng)
-            rates = P11.mc2 * rng.uniform(0.5, 4.0, size=grid.n)
-            res = trace_inequality_margin(exponential_field(u, rates, xg), P11)
-            assert res.margin >= -1e-10 * res.scale
-
-    def test_bad_rates_rejected(self, grid, xg):
-        u = random_boundary(grid, np.random.default_rng(15))
-        with pytest.raises(DomainError):
-            exponential_field(u, np.zeros(grid.n), xg)
-
-
-class TestFieldParts:
-    def test_parts_checked(self, grid, xg, mult):
-        u = random_boundary(grid, np.random.default_rng(17))
-        bump = EnvelopeProfile(P11.mc2, xg)
-        with pytest.raises(DomainError):
-            ExtensionField(u, mult, u.values[:-1], bump)
-        with pytest.raises(DomainError):
-            ExtensionField(u, mult, u.values, None)
-        with pytest.raises(DomainError):
-            ExtensionField(u, mult, None, bump)
-        other = build_x_grid(40.0, n_nodes=64)
-        with pytest.raises(DomainError):
-            ExtensionField(u, mult, u.values, EnvelopeProfile(P11.mc2, other))
-        with pytest.raises(DomainError):
-            ExtensionField(u, multiplier_profile(build_grid(100, 1.0), xg, P11), None, None)
-        with pytest.raises(DomainError):
-            extend(u, other, P11, mult)
-        with pytest.raises(DomainError):
-            extend(u, xg, PhysParams(c=2.0, m=1.0, Z=0.0), mult)
-        assert extend(u, xg, P11, mult).decay is mult
-
-
-def _fields(grid, xg, rng):
-    """The four shapes of field: the multiplier extension, an exponential
-    field with random rates, a zero-trace part alone, and a decay plus a
-    scaled zero-trace part."""
-    u, v, b = (random_boundary(grid, rng) for _ in range(3))
-    rates = P11.mc2 * rng.uniform(0.5, 4.0, size=grid.n)
-    mult = multiplier_profile(grid, xg, P11)
-    bump = EnvelopeProfile(P11.mc2 * rng.uniform(0.5, 2.0), xg)
-    zero = BoundaryFunction(grid, np.zeros(grid.n, dtype=complex))
-    return {"extend": extend(u, xg, P11, mult),
-            "exponential": exponential_field(v, rates, xg),
-            "zero-trace part": ExtensionField(zero, mult, b.values, bump),
-            "decay + scaled zero-trace part": ExtensionField(u, mult, -0.7j * b.values, bump)}
-
-
-class TestPerModeQuadrature:
-    """The per-mode profile integrals equal the quadrature of the materialized field."""
-
-    @pytest.mark.parametrize("grid", [build_grid(200, 1.0), build_log_grid(200, 1e-4, 2e3)],
-                             ids=["rational", "log"])
-    def test_matches_materialized_field(self, grid, xg):
-        lam2 = P11.c**2 * grid.nodes**2 + P11.mc2**2
-        for name, fld in _fields(grid, xg, np.random.default_rng(18)).items():
-            energy = x_quadrature_energy(fld, P11).value
-            assert energy == pytest.approx(materialized_energy(fld, lam2), rel=1e-13), name
-            res = trace_inequality_margin(fld, P11)
-            positive = materialized_energy(fld, P11.mc2**2)
-            trace = P11.mc2 * np.dot(grid.l2_weights, np.abs(field_arrays(fld)[0][0]) ** 2)
-            assert res.scale == pytest.approx(positive, rel=1e-13), name
-            assert abs(res.margin - (positive - trace)) <= 1e-13 * positive, name
-
+class TestCertificate:
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_dtn_check_payload(self, seed, monkeypatch):
-        config = parse_config(overrides=[f"seed={seed}"])
-        fast = run_command("dtn-check", config).results
-        monkeypatch.setattr(extension, "_product_quadrature", materialized_energy)
-        reference = run_command("dtn-check", config).results
-        assert fast.keys() == reference.keys()
-        for key, value in reference.items():
-            if isinstance(value, float):
-                assert abs(fast[key] - value) <= 1e-14, key
-            else:
-                assert fast[key] == value, key
+    @pytest.mark.parametrize("kind", GRIDS)
+    def test_bounds_the_sampled_fields(self, kind, seed):
+        """The traces and competitors dtn-check used to sample: each field's
+        materialized energy is |u|^2 A + 2 Re(conj(u) b) C + |b|^2 D per mode,
+        and its error or violation stays within the certificate's extreme."""
+        grid, xg, rng = GRIDS[kind], default_x_grid(P11), np.random.default_rng(seed)
+        cert, _ = dtn_certificate(grid.nodes, xg, P11)
+        lam = lambda_of(grid.nodes, P11)
+        k2 = P11.c**2 * grid.nodes**2 + P11.mc2**2
+        zero = np.zeros(grid.n)
+
+        def energy(u, rates, b, sigma, k2):
+            a, c, d = mode_energies(rates, k2, xg, [sigma])
+            form = np.abs(u) ** 2 * a + 2 * np.real(np.conj(u) * b) * c[0] + np.abs(b) ** 2 * d[0]
+            field = materialized_energy(u, rates, b, sigma, k2, xg)
+            # per mode; the floor takes the modes where |u|^2 A is subnormal
+            scale = np.abs(u) ** 2 * a + np.abs(b) ** 2 * d[0]
+            assert np.all(np.abs(field - form) <= 1e-13 * scale + 1e-300)
+            return float(field @ grid.l2_weights)
+
+        def trace_margin(u, field_energy):
+            return 1.0 - P11.mc2 * float(np.abs(u) ** 2 @ grid.l2_weights) / field_energy
+
+        for _ in range(5):
+            u, b = random_boundary(grid, rng), random_boundary(grid, rng)
+            sigma = P11.mc2 * rng.uniform(0.5, 2.0)
+            amplitude = rng.uniform(0.02, 0.5)
+            # the multiplier extension: two energy routes and the Richardson DtN
+            e0 = energy(u, lam, zero, sigma, k2)
+            closed = float(lam * np.abs(u) ** 2 @ grid.l2_weights)
+            assert abs(e0 / closed - 1.0) <= cert["energy_relative_error_max"] + ROUNDING
+            fd = dtn_finite_difference(lam) * u
+            floor = 1e-30 * np.abs(lam * u).max()
+            dtn = np.abs(fd - lam * u) / np.maximum(np.abs(lam * u), floor)
+            assert dtn.max() <= cert["dtn_richardson_error_max"] + ROUNDING
+            # a competitor with the same trace
+            e1 = energy(u, lam, amplitude * b, sigma, k2)
+            assert (e0 - e1) / e0 <= cert["minimality_violation_max"] + ROUNDING
+            # the trace inequality, for random decay rates, with and without a
+            # zero-trace part; and its equality case
+            rates = P11.mc2 * rng.uniform(0.5, 4.0, size=grid.n)
+            for part in (zero, amplitude * b):
+                margin = trace_margin(u, energy(u, rates, part, sigma, P11.mc2**2))
+                assert margin >= cert["trace_margin_min"] - ROUNDING
+            equal = trace_margin(u, energy(u, np.full(grid.n, P11.mc2), zero, sigma,
+                                           P11.mc2**2))
+            assert abs(equal) <= abs(cert["trace_equality_margin"]) + ROUNDING
+
+    def test_tail_flag(self):
+        # an x-grid cut far too early leaves tails well above 1e-12 of the energy
+        nodes = GRIDS["rational"].nodes
+        assert dtn_certificate(nodes, default_x_grid(P11), P11)[1] <= 1e-12
+        assert dtn_certificate(nodes, build_x_grid(0.05, n_nodes=64), P11)[1] > 1e-3
+
+    def test_payload_is_the_same_for_any_seed(self):
+        base = run_command("dtn-check", parse_config())
+        assert base.ok, [c for c in base.checks if not c["ok"]]
+        for seed in (0, 1, 7):
+            assert run_command("dtn-check", parse_config(overrides=[f"seed={seed}"])).results \
+                == base.results
+
+    def test_planted_cross_term_fails_minimality(self, monkeypatch):
+        # a cross term of 1e-4 sqrt(A D) lets a competitor undercut the
+        # multiplier extension by 1e-8 of its energy
+        real = extension.mode_energies
+
+        def planted(rates, k2, x_grid, sigmas):
+            a, c, d = real(rates, k2, x_grid, sigmas)
+            return a, c + 1e-4 * np.sqrt(a * d), d
+
+        monkeypatch.setattr(extension, "mode_energies", planted)
+        report = run_command("dtn-check", parse_config())
+        failed = [c for c in report.checks if not c["ok"]]
+        assert [c["name"] for c in failed] == ["minimality"] and not report.ok
+        assert failed[0]["value"] == pytest.approx(1e-8, rel=1e-6)
