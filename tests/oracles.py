@@ -19,7 +19,9 @@ compared with them:
 * random smooth boundary data on a grid, and an extension field
   u(p) exp(-tau(p) x) + b(p) e sigma x exp(-sigma x) with its x-derivative
   materialized on the (x, p) product grid from plain arrays, with the
-  x-quadrature of its energy density per mode summed over those arrays.
+  x-quadrature of its energy density per mode summed over those arrays,
+  and the per-mode integrals A, C, D of the decay and the envelopes summed
+  the same way.
 """
 
 from dataclasses import dataclass
@@ -288,3 +290,21 @@ def materialized_energy(u, rates, b, sigma, k2, x_grid):
     over its materialized (n_x, n_p) arrays."""
     values, derivative = field_arrays(u, rates, b, sigma, x_grid.nodes)
     return x_grid.weights @ (np.abs(derivative) ** 2 + k2 * np.abs(values) ** 2)
+
+
+def materialized_mode_energies(rates, k2, x_grid, sigmas):
+    """A, C, D of ``extension.mode_energies``, per mode, summed over the
+    materialized arrays of the decay (u = 1, b = 0) and of each envelope
+    (u = 0, b = 1): the energy pairing Sum_x w (f' h' + k2 f h) of each pair."""
+    rates = np.asarray(rates, dtype=float)
+    x, w = x_grid.nodes, x_grid.weights
+    one, zero = np.ones(rates.shape), np.zeros(rates.shape)
+    g, dg = field_arrays(one, rates, zero, 1.0, x)
+    a = w @ (dg * dg + k2 * g * g)
+    c, d = [], []
+    for sigma in sigmas:
+        e, de = field_arrays(zero, rates, one, sigma, x)
+        c.append(w @ (dg * de + k2 * g * e))
+        d.append(w @ (de * de + k2 * e * e))
+    shape = (len(c),) + rates.shape
+    return a, np.reshape(c, shape), np.reshape(d, shape)

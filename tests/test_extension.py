@@ -8,12 +8,33 @@ from brspec.errors import DomainError
 from brspec.extension import (build_x_grid, default_x_grid, dtn_certificate,
                               dtn_finite_difference, mode_energies)
 from brspec.grids import build_grid, build_log_grid
-from oracles import materialized_energy, random_boundary
+from oracles import (field_arrays, materialized_energy, materialized_mode_energies,
+                     random_boundary)
 
 P11 = PhysParams(c=1.0, m=1.0, Z=0.0)
 GRIDS = {"rational": build_grid(200, 1.0), "log": build_log_grid(200, 1e-4, 2e3)}
 # rounding of the materialized sums, next to the certificate's extremes
 ROUNDING = 1e-15
+GRID, XG = GRIDS["rational"], default_x_grid(P11)
+LAM = lambda_of(GRID.nodes, P11)
+ZERO = np.zeros(GRID.n)
+
+
+def _pair(f, g):
+    """L^2 pairing Sum w conj(f) g on the rational grid, real part."""
+    return float(np.real(np.conj(f) * g) @ GRID.l2_weights)
+
+
+def _multiplier_energy(u):
+    """x-quadrature energy of the multiplier extension u exp(-lambda x), per mode."""
+    a, _, _ = mode_energies(LAM, LAM**2, XG, ())
+    return np.abs(u) ** 2 * a
+
+
+def _competitor_energy(u, b, sigma):
+    """Total energy of u exp(-lambda x) + b e_sigma(x): the per-mode form, summed."""
+    a, c, d = mode_energies(LAM, LAM**2, XG, [sigma])
+    return _pair(u, u * a) + 2 * _pair(u, b * c[0]) + _pair(b, b * d[0])
 
 
 class TestXGrid:
@@ -53,6 +74,30 @@ class TestXGrid:
             np.testing.assert_array_equal(g.weights[panel], 0.5 * (b - a) * wt)
 
 
+class TestExtend:
+    """The multiplier extension u exp(-lambda x), materialized by the oracle."""
+
+    def test_boundary_slice(self):
+        u = random_boundary(GRID, np.random.default_rng(0))
+        values, _ = field_arrays(u, LAM, ZERO, P11.mc2, XG.nodes)
+        np.testing.assert_array_equal(values[0], u)
+
+    def test_single_mode_decay(self):
+        # one mode's x-quadrature energy is lambda |u|^2, by both sums
+        vals = np.zeros(GRID.n, dtype=complex)
+        vals[37] = 2.0 - 1.0j
+        exact = LAM[37] * abs(vals[37]) ** 2
+        assert _multiplier_energy(vals)[37] == pytest.approx(exact, rel=1e-12)
+        field = materialized_energy(vals, LAM, ZERO, P11.mc2, LAM**2, XG)
+        assert field[37] == pytest.approx(exact, rel=1e-12)
+        assert np.all(np.delete(field, 37) == 0.0)
+
+    def test_modulus_nonincreasing_per_mode(self):
+        u = random_boundary(GRID, np.random.default_rng(1))
+        mods = np.abs(field_arrays(u, LAM, ZERO, P11.mc2, XG.nodes)[0])
+        assert np.all(np.diff(mods, axis=0) <= 1e-300 + mods[:-1] * 1e-15)
+
+
 class TestModeEnergies:
     @pytest.mark.parametrize("k2", [0.0, 1.0, 1e8, "rate^2"])
     def test_closed_forms(self, k2):
@@ -69,12 +114,167 @@ class TestModeEnergies:
 
 
 class TestDtN:
+    def test_low_momentum_identity(self):
+        # with m c^2 = 1 the Dirichlet-to-Neumann multiplier is 1 at p -> 0
+        sel = GRID.nodes < 1e-3
+        assert sel.any()
+        np.testing.assert_allclose(dtn_finite_difference(LAM[sel]), 1.0, rtol=1e-6)
+
+    def test_energy_pairing(self):
+        # (u, T u) in L^2 equals the extension energy of the minimizer
+        u = random_boundary(GRID, np.random.default_rng(3))
+        pairing = _pair(u, LAM * u)
+        energy = materialized_energy(u, LAM, ZERO, P11.mc2, LAM**2, XG) @ GRID.l2_weights
+        assert pairing == pytest.approx(energy, rel=1e-12)
+
     @pytest.mark.parametrize("kind", GRIDS)
     def test_richardson_matches_multiplier(self, kind):
         lam = lambda_of(GRIDS[kind].nodes, P11)
         for scale in (1.0, 1e-6, 1e8):
             err = np.abs(dtn_finite_difference(scale * lam) / (scale * lam) - 1.0)
             assert err.max() < 1e-8
+
+
+class TestDirichletEnergy:
+    """The momentum route Sum w lambda |u|^2 against the x-quadrature A |u|^2."""
+
+    def test_two_routes_gaussian(self):
+        u = np.exp(-GRID.nodes**2 / 2).astype(complex)
+        e_mom = _pair(u, LAM * u)
+        assert abs(e_mom - _multiplier_energy(u) @ GRID.l2_weights) / e_mom < 1e-8
+
+    def test_two_routes_random(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            u = random_boundary(GRID, rng)
+            e_mom = _pair(u, LAM * u)
+            assert abs(e_mom - _multiplier_energy(u) @ GRID.l2_weights) / e_mom < 1e-7
+
+    def test_quadratic_scaling(self):
+        u = random_boundary(GRID, np.random.default_rng(6))
+        one = materialized_energy(u, LAM, ZERO, P11.mc2, LAM**2, XG) @ GRID.l2_weights
+        two = materialized_energy(2 * u, LAM, ZERO, P11.mc2, LAM**2, XG) @ GRID.l2_weights
+        assert two == pytest.approx(4 * one, rel=1e-15)
+
+
+class TestMinimality:
+    """A competitor u exp(-lambda x) + t b e_sigma(x) keeps the trace and costs more."""
+
+    def test_best_amplitude_within_certificate(self):
+        # over t the energy e0 + 2 t X + t^2 Y is least at t = -X / Y, where it
+        # saves X^2 / Y; by Cauchy-Schwarz per mode that is at most
+        # max C^2 / (A D) of e0, the certificate's minimality value
+        cert, _ = dtn_certificate(GRID.nodes, XG, P11)
+        rng = np.random.default_rng(8)
+        for sigma in P11.mc2 * np.array([0.5, 1.0, 2.0]):
+            a, c, d = mode_energies(LAM, LAM**2, XG, [sigma])
+            u, b = random_boundary(GRID, rng), random_boundary(GRID, rng)
+            e0 = _pair(u, u * a)
+            cross, self_ = _pair(u, b * c[0]), _pair(b, b * d[0])
+            assert abs(cross / self_) < 1e-12 * np.sqrt(e0 / self_)
+            assert cross**2 / self_ <= cert["minimality_violation_max"] * e0 * (1 + 1e-12)
+
+    def test_competitors_cost_more(self):
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            u, b = random_boundary(GRID, rng), random_boundary(GRID, rng)
+            sigma = P11.mc2 * rng.uniform(0.5, 2.0)
+            e0 = float(_multiplier_energy(u) @ GRID.l2_weights)
+            e1 = _competitor_energy(u, rng.uniform(0.02, 0.5) * b, sigma)
+            assert e1 >= e0 * (1 - 1e-10)
+
+    def test_energy_quadratic_in_amplitude(self):
+        # the cross term vanishes, so the extra energy is t^2 times one number
+        rng = np.random.default_rng(10)
+        u, b = random_boundary(GRID, rng), random_boundary(GRID, rng)
+        e0, e1, e2 = (_competitor_energy(u, t * b, P11.mc2) for t in (0.0, 0.25, 0.5))
+        assert (e2 - e0) / (e1 - e0) == pytest.approx(4.0, rel=1e-8)
+
+    def test_competitor_keeps_the_trace(self):
+        # the envelope vanishes at x = 0, so the competitor's x = 0 slice is u
+        rng = np.random.default_rng(11)
+        u, b = random_boundary(GRID, rng), random_boundary(GRID, rng)
+        values, _ = field_arrays(u, LAM, b, P11.mc2, XG.nodes)
+        np.testing.assert_array_equal(values[0], u)
+
+
+class TestTraceInequality:
+    """Sum w A |u|^2 >= m c^2 Sum w |u|^2 for exp(-tau x), k^2 = m^2 c^4."""
+
+    @staticmethod
+    def _margin(u, rates):
+        a, _, _ = mode_energies(rates, P11.mc2**2, XG, ())
+        scale = _pair(u, u * a)
+        return scale - P11.mc2 * _pair(u, u), scale
+
+    def test_equality_case(self):
+        u = random_boundary(GRID, np.random.default_rng(12))
+        margin, scale = self._margin(u, np.full(GRID.n, P11.mc2))
+        assert abs(margin) < 1e-10 * scale
+
+    def test_double_rate_margin(self):
+        # decay rate 2 m c^2 per mode: positive part (4+1)/(2*2) m c^2 per
+        # unit of trace mass, so the margin is exactly a fifth of the scale
+        u = random_boundary(GRID, np.random.default_rng(13))
+        margin, scale = self._margin(u, np.full(GRID.n, 2 * P11.mc2))
+        assert margin / scale == pytest.approx(0.2, rel=1e-10)
+
+    def test_certificate_margins_closed_form(self):
+        # 1 - m c^2 / A = (tau - m c^2)^2 / (tau^2 + m^2 c^4) on the trace rates,
+        # least, and zero, at tau = m c^2
+        params = PhysParams(c=3.0, m=2.0, Z=0.0)
+        cert, _ = dtn_certificate(GRID.nodes, default_x_grid(params), params)
+        t = extension.TRACE_RATES
+        assert cert["trace_margin_min"] == pytest.approx(0.0, abs=1e-14)
+        assert abs(cert["trace_equality_margin"]) < 1e-14
+        a, _, _ = mode_energies(params.mc2 * t, params.mc2**2, default_x_grid(params), ())
+        np.testing.assert_allclose(1 - params.mc2 / a, (t - 1) ** 2 / (t**2 + 1), atol=1e-14)
+
+    def test_randomized_extensions_nonnegative(self):
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            u = random_boundary(GRID, rng)
+            margin, scale = self._margin(u, P11.mc2 * rng.uniform(0.5, 4.0, size=GRID.n))
+            assert margin >= -1e-10 * scale
+
+
+class TestPerModeQuadrature:
+    """The per-mode integrals equal the quadrature of the materialized field."""
+
+    @pytest.mark.parametrize("kind", GRIDS)
+    def test_matches_materialized_field(self, kind):
+        # the multiplier extension, an exponential field with random rates, a
+        # zero-trace part alone, and a decay plus a scaled zero-trace part
+        grid, rng = GRIDS[kind], np.random.default_rng(18)
+        lam = lambda_of(grid.nodes, P11)
+        u, v, b = (random_boundary(grid, rng) for _ in range(3))
+        rates = P11.mc2 * rng.uniform(0.5, 4.0, size=grid.n)
+        sigma = P11.mc2 * rng.uniform(0.5, 2.0)
+        zero = np.zeros(grid.n)
+        fields = {"extend": (u, lam, zero), "exponential": (v, rates, zero),
+                  "zero-trace part": (zero, lam, b),
+                  "decay + scaled zero-trace part": (u, lam, -0.7j * b)}
+        for name, (trace, decay, part) in fields.items():
+            for k2 in (lam**2, P11.mc2**2):
+                a, c, d = mode_energies(decay, k2, XG, [sigma])
+                form = (np.abs(trace) ** 2 * a + 2 * np.real(np.conj(trace) * part) * c[0]
+                        + np.abs(part) ** 2 * d[0]) @ grid.l2_weights
+                field = materialized_energy(trace, decay, part, sigma, k2, XG) @ grid.l2_weights
+                assert form == pytest.approx(field, rel=1e-13), name
+
+    @pytest.mark.parametrize("overrides", [[], ["grid.kind=log"], ["params.c=1", "params.m=1"]],
+                             ids=["default", "log", "unit"])
+    def test_dtn_check_payload(self, overrides, monkeypatch):
+        config = parse_config(overrides=overrides)
+        fast = run_command("dtn-check", config)
+        monkeypatch.setattr(extension, "mode_energies", materialized_mode_energies)
+        reference = run_command("dtn-check", config)
+        assert fast.results.keys() == reference.results.keys()
+        for key, value in reference.results.items():
+            assert abs(fast.results[key] - value) <= 1e-14, key
+        assert [c["ok"] for c in fast.checks] == [c["ok"] for c in reference.checks]
+        tails = [r.diagnostics["x_quadrature"]["tail_ratio_max"] for r in (fast, reference)]
+        assert tails[0] == pytest.approx(tails[1], rel=1e-10)
 
 
 class TestCertificate:
