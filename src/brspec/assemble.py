@@ -17,11 +17,14 @@ once, before it adds the kinetic energy.  Two schemes:
   the grid into the diagonal with no matching kinetic cost and destroys
   positivity near the critical coupling.
 
-* ``galerkin``: piecewise-linear elements on the same nodes with
-  panel-split Gauss quadrature across the kernel diagonal (Duffy maps on
-  the diagonal cells).  Every rule evaluates Q_l(cosh x) as collocation
-  does, with |x| = |ln(q/p)| taken from its own map without cancellation.
-  Independent cross-check of the collocation scheme.
+* ``galerkin``: piecewise-linear elements on the same nodes.  The
+  potential is integrated once on each unordered pair of elements by the
+  rule of its class: a Duffy map on the diagonal cells, a rule graded
+  toward the shared corner on the adjacent ones, tensor Gauss on the rest;
+  one scatter adds each 2x2 hat block and its mirror.  Every rule
+  evaluates Q_l(cosh x) as collocation does, with |x| = |ln(q/p)| taken
+  from its own map without cancellation.  Independent cross-check of the
+  collocation scheme.
 
 Matrices are expressed in the metric-normalized basis e_i = delta_i /
 sqrt(w_i p_i^2), in which the discrete L^2 inner product is Euclidean and
@@ -451,18 +454,17 @@ def assemble_nonrel_operator(grid: RadialGrid, l, params: PhysParams) -> Discret
 # ---------------------------------------------------------------------------
 # Galerkin cross-check: piecewise-linear elements, Duffy panels on the diagonal
 
-# Gauss orders of the mass and kinetic matrices and of every potential panel
-# (far field, diagonal and adjacent cells); the diagonal cells grade their
-# Duffy u-panels over 12 levels toward the cell's corner and their v-panels
-# over 8 toward the diagonal, the adjacent cells both over 8 toward the corner
+# Gauss orders of the mass and kinetic matrices and of every potential panel;
+# the diagonal cells grade their Duffy u-panels over 12 levels toward the
+# cell's corner and their v-panels over 8 toward the diagonal, the adjacent
+# cells both over 8 toward the shared corner
 _TRIDIAG_ORDER = 12
 _POTENTIAL_ORDER = 6
 _DUFFY_LEVELS = 12
 _CORNER_LEVELS = 8
-# quadrature points per block of the potential: the far field's element
-# rows against all points, or the diagonal and adjacent cells of a run of
-# elements, so that no temporary grows with the square of the grid
-_BLOCK_POINTS = 1 << 16
+# quadrature points per block of cells, so that no temporary grows with the
+# square of the grid
+_BLOCK_POINTS = 1 << 15
 
 
 def _graded_rule(levels):
@@ -480,8 +482,11 @@ def _tensor_rule(u_levels, v_levels):
     return U.ravel(), V.ravel(), np.outer(wu, wv).ravel()
 
 
+# the rules of the cell classes d = min(f - e, 2) of element pairs (e, f)
 _DIAGONAL_RULE = _tensor_rule(_DUFFY_LEVELS, _CORNER_LEVELS)
 _CORNER_RULE = _tensor_rule(_CORNER_LEVELS, _CORNER_LEVELS)
+_FAR_RULE = _tensor_rule(0, 0)
+_CELL_RULES = (_DIAGONAL_RULE, _CORNER_RULE, _FAR_RULE)
 
 
 def _hat_pair(x, a, b):
@@ -508,131 +513,86 @@ def _tridiag_blocks(nodes, weight_fn):
     return _hat_blocks(weight_fn(x) * w, x, element, x, element)
 
 
-def _diagonal_blocks(nodes, terms):
-    """2x2 hat-pair integrals over each diagonal cell [a,b]^2 (all elements at once).
+def _cell_blocks(nodes, terms, e, f, d):
+    """Potential on the cells [p_e, p_e+1] x [p_f, p_f+1] against the hat pairs, (cells, 2, 2).
 
-    The cell is split along p = q into two congruent triangles; the lower
-    one is mapped by p = a + D u, q = a + D u (1 - v) (Jacobian D^2 u),
-    which gives x = ln(p/q) = log1p(D u v / q).  The kernel's ln|x| then
-    sits on v = 0, toward which the rule is graded as it is toward u = 0;
-    the upper triangle is the mirror image obtained by swapping the hat
-    indices.
+    Every cell is of the class d = min(f - e, 2), whose rule takes the
+    kernel's logarithm where the class has it, with x = |ln(q/p)| from the
+    rule's own map:
+
+    * d = 0, the diagonal cell [a, b]^2, is split along p = q into two
+      congruent triangles.  The lower one is mapped by p = a + D u,
+      q = a + D u (1 - v) (Jacobian D^2 u), which gives x = log1p(D u v / q);
+      the kernel's ln|x| then sits on v = 0, toward which the rule is graded
+      as it is toward u = 0.  The upper triangle is the mirror image,
+      obtained by swapping the hat indices.
+    * d = 1, adjacent cells, are singular only at the shared corner (b, b);
+      p = b - D_e u, q = b + D_f v, geometrically refined toward it, gives
+      x = log1p((D_e u + D_f v) / p).
+    * d = 2, every pair at least two elements apart, takes the 6 x 6
+      tensor Gauss rule and x from ``log_ratio``.
     """
-    U, V, W = _DIAGONAL_RULE
-    a = nodes[:-1, None]
-    b = nodes[1:, None]
-    D = b - a
-    P = a + D * U[None, :]
-    Q = a + D * (U * (1 - V))[None, :]
-    K = kernel_at(terms, P, Q, np.log1p(D * (U * V)[None, :] / Q))
-    F = K * P * P * Q * Q * (W * U)[None, :] * D**2
-    L = _hat_blocks(F, P, (a, b), Q, (a, b))
-    return L + np.transpose(L, (0, 2, 1))
+    a, b = nodes[e, None], nodes[e + 1, None]
+    c, g = nodes[f, None], nodes[f + 1, None]
+    De, Df = b - a, g - c
+    U, V, W = _CELL_RULES[d]
+    if d == 0:
+        P, Q = a + De * U, a + De * (U * (1 - V))
+        x = np.log1p(De * (U * V) / Q)
+        W = W * U
+    elif d == 1:
+        P, Q = b - De * U, c + Df * V
+        x = np.log1p((De * U + Df * V) / P)
+    else:
+        P, Q = a + De * U, c + Df * V
+        x = log_ratio(P, Q)
+    F = kernel_at(terms, P, Q, x) * P * P * Q * Q * W * (De * Df)
+    blocks = _hat_blocks(F, P, (a, b), Q, (c, g))
+    return blocks + blocks.transpose(0, 2, 1) if d == 0 else blocks
 
 
-def _adjacent_blocks(nodes, terms):
-    """Hat-pair integrals over adjacent cells [p_e, p_m] x [p_m, p_r].
+def _cell_pairs(count):
+    """Every pair f >= e of ``count`` elements once, as blocks (e, f, d) of one class d.
 
-    The kernel is singular only at the shared corner (p_m, p_m); geometric
-    tensor refinement toward it integrates the logarithm accurately.  The
-    map p = p_m - D_1 X, q = p_m + D_2 Y gives x = ln(q/p) =
-    log1p((D_1 X + D_2 Y) / p).
+    A block holds about _BLOCK_POINTS quadrature points, or one element row;
+    d = min(f - e, 2), and the pairs at least two apart come a few element
+    rows at a time.
     """
-    X, Y, W = _CORNER_RULE
-    a = nodes[:-2, None]
-    m = nodes[1:-1, None]
-    r = nodes[2:, None]
-    D1, D2 = m - a, r - m
-    P = m - D1 * X[None, :]
-    Q = m + D2 * Y[None, :]
-    K = kernel_at(terms, P, Q, np.log1p((D1 * X[None, :] + D2 * Y[None, :]) / P))
-    F = K * P * P * Q * Q * W[None, :] * D1 * D2
-    return _hat_blocks(F, P, (a, m), Q, (m, r))
+    for d, (U, _, _) in enumerate(_CELL_RULES):
+        step = max(1, _BLOCK_POINTS // (U.size * (count if d == 2 else 1)))
+        for lo in range(0, count - d, step):
+            if d < 2:
+                e = np.arange(lo, min(lo + step, count - d))
+                yield e, e + d, d
+            else:
+                e, f = np.triu_indices(min(step, count - 2 - lo), k=2, m=count - lo)
+                yield e + lo, f + lo, d
 
 
-def _band(A, k):
-    """Writable view of the k-th diagonal of the square C-ordered A (k < 0 below it)."""
+def _add_blocks(A, e, f, blocks):
+    """Add blocks[c] at rows (e_c, e_c + 1) and columns (f_c, f_c + 1) of A.
+
+    Where f_c > e_c its transpose goes to the mirror cell as well.
+    """
+    rows, cols = e[:, None] + [0, 0, 1, 1], f[:, None] + [0, 1, 0, 1]
+    vals = blocks.reshape(-1, 4)                # entries (a, b), row-major
+    off = f > e
     n = A.shape[0]
-    return A.reshape(-1)[max(k, -k * n)::n + 1][:n - abs(k)]
-
-
-def _add_blocks(A, blocks, k):
-    """Add blocks[c] at rows (c, c+1) and columns (c+k, c+k+1) of A, for every cell c.
-
-    For k > 0 each block's transpose goes to the mirror cell as well.  Entry
-    (a, b) of every block lies on the diagonal k + b - a, and along it (and
-    along its mirror) at position c + min(a, k + b), so each entry adds as
-    one slice of a diagonal view.
-    """
-    cells = blocks.shape[0]
-    for a in (0, 1):
-        for b in (0, 1):
-            at = min(a, k + b)
-            _band(A, k + b - a)[at:at + cells] += blocks[:, a, b]
-            if k:
-                _band(A, a - b - k)[at:at + cells] += blocks[:, a, b]
-
-
-def _element_blocks(fn, nodes, reach, points):
-    """fn(nodes[lo:hi + reach]) over consecutive blocks of cells, concatenated.
-
-    A cell is a run of ``reach`` + 1 nodes (one element, or two adjacent
-    ones) carrying ``points`` quadrature points, and ``fn`` returns one entry
-    per cell of the nodes it gets; a block holds about _BLOCK_POINTS points.
-    """
-    count = nodes.size - reach
-    step = max(1, _BLOCK_POINTS // points)
-    return np.concatenate([fn(nodes[lo:min(lo + step, count) + reach])
-                           for lo in range(0, count, step)])
-
-
-def _far_field(nodes, terms):
-    """Tensor-Gauss potential on every element pair at least two elements apart.
-
-    A block of element rows at a time: the kernel at the block's quadrature
-    points against all of them, x from ``log_ratio`` and set to 1 on the
-    diagonal and adjacent cells, which are then zeroed, contracts with the
-    two hats of either element (quadrature weights folded in) into a 2x2
-    block per element pair, and those add into the matrix by four shifted
-    slices.
-    """
-    n = nodes.size
-    order = _POTENTIAL_ORDER
-    x, w = gauss_panels(nodes[:-1], nodes[1:], order)
-    hw = np.stack(_hat_pair(x, nodes[:-1, None], nodes[1:, None]), axis=-1)
-    hw *= (w * x * x)[..., None]                            # (n - 1, order, 2)
-    el = np.arange(n - 1)
-    A = np.zeros((n, n))
-    step = max(1, _BLOCK_POINTS // (order * x.size))
-    for lo in range(0, n - 1, step):
-        hi = min(lo + step, n - 1)
-        xr = x[lo:hi, :, None, None]
-        near = np.abs(el[lo:hi, None] - el) <= 1
-        ax = log_ratio(xr, x)                               # (rows, order, n - 1, order)
-        ax.transpose(0, 2, 1, 3)[near] = 1.0
-        K = kernel_at(terms, xr, x, ax)
-        K.transpose(0, 2, 1, 3)[near] = 0.0
-        blk = np.einsum("eia,eifb->efab", hw[lo:hi], np.einsum("eifj,fjb->eifb", K, hw))
-        A[lo:hi, :-1] += blk[..., 0, 0]
-        A[lo:hi, 1:] += blk[..., 0, 1]
-        A[lo + 1:hi + 1, :-1] += blk[..., 1, 0]
-        A[lo + 1:hi + 1, 1:] += blk[..., 1, 1]
-    return A
+    np.add.at(A.reshape(-1), np.concatenate([rows * n + cols, cols[off] * n + rows[off]]),
+              np.concatenate([vals, vals[off]]))
 
 
 def _assemble_galerkin(grid, params, terms):
     """The Galerkin pencil reduced to one symmetric C-ordered matrix."""
     nodes = grid.nodes
-    # the unit-charge potential (the far field on the element pairs apart,
-    # the diagonal and adjacent pairs from the singularity-aware rules) times
-    # the charge, then the kinetic energy
-    A = _far_field(nodes, terms)
-    _add_blocks(A, _element_blocks(lambda p: _diagonal_blocks(p, terms), nodes, 1,
-                                   _DIAGONAL_RULE[0].size), 0)
-    _add_blocks(A, _element_blocks(lambda p: _adjacent_blocks(p, terms), nodes, 2,
-                                   _CORNER_RULE[0].size), 1)
+    # the unit-charge potential, each pair of elements once, times the
+    # charge, then the kinetic energy
+    A = np.zeros((nodes.size, nodes.size))
+    for e, f, d in _cell_pairs(nodes.size - 1):
+        _add_blocks(A, e, f, _cell_blocks(nodes, terms, e, f, d))
     A *= params.Z
-    _add_blocks(A, _tridiag_blocks(nodes, lambda p: lambda_of(p, params) * p * p), 0)
+    element = np.arange(nodes.size - 1)
+    _add_blocks(A, element, element, _tridiag_blocks(nodes, lambda p: lambda_of(p, params) * p * p))
 
     # reduce the pencil (A, mass) to a standard symmetric problem with the
     # banded Cholesky factor L of the Jacobi-scaled mass matrix; eigenvector

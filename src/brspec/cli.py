@@ -36,8 +36,7 @@ from .experiments import (commutator_decay, critical_coupling_scan, hardy_check,
                           scaling_limit, tix_check)
 from .grids import build_grid
 from .params import HARDY_CONSTANT, SPEED_OF_LIGHT, PhysParams
-from .spectra import (BOUND_STATE_EDGE, binding_grid, dense_spectrum, nonrel_spectrum,
-                      variational_spectrum)
+from .spectra import binding_grid, dense_spectrum, nonrel_spectrum, variational_spectrum
 
 _DEFAULT_CONFIG = {
     "params": {"c": SPEED_OF_LIGHT, "m": 1.0, "Z": 1.0},
@@ -290,7 +289,7 @@ def _run_spectrum(config):
             checks.append(_check("bound_states_in_gap", float(bound.min()), ">", 0.0))
         else:
             checks.append(_check("bound_states_in_gap", float(runs[0].eigenvalues.min()),
-                                 "<", params.mc2 * (1.0 - BOUND_STATE_EDGE)))
+                                 "<", runs[0].edge))
     domain = [float(end) if np.isfinite(end) else "inf" for end in grid.domain]
     payload["grid"] = {"kind": grid.kind, "n": int(grid.n),
                        "mapping_scale": float(grid.mapping_scale), "domain": domain}

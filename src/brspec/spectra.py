@@ -21,8 +21,6 @@ from .errors import DomainError, NumericalError
 from .grids import RadialGrid, build_log_grid
 from .params import PhysParams
 
-BOUND_STATE_EDGE = 1e-9  # flag lambda < mc^2 (1 - edge) as a bound state
-
 
 @dataclass
 class SpectralResult:
@@ -32,10 +30,12 @@ class SpectralResult:
     eigenvectors: np.ndarray          # columns, L^2-orthonormal coordinates
     residuals: np.ndarray
     params: PhysParams
+    edge: float                       # m c^2 less the operator's rounding floor
     trace: "MinimizationTrace" = None  # the variational route's block minimization
 
     def bound_flags(self):
-        return self.eigenvalues < self.params.mc2 * (1.0 - BOUND_STATE_EDGE)
+        """Levels below the edge: bound by more than rounding in the operator's scale resolves."""
+        return self.eigenvalues < self.edge
 
     def binding_energies(self):
         return self.params.mc2 - self.eigenvalues
@@ -66,6 +66,11 @@ class MinimizationTrace:
     @property
     def converged(self):
         return bool(self.levels) and all(r.exit_reason == "residual" for r in self.levels)
+
+
+def _rounding_floor(op: DiscreteOperator):
+    """10 eps max |A_ii|: below it rounding in the operator's scale hides a residual or binding."""
+    return 10 * np.finfo(float).eps * float(np.abs(op.matrix.diagonal()).max())
 
 
 def _residuals(op: DiscreteOperator, vals, vecs):
@@ -105,6 +110,7 @@ def dense_spectrum(op: DiscreteOperator, k) -> SpectralResult:
     if not 1 <= k <= op.n:
         raise DomainError(f"need 1 <= k <= {op.n}, got {k}")
     A = op.matrix
+    edge = op.params.mc2 - _rounding_floor(op)
     diag = A.diagonal().copy()
     try:
         vals, vecs = eigh(A.T, subset_by_index=[0, k - 1], overwrite_a=True)
@@ -112,7 +118,7 @@ def dense_spectrum(op: DiscreteOperator, k) -> SpectralResult:
         _mirror_lower(A)
         A[np.diag_indices(op.n)] = diag
     res = _residuals(op, vals, vecs)
-    return SpectralResult(vals, vecs, res, op.params)
+    return SpectralResult(vals, vecs, res, op.params, edge)
 
 
 def minimize_pk(op: DiscreteOperator, k, tol=1e-10, max_iter=2000):
@@ -138,7 +144,7 @@ def minimize_pk(op: DiscreteOperator, k, tol=1e-10, max_iter=2000):
     if not 1 <= k <= n or max_iter < 1:
         raise DomainError(f"need 1 <= k <= {n} and max_iter >= 1, got {k} and {max_iter}")
     M, lam, mc2 = op.matrix, lambda_of(op.grid.nodes, op.params), op.params.mc2
-    target = max(tol * mc2, 10 * np.finfo(float).eps * float(np.abs(M.diagonal()).max()))
+    target = max(tol * mc2, _rounding_floor(op))
     m = min(n, k + max(2, -(-k // 4)))
     # smooth deterministic start: cosines of rising frequency in the node
     # index under a decaying envelope (low momentum first), with a floor so
@@ -185,7 +191,7 @@ def variational_spectrum(op: DiscreteOperator, k, tol=1e-10, max_iter=2000) -> S
     """k lowest eigenpairs by one block minimization of the extension energy."""
     vals, vecs, trace = minimize_pk(op, k, tol=tol, max_iter=max_iter)
     res = _residuals(op, vals, vecs)
-    return SpectralResult(vals, vecs, res, op.params, trace)
+    return SpectralResult(vals, vecs, res, op.params, op.params.mc2 - _rounding_floor(op), trace)
 
 
 def nonrel_spectrum(grid: RadialGrid, l, k, params: PhysParams):

@@ -229,6 +229,18 @@ class TestRunReports:
         with pytest.raises(ConfigurationError):
             run_command("transmogrify", parse_config())
 
+    @pytest.mark.parametrize("Z, bound", [(0.005, True), (0.001, True), (1e-4, False)])
+    def test_weak_binding_is_bound_above_the_rounding_floor(self, Z, bound):
+        # the default grid rounds at eps max |A_ii| = 4.5e-14 mc^2, and a
+        # level is bound below mc^2 less ten times that; the bindings
+        # (Z/c)^2/2 = 6.66e-10 and 2.66e-11 mc^2 lie above that floor (and
+        # below the fixed 1e-9 mc^2 that flagged them unbound before), the
+        # 2.66e-13 mc^2 of Z = 1e-4 below it, where the grid cannot resolve it
+        report = run_command("spectrum", parse_config(overrides=[f"params.Z={Z}"]))
+        check = next(c for c in report.checks if c["name"] == "bound_states_in_gap")
+        assert check["ok"] is bound
+        assert report.results["dense"]["bound_flags"][0] is bound
+
     def test_no_bound_level_fails(self):
         # a positive charge always binds; this grid (inside the subordinacy
         # window, Z_c = 0.91 at c = 1) holds no level below the continuum

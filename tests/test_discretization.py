@@ -554,15 +554,20 @@ class TestGalerkin:
     @pytest.mark.parametrize("grid", [build_grid(64, 1.0), build_log_grid(64, 1e-3, 1e5)],
                              ids=["rational", "log"])
     def test_streamed_far_field_matches_dense_product(self, grid):
+        # the far cells, walked a few element rows at a time and each pair
+        # added with its mirror, against one product over all points
         terms = br_terms(CH, PhysParams(Z=40.0))
         oracle = self.dense_far_field(grid.nodes, terms)
-        far = assemble._far_field(grid.nodes, terms)
+        far = np.zeros_like(oracle)
+        for e, f, d in assemble._cell_pairs(grid.n - 1):
+            if d == 2:
+                assemble._add_blocks(far, e, f, assemble._cell_blocks(grid.nodes, terms, e, f, d))
         assert np.abs(far - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
     def test_assembly_memory_stays_below_the_point_grid_square(self):
         # one (6 (n-1))^2 array of the quadrature points alone is 11 MB at
-        # n = 200; the streamed far field and cell blocks keep the peak well
-        # below the dozen such arrays a dense far field holds
+        # n = 200; the cell blocks keep the peak well below the dozen such
+        # arrays a dense far field holds
         grid = build_grid(200, 1.0)
         tracemalloc.start()
         try:
@@ -572,31 +577,12 @@ class TestGalerkin:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
-    @pytest.mark.parametrize("k", [0, 1])
-    def test_block_scatter_matches_indexed_adds(self, k):
-        # the reference adds entry (a, b) of block c at (c + a, c + k + b)
-        # and, for k > 0, at the mirror (c + k + b, c + a)
-        n = 9
-        blocks = np.random.default_rng(k).standard_normal((n - 1 - k, 2, 2))
-        oracle = np.zeros((n, n))
-        c = np.arange(n - 1 - k)
-        for a in (0, 1):
-            for b in (0, 1):
-                np.add.at(oracle, (c + a, c + k + b), blocks[:, a, b])
-                if k:
-                    np.add.at(oracle, (c + k + b, c + a), blocks[:, a, b])
-        A = np.zeros((n, n))
-        assemble._add_blocks(A, blocks, k)
-        np.testing.assert_allclose(A, oracle, rtol=1e-15, atol=0)
-
-    def test_assembly_holds_few_matrices(self, monkeypatch):
-        # banded mass and kinetic matrices, cell blocks added through diagonal
-        # views and the pencil reduced on the assembled matrix: beside it only
-        # the second banded solve's Fortran copy and the cell blocks'
-        # temporaries remain (dense tridiagonals and copies made nine)
+    def test_assembly_holds_few_matrices(self):
+        # banded mass and kinetic matrices, cell blocks of a bounded number of
+        # points and the pencil reduced on the assembled matrix: beside it
+        # only the second banded solve's Fortran copy remains (2.03 matrices
+        # in all; far-field row blocks of 2^16 points made 2.54)
         n = 800
-        monkeypatch.setattr(assemble, "_far_field",
-                            lambda nodes, terms: np.zeros((nodes.size, nodes.size)))
         grid = build_log_grid(n, 4e-3, 8e4)
         tracemalloc.start()
         try:
@@ -604,8 +590,23 @@ class TestGalerkin:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * n * n * 8
+        assert peak <= 2.25 * n * n * 8
 
+    def test_each_cell_pair_evaluated_once(self, monkeypatch):
+        # 36 far points per pair f >= e + 2, one Duffy cell per element and
+        # one corner cell per adjacent pair; evaluating the far field in both
+        # orders and over the near cells too costs 36 (n - 1)^2 far points
+        n = 64
+        points = []
+
+        def counted(terms, p, q, x):
+            points.append(np.broadcast(p, q, x).size)
+            return kernel_at(terms, p, q, x)
+
+        monkeypatch.setattr(assemble, "kernel_at", counted)
+        assemble_operator(build_grid(n, 1.0), CH, PhysParams(Z=40.0), scheme="galerkin")
+        far = 36 * (n - 2) * (n - 3) // 2
+        assert sum(points) == far + (n - 1) * 4212 + (n - 2) * 2916
 
 
 ASSEMBLERS = {
