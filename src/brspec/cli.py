@@ -31,32 +31,12 @@ from . import __version__
 from .channels import KATO_CONSTANT, MAX_CHANNEL, TIX_CONSTANT, ChannelSpec, critical_charge
 from .errors import BrspecError, ConfigurationError
 from .extension import default_x_grid, dtn_certificate
-from .assemble import assemble_operator
+from .assemble import assemble_nonrel_operator, assemble_operator
 from .experiments import (commutator_decay, critical_coupling_scan, hardy_check, kato_check,
                           scaling_limit, tix_check)
 from .grids import build_grid
 from .params import HARDY_CONSTANT, SPEED_OF_LIGHT, PhysParams
-from .spectra import binding_grid, dense_spectrum, nonrel_spectrum, variational_spectrum
-
-_DEFAULT_CONFIG = {
-    "params": {"c": SPEED_OF_LIGHT, "m": 1.0, "Z": 1.0},
-    "channel": {"kappa": -1},
-    "grid": {"n": 200, "s": None, "scheme": "nystrom", "kind": "rational"},
-    "solver": {"route": "both", "k": 4, "tol": 1e-10, "max_iter": 2000},
-    "experiments": {
-        "R_values": [2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
-        "eta_values": [0.4, 0.2, 0.1, 0.05, 0.025],
-        "Z_values": [120.0, 130.0],
-        "grid_sizes": [100, 200, 400],
-        "commutator_n": 160,
-        "inequality_n": 300,
-    },
-    # read by no command (dtn-check bounds every trace, it draws none);
-    # accepted so that configurations and benchmark steps that set it still run
-    "seed": 12345,
-    "output": {"directory": ".", "formats": ["json"]},
-}
-
+from .spectra import binding_grid, dense_spectrum, variational_spectrum
 
 # Stated ranges.  Sizes stop where one dense matrix passes 128 MB (the
 # commutator acts on two channel copies, 2n x 2n); the physical scales
@@ -96,31 +76,51 @@ class _Choice(tuple):
         return "one of " + "|".join(map(str, self))
 
 
-# one rule per key; output.directory is any path, made before the run
-_RULES = {
-    "params.c": _Range(1.0, 1e6),
-    "params.m": _Range(1e-3, 1e3),
-    "params.Z": _Range(0.0, MAX_CHARGE),
-    "channel.kappa": _Choice(tuple(k for k in range(-MAX_CHANNEL, MAX_CHANNEL + 1) if k)),
-    "grid.n": _Range(16, MAX_GRID_N),
-    "grid.s": _Range(1e-6, 1e6),                  # or null: the charge scale
-    "grid.scheme": _Choice(("nystrom", "galerkin")),
-    "grid.kind": _Choice(("rational", "log")),
-    "solver.route": _Choice(("dense", "variational", "both")),
-    "solver.k": _Range(1, MAX_LEVELS),
-    "solver.tol": _Range(1e-14, 0.1),
-    "solver.max_iter": _Range(1, 10_000),
+# every key once, with its default and its rule; output.directory has none:
+# it is any path, made before the run
+_KEYS = {
+    "params.c": (SPEED_OF_LIGHT, _Range(1.0, 1e6)),
+    "params.m": (1.0, _Range(1e-3, 1e3)),
+    "params.Z": (1.0, _Range(0.0, MAX_CHARGE)),
+    "channel.kappa": (-1, _Choice(tuple(k for k in range(-MAX_CHANNEL, MAX_CHANNEL + 1) if k))),
+    "grid.n": (200, _Range(16, MAX_GRID_N)),
+    "grid.s": (None, _Range(1e-6, 1e6)),                  # null: the charge scale
+    "grid.scheme": ("nystrom", _Choice(("nystrom", "galerkin"))),
+    "grid.kind": ("rational", _Choice(("rational", "log"))),
+    "solver.route": ("both", _Choice(("dense", "variational", "both"))),
+    "solver.k": (4, _Range(1, MAX_LEVELS)),
+    "solver.tol": (1e-10, _Range(1e-14, 0.1)),
+    "solver.max_iter": (2000, _Range(1, 10_000)),
     # the fits need two points: the decay rate two norms, the remainder
     # exponent two successive differences, the exhaustion drop two sizes
-    "experiments.R_values": _Range(1e-6, 1e6, least=2),
-    "experiments.eta_values": _Range(1e-6, 0.5, least=3),
-    "experiments.Z_values": _Range(0.0, MAX_CHARGE),
-    "experiments.grid_sizes": _Range(16, MAX_GRID_N, least=2, integral=True),
-    "experiments.commutator_n": _Range(16, MAX_GRID_N // 2),
-    "experiments.inequality_n": _Range(16, MAX_GRID_N),
-    "seed": _Range(0, math.inf),
-    "output.formats": _Choice(("json", "csv")),
+    "experiments.R_values": ([2.0, 4.0, 8.0, 16.0, 32.0, 64.0], _Range(1e-6, 1e6, least=2)),
+    "experiments.eta_values": ([0.4, 0.2, 0.1, 0.05, 0.025], _Range(1e-6, 0.5, least=3)),
+    "experiments.Z_values": ([120.0, 130.0], _Range(0.0, MAX_CHARGE)),
+    "experiments.grid_sizes": ([100, 200, 400], _Range(16, MAX_GRID_N, least=2, integral=True)),
+    "experiments.commutator_n": (160, _Range(16, MAX_GRID_N // 2)),
+    "experiments.inequality_n": (300, _Range(16, MAX_GRID_N)),
+    # read by no command (dtn-check bounds every trace, it draws none);
+    # accepted so that configurations and benchmark steps that set it still run
+    "seed": (12345, _Range(0, math.inf)),
+    "output.directory": (".", None),
+    "output.formats": (["json"], _Choice(("json", "csv"))),
 }
+
+
+def _tables(flat):
+    """The dotted keys of ``flat`` as nested tables: {"a.b": v} is {"a": {"b": v}}."""
+    tables = {}
+    for key, value in flat.items():
+        *sections, leaf = key.split(".")
+        table = tables
+        for section in sections:
+            table = table.setdefault(section, {})
+        table[leaf] = value
+    return tables
+
+
+_DEFAULT_CONFIG = _tables({key: default for key, (default, _) in _KEYS.items()})
+_RULES = {key: rule for key, (_, rule) in _KEYS.items() if rule is not None}
 
 
 def _get(config, key):
@@ -160,25 +160,18 @@ def _override(assignment):
     key, eq, raw = assignment.partition("=")
     if not eq:
         raise ConfigurationError(f"override {assignment!r} is not key=value")
-    parts = key.split(".")
     # a bare leaf name is accepted when one section alone has it, e.g. Z=2
-    owners = [section for section, table in _DEFAULT_CONFIG.items()
-              if isinstance(table, dict) and key in table]
+    owners = [path for path in _KEYS if path.split(".")[1:] == [key]]
     if key not in _DEFAULT_CONFIG and len(owners) == 1:
-        parts = owners + parts
+        key = owners[0]
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    try:
-        default = _get(_DEFAULT_CONFIG, ".".join(parts))
-    except (KeyError, TypeError):                           # unknown: _merge names it
-        default = None
+    default = _KEYS.get(key, (None,))[0]                   # unknown: _merge names it
     if isinstance(default, str) and not isinstance(value, str):
         value = raw                                         # a directory named 123
-    for part in reversed(parts):
-        value = {part: value}
-    return value
+    return _tables({key: value})
 
 
 def _validate(config):
@@ -298,8 +291,9 @@ def _run_spectrum(config):
 
 def _run_dtn_check(config):
     params = _params(config)
-    xg = default_x_grid(params)
-    payload, tail = dtn_certificate(_spectrum_grid(config, params).nodes, xg, params)
+    nodes = _spectrum_grid(config, params).nodes
+    xg = default_x_grid(params, nodes)
+    payload, tail = dtn_certificate(nodes, xg, params)
     checks = [
         _check("energy_route_agreement", payload["energy_relative_error_max"], "<", 1e-7),
         _check("dtn_richardson", payload["dtn_richardson_error_max"], "<", 1e-8),
@@ -388,7 +382,7 @@ def _run_nonrel(config):
     l = ChannelSpec.from_kappa(config["channel"]["kappa"]).l_up
     grid = build_grid(n, max(Z, 1.0) * params.m)
     k = config["solver"]["k"]
-    vals = nonrel_spectrum(grid, l, k, replace(params, Z=Z))
+    vals = dense_spectrum(assemble_nonrel_operator(grid, l, replace(params, Z=Z)), k).eigenvalues
     exact = [-params.m * Z**2 / (2.0 * (l + 1 + j) ** 2) for j in range(k)]
     errors = [abs(v - e) for v, e in zip(vals, exact)]
     payload = {"Z": Z, "l": l, "levels": list(range(l + 1, l + 1 + k)),

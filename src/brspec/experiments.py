@@ -18,7 +18,7 @@ from scipy.linalg.lapack import dpotrf
 
 from .assemble import assemble_potential
 from .channels import (KATO_CONSTANT, TIX_CONSTANT, ChannelSpec, br_terms, coulomb_terms,
-                       multiplier_channel_kernel)
+                       critical_charge, multiplier_channel_kernel)
 from .dirac import a_plus_minus, lambda_of
 from .errors import DomainError, NumericalError
 from .grids import build_grid, build_log_grid, operator_norm_h12
@@ -132,6 +132,7 @@ def tix_check(params: PhysParams = None, n=300) -> InequalityReport:
 @dataclass
 class CriticalScanRow:
     Z: float
+    Z_over_Zc: float             # the charge in units of the channel's critical charge
     grid_sizes: list
     lambda1_fixed: list          # mesh refinement, fixed momentum window
     lambda1_exhaustion: list     # window grows with n
@@ -165,6 +166,17 @@ RESIDUAL_TOL = 1e-13
 MAX_STEPS = 100
 
 
+def _rayleigh(V, scale, kinetic, x):
+    """theta = x^T A x, the level the scan reports, and ||A x - theta x|| of a unit x,
+    A = scale*V + diag(kinetic)."""
+    y = V @ x
+    y *= scale
+    y += kinetic * x
+    theta = x @ y
+    y -= theta * x
+    return theta, math.sqrt(y @ y)
+
+
 def _ground_level(V, scale, kinetic, x, gap, guess, buf, counts):
     """lambda_1 of A = scale*V + diag(kinetic) by inverse iteration from x.
 
@@ -184,15 +196,7 @@ def _ground_level(V, scale, kinetic, x, gap, guess, buf, counts):
     target = RESIDUAL_TOL * np.abs(kinetic).max()
     accuracy = RESIDUAL_TOL * np.abs(kinetic).min()
 
-    def rayleigh(x):                        # theta and ||A x - theta x|| of a unit x
-        y = V @ x
-        y *= scale
-        y += kinetic * x
-        theta = x @ y
-        y -= theta * x
-        return theta, math.sqrt(y @ y)
-
-    lo, hi = -math.inf, rayleigh(x)[0]
+    lo, hi = -math.inf, _rayleigh(V, scale, kinetic, x)[0]
     step = max(SHIFT_FRACTION * gap, target)
     sigma = min(hi, guess) - step
     steps = solves = 0
@@ -215,7 +219,7 @@ def _ground_level(V, scale, kinetic, x, gap, guess, buf, counts):
                 steps += 1
                 solves += 1
                 prev = res
-                theta, res = rayleigh(x)
+                theta, res = _rayleigh(V, scale, kinetic, x)
                 hi = min(hi, theta)
                 rate = res / prev
                 if 0 < rate < 1:
@@ -304,7 +308,8 @@ def critical_coupling_scan(Z_values, grid_sizes=(100, 200, 400), kappa=-1,
                     buf[np.diag_indices(grid.n)] += kin
                     w, v = eigh(buf.T, subset_by_index=[0, 1], overwrite_a=True)
                     counts["eigh_calls"] += 1
-                    lam, x, gap = w[0], v[:, 0], w[1] - w[0]
+                    x, gap = v[:, 0], w[1] - w[0]
+                    lam = _rayleigh(V, Z, kin, x)[0]
                 else:
                     if j == 0:
                         coarse_grid, coarse_lam1, x, gap = coarse
@@ -330,7 +335,8 @@ def critical_coupling_scan(Z_values, grid_sizes=(100, 200, 400), kappa=-1,
         fixed = [lam1[j] for lam1 in levels[:len(sizes)]]
         grow = [lam1[j] for lam1 in levels[len(sizes):]]
         rows.append(CriticalScanRow(
-            Z=Z, grid_sizes=sizes, lambda1_fixed=fixed, lambda1_exhaustion=grow,
+            Z=Z, Z_over_Zc=Z / critical_charge(base, kappa), grid_sizes=sizes,
+            lambda1_fixed=fixed, lambda1_exhaustion=grow,
             variation_fixed=max(fixed) - min(fixed), exhaustion_drop=grow[0] - grow[-1]))
     return CriticalScanReport(rows, stability_tol, collapse_drop, counts)
 

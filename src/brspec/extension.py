@@ -59,26 +59,28 @@ class XGrid:
     weights: np.ndarray
 
 
-def build_x_grid(x_max, n_nodes=400):
+def build_x_grid(x_max, n_nodes=400, rate_max=0.0):
     """Composite 8-point Gauss-Legendre panels geometrically graded toward x = 0.
 
-    The grading resolves boundary layers exp(-2 lambda x) for lambda up to
-    about 1/(1e-10 x_max) while the outer panels capture the slow modes out
-    to x_max.
+    The innermost panel ends at 1e-10 x_max, or nearer at 1 / rate_max, so the
+    boundary layer exp(-2 lambda x) of every mode up to rate_max is resolved;
+    n_nodes // 8 panels per ten decades carry the slow modes out to x_max.
     """
     if not x_max > 0:
         raise DomainError("x_max must be positive")
-    n_panels = max(2, int(n_nodes) // 8)
-    edges = np.concatenate([[0.0], x_max * np.geomspace(1e-10, 1.0, n_panels)])
+    decades = max(10.0, np.log10(max(rate_max * x_max, 1.0)))
+    n_panels = max(2, int(np.ceil(int(n_nodes) // 8 * decades / 10)))
+    edges = np.concatenate([[0.0], x_max * np.geomspace(10.0**-decades, 1.0, n_panels)])
     x, w = gauss_panels(edges[:-1], edges[1:], 8)
     nodes = np.concatenate([[0.0], x.ravel()])
     weights = np.concatenate([[0.0], w.ravel()])
     return XGrid(nodes, weights)
 
 
-def default_x_grid(params: PhysParams):
-    """Default extension grid: x_max = 40 / (m c^2), 400 nodes."""
-    return build_x_grid(40.0 / params.mc2)
+def default_x_grid(params: PhysParams, nodes=()):
+    """Default extension grid: x_max = 40 / (m c^2), 400 nodes per ten decades, graded
+    for the fastest mode lambda(p) of the momentum ``nodes``."""
+    return build_x_grid(40.0 / params.mc2, rate_max=lambda_of(nodes, params).max(initial=0.0))
 
 
 def _envelopes(sigmas, x):

@@ -615,6 +615,14 @@ class TestCommandTable:
             f"Z={Z}_{gate}" for Z in (120, 130) for gate in ("stable", "positive", "no_collapse")]
         assert report.ok, [c for c in report.checks if not c["ok"]]
 
+    @pytest.mark.parametrize("kappa", [-1, 2])
+    def test_scan_rows_give_the_charge_in_units_of_critical(self, kappa):
+        config = parse_config(overrides=[f"channel.kappa={kappa}", "experiments.Z_values=[60,130]",
+                                         "experiments.grid_sizes=[32,48]"])
+        report = run_command("critical-scan", config)
+        z_c = critical_charge(PhysParams(), kappa)
+        assert [row["Z_over_Zc"] for row in report.results["rows"]] == [60 / z_c, 130 / z_c]
+
     def test_norms_not_decreasing_fails(self, monkeypatch):
         fake = CommutatorDecayReport([2.0, 4.0, 8.0, 16.0], [1.0, 0.5, 0.6, 0.2],
                                      fitted_slope=-1.0, fit_residual=0.05)

@@ -11,8 +11,8 @@ from brspec import PhysParams, assemble, channels, grids
 from brspec.assemble import (assemble_nonrel_operator, assemble_operator, assemble_potential,
                              subtraction_integral_adaptive, subtraction_integrals,
                              subtraction_profile)
-from brspec.channels import (TIX_CONSTANT, ChannelSpec, br_terms, coulomb_terms, kernel_at,
-                             log_ratio)
+from brspec.channels import (COULOMB_SYMBOL_AT_ZERO, TIX_CONSTANT, ChannelSpec, br_terms,
+                             coulomb_terms, kernel_at, log_ratio)
 from brspec.dirac import lambda_of
 from brspec.errors import ConfigurationError, NumericalError
 from brspec.grids import (RadialGrid, build_grid, build_log_grid, gauss_log, gauss_panels,
@@ -308,6 +308,15 @@ class TestSubtractionIntegrals:
         for i in (0, 17, 44, 59):
             ref = subtraction_integral_adaptive(kern, g.nodes[i], g.domain, tol=1e-13)
             assert vals[i] == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("l", range(4))
+    def test_mixing_free_case_closed_form(self, l):
+        # with rho(x) = 1 + tanh x and Q_l(cosh x) even, each (0, inf) row
+        # integral is exactly -p S_l(0), the Mellin symbol at zero
+        g = build_grid(64, 3.0)
+        exact = -g.nodes * COULOMB_SYMBOL_AT_ZERO[l]
+        rel = np.abs(subtraction_integrals(coulomb_terms(l), g) / exact - 1)
+        assert rel.max() <= 4 * np.finfo(float).eps
 
     def test_mixing_free_case_against_scaled_form(self):
         # with the mixing switched off the unit-charge subtraction integral

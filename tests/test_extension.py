@@ -59,6 +59,17 @@ class TestXGrid:
         with pytest.raises(DomainError):
             build_x_grid(-1.0)
 
+    def test_graded_to_the_fastest_mode(self):
+        # up to lambda x_max = 1e10 the grid is the plain one; past it the
+        # innermost panel ends at 1 / lambda, at five panels per decade
+        assert np.array_equal(build_x_grid(40.0, rate_max=2.5e8).nodes, build_x_grid(40.0).nodes)
+        lam = 2.5e14
+        g = build_x_grid(40.0, rate_max=lam)
+        assert g.nodes.size == 1 + 8 * 80 and g.nodes[8] < 1.0 / lam < g.nodes[9]
+        for rate in (1.0, 1e4, 1e10, lam):
+            val = np.dot(g.weights, np.exp(-2 * rate * g.nodes))
+            assert val == pytest.approx(1 / (2 * rate), rel=1e-12)
+
     @pytest.mark.parametrize("x_max, n_nodes", [(40.0, 400), (1e-3, 16), (2.1, 1000)])
     def test_panels_carry_the_plain_gauss_rule(self, x_max, n_nodes):
         # the 8-point Gauss-Legendre rule mapped onto each graded panel, one
@@ -326,6 +337,18 @@ class TestCertificate:
             equal = trace_margin(u, energy(u, np.full(grid.n, P11.mc2), zero, sigma,
                                            P11.mc2**2))
             assert abs(equal) <= abs(cert["trace_equality_margin"]) + ROUNDING
+
+    @pytest.mark.parametrize("overrides", [
+        ["params.c=1", "params.m=1e-3", "grid.n=16"],
+        ["params.c=1", "params.m=1e-3", "grid.n=200"],
+        ["params.c=1", "params.m=1", "grid.n=200"],
+        ["params.c=137.036", "params.m=1e-3", "grid.n=200"]])
+    def test_passes_at_range_corners(self, overrides):
+        # grid.s = 1e6 stretches the rational grid until lambda(p_max) x_max
+        # passes 1e10, where a grid graded to 1e-10 x_max missed the boundary
+        # layer exp(-2 lambda x) of the fastest modes
+        report = run_command("dtn-check", parse_config(overrides=["grid.s=1e6"] + overrides))
+        assert report.ok, [c for c in report.checks if not c["ok"]]
 
     def test_tail_flag(self):
         # an x-grid cut far too early leaves tails well above 1e-12 of the energy

@@ -11,8 +11,7 @@ from brspec.cli import parse_config, run_command
 from brspec.dirac import lambda_of
 from brspec.errors import DomainError
 from brspec.grids import build_grid, build_log_grid
-from brspec.spectra import (binding_grid, dense_spectrum, minimize_pk, nonrel_spectrum,
-                            variational_spectrum)
+from brspec.spectra import binding_grid, dense_spectrum, minimize_pk, variational_spectrum
 
 CH = ChannelSpec.from_kappa(-1)
 
@@ -43,13 +42,14 @@ class TestDenseInPlace:
 
     @pytest.mark.parametrize("name", sorted(IN_PLACE_OPERATORS))
     def test_matrix_restored_and_pairs_unchanged(self, name):
+        # the vectors are eigh's on a copy, the levels their Rayleigh quotients
         op = IN_PLACE_OPERATORS[name]()
         before = op.matrix.copy()
-        vals, vecs = eigh(before.copy(), subset_by_index=[0, 3])
+        vecs = eigh(before.copy(), subset_by_index=[0, 3])[1]
         res = dense_spectrum(op, 4)
         assert np.array_equal(op.matrix, before)
-        assert np.array_equal(res.eigenvalues, vals)
         assert np.array_equal(res.eigenvectors, vecs)
+        assert np.array_equal(res.eigenvalues, np.einsum("ij,ij->j", vecs, before @ vecs))
 
     def test_matrix_restored_when_the_solver_fails(self, monkeypatch):
         op = IN_PLACE_OPERATORS["nystrom-log"]()
@@ -106,6 +106,18 @@ class TestDenseSpectrum:
     def test_k_validation(self, op_relativistic):
         with pytest.raises(DomainError):
             dense_spectrum(op_relativistic, 0)
+
+    def test_graded_window_level_to_1e_8(self):
+        # Z = 80 on 40 nodes per decade from 1e-4 Z: with binding_grid's p_hi
+        # raised 1e4 and 1e8 times, the ground level agrees to 2.6e-9 mc^2.  At
+        # p_hi = 1.6e13 eigh's own eigenvalue errs by about eps max |A_ii| and
+        # misses by 1.6e-6 mc^2; the Rayleigh quotient of its vector does not.
+        params = PhysParams(Z=80.0)
+        p_lo, p_hi = binding_grid(80.0, params).domain
+        lam1 = [dense_spectrum(assemble_operator(build_log_grid(n, p_lo, wider * p_hi), CH,
+                                                 params), 1).eigenvalues[0]
+                for n, wider in ((450, 1e4), (610, 1e8))]
+        assert abs(lam1[1] - lam1[0]) < 1e-8 * params.mc2
 
 
 class TestMinimizePk:
@@ -199,6 +211,14 @@ class TestPreconditionedConvergence:
 
 
 class TestRouteEquivalence:
+    @pytest.mark.parametrize("Z", [1, 40, 120])
+    def test_default_spectrum_routes_agree_to_rounding(self, Z):
+        # both routes report their vectors' Rayleigh quotients; eigh's own
+        # eigenvalues missed the variational levels by up to 5.5e-13 mc^2
+        report = run_command("spectrum", parse_config(overrides=[f"params.Z={Z}"]))
+        gap = next(c for c in report.checks if c["name"] == "route_equivalence")["value"]
+        assert gap <= 1e-13 * report.results["mc2"]
+
     def test_five_levels(self, op_relativistic):
         dense = dense_spectrum(op_relativistic, 5)
         var = variational_spectrum(op_relativistic, 5)
@@ -228,14 +248,16 @@ class TestNeumannResidual:
         assert res.residuals[1] < 1e-7
 
     def test_residuals_are_column_norms(self, op_relativistic):
-        # one product with A gives ||A v_j - lambda_j v_j|| for every column
+        # one product with A gives theta_j = v_j^T A v_j and ||A v_j - theta_j v_j||
+        # for every column
+        A = op_relativistic.matrix
         rng = np.random.default_rng(1)
         vecs = np.linalg.qr(rng.standard_normal((op_relativistic.n, 4)))[0]
-        vals = rng.uniform(0.5, 2.0, 4)
-        each = [np.linalg.norm(op_relativistic.matrix @ v - lam * v)
-                for lam, v in zip(vals, vecs.T)]
-        np.testing.assert_allclose(spectra._residuals(op_relativistic, vals, vecs), each,
-                                   rtol=1e-12)
+        thetas = [v @ A @ v for v in vecs.T]
+        each = [np.linalg.norm(A @ v - theta * v) for theta, v in zip(thetas, vecs.T)]
+        res = spectra._ritz(op_relativistic, vecs)
+        np.testing.assert_allclose(res.eigenvalues, thetas, rtol=1e-12)
+        np.testing.assert_allclose(res.residuals, each, rtol=1e-12)
 
     def test_perturbed_vector_scales_linearly(self, op_relativistic):
         # first-order oracle: residual of v + eps e equals eps ||(A - lam) e||
@@ -255,21 +277,20 @@ class TestNeumannResidual:
 
 class TestNonrelSpectrum:
     def test_hydrogen_s_levels(self):
-        vals = nonrel_spectrum(build_grid(300, 1.0), 0, 3, PhysParams(Z=1.0))
+        op = assemble_nonrel_operator(build_grid(300, 1.0), 0, PhysParams(Z=1.0))
+        vals = dense_spectrum(op, 3).eigenvalues
         exact = [-0.5, -0.125, -1.0 / 18.0]
         np.testing.assert_allclose(vals, exact, atol=1e-5)
 
     def test_helium_like_ground(self):
-        vals = nonrel_spectrum(build_grid(300, 2.0), 0, 1, PhysParams(Z=2.0))
+        op = assemble_nonrel_operator(build_grid(300, 2.0), 0, PhysParams(Z=2.0))
+        vals = dense_spectrum(op, 1).eigenvalues
         assert abs(vals[0] + 2.0) < 4e-5
 
     def test_p_wave_ground(self):
-        vals = nonrel_spectrum(build_grid(300, 1.0), 1, 1, PhysParams(Z=1.0))
+        op = assemble_nonrel_operator(build_grid(300, 1.0), 1, PhysParams(Z=1.0))
+        vals = dense_spectrum(op, 1).eigenvalues
         assert abs(vals[0] + 0.125) < 1e-5
-
-    def test_charge_validation(self):
-        with pytest.raises(DomainError):
-            nonrel_spectrum(build_grid(64, 1.0), 0, 1, PhysParams(Z=0.0))
 
 
 def _binding_levels(Z, k, n):
