@@ -101,9 +101,9 @@ def test_c02_pointwise_kernel_bounds():
 
 def test_c03_commutator_decay():
     rep = commutator_decay()  # R in {2..64}, n=160, kappa=-1
-    assert -1.15 <= rep.fitted_slope <= -0.85
-    assert rep.fit_residual < 0.1
-    _report("03 commutator decay", slope=rep.fitted_slope, residual=rep.fit_residual)
+    assert -1.15 <= rep["fitted_slope"] <= -0.85
+    assert rep["fit_residual"] < 0.1
+    _report("03 commutator decay", slope=rep["fitted_slope"], residual=rep["fit_residual"])
 
 
 def _certificate():
@@ -180,35 +180,35 @@ def test_c09_sharp_inequality_constants():
     h = hardy_check()
     k = kato_check(n=300)
     t = tix_check(n=300)
-    assert h.max_ratio <= HARDY_CONSTANT * (1 + 1e-9) and h.max_ratio >= 1.8
-    assert k.max_ratio <= KATO_CONSTANT * (1 + 1e-9) and k.max_ratio >= 1.45
-    assert t.max_ratio <= 1.103708 * (1 + 1e-6) and t.max_ratio >= 1.0
-    assert min(h.margin, k.margin, t.margin) >= -1e-9
-    _report("09 inequality constants", hardy=h.max_ratio, kato=k.max_ratio,
-            tix=t.max_ratio)
+    assert h["max_ratio"] <= HARDY_CONSTANT * (1 + 1e-9) and h["max_ratio"] >= 1.8
+    assert k["max_ratio"] <= KATO_CONSTANT * (1 + 1e-9) and k["max_ratio"] >= 1.45
+    assert t["max_ratio"] <= 1.103708 * (1 + 1e-6) and t["max_ratio"] >= 1.0
+    assert min(h["margin"], k["margin"], t["margin"]) >= -1e-9
+    _report("09 inequality constants", hardy=h["max_ratio"], kato=k["max_ratio"],
+            tix=t["max_ratio"])
 
 
 def test_c10_critical_coupling():
     params = PhysParams()
-    rep = critical_coupling_scan([120.0, 130.0], grid_sizes=(100, 200, 400),
-                                 params=params)
-    sub = {r.Z: r for r in rep.rows}[120.0]
-    sup = {r.Z: r for r in rep.rows}[130.0]
-    assert min(sub.lambda1_fixed) > 0
-    assert sub.variation_fixed < 1e-4 * params.mc2
-    assert sup.lambda1_exhaustion[-1] < sup.lambda1_exhaustion[0] - 0.05 * params.mc2
-    _report("10 critical coupling", stable_variation=sub.variation_fixed / params.mc2,
-            collapse_drop=sup.exhaustion_drop / params.mc2)
+    rows, _ = critical_coupling_scan([120.0, 130.0], grid_sizes=(100, 200, 400),
+                                     params=params)
+    sub, sup = rows
+    assert min(sub["lambda1_fixed"]) > 0
+    assert sub["variation_fixed"] < 1e-4 * params.mc2
+    assert sup["lambda1_exhaustion"][-1] < sup["lambda1_exhaustion"][0] - 0.05 * params.mc2
+    _report("10 critical coupling", stable_variation=sub["variation_fixed"] / params.mc2,
+            collapse_drop=sup["exhaustion_drop"] / params.mc2)
 
 
 def test_c11_small_scale_limit():
     rep = scaling_limit()
-    rel = abs(rep.leading_coefficient - rep.oracle_coefficient) / rep.oracle_coefficient
+    oracle = rep["oracle_coefficient"]
+    rel = abs(rep["leading_coefficient"] - oracle) / oracle
     assert rel < 0.02
-    assert rep.remainder_exponent >= 1.7
-    assert rep.monotone_divergence
+    assert rep["remainder_exponent"] >= 1.7
+    assert rep["monotone_divergence"]
     _report("11 small-scale limit", coefficient_rel_err=rel,
-            remainder_exponent=rep.remainder_exponent)
+            remainder_exponent=rep["remainder_exponent"])
 
 
 def test_c12_determinism_and_serialization(tmp_path):

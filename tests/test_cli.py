@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -12,8 +13,7 @@ from brspec import PhysParams, assemble, cli, experiments, spectra
 from brspec.cli import (COMMANDS, OPS, RunReport, main, parse_config, run_command,
                         write_report, _COMMANDS, _DEFAULT_CONFIG, _RULES, _validate)
 from brspec.channels import ChannelSpec, critical_charge
-from brspec.errors import ConfigurationError
-from brspec.experiments import CommutatorDecayReport
+from brspec.errors import BrspecError, ConfigurationError
 from brspec.params import SPEED_OF_LIGHT
 
 FAST = ["params.c=1", "params.m=1", "params.Z=0.5", "grid.n=64", "grid.s=0.5",
@@ -215,6 +215,25 @@ class TestRunReports:
         back = RunReport(**json.loads(paths[0].read_text()))
         assert back.to_dict() == report.to_dict()
 
+    def test_non_finite_values_written_as_null(self, report, tmp_path):
+        # strict JSON has no NaN or Infinity tokens: a reader that rejects
+        # them reads the file, with each non-finite float as null, and the
+        # report hash is the one computed in memory
+        first = {**report.checks[0], "value": math.nan}
+        odd = dataclasses.replace(
+            report, results={**report.results, "nan": math.nan, "inf": [math.inf, -math.inf]},
+            checks=[first] + report.checks[1:])
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        back = json.loads(write_report(odd, formats=["json"], destination=tmp_path)[0]
+                          .read_text(), parse_constant=reject)
+        assert back["results"]["nan"] is None and back["results"]["inf"] == [None, None]
+        assert back["checks"][0]["value"] is None
+        assert back["results"]["dense"] == report.results["dense"]
+        assert back["report_hash"] == report.report_hash
+
     def test_csv_table(self, report, tmp_path):
         paths = write_report(report, formats=["csv"], destination=tmp_path)
         rows = paths[0].read_text().strip().splitlines()
@@ -405,7 +424,34 @@ class TestScalingLimitChannels:
             math.gamma(l + 1) / math.gamma(l + 1.5), rel=1e-12)
 
 
+    @pytest.mark.parametrize("overrides", [
+        ["params.c=1e6", "params.m=1e3", "channel.kappa=2"],      # no difference resolved
+        ["params.c=1e5", "params.m=1e3", "channel.kappa=1"]])     # one of four
+    def test_unresolved_remainder_fails_its_gate(self, overrides):
+        # at m c = 1e8 or 1e9 the mixing hardly moves over the family: F/eta is
+        # -A to rounding, no exponent is measured, and the last F/eta gives A
+        report = run_command("scaling-limit", parse_config(overrides=overrides))
+        assert {c["name"]: c["ok"] for c in report.checks} == {
+            "leading_coefficient_match": True, "remainder_exponent": False,
+            "monotone_divergence": True}
+        results = report.results
+        assert math.isnan(results["remainder_exponent"])
+        d = results["form_values"][-1] / results["eta_values"][-1]
+        assert results["leading_coefficient"] == -d
+
+
 class TestNonrelLimitMass:
+    @pytest.mark.parametrize("overrides, m, Z", [
+        ([], 1.0, 1.0), (["params.Z=50"], 1.0, 50.0), (["params.m=1e-3"], 1e-3, 1.0),
+        (["params.m=1e3"], 1e3, 1.0),
+        (["params.Z=10", "params.m=2", "channel.kappa=3"], 2.0, 10.0)])
+    def test_gate_scales_with_the_levels(self, overrides, m, Z):
+        # the level errors scale with the levels, m Z^2, and the gate with them
+        report = run_command("nonrel-limit", parse_config(overrides=overrides))
+        assert report.ok, report.checks
+        assert report.checks[0]["threshold"] == 1e-4 * m * Z**2
+
+
     @pytest.mark.parametrize("m", [0.5, 2.0])
     def test_levels_scale_with_the_mass(self, m):
         # the hydrogen levels of p^2/2m - Z/|y| are -m Z^2 / (2 n^2)
@@ -561,6 +607,27 @@ class TestMain:
         assert report.ok, [c for c in report.checks if not c["ok"]]
 
 
+# the corners of the physical ranges, on small grids
+CORNER_SIZES = ["grid.n=32", "experiments.grid_sizes=[32,48]", "experiments.commutator_n=32",
+                "experiments.inequality_n=64", "solver.route=dense"]
+
+
+@pytest.mark.filterwarnings("ignore:Z = .* lies outside:UserWarning")
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("kappa, c, m", itertools.product((-1, 2), (1, 1e6), (1e-3, 1e3)))
+def test_corner_ends_in_a_report_or_brspec_error(command, kappa, c, m, tmp_path):
+    """Checks may fail at a corner, but the run ends in a report, written as
+    strict JSON, or in a BrspecError: never in another exception."""
+    config = parse_config(overrides=CORNER_SIZES + [f"channel.kappa={kappa}",
+                                                    f"params.c={c}", f"params.m={m}"])
+    try:
+        report = run_command(command, config)
+    except BrspecError:
+        return
+    path, = write_report(report, formats=["json"], destination=tmp_path)
+    json.loads(path.read_text(), parse_constant=lambda token: pytest.fail(token))
+
+
 # every command at a small configuration; spectrum also on the dense route alone
 SMALL = FAST + ["experiments.commutator_n=32", "experiments.inequality_n=64",
                 "experiments.Z_values=[0.5,2]", "experiments.grid_sizes=[32,48]"]
@@ -624,8 +691,8 @@ class TestCommandTable:
         assert [row["Z_over_Zc"] for row in report.results["rows"]] == [60 / z_c, 130 / z_c]
 
     def test_norms_not_decreasing_fails(self, monkeypatch):
-        fake = CommutatorDecayReport([2.0, 4.0, 8.0, 16.0], [1.0, 0.5, 0.6, 0.2],
-                                     fitted_slope=-1.0, fit_residual=0.05)
+        fake = {"R_values": [2.0, 4.0, 8.0, 16.0], "norms": [1.0, 0.5, 0.6, 0.2],
+                "fitted_slope": -1.0, "fit_residual": 0.05}
         monkeypatch.setattr(cli, "commutator_decay", lambda *args, **kwargs: fake)
         report = run_command("commutator-decay", parse_config(overrides=FAST))
         check = next(c for c in report.checks if c["name"] == "norms_decreasing")

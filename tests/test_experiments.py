@@ -27,18 +27,18 @@ from oracles import spherical_bessel_transform
 class TestHardy:
     def test_constant_and_window(self):
         rep = hardy_check()
-        assert rep.theoretical_constant == 2.0
-        assert rep.satisfied
-        assert 1.8 <= rep.max_ratio <= 2.0
+        assert rep["constant"] == 2.0
+        assert rep["margin"] == rep["constant"] - rep["max_ratio"]
+        assert 1.8 <= rep["max_ratio"] <= 2.0
 
     def test_hydrogenic_ratio(self):
         # for e^-r the two radial integrals are 2 and 1 after normalization
         rep = hardy_check(eps_family=[0.5])
-        assert rep.max_ratio == pytest.approx(np.sqrt(2.0), rel=1e-9)
+        assert rep["max_ratio"] == pytest.approx(np.sqrt(2.0), rel=1e-9)
 
     def test_family_concentration_increases_ratio(self):
         rep = hardy_check()
-        assert rep.ratios == sorted(rep.ratios)
+        assert rep["ratios"] == sorted(rep["ratios"])
 
     def test_bad_family(self):
         with pytest.raises(DomainError):
@@ -57,7 +57,7 @@ class TestHardy:
 
         num = integral(lambda r: np.exp(-2 * r))
         den = integral(lambda r: (0.5 + eps - r) ** 2 * np.exp(-2 * r))
-        assert hardy_check(eps_family=[eps]).max_ratio == pytest.approx(
+        assert hardy_check(eps_family=[eps])["max_ratio"] == pytest.approx(
             np.sqrt(num / den), rel=1e-13)
 
     def test_momentum_kernel_crosscheck(self):
@@ -75,12 +75,12 @@ class TestHardy:
 class TestKato:
     def test_constant_and_window(self):
         rep = kato_check(n=300)
-        assert rep.theoretical_constant == pytest.approx(np.pi / 2)
-        assert rep.satisfied
-        assert 1.45 < rep.max_ratio <= np.pi / 2
+        assert rep["constant"] == pytest.approx(np.pi / 2)
+        assert rep["margin"] == rep["constant"] - rep["max_ratio"]
+        assert 1.45 < rep["max_ratio"] <= np.pi / 2
 
     def test_refinement_stays_below_and_stable(self):
-        vals = [kato_check(n=n).max_ratio for n in (160, 320)]
+        vals = [kato_check(n=n)["max_ratio"] for n in (160, 320)]
         assert all(v <= KATO_CONSTANT * (1 + 1e-9) for v in vals)
         assert abs(vals[1] - vals[0]) < 1e-5
 
@@ -116,7 +116,7 @@ class TestSharpSupsAgainstGeneralizedEigh:
         W = -assemble_potential(grid, coulomb_terms(0))
         oracle = eigh(W, np.diag(grid.nodes), eigvals_only=True)[-1]
         rep = kato_check(n=n)
-        assert rep.max_ratio == pytest.approx(oracle, rel=1e-13)
+        assert rep["max_ratio"] == pytest.approx(oracle, rel=1e-13)
 
     @pytest.mark.parametrize("n", [64, 300])
     def test_tix(self, n):
@@ -127,7 +127,7 @@ class TestSharpSupsAgainstGeneralizedEigh:
         oracle = [eigh(-assemble_potential(grid, br_terms(ChannelSpec.from_kappa(kappa), base)),
                        B, eigvals_only=True)[-1] for kappa in (-1, 1)]
         rep = tix_check(n=n)
-        assert rep.ratios == pytest.approx(oracle, rel=1e-13)
+        assert rep["ratios"] == pytest.approx(oracle, rel=1e-13)
 
     def test_scaled_product_read_as_formed(self):
         # the scaled matrix goes to LAPACK in Fortran order, without a copy:
@@ -147,8 +147,8 @@ class TestSharpSupsAgainstGeneralizedEigh:
     def test_samples_are_the_grid_nodes(self):
         # n = 64 builds 60 nodes: the reports count and describe those
         kato, tix = kato_check(n=64), tix_check(n=64)
-        assert kato.sample_count == 60 and "n=60," in kato.trial_family_description
-        assert tix.sample_count == 2 * 60 and tix.trial_family_description.endswith("n=60")
+        assert kato["samples"] == 60 and "n=60," in kato["trial_family"]
+        assert tix["samples"] == 2 * 60 and tix["trial_family"].endswith("n=60")
 
 
 class TestTix:
@@ -158,9 +158,9 @@ class TestTix:
 
     def test_window(self):
         rep = tix_check(n=300)
-        assert rep.satisfied
-        assert 1.0 < rep.max_ratio <= TIX_CONSTANT * (1 + 1e-9)
-        assert len(rep.ratios) == 2
+        assert rep["margin"] == rep["constant"] - rep["max_ratio"]
+        assert 1.0 < rep["max_ratio"] <= TIX_CONSTANT * (1 + 1e-9)
+        assert len(rep["ratios"]) == 2
 
     def test_implied_critical_charge(self):
         params = PhysParams()
@@ -197,33 +197,35 @@ class TestCriticalCharge:
                     z_c, abs=5e-4)
 
 
+# the gates ``critical-scan`` applies, in units of m c^2
+STABILITY_TOL, COLLAPSE_DROP = 1e-4, 0.05
+
+
 @pytest.fixture(scope="module")
-def scan_report():
-    return critical_coupling_scan([60.0, 120.0, 130.0], grid_sizes=(100, 200, 400))
+def scan_rows():
+    rows, _ = critical_coupling_scan([60.0, 120.0, 130.0], grid_sizes=(100, 200, 400))
+    return {row["Z"]: row for row in rows}
 
 
 class TestCriticalScan:
-    def test_subcritical_rows_stable(self, scan_report):
-        report = scan_report
-        by_z = {r.Z: r for r in report.rows}
+    def test_subcritical_rows_stable(self, scan_rows):
+        mc2 = PhysParams().mc2
         for Z in (60.0, 120.0):
-            row = by_z[Z]
-            assert min(row.lambda1_fixed) > 0
-            assert row.variation_fixed < report.stability_tol
-            assert row.exhaustion_drop <= report.collapse_drop
+            row = scan_rows[Z]
+            assert min(row["lambda1_fixed"]) > 0
+            assert row["variation_fixed"] < STABILITY_TOL * mc2
+            assert row["exhaustion_drop"] <= COLLAPSE_DROP * mc2
 
-    def test_supercritical_row_collapses(self, scan_report):
-        row = {r.Z: r for r in scan_report.rows}[130.0]
-        report = scan_report
-        assert row.exhaustion_drop > report.collapse_drop
-        assert np.all(np.diff(row.lambda1_exhaustion) < 0)
+    def test_supercritical_row_collapses(self, scan_rows):
+        row = scan_rows[130.0]
+        assert row["exhaustion_drop"] > COLLAPSE_DROP * PhysParams().mc2
+        assert np.all(np.diff(row["lambda1_exhaustion"]) < 0)
 
-    def test_mid_charge_band(self, scan_report):
+    def test_mid_charge_band(self, scan_rows):
         # cross-checked against the point-nucleus single-particle value
         # sqrt(1 - (Z/c)^2) ~ 0.901 as an order-of-magnitude band
-        row = {r.Z: r for r in scan_report.rows}[60.0]
         mc2 = PhysParams().mc2
-        assert 0.89 < row.lambda1_fixed[-1] / mc2 < 0.95
+        assert 0.89 < scan_rows[60.0]["lambda1_fixed"][-1] / mc2 < 0.95
 
 
 class TestCriticalScanUnitCharge:
@@ -235,12 +237,13 @@ class TestCriticalScanUnitCharge:
         mc, mc2 = base.m * base.c, base.mc2
         sizes = (64, 128)
         ch = ChannelSpec.from_kappa(-1)
-        rep = critical_coupling_scan([60.0, 120.0, 130.0], grid_sizes=sizes)
-        for row in rep.rows:
-            pz = dataclasses.replace(base, Z=row.Z)
+        rows, _ = critical_coupling_scan([60.0, 120.0, 130.0], grid_sizes=sizes)
+        for row in rows:
+            pz = dataclasses.replace(base, Z=row["Z"])
             fixed = [build_log_grid(n, 1e-4 * mc, 2e3 * mc) for n in sizes]
             grow = [build_log_grid(n, 1e-3 * mc * sizes[0] / n, 5.0 * mc * n) for n in sizes]
-            for grids, scanned in ((fixed, row.lambda1_fixed), (grow, row.lambda1_exhaustion)):
+            for grids, scanned in ((fixed, row["lambda1_fixed"]),
+                                   (grow, row["lambda1_exhaustion"])):
                 direct = [dense_spectrum(assemble_operator(g, ch, pz), 1).eigenvalues[0]
                           for g in grids]
                 assert np.abs(np.array(scanned) - direct).max() <= 1e-12 * mc2
@@ -255,9 +258,9 @@ class TestCriticalScanUnitCharge:
 
         monkeypatch.setattr(experiments, "assemble_potential", counting)
         sizes = (32, 48, 64)
-        rep = critical_coupling_scan([100, 110, 115, 120, 122, 124, 130, 140],
-                                     grid_sizes=sizes)
-        assert len(rep.rows) == 8
+        rows, _ = critical_coupling_scan([100, 110, 115, 120, 122, 124, 130, 140],
+                                         grid_sizes=sizes)
+        assert len(rows) == 8
         assert len(assembled) == 2 * len(sizes)
 
     def test_no_warning_below_unit_critical_charge(self):
@@ -267,18 +270,18 @@ class TestCriticalScanUnitCharge:
         sizes = (32, 48)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = critical_coupling_scan([0.5, 2.0], grid_sizes=sizes, params=params)
+            rows, _ = critical_coupling_scan([0.5, 2.0], grid_sizes=sizes, params=params)
             direct = [dense_spectrum(assemble_operator(
                 build_log_grid(n, 1e-4, 2e3), ChannelSpec.from_kappa(-1), params), 1)
                 .eigenvalues[0] for n in sizes]
-        assert [r.Z for r in rep.rows] == [0.5, 2.0]
-        assert np.abs(np.array(rep.rows[0].lambda1_fixed) - direct).max() <= 1e-12 * params.mc2
+        assert [r["Z"] for r in rows] == [0.5, 2.0]
+        assert np.abs(np.array(rows[0]["lambda1_fixed"]) - direct).max() <= 1e-12 * params.mc2
 
 
-def verdicts(rep):
+def verdicts(rows, mc2=PhysParams().mc2):
     """Per charge: (stable and positive on the fixed window, collapsed under exhaustion)."""
-    return {r.Z: (r.variation_fixed < rep.stability_tol and min(r.lambda1_fixed) > 0,
-                  r.exhaustion_drop > rep.collapse_drop) for r in rep.rows}
+    return {r["Z"]: (r["variation_fixed"] < STABILITY_TOL * mc2 and min(r["lambda1_fixed"]) > 0,
+                     r["exhaustion_drop"] > COLLAPSE_DROP * mc2) for r in rows}
 
 
 def direct_levels(Z, sizes, params=None, kappa=-1):
@@ -294,8 +297,9 @@ def direct_levels(Z, sizes, params=None, kappa=-1):
                          for g in grids])
 
 
-def scanned_levels(rep):
-    return {row.Z: np.array(row.lambda1_fixed + row.lambda1_exhaustion) for row in rep.rows}
+def scanned_levels(rows):
+    return {row["Z"]: np.array(row["lambda1_fixed"] + row["lambda1_exhaustion"])
+            for row in rows}
 
 
 class TestCriticalScanWarmStart:
@@ -311,7 +315,7 @@ class TestCriticalScanWarmStart:
         return critical_coupling_scan(self.CHARGES, grid_sizes=self.SIZES)
 
     def test_counts(self, ascending):
-        eigen = ascending.eigen
+        _, eigen = ascending
         grids = 2 * len(self.SIZES)
         assert eigen["eigh_calls"] == 2
         # one certified factorization per inverse-iteration level, plus the
@@ -326,22 +330,22 @@ class TestCriticalScanWarmStart:
         charges = (sorted(self.CHARGES, reverse=True) if order == "descending"
                    else random.Random(5).sample(self.CHARGES, len(self.CHARGES)))
         assert charges != self.CHARGES
-        rep = critical_coupling_scan(charges, grid_sizes=self.SIZES)
+        rows, _ = critical_coupling_scan(charges, grid_sizes=self.SIZES)
         mc2 = PhysParams().mc2
-        want, got = scanned_levels(ascending), scanned_levels(rep)
+        want, got = scanned_levels(ascending[0]), scanned_levels(rows)
         for Z in self.CHARGES:
             assert np.abs(got[Z] - want[Z]).max() <= 1e-12 * mc2
-        assert verdicts(rep) == verdicts(ascending)
+        assert verdicts(rows) == verdicts(ascending[0])
 
     def test_jump_rejects_shifts(self):
         # from Z = 100 the Rayleigh quotient at Z = 140 lies far above lambda_1
         # (up to 14 mc^2 on the exhaustion grids), so the first shifts fail
-        rep = critical_coupling_scan([100.0, 140.0], grid_sizes=self.SIZES)
-        assert rep.eigen["rejected_shifts"] >= 1
+        rows, eigen = critical_coupling_scan([100.0, 140.0], grid_sizes=self.SIZES)
+        assert eigen["rejected_shifts"] >= 1
         mc2 = PhysParams().mc2
-        for Z, levels in scanned_levels(rep).items():
+        for Z, levels in scanned_levels(rows).items():
             assert np.abs(levels - direct_levels(Z, self.SIZES)).max() <= 1e-12 * mc2
-        assert rep.rows[1].exhaustion_drop > rep.collapse_drop
+        assert rows[1]["exhaustion_drop"] > COLLAPSE_DROP * mc2
 
     def test_repeated_charge(self, monkeypatch):
         # the start vector is the ground state already: on each of the four
@@ -356,12 +360,12 @@ class TestCriticalScanWarmStart:
             return out
 
         ground_level = experiments._ground_level
-        once = critical_coupling_scan([120.0], grid_sizes=(32, 48)).eigen
+        _, once = critical_coupling_scan([120.0], grid_sizes=(32, 48))
         monkeypatch.setattr(experiments, "_ground_level", recording)
-        rep = critical_coupling_scan([120.0, 120.0], grid_sizes=(32, 48))
-        first, again = (np.array(r.lambda1_fixed + r.lambda1_exhaustion) for r in rep.rows)
+        rows, eigen = critical_coupling_scan([120.0, 120.0], grid_sizes=(32, 48))
+        first, again = (np.array(r["lambda1_fixed"] + r["lambda1_exhaustion"]) for r in rows)
         assert np.abs(again - first).max() <= 1e-12 * PhysParams().mc2
-        assert rep.eigen["factorizations"] - once["factorizations"] == 4
+        assert eigen["factorizations"] - once["factorizations"] == 4
         # a grid's calls are consecutive, and its last one is the second charge
         second = [c for c, nxt in zip(calls, calls[1:] + [(None,)]) if nxt[0] is not c[0]]
         assert len(second) == 4
@@ -373,9 +377,10 @@ class TestCriticalScanWarmStart:
         # its levels dive on the exhaustion grids
         params = PhysParams(c=1.0, m=1.0, Z=0.5)
         sizes = (32, 48)
-        rep = critical_coupling_scan([0.5, 2.0], grid_sizes=sizes, params=params)
-        assert rep.rows[0].exhaustion_drop <= rep.collapse_drop < rep.rows[1].exhaustion_drop
-        for Z, levels in scanned_levels(rep).items():
+        rows, _ = critical_coupling_scan([0.5, 2.0], grid_sizes=sizes, params=params)
+        drop = COLLAPSE_DROP * params.mc2
+        assert rows[0]["exhaustion_drop"] <= drop < rows[1]["exhaustion_drop"]
+        for Z, levels in scanned_levels(rows).items():
             direct = direct_levels(Z, sizes, params)
             assert np.abs(levels - direct).max() <= 1e-12 * max(1.0, np.abs(direct).max())
 
@@ -403,11 +408,11 @@ class TestCriticalScanGridMajor:
         ([0.0, 50.0], (100, 200, 400), -1),
     ])
     def test_levels_match_dense(self, charges, sizes, kappa):
-        rep = critical_coupling_scan(charges, grid_sizes=sizes, kappa=kappa)
-        assert rep.eigen["eigh_calls"] == 2
-        assert [r.Z for r in rep.rows] == charges
+        rows, eigen = critical_coupling_scan(charges, grid_sizes=sizes, kappa=kappa)
+        assert eigen["eigh_calls"] == 2
+        assert [r["Z"] for r in rows] == charges
         mc2 = PhysParams().mc2
-        for Z, levels in scanned_levels(rep).items():
+        for Z, levels in scanned_levels(rows).items():
             direct = direct_levels(Z, sizes, kappa=kappa)
             assert np.abs(levels - direct).max() <= 1e-12 * mc2
 
@@ -419,16 +424,16 @@ class TestCriticalScanGridMajor:
         critical_coupling_scan(charges, grid_sizes=sizes)   # the shared rule tables
         tracemalloc.start()
         try:
-            rep = critical_coupling_scan(charges, grid_sizes=sizes)
+            _, eigen = critical_coupling_scan(charges, grid_sizes=sizes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rep.eigen["eigh_calls"] == 2
+        assert eigen["eigh_calls"] == 2
         assert peak < 3 * max(sizes) ** 2 * 8
 
     def test_no_charges(self):
-        rep = critical_coupling_scan([], grid_sizes=(32, 48))
-        assert rep.rows == [] and rep.eigen["eigh_calls"] == 0
+        rows, eigen = critical_coupling_scan([], grid_sizes=(32, 48))
+        assert rows == [] and eigen["eigh_calls"] == 0
 
 
 @pytest.fixture(scope="module")
@@ -495,7 +500,7 @@ class TestCommutatorMatrix:
         grid = build_log_grid(160, 1e-4, 1e3)
         d = np.sqrt(np.tile((1.0 + grid.nodes) * grid.l2_weights, 2))
         ch = ChannelSpec.from_kappa(-1)
-        for R, norm in zip(decay_report.R_values, decay_report.norms):
+        for R, norm in zip(decay_report["R_values"], decay_report["norms"]):
             C = dense_commutator(R, grid, ch, PhysParams())[0]
             oracle = np.linalg.norm(C * d[:, None] / d[None, :], 2)
             assert norm == pytest.approx(oracle, rel=1e-13)
@@ -504,17 +509,17 @@ class TestCommutatorMatrix:
 class TestCommutatorDecay:
     def test_slope_window(self, decay_report):
         report = decay_report
-        assert -1.15 <= report.fitted_slope <= -0.85
-        assert np.isfinite(report.fitted_slope) and np.isfinite(report.fit_residual)
-        assert report.fit_residual < 0.1
+        assert -1.15 <= report["fitted_slope"] <= -0.85
+        assert np.isfinite(report["fitted_slope"]) and np.isfinite(report["fit_residual"])
+        assert report["fit_residual"] < 0.1
 
     def test_norms_decrease(self, decay_report):
         report = decay_report
-        assert all(a > b for a, b in zip(report.norms, report.norms[1:]))
+        assert all(a > b for a, b in zip(report["norms"], report["norms"][1:]))
 
     def test_doubling_halves_norm(self, decay_report):
         report = decay_report
-        for a, b in zip(report.norms, report.norms[1:]):
+        for a, b in zip(report["norms"], report["norms"][1:]):
             assert b / a == pytest.approx(0.5, abs=0.1)
 
     def test_r_values_validation(self):
@@ -530,14 +535,14 @@ def scaling_report():
 class TestScalingLimit:
     def test_leading_coefficient_matches_position_oracle(self, scaling_report):
         report = scaling_report
-        rel = abs(report.leading_coefficient - report.oracle_coefficient) \
-            / report.oracle_coefficient
+        oracle = report["oracle_coefficient"]
+        rel = abs(report["leading_coefficient"] - oracle) / oracle
         assert rel < 0.02
 
     def test_gaussian_oracle_against_closed_form(self, scaling_report):
         report = scaling_report
         # Z <phi, r^-1 phi> for the normalized Gaussian is 2 Z / sqrt(pi)
-        assert report.oracle_coefficient == pytest.approx(2 / np.sqrt(np.pi), rel=1e-4)
+        assert report["oracle_coefficient"] == pytest.approx(2 / np.sqrt(np.pi), rel=1e-4)
 
     @pytest.mark.parametrize("l", range(4), ids=lambda l: f"l={l}")
     def test_closed_form_oracle_against_bessel_transform(self, l):
@@ -553,16 +558,16 @@ class TestScalingLimit:
         r, w = r[r < 12.0], w[r < 12.0]
         oracle = params.Z * np.dot(w * r, fr**2) / np.dot(w * r * r, fr**2)
         rep = scaling_limit(kappa=kappa, params=params)
-        assert rep.oracle_coefficient == pytest.approx(oracle, rel=1e-14)
+        assert rep["oracle_coefficient"] == pytest.approx(oracle, rel=1e-14)
 
     def test_remainder_exponent(self, scaling_report):
         report = scaling_report
-        assert report.remainder_exponent >= 1.7
+        assert report["remainder_exponent"] >= 1.7
 
     def test_forms_negative_and_monotone(self, scaling_report):
         report = scaling_report
-        assert all(v < 0 for v in report.form_values)
-        assert report.monotone_divergence
+        assert all(v < 0 for v in report["form_values"])
+        assert report["monotone_divergence"]
 
     def test_eta_validation(self):
         with pytest.raises(DomainError):
