@@ -7,15 +7,17 @@ once, before it adds the kinetic energy.  Two schemes:
 * ``nystrom`` (default): collocation on the quadrature nodes with diagonal
   singularity subtraction.  The logarithmically singular diagonal of the
   Coulomb-type kernel is replaced through the smooth profile
-  phi_p(q) = 2 p^2 / (p^2 + q^2), whose channel integrals are computed
-  per run by a product Gauss rule restricted to the grid's domain:
-  Gauss-Legendre panels, with Gauss-log nodes on the panels that touch the
-  singularity, at two orders whose disagreement is an error.
-  Restricting to the domain keeps the discrete quadratic form a
-  restriction of the continuum form; extending the subtraction integral
-  beyond the represented window would feed potential energy from outside
-  the grid into the diagonal with no matching kinetic cost and destroys
-  positivity near the critical coupling.
+  phi_p(q) = 2 p^2 / (p^2 + q^2): the integral of the kernel against it
+  minus the row's collocation sum against it, both over the row's
+  neighbourhood.  One product Gauss rule takes every row's integral over
+  its own interval, Gauss-Legendre panels with Gauss-log nodes on those
+  that touch the singularity, at two orders whose disagreement is an
+  error.  On a log-panel grid the neighbourhood is the row's panel and
+  three on either side, cut at the window: beyond them the grid's own rule
+  integrates the smooth far field of both terms alike, so it would cancel,
+  and nothing outside the window enters the diagonal with no kinetic cost
+  to match it.  On the rational grid the neighbourhood is (0, inf), every
+  column and the integral out to the tail cut.
 
 * ``galerkin``: piecewise-linear elements on the same nodes.  The
   potential is integrated once on each unordered pair of elements by the
@@ -53,24 +55,23 @@ def subtraction_profile(p, q):
 
 # ---------------------------------------------------------------------------
 # Panel quadrature for the subtraction integrals
-# I(p) = Int_domain k(p, q) phi_p(q) q^2 dq, log-singular at q = p.
+# I(p) = Int k(p, q) phi_p(q) q^2 dq, log-singular at q = p.
 #
 # In the log-ratio x = ln(q/p) the integrand is
 # -(p/pi) sum_t f_t(p) f_t(p e^x) Q_l(cosh x) rho(x) per unit charge, with
-# rho(x) = 2/(1 + e^-2x) (the profile times q^2 dq/dx over p^3 e^x).  On
-# [-1, 0] and [0, 1] a product rule takes the singularity: with
-# Q_l = smooth + logcoef ln|x|, Gauss-Legendre nodes carry the smooth part
-# and Gauss-log nodes (weight -ln|x|) the logcoef part.  Gauss panels
-# continue outward, of unit width to |x| = 3 and then each _GROWTH times as
-# wide as the last, up to _WIDEST: out there Q_l(cosh x) rho(x) is smooth
-# and decays like e^-|x| or faster.  They end at the first panel past the
-# tail cut of Q_l, which is set on the unit lattice.  On the domain
-# (0, inf) this row-centred rule is the same in every row and never
-# clipped, so the weights times Q_l rho are tabulated once per (l, order)
-# and a row pays only for its mixing factors.  A log-panel grid integrates
-# over its own panels instead (below).  Two Gauss orders give the error
-# estimate; a row whose estimates disagree beyond ORDER_TOL raises
-# NumericalError.
+# rho(x) = 2/(1 + e^-2x) (the profile times q^2 dq/dx over p^3 e^x).  Each
+# row integrates over its own interval [lo, hi] around x = 0, by one rule
+# from 0 to either end.  Within one unit of x = 0 a product rule takes the
+# singularity: with Q_l = smooth + logcoef ln|x|, Gauss-Legendre nodes carry
+# the smooth part and Gauss-log nodes (weight -ln|x|) the logcoef part.
+# Gauss panels continue outward, of unit width to |x| = 3 and then each
+# _GROWTH times as wide as the last, up to _WIDEST: out there
+# Q_l(cosh x) rho(x) is smooth and decays like e^-|x| or faster.  The last
+# panel is clipped at the end, and no end lies past the first panel edge
+# beyond the tail cut of Q_l, which is set on the unit lattice.  The rows
+# that share an end share its table of weights times Q_l rho and pay only
+# for their mixing factors.  Two Gauss orders give the error estimate; a row
+# whose estimates disagree beyond ORDER_TOL raises NumericalError.
 
 # Gauss orders of the estimate; with the logarithm in the weight the higher
 # one is at rounding and the lower one within 2.4e-12 of it (relative, on
@@ -87,66 +88,68 @@ _TAIL = 1e-17
 # the outermost unit panels the cut chooses from
 _REACH = (-40.0, 60.0)
 # beyond |x| = 3 each panel is _GROWTH times as wide as the one before it,
-# up to _WIDEST
+# up to _WIDEST; _EDGES are the panel edges from |x| = 1 outward, on either
+# side, the 26 widths ending past |x| = 70
 _GROWTH, _WIDEST = 1.3, 3.0
-
-
-def _panel_edges():
-    # unit panels out to |x| = 3, then widening ones out to the reach on
-    # either side; the product panels [-1, 0] and [0, 1] appear twice, once
-    # per node set (Gauss-Legendre, Gauss-log); the 26 widths end past
-    # |x| = 70
-    widths = np.clip(_GROWTH ** np.arange(-1.0, 25.0), 1.0, _WIDEST)
-    edges = np.concatenate([[1.0], 1.0 + np.cumsum(widths)])
-    right = edges[:np.searchsorted(edges, _REACH[1]) + 1]
-    left = -edges[:np.searchsorted(edges, -_REACH[0]) + 1][::-1]
-    return (np.concatenate([left[:-1], [-1.0, -1.0, 0.0, 0.0], right[:-1]]),
-            np.concatenate([left[1:], [0.0, 0.0, 1.0, 1.0], right[1:]]))
-
-
-_PANEL_LO, _PANEL_HI = _panel_edges()
-_PRODUCT = np.abs(_PANEL_LO + _PANEL_HI) == 1.0
-_LOG_NODES = np.r_[False, (_PANEL_LO[1:] == _PANEL_LO[:-1]) & (_PANEL_HI[1:] == _PANEL_HI[:-1])]
+_EDGES = np.concatenate([[1.0], 1.0 + np.cumsum(np.clip(_GROWTH ** np.arange(-1.0, 25.0), 1.0,
+                                                        _WIDEST))])
+# a log-grid row's edges halve [1, 2], so that no outer panel is wider than
+# half its distance from x = 0 (whole, at l = 3, its logarithm put the two
+# orders 5.7e-14 of the largest row apart)
+_NEAR_EDGES = np.insert(_EDGES, 1, 1.5)
+# a log-grid row's neighbourhood: its own panel and this many a side.  With
+# one, the grid rule's far-field error on the mixing factors (panels 2.8
+# wide) put a kappa = -1 diagonal 1.06e-12 of its integral from the window
+# integral minus the whole row sum; with three, 5e-15
+_NEAR_PANELS = 3
+# quadrature points per block of rows, whose temporaries stay in cache (2^14
+# took 1.3 times as long in the 200-node rational assemblies of `spectrum`)
+_ROW_POINTS = 1 << 13
 
 
 def _rho(x):
     return 2.0 / (1.0 + np.exp(-2.0 * x))
 
 
-def _product_rule(order):
-    """Gauss-Legendre then Gauss-log nodes and weights on (0, 1), each ``order`` long."""
-    t, w = gauss_legendre(order)
-    tl, wl = gauss_log(order)
-    return np.concatenate([0.5 * (1.0 + t), tl]), np.concatenate([0.5 * w, wl])
+def _rule(ends, order, edges):
+    """Nodes x and weights (ws, wl) of the rule from x = 0 to each of ``ends``, (ends, nodes).
 
-
-@lru_cache(maxsize=None)
-def _rule_nodes(order):
-    """Nodes x and weights of the whole rule, each (panels, order), read-only."""
-    x, w = gauss_panels(_PANEL_LO, _PANEL_HI, order)
-    tl, wl = gauss_log(order)
-    x[_LOG_NODES] = np.sign(_PANEL_LO + _PANEL_HI)[_LOG_NODES, None] * tl
-    w[_LOG_NODES] = wl
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
-@lru_cache(maxsize=None)
-def _rule_table(l, order):
-    """Weight times Q_l(cosh x) rho(x) at every node of the rule, (panels, order).
-
-    The Gauss-Legendre nodes of the product panels carry the smooth part of
-    Q_l, their Gauss-log nodes minus its logcoef.  Built on first use and
-    shared, read-only, by every row and call.
+    Summing ws smooth + wl logcoef over an end e's nodes integrates smooth +
+    logcoef ln|x| between 0 and e.  On the product panel x = c t, 0 < t < 1,
+    c = e cut at +-1, gives |c| Int_0^1 (smooth + logcoef (ln|c| + ln t)) dt;
+    the outer panels lie between ``edges``, mirrored for e < 0, with wl the
+    weight times ln|x|, as many for every end as the farthest needs, each
+    clipped at the end, so that those beyond it have zero length and weight.
     """
-    x, w = _rule_nodes(order)
-    q = np.empty_like(x)
-    q[~_PRODUCT] = legendre_q_cosh((l,), x[~_PRODUCT])[0]
-    (smooth,), (logcoef,) = legendre_q_cosh_split((l,), x[_PRODUCT])
-    q[_PRODUCT] = np.where(_LOG_NODES[_PRODUCT, None], -logcoef, smooth)
-    table = q * _rho(x) * w
-    table.flags.writeable = False
-    return table
+    c = np.clip(ends, -1.0, 1.0)[:, None]
+    a = np.abs(c)
+    t, w = gauss_legendre(order)
+    t, w = 0.5 * (1.0 + t), 0.5 * w
+    tl, wl = gauss_log(order)
+    reach = np.abs(ends)[:, None]
+    outer = edges[:np.count_nonzero(edges < reach.max()) + 1]
+    x, wx = gauss_panels(np.minimum(outer[:-1], reach), np.minimum(outer[1:], reach), order)
+    x, wx = (v.reshape(ends.size, -1) for v in (np.sign(c)[..., None] * x, wx))
+    return (np.concatenate([c * t, c * tl, x], axis=1),
+            np.concatenate([a * w, np.zeros((ends.size, order)), wx], axis=1),
+            np.concatenate([a * np.log(a) * w, -a * wl, wx * np.log(np.abs(x))], axis=1))
+
+
+# 32 hold the 24 tables of a whole critical scan (6 grids, 2 orders, 2 sides)
+@lru_cache(maxsize=32)
+def _rule_table(ls, ends, order, near):
+    """Nodes x of the rule to each of ``ends`` and weight times Q_l(cosh x) rho(x) there.
+
+    Returns x and one table per l, each (ends, nodes); ``near`` picks the
+    log-grid rows' edges.  Built on first use and shared, read-only, by
+    every row and call.
+    """
+    x, ws, wl = _rule(np.array(ends), order, _NEAR_EDGES if near else _EDGES)
+    smooth, logcoef = legendre_q_cosh_split(ls, x)
+    tables = [(ws * s + wl * g) * _rho(x) for s, g in zip(smooth, logcoef)]
+    for v in (x, *tables):
+        v.flags.writeable = False
+    return x, tables
 
 
 @lru_cache(maxsize=None)
@@ -155,151 +158,84 @@ def _tail_cut(l):
 
     The unit panels between the reach and [-1, 1] are dropped lightest
     first, which is outermost first on either side, while their order-12
-    mass stays below _TAIL of the whole.  The log-grid rule's far table
-    spans the cut, so its Q_l evaluations grow with it; a cut on the
-    widening panels would reach up to 3 further.  The row-centred rule keeps
-    every panel that reaches into the cut, so it drops less.
+    mass stays below _TAIL of the whole.  The rule keeps every panel that
+    reaches into the cut, so it drops less.
     """
     lo = np.concatenate([np.arange(_REACH[0], -1.0), np.arange(1.0, _REACH[1])])
     x, w = gauss_panels(lo, lo + 1.0, _ORDERS[-1])
     mass = (legendre_q_cosh((l,), x)[0] * _rho(x) * w).sum(axis=1)
     light = np.argsort(mass)
-    whole = mass.sum() + _rule_table(l, _ORDERS[-1])[_PRODUCT].sum()
+    whole = mass.sum() + _rule_table((l,), (-1.0, 1.0), _ORDERS[-1], False)[1][0].sum()
     kept = lo[light][np.cumsum(mass[light]) >= _TAIL * whole]
     return kept.min(), kept.max() + 1.0
 
 
-@lru_cache(maxsize=None)
-def _kept_panels(l):
-    """Mask of the panels that reach into the tail cut of Q_l, the product panels among them.
+def _neighbourhoods(grid: RadialGrid):
+    """Each row's neighbourhood: its ends in x = ln(q/p_i) and its columns [first, end).
 
-    For l = 0 (the cut [-13, 40]) these are 7 panels left of [-1, 0], the
-    two product panels of two node sets each, and 16 right of [0, 1].
+    On a log-panel grid its own panel and _NEAR_PANELS a side, cut at the
+    window, beyond which the grid's own rule takes the far field of both
+    terms alike; on (0, inf) every column and no end.
     """
-    lo, hi = _tail_cut(l)
-    return (_PANEL_HI > lo) & (_PANEL_LO < hi)
-
-
-# rows per block of the row-centred rule: each row carries ~0.32k quadrature
-# points at order 12, so evaluating all rows at once would make the
-# temporaries dwarf the assembled matrix
-_ROW_BLOCK = 64
-
-
-def _centred_rule_sums(terms, p, order):
-    """Sum over the row-centred rule of f_t(p) f_t(p e^x) Q_l(cosh x) rho(x) w, per row.
-
-    For the domain (0, inf), which clips no panel of any row.
-    """
-    kept = np.logical_or.reduce([_kept_panels(l) for l in terms.ls])
-    ex = np.exp(_rule_nodes(order)[0][kept]).ravel()
-    tables = [_rule_table(l, order)[kept].ravel() for l in terms.ls]
-    fp = terms.factors(p)
-    out = np.empty(p.size)
-    for lo in range(0, p.size, _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        fq = terms.factors(p[rows, None] * ex)
-        out[rows] = sum(f0[rows] * (f @ tab) for f0, f, tab in zip(fp, fq, tables))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# The subtraction integrals on a log-panel grid.
-#
-# The window is the panels' span in u = ln q.  Each panel is split into
-# S = ceil(h / _SUB_WIDTH) sub-panels of width g = h/S, K = P S in all, and
-# a row at node r of panel i, u_i = u_0 + h (i + tau_r), lies in sub-panel
-# k_i = i S + floor(S tau_r) at the offset phi_r = S tau_r - floor(S tau_r),
-# both fixed by r.  Sub-panels d = k - k_i with |d| >= 2 carry plain Gauss
-# nodes at x = g (d + s_j - phi_r): weight times Q_l rho is one
-# block-Toeplitz table over (d, j, r), the mixing factors one table over the
-# K sub-panels' nodes, and every row's sum is their correlation along k, one
-# real FFT per (term, order).  What is left, from the start of sub-panel
-# k_i - 1 to u_i and from u_i to the end of k_i + 1, cut at the window, is at
-# most 2 g <= 1 long on either side and takes the product rule of the
-# row-centred rule scaled to its length; its Q_l values depend on the length
-# alone, of which there are at most 2 m per side.  No panel is ever clipped.
-
-_SUB_WIDTH = 0.5
-
-
-def _far_table(l, g, s, w, phi, K):
-    """Weight times Q_l(cosh x) rho(x) at x = g (d + s_j - phi_r), shape (offsets, order, m).
-
-    The offsets d, |d| < K, run over the sub-panels that reach into the tail
-    cut of Q_l for some row; the neighbourhood's |d| < 2 are 0.  Returns the
-    table and its first offset.
-    """
-    lo, hi = _tail_cut(l)
-    d = np.arange(max(1 - K, int(np.floor(lo / g))), min(K - 1, int(np.ceil(hi / g))) + 1)
-    x = g * (d[:, None, None] + (s[:, None] - phi))
-    far = np.abs(d) >= 2
-    table = np.zeros(x.shape)
-    table[far] = legendre_q_cosh((l,), x[far])[0] * _rho(x[far]) * w[:, None]
-    return table, d[0]
-
-
-def _correlate(f, table, d0):
-    """sum_{k, j} f[k, j] table[k - k_i - d0, j, r] for every sub-panel k_i, shape (K, m).
-
-    The reversed f convolved with the table, read at K - 1 - k_i - d0, by
-    real FFTs zero-padded to hold the whole linear convolution, so that
-    nothing wraps around.
-    """
-    K = f.shape[0]
-    size = 1 << (K + table.shape[0] - 2).bit_length()
-    spectrum = np.fft.rfft(f[::-1], size, axis=0)[:, :, None] * np.fft.rfft(table, size, axis=0)
-    conv = np.fft.irfft(spectrum.sum(axis=1), size, axis=0)
-    return conv[K - 1 - d0 - np.arange(K)]
-
-
-def _log_grid_sums(terms, grid, order):
-    """Sum over the log-grid rule of f_t(p) f_t(p e^x) Q_l(cosh x) rho(x) w, per row."""
+    n = grid.n
     pan = grid.panels
+    if pan is None:
+        return np.full(n, -np.inf), np.full(n, np.inf), np.zeros(n, int), np.full(n, n)
+    k = np.repeat(np.arange(pan.count), pan.order)
+    tau = np.tile(pan.places(), pan.count)
+    first = np.maximum(k - _NEAR_PANELS, 0)
+    end = np.minimum(k + _NEAR_PANELS + 1, pan.count)
+    return (pan.width * (first - k - tau), pan.width * (end - k - tau),
+            first * pan.order, end * pan.order)
+
+
+def _intervals(grid: RadialGrid, ls):
+    """Each row's interval [lo, hi] in x: its neighbourhood, cut at the tail cut of every l.
+
+    The cut ends at the panel edges first at or past it, so that a row on
+    (0, inf) keeps every panel that reaches into the cut: for l = 0 (the cut
+    [-13, 40]) its interval is [-14.04, 41.04], 7 panels left of [-1, 0] and
+    16 right of [0, 1].
+    """
+    lo, hi, _, _ = _neighbourhoods(grid)
+    cut_lo = min(_tail_cut(l)[0] for l in ls)
+    cut_hi = max(_tail_cut(l)[1] for l in ls)
+    return (np.maximum(lo, -_EDGES[np.searchsorted(_EDGES, -cut_lo)]),
+            np.minimum(hi, _EDGES[np.searchsorted(_EDGES, cut_hi)]))
+
+
+def _row_sums(terms, grid, order):
+    """Sum over each row's rule of f_t(p) f_t(p e^x) Q_l(cosh x) rho(x) w.
+
+    The rule runs from x = 0 to either end of the row's interval; the rows
+    that share an end share its table.
+    """
     p = grid.nodes
-    S = int(np.ceil(pan.width / _SUB_WIDTH))
-    g = pan.width / S
-    K = pan.count * S
-    sub, phi = np.divmod(S * pan.places(), 1.0)
-    k_row = (S * np.arange(pan.count)[:, None] + sub.astype(int)).ravel()
-    r_row = np.tile(np.arange(pan.order), pan.count)
-    s, w = gauss_legendre(order)
-    s, w = 0.5 * (1.0 + s), 0.5 * g * w
-    f_far = terms.factors(np.exp(pan.log_lo + g * (np.arange(K)[:, None] + s)))
-    # the neighbourhood: one signed length per side and row, cut at the window
-    ends = np.concatenate([-g * (phi[r_row] + np.minimum(k_row, 1)),
-                           g * (1.0 - phi[r_row] + np.minimum(K - 1 - k_row, 1))])
-    lengths, which = np.unique(ends, return_inverse=True)
-    t_prod, w_prod = _product_rule(order)
-    x = lengths[:, None] * t_prod
-    # x = c t on [0, c] gives |c| Int_0^1 (smooth + logcoef (ln|c| + ln t)) dt
-    log_c = np.log(np.abs(lengths))[:, None]
-    weight = np.abs(lengths)[:, None] * w_prod * _rho(x)
-    near = [np.concatenate([sm[:, :order] + lc[:, :order] * log_c, -lc[:, order:]], axis=1) * weight
-            for sm, lc in zip(*legendre_q_cosh_split(terms.ls, x))]
-    which = which.reshape(2, p.size)
-    f_near = terms.factors(p[:, None] * np.exp(x[which]))
+    fp = terms.factors(p)
     out = np.zeros(p.size)
-    for l, f0, ff, fn, tab in zip(terms.ls, terms.factors(p), f_far, f_near, near):
-        far = _correlate(ff, *_far_table(l, g, s, w, phi, K))
-        out += f0 * (far[k_row, r_row] + (fn * tab[which]).sum(axis=(0, 2)))
+    for end in _intervals(grid, terms.ls):
+        ends, group = np.unique(end, return_inverse=True)
+        x, tables = _rule_table(terms.ls, tuple(ends.tolist()), order, grid.panels is not None)
+        ex = np.exp(x)
+        step = max(1, _ROW_POINTS // ex.shape[1])
+        for start in range(0, p.size, step):
+            r = slice(start, start + step)
+            g = group[r]
+            fq = terms.factors(p[r, None] * ex[g])
+            out[r] += sum(f0[r] * (f * tab[g]).sum(axis=1) for f0, f, tab in zip(fp, fq, tables))
     return out
 
 
 def subtraction_integrals(terms: KernelTerms, grid: RadialGrid):
-    """I(p_i) = Int_domain k(p_i, q) phi_{p_i}(q) q^2 dq per unit charge, at every node.
+    """I(p_i) = Int k(p_i, q) phi_{p_i}(q) q^2 dq per unit charge over each row's interval.
 
-    A log-panel grid integrates over its panels, any other grid over
-    (0, inf) by the row-centred rule.  A row whose two-order estimates
-    disagree beyond ``ORDER_TOL`` raises NumericalError.
+    A log-panel grid's row integrates over its neighbourhood, a row on
+    (0, inf) over the tail cut.  A row whose two-order estimates disagree
+    beyond ``ORDER_TOL`` raises NumericalError.
     """
     p = grid.nodes
-    if grid.panels is not None:
-        sums = lambda order: _log_grid_sums(terms, grid, order)
-    else:
-        sums = lambda order: _centred_rule_sums(terms, p, order)
     pref = -1.0 / np.pi * p
-    low, out = (pref * sums(order) for order in _ORDERS)
+    low, out = (pref * _row_sums(terms, grid, order) for order in _ORDERS)
     err = np.abs(out - low)
     scale = np.maximum(np.abs(out), np.abs(out).max() * 1e-3 + 1e-300)
     bad = np.nonzero(err > ORDER_TOL * scale)[0]
@@ -315,24 +251,23 @@ def subtraction_integrals(terms: KernelTerms, grid: RadialGrid):
 def subtraction_integral_adaptive(terms: KernelTerms, p, domain, tol=1e-12):
     """Reference adaptive quadrature of one subtraction integral (scipy).
 
-    The oracle the panel rules are tested against; assembly never calls it.
+    The oracle the panel rule is tested against; assembly never calls it.
     It stays in the package while the benchmark's tracer times it by name.
-    ``quad`` never samples its breakpoint q = p, the kernel's diagonal.
+    The domain is split where ln(q/p) crosses an integer, q = p among the
+    splits, so that ``quad`` meets the kernel's logarithm only at an end
+    and each piece spans at most a factor e in q; outside
+    [e^-40 p, e^60 p] the first and last pieces run to the domain's ends.
+    A single ``quad`` over a window of several decades can misread the
+    integrand's decay and return a wrong value with only a warning.
     """
     from scipy.integrate import quad
 
     qlo, qhi = domain
     f = lambda q: kernel_at(terms, p, q, log_ratio(p, q)) * subtraction_profile(p, q) * q * q
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        if not np.isfinite(qhi):
-            v1 = quad(f, qlo, 2 * p, points=[p], limit=400, epsabs=1e-14, epsrel=tol)[0]
-            v2 = quad(f, 2 * p, np.inf, limit=400, epsabs=1e-14, epsrel=tol)[0]
-        else:
-            mid = min(2 * p, 0.5 * (p + qhi))
-            v1 = quad(f, qlo, mid, points=[p], limit=400, epsabs=1e-14, epsrel=tol)[0]
-            v2 = quad(f, mid, qhi, limit=400, epsabs=1e-14, epsrel=tol)[0]
-    return v1 + v2
+    splits = p * np.exp(np.arange(_REACH[0], _REACH[1] + 1.0))
+    ends = np.concatenate([[qlo], splits[(splits > qlo) & (splits < qhi)], [qhi]])
+    return sum(quad(f, a, b, limit=400, epsabs=1e-14, epsrel=tol)[0]
+               for a, b in zip(ends[:-1], ends[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +316,10 @@ def _toeplitz_strips(panels: LogPanels, ls):
         yield slice(i * m, (i + 1) * m), [c[:, cols] for c in cat], phi[:, cols]
 
 
+# rows per block of the pointwise fill
+_ROW_BLOCK = 64
+
+
 def _pointwise_strips(p, ls):
     """Row blocks of Q_l(cosh x_ij) and of the profile on any grid, each pair evaluated once."""
     n = p.size
@@ -402,13 +341,15 @@ def assemble_potential(grid: RadialGrid, terms: KernelTerms):
     M_ij = -(1/pi) sum_t d_t(p_i) d_t(p_j) Q_l(cosh ln(p_j/p_i)) with the
     diagonal factors d_t(p) = f_t(p) sqrt(w p^2)/p, and the diagonal is the
     subtraction integral minus the row's collocation sum against the
-    profile.  A grid that records its log-panel structure gets the
-    block-Toeplitz fill, any other grid the pointwise one.
+    profile, both over the row's neighbourhood.  A grid that records its
+    log-panel structure gets the block-Toeplitz fill, any other grid the
+    pointwise one.
     """
     p = grid.nodes
     n = grid.n
     sq = np.sqrt(grid.l2_weights)
     ints = subtraction_integrals(terms, grid)
+    _, _, first, end = _neighbourhoods(grid)
     diag = [f * np.sqrt(grid.weights) for f in terms.factors(p)]
     strips = (_pointwise_strips(p, terms.ls) if grid.panels is None
               else _toeplitz_strips(grid.panels, terms.ls))
@@ -418,7 +359,15 @@ def assemble_potential(grid: RadialGrid, terms: KernelTerms):
         # d_i d_j before Q_ij keeps every entry exactly symmetric
         M[rows] = sum(np.multiply.outer(d[rows], d) * qk for d, qk in zip(diag, qs))
         M[rows] *= -1.0 / np.pi
-        row_sums[rows] = (M[rows] * phi) @ sq / sq[rows]
+        # the row sum over the row's neighbourhood: the block's span, unless
+        # the block holds rows of several (the pointwise fill of a log grid)
+        r = np.arange(n)[rows]
+        span = slice(first[r[0]], end[r[-1]])
+        near = M[rows, span] * phi[:, span]
+        if first[r[0]] != first[r[-1]] or end[r[0]] != end[r[-1]]:
+            cols = np.arange(n)[span]
+            near *= (cols >= first[r, None]) & (cols < end[r, None])
+        row_sums[rows] = near @ sq[span] / sq[rows]
     M[np.diag_indices(n)] = ints - row_sums
     return M
 

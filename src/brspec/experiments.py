@@ -358,13 +358,14 @@ def commutator_decay(R_values=(2., 4., 8., 16., 32., 64.), n=160, kappa=-1,
     """Operator norms of the cutoff commutator across dilation scales R.
 
     The commutator acts on an n-node log grid over [1e-4, 1e3].  Fits the
-    log-log slope of the norms, which decay like 1/R.
+    log-log slope of the norms, which decay like 1/R; the R values are
+    taken, and reported, in ascending order.
     """
     base = params or PhysParams()
     grid = build_log_grid(n, 1e-4, 1e3)
-    R_values = [float(R) for R in R_values]
-    if any(R <= 0 for R in R_values) or sorted(R_values) != R_values:
-        raise DomainError("R values must be positive and increasing")
+    R_values = sorted(float(R) for R in R_values)
+    if R_values[0] <= 0:
+        raise DomainError("R values must be positive")
     ch = ChannelSpec.from_kappa(kappa)
     norms = [operator_norm_h12(commutator_matrix(R, grid, ch, base), grid) for R in R_values]
     coef = np.polyfit(np.log(R_values), np.log(norms), 1)

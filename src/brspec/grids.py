@@ -150,7 +150,7 @@ class RadialGrid:
     def domain(self):
         """The momentum interval the quadrature rule represents: (0, inf) for
         the rational map, the panels' window for a log-panel grid.  Kernel
-        assembly restricts its singularity-subtraction integrals to it, so
+        assembly keeps its singularity-subtraction integrals inside it, so
         that the discrete quadratic form is a restriction of the continuum one.
         """
         return (0.0, np.inf) if self.panels is None else self.panels.window

@@ -534,13 +534,14 @@ class TestMain:
         assert "error:" in err and "did not reach" in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
-    def test_disagreeing_gauss_orders_exit_code(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("kind", ["rational", "log"])
+    def test_disagreeing_gauss_orders_exit_code(self, kind, tmp_path, capsys, monkeypatch):
         # two Gauss orders that disagree are a NumericalError, reported like
-        # bad input; no other quadrature takes over
-        real = assemble._centred_rule_sums
-        monkeypatch.setattr(assemble, "_centred_rule_sums", lambda terms, p, order: real(
-            terms, p, order) * (1.0 + 1e-6 * (order == assemble._ORDERS[0])))
-        code = main(sum((["--set", kv] for kv in FAST), ["spectrum"])
+        # bad input, on either grid kind; no other quadrature takes over
+        real = assemble._row_sums
+        monkeypatch.setattr(assemble, "_row_sums", lambda terms, grid, order: real(
+            terms, grid, order) * (1.0 + 1e-6 * (order == assemble._ORDERS[0])))
+        code = main(sum((["--set", kv] for kv in FAST + [f"grid.kind={kind}"]), ["spectrum"])
                     + ["--set", "output.directory=" + str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 2
@@ -689,6 +690,15 @@ class TestCommandTable:
         report = run_command("critical-scan", config)
         z_c = critical_charge(PhysParams(), kappa)
         assert [row["Z_over_Zc"] for row in report.results["rows"]] == [60 / z_c, 130 / z_c]
+
+    def test_r_values_in_any_order(self):
+        # the CLI accepts any list of distinct R values; descending or
+        # ascending, the run is the same, and reports them ascending
+        runs = [run_command("commutator-decay", parse_config(overrides=[
+            "experiments.commutator_n=32", f"experiments.R_values={values}"]))
+            for values in ("[64,32,16,8,4,2]", "[2,4,8,16,32,64]")]
+        assert runs[0].results == runs[1].results
+        assert runs[0].results["R_values"] == [2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
 
     def test_norms_not_decreasing_fails(self, monkeypatch):
         fake = {"R_values": [2.0, 4.0, 8.0, 16.0], "norms": [1.0, 0.5, 0.6, 0.2],

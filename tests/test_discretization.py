@@ -149,37 +149,62 @@ class TestSubtractionIntegrals:
         assert np.all((t > 0) & (t < 1)) and np.all(w > 0)
 
     @pytest.mark.parametrize("terms, grid, rows", [
-        # h = 1.54: S = 4 sub-panels a panel, K = 24.  The window holds the
-        # mixing factors' transition at p = mc and, at fw_scale 0.025, at 40 mc
+        # h = 1.54: the window holds the mixing factors' transition at p = mc
+        # and, at fw_scale 0.025, at 40 mc
         *((terms, build_log_grid(60, 10.0, 1e5), [0, 3, 5, 54, 56, 59]) for terms in (
             *(br_terms(ChannelSpec.from_kappa(k), PhysParams(), fw)
               for k in (-1, 1, -2, 2, -3, 3) for fw in (0.025, 1.0)),
             *(coulomb_terms(l) for l in range(4)))),
-        # h = 0.46: one sub-panel a panel, K = 20
+        # h = 0.46: rows in the first three and last three panels
         *((terms, build_log_grid(200, 10.0, 1e5), [0, 10, 20, 179, 189, 199]) for terms in (
             br_terms(CH, PhysParams()), br_terms(CH, PhysParams(), 0.025), coulomb_terms(3))),
     ])
-    def test_clipped_product_panels_match_adaptive(self, terms, grid, rows):
-        # the rows lie in the first three and last three sub-panels, so the
-        # window's edge cuts or bounds their neighbourhood; rows 0 and n - 1
-        # sit 0.013 h from it
-        pan = grid.panels
-        S = int(np.ceil(pan.width / 0.5))
-        K = pan.count * S
-        sub = np.floor((np.log(grid.nodes[rows]) - pan.log_lo) / (pan.width / S))
-        assert list(sub) == [0, 1, 2, K - 3, K - 2, K - 1]
+    def test_window_edge_rows_match_adaptive(self, terms, grid, rows):
+        # each row integrates over its own panel and three on either side:
+        # the window cuts the neighbourhood of a row in the first or last
+        # three panels, and rows 0 and n - 1 sit 0.013 h from it, so that
+        # their product panel on that side is clipped to 0.013 h
+        lo, hi = assemble._intervals(grid, terms.ls)
+        p = grid.nodes
+        h = grid.panels.width
+        assert p[0] * np.exp(lo[0]) == pytest.approx(grid.domain[0], rel=1e-14)
+        assert p[-1] * np.exp(hi[-1]) == pytest.approx(grid.domain[1], rel=1e-14)
+        assert -lo[0] == pytest.approx(0.013 * h, rel=0.01) and hi[-1] == -lo[0]
         vals = subtraction_integrals(terms, grid)
         for i in rows:
-            ref = subtraction_integral_adaptive(terms, grid.nodes[i], grid.domain, tol=1e-13)
+            ref = subtraction_integral_adaptive(terms, p[i], (p[i] * np.exp(lo[i]),
+                                                              p[i] * np.exp(hi[i])), tol=1e-13)
             assert vals[i] == pytest.approx(ref, rel=1e-12)
+
+    def test_adaptive_oracle_over_a_wide_window(self):
+        # row 0 of the n = 1600 binding grid, whose window (0.004, 80000)
+        # spans seven decades: one quad over [2p, 80000] reported the
+        # integrand "probably divergent" and missed by half (-0.00230, where
+        # the integral is -0.0047333); split at unit steps of ln(q/p), the
+        # oracle agrees with quad panel by panel over the grid's panels
+        grid = binding_grid(40.0, PhysParams(), n=1600)
+        terms = br_terms(CH, PhysParams())
+        p = grid.nodes[0]
+        f = lambda q: kernel_at(terms, p, q, log_ratio(p, q)) * subtraction_profile(p, q) * q * q
+        pan = grid.panels
+        edges = np.exp(pan.log_lo + pan.width * np.arange(pan.count + 1))
+        edges[0], edges[-1] = grid.domain
+        edges = np.insert(edges, 1, p)
+        ref = sum(quad(f, a, b, limit=200, epsabs=0, epsrel=1e-13)[0]
+                  for a, b in zip(edges[:-1], edges[1:]))
+        assert ref == pytest.approx(-0.0047333, rel=1e-5)
+        assert subtraction_integral_adaptive(terms, p, grid.domain, tol=1e-13) == pytest.approx(
+            ref, rel=1e-12)
 
     def test_log_grid_orders_agree(self):
         # the two Gauss orders of the error estimate, far inside ORDER_TOL on
-        # grids with S = 1, 2 and 4 sub-panels a panel
+        # grids with h = 0.46, 0.92 and 1.54; the widest gap, 7.6e-14 at
+        # l = 3, is on rows whose interval the window cuts inside a Gauss-log
+        # panel
         for grid in (build_log_grid(200, 10.0, 1e5), build_log_grid(100, 10.0, 1e5),
                      build_log_grid(60, 10.0, 1e5)):
             for terms in (br_terms(CH, PhysParams()), coulomb_terms(3)):
-                low, high = (assemble._log_grid_sums(terms, grid, o) for o in assemble._ORDERS)
+                low, high = (assemble._row_sums(terms, grid, o) for o in assemble._ORDERS)
                 assert np.abs(high - low).max() <= 1e-13 * np.abs(high).max()
 
     @pytest.mark.parametrize("l, cut", enumerate([(-13, 40), (-10, 20), (-8, 13), (-7, 10)]))
@@ -191,7 +216,6 @@ class TestSubtractionIntegrals:
             rho = 2 / (1 + e) if x > 0 else 2 * e / (1 + e)
             return channels.legendre_q_cosh((l,), np.array([x]))[0][0] * rho
 
-        # the log-grid far table spans the cut, so the cut pins its extent
         lo, hi = assemble._tail_cut(l)
         assert (lo, hi) == cut
         mass = quad(f, lo, 0, limit=200)[0] + quad(f, 0, hi, limit=200)[0]
@@ -199,12 +223,12 @@ class TestSubtractionIntegrals:
         dropped = (quad(f, -700, lo, epsabs=0, limit=200)[0]
                    + quad(f, hi, 700, epsabs=0, limit=200)[0])
         assert 0 < dropped <= 1e-17 * mass
-        # the row-centred rule keeps exactly the panels that reach into the
-        # cut, a contiguous run covering it
-        kept = assemble._kept_panels(l)
-        assert np.array_equal(kept, (assemble._PANEL_HI > lo) & (assemble._PANEL_LO < hi))
-        assert assemble._PANEL_LO[kept].min() <= lo and assemble._PANEL_HI[kept].max() >= hi
-        assert np.all(np.isin(assemble._PANEL_LO[kept][1:], assemble._PANEL_HI[kept]))
+        # a row on (0, inf) keeps exactly the panels that reach into the cut:
+        # its interval ends at the panel edges first at or past it
+        edges = assemble._EDGES
+        a, b = (ends[0] for ends in assemble._intervals(build_grid(16, 1.0), (l,)))
+        assert -a in edges and b in edges
+        assert a <= lo < -edges[edges < -a].max() and b >= hi > edges[edges < b].max()
 
     def test_mixing_points_per_row(self):
         # an unclipped kappa = -1 row evaluates the mixing factors at every
@@ -227,10 +251,12 @@ class TestSubtractionIntegrals:
         assert sum(seen) / grid.n == 540
 
     def test_mixing_points_per_log_grid_row(self):
-        # per Gauss order o, the K o nodes of the far sub-panels are shared
-        # by all rows, and each row evaluates its own p and 2 o product nodes
-        # on either side; over both orders (20 nodes) with S = 4 and m = 10,
-        # K = 24: (24 * 20 + 60 * (2 + 4 * 20)) / 60 = 90 a row
+        # per Gauss order o each row evaluates its own p and the nodes of its
+        # rule: 4 o on the product panels and, with h = 1.54, 6 outer panels
+        # a side (the farthest end, at |x| = 6.12, lies past the edges 1,
+        # 1.5, 2, 3, 4.3 and 5.99, and every end is padded to its count);
+        # over both orders (20 nodes): 2 + (4 + 12) * 20 = 322 a row (90 with
+        # sub-panels of 0.38 and the far field by FFT)
         base = br_terms(CH, PhysParams(Z=1.0))
         seen = []
 
@@ -240,27 +266,25 @@ class TestSubtractionIntegrals:
 
         grid = build_log_grid(60, 10.0, 1e5)
         subtraction_integrals(replace(base, mixing=counting), grid)
-        assert sum(seen) / grid.n <= 100
+        assert sum(seen) / grid.n == 322
 
-    @pytest.mark.parametrize("rule, grid", [("_centred_rule_sums", build_grid(40, 1.0)),
-                                            ("_log_grid_sums", build_log_grid(40, 1e-2, 1e2))])
-    def test_disagreeing_orders_raise(self, rule, grid, monkeypatch):
+    @pytest.mark.parametrize("grid", [build_grid(40, 1.0), build_log_grid(40, 1e-2, 1e2)])
+    def test_disagreeing_orders_raise(self, grid, monkeypatch):
         # one row whose two Gauss orders disagree beyond ORDER_TOL ends the
         # assembly, quoting both estimates; no other quadrature takes over
-        real = getattr(assemble, rule)
+        real = assemble._row_sums
 
-        def skewed(terms, where, order):
-            out = real(terms, where, order)
+        def skewed(terms, grid, order):
+            out = real(terms, grid, order)
             if order == assemble._ORDERS[0]:
                 out[7] *= 1 + 10 * assemble.ORDER_TOL
             return out
 
-        monkeypatch.setattr(assemble, rule, skewed)
+        monkeypatch.setattr(assemble, "_row_sums", skewed)
         terms = br_terms(CH, PhysParams(Z=1.0))
         with pytest.raises(NumericalError) as err:
             subtraction_integrals(terms, grid)
-        where = grid if rule == "_log_grid_sums" else grid.nodes
-        low, high = (-1.0 / np.pi * grid.nodes[7] * f(terms, where, order)[7]
+        low, high = (-1.0 / np.pi * grid.nodes[7] * f(terms, grid, order)[7]
                      for f, order in zip((skewed, real), assemble._ORDERS))
         message = str(err.value)
         assert f"on 1 of 40 rows; row 7 (p = {grid.nodes[7]:.6g}): " in message
@@ -281,7 +305,7 @@ class TestSubtractionIntegrals:
             assert vals[i] == pytest.approx(ref, rel=1e-11)
 
     @pytest.mark.parametrize("n", [16, 200])
-    def test_centred_rule_orders_agree_at_config_corners(self, n):
+    def test_rational_rule_orders_agree_at_config_corners(self, n):
         # every corner of the configuration ranges on the rational grid: no
         # row raises, and the two Gauss orders stay far inside ORDER_TOL
         # (the widest gap here is 0.022 of it; unit panels out to the cut
@@ -294,7 +318,7 @@ class TestSubtractionIntegrals:
             for kappa in (-1, 1, -3, 3):
                 terms = br_terms(ChannelSpec.from_kappa(kappa), params)
                 subtraction_integrals(terms, grid)
-                low, high = (grid.nodes * assemble._centred_rule_sums(terms, grid.nodes, o)
+                low, high = (grid.nodes * assemble._row_sums(terms, grid, o)
                              for o in assemble._ORDERS)
                 scale = np.maximum(np.abs(high), 1e-3 * np.abs(high).max())
                 worst = max(worst, (np.abs(high - low) / scale).max())
@@ -305,8 +329,11 @@ class TestSubtractionIntegrals:
         g = build_log_grid(60, 1e-2, 1e2)
         kern = br_terms(CH, params)
         vals = subtraction_integrals(kern, g)
+        lo, hi = assemble._intervals(g, kern.ls)
         for i in (0, 17, 44, 59):
-            ref = subtraction_integral_adaptive(kern, g.nodes[i], g.domain, tol=1e-13)
+            p = g.nodes[i]
+            ref = subtraction_integral_adaptive(kern, p, (p * np.exp(lo[i]), p * np.exp(hi[i])),
+                                                tol=1e-13)
             assert vals[i] == pytest.approx(ref, rel=1e-10)
 
     @pytest.mark.parametrize("l", range(4))
@@ -349,23 +376,23 @@ class TestKernelEvaluation:
     @pytest.mark.parametrize("grid, evaluations", [
         # l = 0 and 1 at the fill's P m^2 - m = 990 panel offsets, and in the
         # subtraction rule over both Gauss orders (8 + 12 nodes): h = 1.68
-        # gives S = 4 sub-panels of g = 0.42, K = 40, and the far table holds
-        # m * 20 values per offset 2 <= |d| < K inside the tail cut, 68 for
-        # l = 0 (d = -31..39) and 61 for l = 1 (d = -24..39); the
-        # neighbourhood has 13 segment lengths a side (10 whole, 3 cut by
-        # the window) of 2 * 20 product nodes:
-        # 2 * 990 + (68 + 61) * 10 * 20 + 2 * 26 * 40 = 29,860 (9,540 with
-        # the row-centred rule clipped at the window, which evaluated Q_l per
-        # row; the pairwise fill took 366,612)
-        (build_log_grid(100, 1e-4, 2e3), 29860),
-        # l = 0 and 1 at the 4,950 node pairs; the domain (0, inf) clips no
-        # panel (the pairwise fill took 602,900)
-        (build_grid(100, 1.0), 9900),
+        # gives 40 distinct ends a side (a row's place in its panel, and
+        # where the window cuts its neighbourhood, if it does), each of 2
+        # product node sets and up to 6 outer panels (to |x| = 6.70) per
+        # order: 2 * 990 + 2 * 2 * 40 * 8 * 20 = 27,580 (29,860 with the far
+        # field by FFT; the pairwise fill took 366,612)
+        (build_log_grid(100, 1e-4, 2e3), 27580),
+        # l = 0 and 1 at the 4,950 node pairs, and in the rule to the two
+        # ends -14.04 and 41.04: 7 + 16 outer panels and the 4 product node
+        # sets, 2 * 27 * 20 = 1,080 (the pairwise fill took 602,900)
+        (build_grid(100, 1.0), 10980),
     ])
     def test_q_evaluations_per_assembly(self, grid, evaluations, monkeypatch):
         params = PhysParams(Z=1.0)
-        # the first assembly also tabulates the shared panel rule, once per process
+        # the rule's tables are cached per set of ends: count them anew,
+        # after the process-wide tail cuts are in place
         assemble_potential(grid, br_terms(CH, params))
+        assemble._rule_table.cache_clear()
         seen = []
         evaluator = channels._q_l_split
 
@@ -400,6 +427,33 @@ class TestKernelEvaluation:
             grid.nodes[:, None], grid.nodes[None, :]) * sq[None, :] / sq[:, None]
         scale = np.abs(np.diag(old)) + 2 * terms.sum(axis=1)
         assert np.all(np.abs(np.diag(new - old)) <= 2e-15 * scale)
+
+
+class TestDiagonal:
+    @pytest.mark.parametrize("n", [16, 60, 200, 1600])
+    @pytest.mark.parametrize("terms, window", [
+        (br_terms(CH, PhysParams()), (4e-3, 8e4)),
+        (br_terms(ChannelSpec.from_kappa(2), PhysParams(), fw_scale=0.3), (1e-2, 5e4)),
+        (coulomb_terms(3), (1e-4, 1e3)),
+    ])
+    def test_log_grid_diagonal_is_window_integral_minus_row_sum(self, terms, window, n):
+        # a row integrates over its neighbourhood and subtracts its row sum
+        # over the same columns; beyond them the grid's own rule takes the
+        # far field of both, so the diagonal is what the window integral
+        # minus the whole row sum would give.  The bound is on the scale of
+        # the integral, of which the diagonal is a difference; the widest
+        # gap is 1.3e-13, at l = 3 (1.06e-12 with one panel a side, where
+        # panels 2.8 wide carry the mixing factors' turn at p = mc through
+        # the far field)
+        grid = build_log_grid(n, *window)
+        M = assemble_potential(grid, terms)
+        p = grid.nodes
+        sq = np.sqrt(grid.l2_weights)
+        for i in sorted({0, 1, 19, grid.n // 2, grid.n - 2, grid.n - 1}):
+            row = np.where(np.arange(grid.n) == i, 0.0, M[i])
+            full = (row * subtraction_profile(p[i], p)) @ sq / sq[i]
+            integral = subtraction_integral_adaptive(terms, p[i], grid.domain, tol=1e-13)
+            assert abs(M[i, i] - (integral - full)) <= 1e-12 * abs(integral)
 
 
 class TestToeplitzFill:

@@ -524,7 +524,7 @@ class TestCommutatorDecay:
 
     def test_r_values_validation(self):
         with pytest.raises(DomainError):
-            commutator_decay(R_values=(4.0, 2.0))
+            commutator_decay(R_values=(0.0, 2.0))
 
 
 @pytest.fixture(scope="module")
