@@ -534,6 +534,22 @@ class TestMain:
         assert "error:" in err and "did not reach" in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
+    def test_non_finite_operator_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a matrix the minimizer cannot solve is a NumericalError, reported
+        # like bad input, and no levels are written
+        def poisoned(*args, **kwargs):
+            op = assemble.assemble_operator(*args, **kwargs)
+            op.matrix[3, 5] = op.matrix[5, 3] = np.nan
+            return op
+
+        monkeypatch.setattr(cli, "assemble_operator", poisoned)
+        code = main(sum((["--set", kv] for kv in FAST + ["solver.route=variational"]),
+                        ["spectrum"]) + ["--set", "output.directory=" + str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "not finite" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("kind", ["rational", "log"])
     def test_disagreeing_gauss_orders_exit_code(self, kind, tmp_path, capsys, monkeypatch):
         # two Gauss orders that disagree are a NumericalError, reported like

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from brspec.assemble import assemble_nonrel_operator, assemble_operator
 from brspec.channels import ChannelSpec
 from brspec.cli import parse_config, run_command
 from brspec.dirac import lambda_of
-from brspec.errors import DomainError
+from brspec.errors import DomainError, NumericalError
 from brspec.grids import build_grid, build_log_grid
 from brspec.spectra import binding_grid, dense_spectrum, minimize_pk, variational_spectrum
 
@@ -167,8 +168,39 @@ class TestMinimizePk:
         assert np.abs(vals - np.linalg.eigvalsh(op.matrix)).max() < 1e-12 * params.mc2
         assert np.abs(X.T @ X - np.eye(16)).max() < 1e-12
 
+    def test_basis_wider_than_the_grid(self):
+        # k = 12 on 20 nodes: 15 block columns and a basis [X, W, P] of up to
+        # 45 rows on 20 coordinates, of which at most 20 are independent
+        params = PhysParams(Z=1.0)
+        op = assemble_operator(build_grid(20, 1.0), CH, params)
+        vals, X, trace = minimize_pk(op, 12)
+        assert len(trace.gradient_norms) > 1
+        assert np.abs(vals - np.linalg.eigvalsh(op.matrix)[:12]).max() < 1e-12 * params.mc2
+        assert np.abs(X.T @ X - np.eye(12)).max() < 1e-12
+
+    def test_non_finite_operator_raises(self, op_atomic):
+        # LAPACK takes NaN without complaint (dsyevr then reports zeros as
+        # eigenvalues), so the Rayleigh-Ritz matrix is checked before it
+        M = op_atomic.matrix.copy()
+        M[3, 5] = M[5, 3] = np.nan
+        with pytest.raises(NumericalError, match="not finite") as err:
+            minimize_pk(dataclasses.replace(op_atomic, matrix=M), 4)
+        assert err.value.payload.levels == []
+        assert err.value.payload.gradient_norms == []
+
+    @pytest.mark.parametrize("routine", ["dsyevr", "dgeqrf", "dorgqr"])
+    def test_lapack_info_raises(self, op_atomic, monkeypatch, routine):
+        real = getattr(spectra, routine)
+
+        def failing(*args, **kwargs):
+            return (*real(*args, **kwargs)[:-1], 1)
+
+        failing.__name__ = routine
+        monkeypatch.setattr(spectra, routine, failing)
+        with pytest.raises(NumericalError, match=f"{routine} returned info = 1"):
+            minimize_pk(op_atomic, 4)
+
     def test_iteration_exhaustion_carries_trace(self, op_relativistic):
-        from brspec.errors import NumericalError
         from brspec.spectra import MinimizationTrace
         with pytest.raises(NumericalError) as err:
             minimize_pk(op_relativistic, 4, max_iter=2)
@@ -188,6 +220,16 @@ class TestPreconditionedConvergence:
         _, _, trace = minimize_pk(op, 4, max_iter=50)
         assert all(rec.exit_reason == "residual" for rec in trace.levels)
         assert len(trace.gradient_norms) <= 50
+
+    @pytest.mark.parametrize("Z, iterations", [(1, 12), (40, 16), (120, 23)])
+    def test_default_spectrum_block_iterations(self, Z, iterations):
+        # the default spectrum's counts, the same on one BLAS thread and on
+        # two: a change to the start block, the guard rule, the
+        # preconditioner or the stopping test moves them
+        report = run_command("spectrum", parse_config(overrides=[f"params.Z={Z}"]))
+        variational = report.diagnostics["variational"]
+        assert variational["block_iterations"] == iterations
+        assert [rec["exit_reason"] for rec in variational["levels"]] == ["residual"] * 4
 
     def test_guard_columns_speed_the_highest_levels(self):
         # k = 40 at n = 400 takes 18 block iterations with the guard columns
