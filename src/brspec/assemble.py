@@ -35,7 +35,7 @@ the assembled operator is symmetric.
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import cholesky_banded, solve_banded
@@ -43,7 +43,7 @@ from scipy.linalg import cholesky_banded, solve_banded
 from .channels import (ChannelSpec, KernelTerms, br_terms, coulomb_terms, critical_charge,
                        kernel_at, legendre_q_cosh, legendre_q_cosh_split, log_ratio)
 from .dirac import lambda_of
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, DomainError, NumericalError
 from .grids import LogPanels, RadialGrid, gauss_legendre, gauss_log, gauss_panels
 from .params import PhysParams
 
@@ -298,8 +298,9 @@ def _toeplitz_strips(panels: LogPanels, ls):
     x_ij = ln(p_j/p_i) depends only on the panel offset d = j - i and the
     two nodes' places in their panels, so Q_l is evaluated once per offset
     d >= 0 (P m^2 - m values per l), the blocks d < 0 are their transposes,
-    and every block-row is a window of the concatenated blocks.  Yields
-    (rows, [Q_l rows for each l], profile rows); the diagonal Q entries are 0.
+    and every block-row is a window of the concatenated blocks.  Returns a
+    generator function that yields (rows, [Q_l rows for each l], profile
+    rows) on every call; the diagonal Q entries are 0.
     """
     P, m = panels.count, panels.order
     x = panels.offsets()                        # d = -(P-1) .. P-1
@@ -311,9 +312,12 @@ def _toeplitz_strips(panels: LogPanels, ls):
     blocks = np.concatenate([q[:, :0:-1].swapaxes(-1, -2), q], axis=1)
     cat = blocks.transpose(0, 2, 1, 3).reshape(len(ls), m, (2 * P - 1) * m)
     phi = (2.0 / (1.0 + np.exp(2.0 * x))).transpose(1, 0, 2).reshape(m, -1)
-    for i in range(P):
-        cols = slice((P - 1 - i) * m, (2 * P - 1 - i) * m)
-        yield slice(i * m, (i + 1) * m), [c[:, cols] for c in cat], phi[:, cols]
+
+    def strips():
+        for i in range(P):
+            cols = slice((P - 1 - i) * m, (2 * P - 1 - i) * m)
+            yield slice(i * m, (i + 1) * m), [c[:, cols] for c in cat], phi[:, cols]
+    return strips
 
 
 # rows per block of the pointwise fill
@@ -321,7 +325,12 @@ _ROW_BLOCK = 64
 
 
 def _pointwise_strips(p, ls):
-    """Row blocks of Q_l(cosh x_ij) and of the profile on any grid, each pair evaluated once."""
+    """Row blocks of Q_l(cosh x_ij) and of the profile on any grid, each pair evaluated once.
+
+    Returns a generator function that yields (rows, [Q_l rows for each l],
+    profile rows) on every call; the profile is formed block by block as
+    the rows are yielded, so no n x n profile is held.
+    """
     n = p.size
     q = np.zeros((len(ls), n, n))
     for lo in range(0, n, _ROW_BLOCK):          # upper triangle, a block of rows at a time
@@ -330,46 +339,89 @@ def _pointwise_strips(p, ls):
         for k, v in enumerate(legendre_q_cosh(ls, log_ratio(p[r], p[c]))):
             q[k, r, c] = v
             q[k, c, r] = v
-    for lo in range(0, n, _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        yield rows, [qk[rows] for qk in q], subtraction_profile(p[rows, None], p[None, :])
+
+    def strips():
+        for lo in range(0, n, _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
+            yield rows, [qk[rows] for qk in q], subtraction_profile(p[rows, None], p[None, :])
+    return strips
+
+
+class PotentialTables:
+    """The kernel-free part of the collocation potential on one grid: Q_l(cosh x_ij)
+    for each of the orders ``ls``, block-Toeplitz on a log-panel grid and
+    pointwise on any other.
+
+    A channel kernel differs from another on the same orders only in its
+    mixing factors, so a family of kernels on one grid (the rescaled
+    mixing of ``scaling_limit``, the channels kappa = -1 and +1 on the
+    orders {0, 1}) builds the tables once and forms each potential with
+    ``potential``.  Every matrix is bitwise the one ``assemble_potential``
+    gives: Q_l is evaluated order by order, whatever else the tables hold.
+    """
+
+    def __init__(self, grid: RadialGrid, ls):
+        self.grid = grid
+        self.ls = tuple(ls)
+
+    @cached_property
+    def _strips(self):
+        # built on first use, after `potential` has allocated its matrix:
+        # built before the subtraction integrals, the same tables raised the
+        # peak RSS of two n = 1600 log-grid dense `spectrum` runs in one
+        # process from 84.4 to 86.4 MB (heap layout; the tracemalloc peak
+        # did not move)
+        return (_pointwise_strips(self.grid.nodes, self.ls) if self.grid.panels is None
+                else _toeplitz_strips(self.grid.panels, self.ls))
+
+    def potential(self, terms: KernelTerms):
+        """Symmetric metric-normalized unit-charge potential matrix of ``terms``.
+
+        M_ij = -(1/pi) sum_t d_t(p_i) d_t(p_j) Q_l(cosh ln(p_j/p_i)) with the
+        diagonal factors d_t(p) = f_t(p) sqrt(w p^2)/p, summed in the order
+        of ``terms``; the diagonal is the subtraction integral minus the
+        row's collocation sum against the profile, both over the row's
+        neighbourhood.
+        """
+        missing = set(terms.ls) - set(self.ls)
+        if missing:
+            raise DomainError(f"the tables hold the orders {self.ls}, not {sorted(missing)}")
+        pick = [self.ls.index(l) for l in terms.ls]
+        grid = self.grid
+        p = grid.nodes
+        n = grid.n
+        sq = np.sqrt(grid.l2_weights)
+        ints = subtraction_integrals(terms, grid)
+        _, _, first, end = _neighbourhoods(grid)
+        diag = [f * np.sqrt(grid.weights) for f in terms.factors(p)]
+        M = np.empty((n, n))
+        row_sums = np.empty(n)
+        for rows, qs, phi in self._strips():
+            # d_i d_j before Q_ij keeps every entry exactly symmetric
+            M[rows] = sum(np.multiply.outer(d[rows], d) * qs[k] for d, k in zip(diag, pick))
+            M[rows] *= -1.0 / np.pi
+            # the row sum over the row's neighbourhood: the block's span, unless
+            # the block holds rows of several (the pointwise fill of a log grid)
+            r = np.arange(n)[rows]
+            span = slice(first[r[0]], end[r[-1]])
+            near = M[rows, span] * phi[:, span]
+            if first[r[0]] != first[r[-1]] or end[r[0]] != end[r[-1]]:
+                cols = np.arange(n)[span]
+                near *= (cols >= first[r, None]) & (cols < end[r, None])
+            row_sums[rows] = near @ sq[span] / sq[rows]
+        M[np.diag_indices(n)] = ints - row_sums
+        return M
 
 
 def assemble_potential(grid: RadialGrid, terms: KernelTerms):
     """Symmetric metric-normalized unit-charge potential matrix by collocation + subtraction.
 
-    M_ij = -(1/pi) sum_t d_t(p_i) d_t(p_j) Q_l(cosh ln(p_j/p_i)) with the
-    diagonal factors d_t(p) = f_t(p) sqrt(w p^2)/p, and the diagonal is the
-    subtraction integral minus the row's collocation sum against the
-    profile, both over the row's neighbourhood.  A grid that records its
-    log-panel structure gets the block-Toeplitz fill, any other grid the
-    pointwise one.
+    Builds the ``PotentialTables`` of the orders of ``terms`` and forms this
+    one kernel's matrix from them: block-Toeplitz tables on a grid that
+    records its log-panel structure, pointwise ones on any other.  A family
+    of kernels on one grid shares one set of tables instead.
     """
-    p = grid.nodes
-    n = grid.n
-    sq = np.sqrt(grid.l2_weights)
-    ints = subtraction_integrals(terms, grid)
-    _, _, first, end = _neighbourhoods(grid)
-    diag = [f * np.sqrt(grid.weights) for f in terms.factors(p)]
-    strips = (_pointwise_strips(p, terms.ls) if grid.panels is None
-              else _toeplitz_strips(grid.panels, terms.ls))
-    M = np.empty((n, n))
-    row_sums = np.empty(n)
-    for rows, qs, phi in strips:
-        # d_i d_j before Q_ij keeps every entry exactly symmetric
-        M[rows] = sum(np.multiply.outer(d[rows], d) * qk for d, qk in zip(diag, qs))
-        M[rows] *= -1.0 / np.pi
-        # the row sum over the row's neighbourhood: the block's span, unless
-        # the block holds rows of several (the pointwise fill of a log grid)
-        r = np.arange(n)[rows]
-        span = slice(first[r[0]], end[r[-1]])
-        near = M[rows, span] * phi[:, span]
-        if first[r[0]] != first[r[-1]] or end[r[0]] != end[r[-1]]:
-            cols = np.arange(n)[span]
-            near *= (cols >= first[r, None]) & (cols < end[r, None])
-        row_sums[rows] = near @ sq[span] / sq[rows]
-    M[np.diag_indices(n)] = ints - row_sums
-    return M
+    return PotentialTables(grid, terms.ls).potential(terms)
 
 
 def assemble_operator(grid: RadialGrid, channel: ChannelSpec, params: PhysParams,

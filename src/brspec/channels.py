@@ -118,7 +118,7 @@ def log_ratio(p, q):
 def _check_orders(ls):
     for l in ls:
         if l not in (0, 1, 2, 3):
-            raise DomainError(f"Legendre orders l in 0..3 are supported, got {l}")
+            raise DomainError(f"orders l in 0..3 are supported, got {l}")
 
 
 # Large-argument series Q_l(z) = sum_k c_k u^(l+1+2k), u = 1/z: the closed
@@ -266,46 +266,55 @@ def kernel_at(terms: KernelTerms, p, q, x):
     return -1.0 / (np.pi * (p * q)) * sum(m * v for m, v in zip(mix, qs))
 
 
-def scaled_sph_bessel_i(l, a):
-    """exp(-a) i_l(a) for the modified spherical Bessel i_l, l <= 3.
+def scaled_sph_bessel_i(ls, a):
+    """exp(-a) i_l(a) for the modified spherical Bessel i_l, for each l in ls (l <= 3).
 
     Evaluated in closed form for a >= 1 and by series below; stable for
-    all nonnegative a including very large arguments.
+    all nonnegative a including very large arguments.  Returns one array
+    per l; e^-2a with its sinh and cosh, and the series' s^2 and e^-s, are
+    evaluated once for all orders.
     """
-    if l not in (0, 1, 2, 3):
-        raise DomainError(f"scaled_sph_bessel_i supports l in 0..3, got {l}")
+    _check_orders(ls)
     a = np.asarray(a, dtype=float)
-    out = np.empty_like(a)
     small = a < 1.0
+    large = ~small
     s = a[small]
-    b = a[~small]
+    b = a[large]
     em2 = np.exp(-2 * b)
     sh, ch = 0.5 * (1 - em2), 0.5 * (1 + em2)
-    if l == 0:
-        big = sh / b
-    elif l == 1:
-        big = (b * ch - sh) / (b * b)
-    elif l == 2:
-        big = ((b * b + 3) * sh - 3 * b * ch) / b**3
-    else:
-        big = ((b**3 + 15 * b) * ch - (6 * b * b + 15) * sh) / b**4
-    dfact = (1.0, 3.0, 15.0, 105.0)[l]
-    term = np.ones_like(s)
-    acc = np.ones_like(s)
+    del em2
     s2 = s * s
-    for k in range(12):
-        term = term * s2 / ((2 * k + 2) * (2 * l + 2 * k + 3))
-        acc += term
-    out[~small] = big
-    out[small] = s**l / dfact * acc * np.exp(-s)
+    es = np.exp(-s)
+    out = []
+    for l in ls:
+        if l == 0:
+            big = sh / b
+        elif l == 1:
+            big = (b * ch - sh) / (b * b)
+        elif l == 2:
+            big = ((b * b + 3) * sh - 3 * b * ch) / b**3
+        else:
+            big = ((b**3 + 15 * b) * ch - (6 * b * b + 15) * sh) / b**4
+        dfact = (1.0, 3.0, 15.0, 105.0)[l]
+        term = np.ones_like(s)
+        acc = np.ones_like(s)
+        for k in range(12):
+            term = term * s2 / ((2 * k + 2) * (2 * l + 2 * k + 3))
+            acc += term
+        v = np.empty_like(a)
+        v[large] = big
+        v[small] = s**l / dfact * acc * es
+        out.append(v)
     return out
 
 
-def multiplier_channel_kernel(l, R, p, q):
-    """Channel-l momentum kernel of multiplication by the Gaussian cutoff chi(|y|/R).
+def multiplier_channel_kernel(ls, R, p, q):
+    """Channel-l momentum kernels of multiplication by the Gaussian cutoff chi(|y|/R),
+    one array for each l in ls.
 
     The cutoff is chi(y) = exp(-|y|^2/2), and its channel kernel is smooth:
         2 R^3 / sqrt(2 pi) exp(-R^2 (p-q)^2 / 2) [e^-a i_l(a)],  a = R^2 p q.
+    The Gaussian and a are evaluated once for all orders.
     """
     if not R > 0:
         raise DomainError("cutoff scale R must be positive")
@@ -313,8 +322,13 @@ def multiplier_channel_kernel(l, R, p, q):
     q = np.asarray(q, dtype=float)
     if np.any(p <= 0) or np.any(q <= 0):
         raise DomainError("kernel momenta must be positive")
-    a = R * R * p * q
-    return (
-        2.0 * R**3 / np.sqrt(2 * np.pi) * np.exp(-0.5 * R * R * (p - q) ** 2)
-        * scaled_sph_bessel_i(l, a)
-    )
+    out = scaled_sph_bessel_i(ls, R * R * p * q)
+    # the Gaussian, formed in place once the Bessel factors are done
+    gauss = np.asarray(p - q)
+    gauss *= gauss
+    gauss *= -0.5 * R * R
+    np.exp(gauss, out=gauss)
+    gauss *= 2.0 * R**3 / np.sqrt(2 * np.pi)
+    for v in out:
+        v *= gauss
+    return out

@@ -15,7 +15,7 @@ from scipy.linalg import eigh
 from scipy.linalg.blas import dtrsv
 from scipy.linalg.lapack import dpotrf
 
-from .assemble import assemble_potential
+from .assemble import PotentialTables, assemble_potential
 from .channels import (KATO_CONSTANT, TIX_CONSTANT, ChannelSpec, br_terms, coulomb_terms,
                        critical_charge, multiplier_channel_kernel)
 from .dirac import a_plus_minus, lambda_of
@@ -95,14 +95,17 @@ def kato_check(n=300):
 def tix_check(params: PhysParams = None, n=300):
     """Projected-Coulomb sharp constant: sup over TIX_CHANNELS of the generalized
     eigenvalue of the transformed |x|^-1 kernel against lambda(p)/c; the
-    charge of ``params`` plays no part."""
+    charge of ``params`` plays no part.  The channels differ only in their
+    mixing, so one set of Q_l tables serves both."""
     base = params or PhysParams()
     mc = base.m * base.c
     grid = build_log_grid(n, 1e-5 * mc, 2e3 * mc)
     b = lambda_of(grid.nodes, base) / base.c
+    channels = [ChannelSpec.from_kappa(kappa) for kappa in TIX_CHANNELS]
+    tables = PotentialTables(grid, sorted({l for ch in channels for l in (ch.l_up, ch.l_down)}))
     ratios = []
-    for kappa in TIX_CHANNELS:
-        W = -assemble_potential(grid, br_terms(ChannelSpec.from_kappa(kappa), base))
+    for ch in channels:
+        W = -tables.potential(br_terms(ch, base))
         ratios.append(_top_scaled_eigenvalue(W, b))
     return _inequality(
         "tix", f"grid sup over channels {TIX_CHANNELS}, n={grid.n}",
@@ -310,8 +313,8 @@ def critical_coupling_scan(Z_values, grid_sizes=(100, 200, 400), kappa=-1,
 # Dilation-commutator decay
 
 
-def commutator_matrix(R, grid, channel: ChannelSpec, params: PhysParams):
-    """Channel-reduced matrix of [chi_R, U^-1] U on the (upper, lower) pair.
+def commutator_matrix(R_values, grid, channel: ChannelSpec, params: PhysParams):
+    """Channel-reduced matrices of [chi_R, U^-1] U on the (upper, lower) pair, one per R.
 
     chi_R acts blockwise through the channel kernels of its two orbital
     components, X = diag(Xu, Xd); the transformation acts momentum-diagonally
@@ -330,34 +333,45 @@ def commutator_matrix(R, grid, channel: ChannelSpec, params: PhysParams):
 
     with s = (da_+^2 + da_-^2)/2 and t_ij = a_+i a_-j - a_-i a_+j =
     a_-i da_+ij - a_+i da_-ij; Xu - Xd still cancels where the two kernels
-    agree.  The matrix acts on node values (quadrature weights on the
+    agree.  The matrices act on node values (quadrature weights on the
     columns).
+
+    s, t and the two rank-one products depend on the grid alone and are
+    formed once; each R of ``R_values`` costs its two multiplier blocks,
+    from one Gaussian, and the four block combinations.  Every matrix is
+    yielded in the same buffer, which the next R overwrites.
     """
     p = grid.nodes
     n = grid.n
     lw = grid.l2_weights
     P, Q = p[:, None], p[None, :]
-    Xu = multiplier_channel_kernel(channel.l_up, R, P, Q) * lw[None, :]
-    Xd = multiplier_channel_kernel(channel.l_down, R, P, Q) * lw[None, :]
     ap, am = a_plus_minus(p, params)
     dp, dm = ap[:, None] - ap[None, :], am[:, None] - am[None, :]
     s = 0.5 * (dp * dp + dm * dm)
     t = am[:, None] * dp - ap[:, None] * dm
+    del dp, dm
     mm, pm = np.outer(am, am), np.outer(ap, am)
-    diff = Xu - Xd
     C = np.empty((2 * n, 2 * n))
-    C[:n, :n] = s * Xu + mm * diff
-    C[:n, n:] = pm * diff + t * Xd
-    C[n:, :n] = pm.T * diff - t * Xd
-    C[n:, n:] = s * Xd - mm * diff
-    return C
+    for R in R_values:
+        Xu, Xd = multiplier_channel_kernel((channel.l_up, channel.l_down), R, P, Q)
+        Xu *= lw[None, :]
+        Xd *= lw[None, :]
+        diff = Xu - Xd
+        C[:n, :n] = s * Xu + mm * diff
+        C[:n, n:] = pm * diff + t * Xd
+        C[n:, :n] = pm.T * diff - t * Xd
+        C[n:, n:] = s * Xd - mm * diff
+        # the caller works on C while this frame waits at the yield
+        del Xu, Xd, diff
+        yield C
 
 
 def commutator_decay(R_values=(2., 4., 8., 16., 32., 64.), n=160, kappa=-1,
                      params: PhysParams = None):
     """Operator norms of the cutoff commutator across dilation scales R.
 
-    The commutator acts on an n-node log grid over [1e-4, 1e3].  Fits the
+    The commutator acts on an n-node log grid over [1e-4, 1e3]; its mixing
+    products are formed once for every R (``commutator_matrix``).  Fits the
     log-log slope of the norms, which decay like 1/R; the R values are
     taken, and reported, in ascending order.
     """
@@ -367,7 +381,7 @@ def commutator_decay(R_values=(2., 4., 8., 16., 32., 64.), n=160, kappa=-1,
     if R_values[0] <= 0:
         raise DomainError("R values must be positive")
     ch = ChannelSpec.from_kappa(kappa)
-    norms = [operator_norm_h12(commutator_matrix(R, grid, ch, base), grid) for R in R_values]
+    norms = [operator_norm_h12(C, grid) for C in commutator_matrix(R_values, grid, ch, base)]
     coef = np.polyfit(np.log(R_values), np.log(norms), 1)
     resid = np.log(norms) - np.polyval(coef, np.log(R_values))
     rms = float(np.sqrt(np.mean(resid**2)))
@@ -386,9 +400,10 @@ def scaling_limit(eta_values=(0.4, 0.2, 0.1, 0.05, 0.025), kappa=-1,
     In momentum space the family rescales the mixing coefficients to
     a_pm(eta p) while the Coulomb kernel contributes one power of eta, so
     F(eta) = Z eta (f, P_eta f) with P_eta the unit-charge potential matrix
-    evaluated with rescaled mixing.  F(eta) = -A eta + B eta^e with
-    A = Z (phi, |y|^-1 phi) and e >= 2; eta^-2 F(eta) then diverges
-    monotonically to -infinity.
+    evaluated with rescaled mixing.  Only the mixing depends on eta, so the
+    grid's Q_l tables are built once and each P_eta is formed from them.
+    F(eta) = -A eta + B eta^e with A = Z (phi, |y|^-1 phi) and e >= 2;
+    eta^-2 F(eta) then diverges monotonically to -infinity.
     The momentum profile is p^l e^{-p^2/2} on a 200-node rational grid, l
     the upper orbital momentum of the channel, a smooth function of the
     momentum vector.  The fitted A is compared with its closed form
@@ -408,9 +423,10 @@ def scaling_limit(eta_values=(0.4, 0.2, 0.1, 0.05, 0.025), kappa=-1,
     coords = f * np.sqrt(grid.l2_weights)
     coords = coords / np.linalg.norm(coords)
 
+    tables = PotentialTables(grid, (ch.l_up, ch.l_down))
     forms = []
     for eta in etas:
-        P = assemble_potential(grid, br_terms(ch, base, fw_scale=eta))
+        P = tables.potential(br_terms(ch, base, fw_scale=eta))
         forms.append(float(eta * base.Z * (coords @ (P @ coords))))
 
     # F/eta = -A + B eta^(e-1): successive differences of d = F/eta cancel A,

@@ -117,14 +117,19 @@ def dense_spectrum(op: DiscreteOperator, k) -> SpectralResult:
     ``op.matrix``) instead of copying.  The diagonal is saved beforehand,
     and afterwards the untouched strict lower triangle is mirrored back, so
     ``op.matrix`` comes back bitwise as it was and the eigenvectors are
-    those of ``eigh(op.matrix)``.  Only one n x n matrix is held.
+    those of ``eigh(op.matrix)``.  Only one n x n matrix is held.  A matrix
+    with a NaN or inf entry raises ``NumericalError`` before LAPACK sees it,
+    and comes back untouched; the check is the one pass over the matrix
+    that ``eigh`` would otherwise make.
     """
     if not 1 <= k <= op.n:
         raise DomainError(f"need 1 <= k <= {op.n}, got {k}")
     A = op.matrix
+    if not np.isfinite(A).all():
+        raise NumericalError("the operator matrix is not finite")
     diag = A.diagonal().copy()
     try:
-        vecs = eigh(A.T, subset_by_index=[0, k - 1], overwrite_a=True)[1]
+        vecs = eigh(A.T, subset_by_index=[0, k - 1], overwrite_a=True, check_finite=False)[1]
     finally:
         _mirror_lower(A)
         A[np.diag_indices(op.n)] = diag

@@ -421,31 +421,61 @@ class TestKernelProperties:
         assert abs(kernel_value(coulomb_terms(l), p, q) - exact) <= 1.5e-12 * abs(exact)
 
 
+BESSEL_ARGS = np.array([1e-6, 1e-3, 0.3, 0.499, 0.501, 2.0, 50.0, 1e6])
+
+
 class TestScaledBessel:
     def test_against_scipy_moderate(self):
         from scipy.special import ive
-        a = np.array([1e-6, 1e-3, 0.3, 0.499, 0.501, 2.0, 50.0, 1e6])
+        a = BESSEL_ARGS
         for l in range(4):
             ref = np.sqrt(np.pi / (2 * a)) * ive(l + 0.5, a)
-            np.testing.assert_allclose(scaled_sph_bessel_i(l, a), ref, rtol=1e-12)
+            np.testing.assert_allclose(scaled_sph_bessel_i((l,), a)[0], ref, rtol=1e-12)
+
+    def test_every_order_in_one_call(self):
+        # the orders share one e^-2a and one e^-s, and each comes out bitwise
+        # as its own call, and within 1e-12 of sqrt(pi/2a) e^-a I_{l+1/2}(a)
+        values = scaled_sph_bessel_i((3, 0, 2, 1), BESSEL_ARGS)
+        for l, v in zip((3, 0, 2, 1), values):
+            np.testing.assert_array_equal(v, scaled_sph_bessel_i((l,), BESSEL_ARGS)[0])
+            with mpmath.workdps(30):
+                ref = [float(mpmath.sqrt(mpmath.pi / (2 * mpmath.mpf(a)))
+                             * mpmath.besseli(l + 0.5, a) * mpmath.exp(-mpmath.mpf(a)))
+                       for a in BESSEL_ARGS]
+            np.testing.assert_allclose(v, ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("ls", [(4,), (0, -1), (1, 5)])
+    def test_order_outside_range(self, ls):
+        with pytest.raises(DomainError, match="0..3"):
+            scaled_sph_bessel_i(ls, BESSEL_ARGS)
+        with pytest.raises(DomainError, match="0..3"):
+            multiplier_channel_kernel(ls, 2.0, 0.5, 0.7)
 
     def test_huge_argument_asymptote(self):
         a = np.array([1e10, 1e14])
-        for l in range(4):
-            np.testing.assert_allclose(scaled_sph_bessel_i(l, a), 1 / (2 * a), rtol=1e-9)
+        for v in scaled_sph_bessel_i(range(4), a):
+            np.testing.assert_allclose(v, 1 / (2 * a), rtol=1e-9)
 
 
 class TestMultiplierKernel:
     def test_symmetry(self):
-        a = multiplier_channel_kernel(1, 3.0, 0.7, 1.1)
-        b = multiplier_channel_kernel(1, 3.0, 1.1, 0.7)
+        [a] = multiplier_channel_kernel((1,), 3.0, 0.7, 1.1)
+        [b] = multiplier_channel_kernel((1,), 3.0, 1.1, 0.7)
         assert a == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize("R", [0.5, 4.0, 64.0])
+    def test_every_order_in_one_call(self, R):
+        # one Gaussian for all orders, each kernel bitwise as its own call
+        p = build_grid(40, 1.0).nodes
+        P, Q = p[:, None], p[None, :]
+        for l, K in zip((2, 0, 3, 1), multiplier_channel_kernel((2, 0, 3, 1), R, P, Q)):
+            np.testing.assert_array_equal(K, multiplier_channel_kernel((l,), R, P, Q)[0])
 
     def test_acts_as_identity_for_large_R(self):
         grid = build_grid(200, 1.0)
         f = np.exp(-grid.nodes**2)
         for R, tol in ((8.0, 2e-2), (32.0, 1e-3)):
-            K = multiplier_channel_kernel(0, R, grid.nodes[:, None], grid.nodes[None, :])
+            [K] = multiplier_channel_kernel((0,), R, grid.nodes[:, None], grid.nodes[None, :])
             g = K @ (grid.l2_weights * f)
             i = np.argmax(f)
             sel = slice(i - 5, i + 40)
@@ -465,7 +495,7 @@ class TestMultiplierKernel:
         R = 2.0
         g_pos = np.exp(-r * r / (2 * R * R)) * f_pos
         oracle = spherical_bessel_transform(l, g_pos, grid)
-        K = multiplier_channel_kernel(l, R, grid.nodes[:, None], grid.nodes[None, :])
+        [K] = multiplier_channel_kernel((l,), R, grid.nodes[:, None], grid.nodes[None, :])
         g_mom = K @ (grid.l2_weights * f_mom)
         scale = np.abs(oracle).max()
         sel = grid.nodes < 12.0

@@ -550,6 +550,22 @@ class TestMain:
         assert "error:" in err and "not finite" in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
+    def test_non_finite_operator_dense_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the dense route checks the matrix itself instead of letting eigh
+        # raise a bare ValueError: exit status 2 and no levels written
+        def poisoned(*args, **kwargs):
+            op = assemble.assemble_operator(*args, **kwargs)
+            op.matrix[3, 5] = np.nan
+            return op
+
+        monkeypatch.setattr(cli, "assemble_operator", poisoned)
+        code = main(["spectrum", "--set", "grid.n=64", "--set", "solver.route=dense",
+                     "--set", "output.directory=" + str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "not finite" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("kind", ["rational", "log"])
     def test_disagreeing_gauss_orders_exit_code(self, kind, tmp_path, capsys, monkeypatch):
         # two Gauss orders that disagree are a NumericalError, reported like

@@ -8,13 +8,13 @@ from scipy.integrate import quad
 from scipy.linalg import eigh
 
 from brspec import PhysParams, assemble, channels, grids
-from brspec.assemble import (assemble_nonrel_operator, assemble_operator, assemble_potential,
-                             subtraction_integral_adaptive, subtraction_integrals,
-                             subtraction_profile)
+from brspec.assemble import (PotentialTables, assemble_nonrel_operator, assemble_operator,
+                             assemble_potential, subtraction_integral_adaptive,
+                             subtraction_integrals, subtraction_profile)
 from brspec.channels import (COULOMB_SYMBOL_AT_ZERO, TIX_CONSTANT, ChannelSpec, br_terms,
                              coulomb_terms, kernel_at, log_ratio)
 from brspec.dirac import lambda_of
-from brspec.errors import ConfigurationError, NumericalError
+from brspec.errors import ConfigurationError, DomainError, NumericalError
 from brspec.grids import (RadialGrid, build_grid, build_log_grid, gauss_log, gauss_panels,
                           operator_norm_h12)
 from brspec.params import SPEED_OF_LIGHT
@@ -490,6 +490,26 @@ class TestToeplitzFill:
             replace(grid, panels=replace(grid.panels, count=grid.panels.count - 1))
         with pytest.raises(ConfigurationError, match="log-panel"):
             replace(grid, panels=replace(grid.panels, width=grid.panels.width * (1 + 1e-9)))
+
+
+class TestPotentialTables:
+    """One set of Q_l tables shared by a family of kernels on a grid gives
+    each kernel's own assembly bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["rational", "log"])
+    @pytest.mark.parametrize("n", [16, 200])
+    def test_shared_tables_match_single_kernel(self, kind, n):
+        grid = build_grid(n, 1.0) if kind == "rational" else build_log_grid(n, 1e-4, 1e3)
+        tables = PotentialTables(grid, (0, 1, 2))
+        params = PhysParams()
+        for kappa, scale in itertools.product((-1, 1, 2), (1.0, 0.4, 0.025)):
+            terms = br_terms(ChannelSpec.from_kappa(kappa), params, fw_scale=scale)
+            assert np.array_equal(tables.potential(terms), assemble_potential(grid, terms))
+
+    def test_orders_outside_the_tables_raise(self):
+        tables = PotentialTables(build_grid(16, 1.0), (0, 1))
+        with pytest.raises(DomainError, match="orders"):
+            tables.potential(br_terms(ChannelSpec.from_kappa(2), PhysParams()))
 
 
 class TestAssembly:

@@ -448,7 +448,7 @@ def dense_commutator(R, grid, channel, params):
     P, Q = np.meshgrid(p, p, indexing="ij")
     X = np.zeros((2 * n, 2 * n))
     for block, l in ((slice(0, n), channel.l_up), (slice(n, 2 * n), channel.l_down)):
-        X[block, block] = multiplier_channel_kernel(l, R, P, Q) * grid.l2_weights[None, :]
+        X[block, block] = multiplier_channel_kernel((l,), R, P, Q)[0] * grid.l2_weights[None, :]
     ap, am = a_plus_minus(p, params)
     G = np.block([[np.diag(ap), np.diag(-am)], [np.diag(am), np.diag(ap)]])
     return X - G.T @ X @ G, X
@@ -462,7 +462,7 @@ class TestCommutatorMatrix:
         params = PhysParams()
         ch = ChannelSpec.from_kappa(kappa)
         oracle, X = dense_commutator(R, grid, ch, params)
-        C = commutator_matrix(R, grid, ch, params)
+        [C] = commutator_matrix([R], grid, ch, params)
         # the dense form cancels terms the size of X and rounds at that size:
         # at R = 64 the commutator's entries are ~1e-8 of X
         assert np.abs(C - oracle).max() <= 1e-15 * np.abs(X).max()
@@ -477,8 +477,8 @@ class TestCommutatorMatrix:
         ch = ChannelSpec.from_kappa(kappa)
         n, p = grid.n, grid.nodes
         P, Q = p[:, None], p[None, :]
-        Xu, Xd = (multiplier_channel_kernel(l, R, P, Q)
-                  * grid.l2_weights[None, :] for l in (ch.l_up, ch.l_down))
+        Xu, Xd = (X * grid.l2_weights[None, :]
+                  for X in multiplier_channel_kernel((ch.l_up, ch.l_down), R, P, Q))
         with mpmath.workdps(40):
             mc2 = mpmath.mpf(params.m) * mpmath.mpf(params.c) ** 2
             lam = [mpmath.sqrt((mpmath.mpf(params.c) * mpmath.mpf(q)) ** 2 + mc2 ** 2)
@@ -493,7 +493,7 @@ class TestCommutatorMatrix:
                     oracle[i, n + j] = ap[i] * u * am[j] - am[i] * d * ap[j]
                     oracle[n + i, j] = am[i] * u * ap[j] - ap[i] * d * am[j]
                     oracle[n + i, n + j] = d - am[i] * u * am[j] - ap[i] * d * ap[j]
-        C = commutator_matrix(R, grid, ch, params)
+        [C] = commutator_matrix([R], grid, ch, params)
         assert np.abs(C - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     def test_norms_match_dense_svd(self, decay_report):
@@ -525,6 +525,17 @@ class TestCommutatorDecay:
     def test_r_values_validation(self):
         with pytest.raises(DomainError):
             commutator_decay(R_values=(0.0, 2.0))
+
+    def test_peak_memory(self):
+        # the mixing products formed once and one buffer for every C: at the
+        # defaults (n = 160) the peak stays below 4.5 matrices of size 2n
+        tracemalloc.start()
+        try:
+            commutator_decay()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * (2 * 160) ** 2 * 8
 
 
 @pytest.fixture(scope="module")
@@ -572,3 +583,22 @@ class TestScalingLimit:
     def test_eta_validation(self):
         with pytest.raises(DomainError):
             scaling_limit(eta_values=(0.9, 0.4))
+
+
+class PerKernelTables:
+    """Stands in for PotentialTables: assembles every kernel on its own."""
+
+    def __init__(self, grid, ls):
+        self.grid = grid
+
+    def potential(self, terms):
+        return assemble_potential(self.grid, terms)
+
+
+def test_shared_tables_give_the_per_kernel_results(scaling_report, monkeypatch):
+    # the families that share one set of Q_l tables report, bit for bit,
+    # what assembling each kernel on its own gives
+    shared_tix = tix_check()
+    monkeypatch.setattr(experiments, "PotentialTables", PerKernelTables)
+    assert scaling_limit()["form_values"] == scaling_report["form_values"]
+    assert tix_check()["ratios"] == shared_tix["ratios"]

@@ -65,6 +65,16 @@ class TestDenseInPlace:
             dense_spectrum(op, 2)
         assert np.array_equal(op.matrix, before)
 
+    def test_non_finite_matrix_raises_untouched(self):
+        # the finiteness check runs before LAPACK sees the matrix, which
+        # comes back as it was, NaN included
+        op = IN_PLACE_OPERATORS["nystrom-rational"]()
+        op.matrix[3, 5] = op.matrix[5, 3] = np.nan
+        before = op.matrix.copy()
+        with pytest.raises(NumericalError, match="not finite"):
+            dense_spectrum(op, 2)
+        assert np.array_equal(op.matrix, before, equal_nan=True)
+
     def test_peak_memory_below_half_a_matrix(self):
         # the solver works on op.matrix itself, not on a copy of it
         op = assemble_operator(build_log_grid(400, 4e-3, 3e5), CH, PhysParams(Z=40.0))
